@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import ArpackError
 
 from .baselines import rcca_fit
 from .datasets import load_paired_csv, synthetic_circles, write_paired_csv
@@ -523,6 +524,9 @@ def cmd_compare(args) -> int:
 def cmd_check_bounds(args) -> int:
     cfg = resolve_config(args)
     if cfg.dataset == "synthetic" and cfg.n > 400:
+        # the bound checks are dense N x N verifiers
+        print(f"check-bounds: n={cfg.n} exceeds the dense-check limit 400; "
+              f"using n=200", file=sys.stderr)
         cfg.n = 200
         cfg.tune_n = cfg.test_n = 200
     data = _make_data(cfg)
@@ -599,7 +603,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError,
-            DowndateError) as exc:
+            DowndateError, ArpackError) as exc:
+        # ArpackError covers ArpackNoConvergence from the iterative SVDs
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -3,11 +3,15 @@
 The exact solver forms T = (Kc1 + N lam1 I)^-1 Kc1 Kc2 (Kc2 + N lam2 I)^-1
 densely (Kc = centered Gram matrix) and reads the canonical correlations off
 its singular values. The Nystrom solver never touches N x N matrices: per
-view it maintains the incremental Cholesky factor of
-G = N lam S^T K S + (H K S)^T (H K S) and a thin QR of H K S = Q P, plus the
-cross-view core matrix (H K1 S1)^T (H K2 S2). At a rank checkpoint the
-canonical system reduces to the SVD of the small matrix
-P1 G1^-1 core G2^-1 P2^T, whose singular vectors lift back through Q1, Q2.
+view it maintains the incremental Cholesky factor R of
+G = N lam S^T K S + (H K S)^T (H K S) = R^T R and a thin QR of H K S = Q P,
+plus the cross-view core matrix (H K1 S1)^T (H K2 S2). At a rank checkpoint
+the canonical system reduces to the SVD of the small r1 x r2 matrix
+P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with M = P R^-1 per view and
+Kt = R1^-T core R2^-1. M and Kt are grown by bordering as landmarks are
+appended (their leading blocks never change), so each checkpoint forms the
+matrix with two products and takes its top singular triplets, which lift
+back through Q1, Q2.
 """
 
 from __future__ import annotations
@@ -197,13 +201,61 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
 class _ViewFactors:
     """The pieces of one view needed to solve a checkpoint."""
 
-    def __init__(self, solve, P, Q, A, scale, indices):
+    def __init__(self, solve, P, Q, A, M, scale, indices):
         self.solve = solve
         self.P = P
         self.Q = Q
         self.A = A
+        self.M = M
         self.scale = scale
         self.indices = indices
+
+
+def _border_m(M: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Grow M = P R^-1 to the current P and R.
+
+    With R = [[R0, W], [0, B]] the leading columns stay P[:, :m0] R0^-1 = M
+    (the rows of new Q directions are zero there), and the appended ones are
+    (P[:, m0:] - M W) B^-1.
+    """
+    r0, m0 = M.shape
+    r, m = P.shape
+    out = np.zeros((r, m))
+    out[:r0, :m0] = M
+    rhs = P[:, m0:].copy()
+    rhs[:r0] -= M @ R[:m0, m0:]
+    out[:, m0:] = scipy.linalg.solve_triangular(
+        R[m0:, m0:], rhs.T, trans="T", lower=False, check_finite=False).T
+    return out
+
+
+def _border_k_tilde(K: np.ndarray, core: np.ndarray, R1: np.ndarray,
+                    R2: np.ndarray) -> np.ndarray:
+    """Grow Kt = R1^-T core R2^-1 to the shape of the grown core.
+
+    The old block is unchanged. With Ri = [[Ri0, Wi], [0, Bi]], the new rows
+    over the old columns are B1^-T (core[new, old] R20^-1 - W1^T Kt), and
+    the new columns are (R1^-T core[:, new] - Kt[:, old] W2) B2^-1.
+    """
+    k10, k20 = K.shape
+    k1, k2 = core.shape
+    out = np.empty((k1, k2))
+    out[:k10, :k20] = K
+    if k1 > k10:
+        t = scipy.linalg.solve_triangular(
+            R2[:k20, :k20], core[k10:, :k20].T, trans="T", lower=False,
+            check_finite=False).T
+        t -= R1[:k10, k10:].T @ K
+        out[k10:, :k20] = scipy.linalg.solve_triangular(
+            R1[k10:, k10:], t, trans="T", lower=False, check_finite=False)
+    if k2 > k20:
+        t = scipy.linalg.solve_triangular(R1, core[:, k20:], trans="T",
+                                          lower=False, check_finite=False)
+        t -= out[:, :k20] @ R2[:k20, k20:]
+        out[:, k20:] = scipy.linalg.solve_triangular(
+            R2[k20:, k20:], t.T, trans="T", lower=False,
+            check_finite=False).T
+    return out
 
 
 class _ViewState:
@@ -217,6 +269,7 @@ class _ViewState:
         self.chol = CholState(oracle.n, lam, new_mass_rtol=new_mass_rtol,
                               pivot_cond_limit=pivot_cond_limit)
         self.qr = QrState(oracle.n)
+        self.M = np.zeros((0, 0))
         self.seen: set[int] = set()
         self.draws = 0
         self.skipped: list[int] = []
@@ -255,13 +308,15 @@ class _ViewState:
                 self.seen.discard(int(idx[pos]))
         self.skipped.sort()
         new_block = self.chol.A[:, m0 : self.chol.m]
-        qr_append_block(self.qr, new_block)
+        if new_block.shape[1]:
+            qr_append_block(self.qr, new_block)
+            self.M = _border_m(self.M, self.qr.P, self.chol.R)
         return new_block
 
     def factors(self) -> _ViewFactors:
         chol = self.chol
         return _ViewFactors(solve=lambda B: chol_solve(chol, B),
-                            P=self.qr.P, Q=self.qr.Q, A=chol.A,
+                            P=self.qr.P, Q=self.qr.Q, A=chol.A, M=self.M,
                             scale=chol.s_weights.copy(),
                             indices=np.array(chol.indices, dtype=int))
 
@@ -271,45 +326,21 @@ class _ViewState:
                          skipped=list(self.skipped))
 
 
-def _checkpoint_solution(f1: _ViewFactors, f2: _ViewFactors, core: np.ndarray,
-                         L: int, force_dense: bool = False):
-    """SVD of P1 G1^-1 core G2^-1 P2^T, lifted through Q1/Q2.
-
-    Small problems are solved densely; large ones through an implicit
-    operator whose matvec runs two triangular solve pairs, so no m1 x m2
-    solve with the full core as right-hand side is ever needed.
-    """
-    r1, k1 = f1.P.shape
-    r2, k2 = f2.P.shape
+def _checkpoint_solution(f1: _ViewFactors, f2: _ViewFactors,
+                         k_tilde: np.ndarray, L: int):
+    """SVD of T_hat = M1 Kt M2^T (= P1 G1^-1 core G2^-1 P2^T), lifted
+    through Q1/Q2. Returns (rho, alpha', beta', sigma_next, T_hat)."""
+    r1 = f1.M.shape[0]
+    r2 = f2.M.shape[0]
     n = f1.Q.shape[0]
     rho = np.zeros(L)
     ap = np.zeros((n, L))
     bp = np.zeros((n, L))
     if min(r1, r2) == 0:
-        return rho, ap, bp, 0.0, (np.zeros((r1, r2)) if force_dense else None)
+        return rho, ap, bp, 0.0, np.zeros((r1, r2))
 
-    want = min(L + 1, min(r1, r2))
-    dense = force_dense or min(r1, r2) <= max(192, 2 * (L + 2)) or want >= min(r1, r2)
-    T_hat = None
-    if dense:
-        Z = f1.solve(core)
-        Z = f2.solve(Z.T).T
-        T_hat = f1.P @ Z @ f2.P.T
-        U, s, Vt = scipy.linalg.svd(T_hat, full_matrices=False)
-    else:
-        def mv(v):
-            t = f2.solve(f2.P.T @ v)
-            return f1.P @ f1.solve(core @ t)
-
-        def rmv(u):
-            t = f1.solve(f1.P.T @ u)
-            return f2.P @ f2.solve(core.T @ t)
-
-        op = LinearOperator((r1, r2), matvec=mv, rmatvec=rmv)
-        U, s, Vt = svds(op, k=want, v0=np.ones(min(r1, r2)))
-        order = np.argsort(s)[::-1]
-        U, s, Vt = U[:, order], s[order], Vt[order]
-
+    T_hat = (f1.M @ k_tilde) @ f2.M.T
+    U, s, Vt = _top_svd(T_hat, min(L + 1, r1, r2))
     L_eff = min(L, s.shape[0])
     rho[:L_eff] = s[:L_eff]
     ap[:, :L_eff] = f1.Q @ U[:, :L_eff]
@@ -378,6 +409,7 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
     v1 = _ViewState(oracle1, plan1, lambda1, new_mass_rtol, pivot_cond_limit)
     v2 = _ViewState(oracle2, plan2, lambda2, new_mass_rtol, pivot_cond_limit)
     core = np.zeros((0, 0))
+    k_tilde = np.zeros((0, 0))
     entries: list[RankPathEntry] = []
 
     for m1, m2 in cps:
@@ -394,21 +426,24 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
         if new2.shape[1]:
             grown[:k1, k2_old:] = v1.chol.A.T @ new2
         core = grown
+        k_tilde = _border_k_tilde(k_tilde, core, v1.chol.R, v2.chol.R)
 
         f1 = v1.factors()
         f2 = v2.factors()
-        rho, ap, bp, sig_next, T_hat = _checkpoint_solution(
-            f1, f2, core, L, force_dense=keep_t)
+        rho, ap, bp, sig_next, T_hat = _checkpoint_solution(f1, f2, k_tilde, L)
         model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
                           L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
                           sigma_next=sig_next, view1=oracle1, view2=oracle2,
                           landmarks1=v1.landmarks(), landmarks2=v2.landmarks())
-        if keep_t and T_hat is not None:
+        if keep_t:
             model.t_matrix = f1.Q @ T_hat @ f2.Q.T
         entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model,
                               _coef_ctx=(v1.chol, k1, v2.chol, k2))
         if compute_coefficients:
             nkcca_coefficients(entry)
+            # the factor states are no longer needed; a kept entry must not
+            # pin them (tens of MB per view at N = 3000)
+            entry._coef_ctx = None
         entry.wall_time_incremental = time.perf_counter() - t0 - hook_time
         if on_checkpoint is not None:
             h0 = time.perf_counter()
@@ -530,20 +565,25 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
                 return scipy.linalg.solve_triangular(Rf, Y, lower=False)
             return solve
 
-        built.append((_ViewFactors(make_solve(R), P, Q, A, scale, idx),
+        # M = P R^-1 from scratch: R^T M^T = P^T
+        M = scipy.linalg.solve_triangular(R, P.T, trans="T", lower=False).T
+        built.append((_ViewFactors(make_solve(R), P, Q, A, M, scale, idx),
                       Landmarks(indices=idx.copy(), scale=scale.copy(),
-                                draws=m, skipped=sorted(skipped))))
+                                draws=m, skipped=sorted(skipped)), R))
 
-    f1, lm1 = built[0]
-    f2, lm2 = built[1]
-    core = f1.A.T @ f2.A
-    rho, ap, bp, sig_next, T_hat = _checkpoint_solution(f1, f2, core, L,
-                                                        force_dense=keep_t)
+    f1, lm1, R1 = built[0]
+    f2, lm2, R2 = built[1]
+    # Kt = R1^-T (A1^T A2) R2^-1 from scratch
+    k_tilde = scipy.linalg.solve_triangular(R1, f1.A.T @ f2.A, trans="T",
+                                            lower=False)
+    k_tilde = scipy.linalg.solve_triangular(R2, k_tilde.T, trans="T",
+                                            lower=False).T
+    rho, ap, bp, sig_next, T_hat = _checkpoint_solution(f1, f2, k_tilde, L)
     model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
                       L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
                       sigma_next=sig_next, view1=oracle1, view2=oracle2,
                       landmarks1=lm1, landmarks2=lm2)
-    if keep_t and T_hat is not None:
+    if keep_t:
         model.t_matrix = f1.Q @ T_hat @ f2.Q.T
     if compute_coefficients:
         model.alpha = _nystrom_coefficients(ap, f1.A, f1.solve, n, lambda1)
@@ -634,10 +674,14 @@ def total_correlation(proj_x: np.ndarray, proj_y: np.ndarray) -> float:
 # Model serialization (flat versioned record)
 # ---------------------------------------------------------------------------
 
+# Version 2 adds each view's skipped plan positions (landmark_skipped1/2).
+_FORMAT_VERSION = 2
+
+
 def save_model(model: KccaModel, path) -> None:
-    """Persist a fitted model to a flat .npz record (format version 1)."""
+    """Persist a fitted model to a flat .npz record (format version 2)."""
     payload = {
-        "format_version": np.array(1),
+        "format_version": np.array(_FORMAT_VERSION),
         "kind": np.array(model.kind),
         "n": np.array(model.n),
         "lambda1": np.array(model.lambda1),
@@ -658,6 +702,8 @@ def save_model(model: KccaModel, path) -> None:
             payload[f"landmark_indices{tag}"] = lm.indices
             payload[f"landmark_scale{tag}"] = lm.scale
             payload[f"landmark_draws{tag}"] = np.array(lm.draws)
+            payload[f"landmark_skipped{tag}"] = np.array(lm.skipped,
+                                                         dtype=int)
     for tag, oracle in (("1", model.view1), ("2", model.view2)):
         if oracle is not None and oracle.spec is not None:
             payload[f"sigma_rbf{tag}"] = np.array(oracle.spec.sigma)
@@ -668,12 +714,14 @@ def load_model(path, X1=None, X2=None) -> KccaModel:
     """Load a model saved by save_model.
 
     Training inputs are not stored in the record; pass X1/X2 to re-attach
-    projection oracles (the stored kernel bandwidths are reused).
+    projection oracles (the stored kernel bandwidths are reused). Version-1
+    records load with empty ``Landmarks.skipped`` lists, since they did not
+    store them.
     """
     from .kernels import KernelSpec
 
     with np.load(path, allow_pickle=False) as z:
-        if int(z["format_version"]) != 1:
+        if int(z["format_version"]) not in (1, _FORMAT_VERSION):
             raise ValueError("unknown model format version")
         model = KccaModel(
             kind=str(z["kind"]), n=int(z["n"]), lambda1=float(z["lambda1"]),
@@ -684,9 +732,12 @@ def load_model(path, X1=None, X2=None) -> KccaModel:
             sigma_next=float(z["sigma_next"]) if "sigma_next" in z else None)
         for tag in ("1", "2"):
             if f"landmark_indices{tag}" in z:
+                skipped = f"landmark_skipped{tag}"
                 lm = Landmarks(indices=z[f"landmark_indices{tag}"],
                                scale=z[f"landmark_scale{tag}"],
-                               draws=int(z[f"landmark_draws{tag}"]))
+                               draws=int(z[f"landmark_draws{tag}"]),
+                               skipped=z[skipped].tolist() if skipped in z
+                               else [])
                 setattr(model, f"landmarks{tag}", lm)
         for tag, X in (("1", X1), ("2", X2)):
             if X is not None:

@@ -125,20 +125,29 @@ class KernelColumns:
     requiring the full N x N matrix in memory.
 
     Backed either by (spec, X) with columns evaluated on demand, or by a
-    precomputed dense matrix.
+    precomputed dense matrix. The inputs are validated here, once: X must be
+    a finite 2-D array (rows are points), and matrix a finite square one.
     """
 
     def __init__(self, spec: KernelSpec | None = None, X=None, matrix=None):
         if matrix is not None:
             self._K = as_matrix(matrix)
+            if not np.all(np.isfinite(self._K)):
+                raise ValueError("kernel matrix has non-finite entries")
             self._X = None
             self.spec = spec
             self.n = self._K.shape[0]
         elif spec is not None and X is not None:
+            X = np.asarray(X, dtype=float)
+            if X.ndim != 2:
+                raise ValueError(f"X must be 2-D (points x features), got "
+                                 f"{X.ndim}-D")
+            if not np.all(np.isfinite(X)):
+                raise ValueError("X has non-finite entries")
             self._K = None
-            self._X = np.atleast_2d(np.asarray(X, dtype=float))
+            self._X = X
             self.spec = spec
-            self.n = self._X.shape[0]
+            self.n = X.shape[0]
         else:
             raise ValueError("provide either matrix= or both spec= and X=")
 

@@ -7,10 +7,14 @@ The incremental solver maintains, per view and in an append-only fashion,
   ``G = N lam S^T K S + A^T A``,
 * ``Q, P`` — a thin orthonormal factorization ``A = Q P``.
 
-Growing the landmark set by one column updates ``R`` with a zero pad, one
-rank-one update, and one rank-one downdate; ``Q, P`` gain one column via
-Gram-Schmidt with a reorthogonalization pass. All per-column work is cached,
-so advancing to a larger rank reuses everything already computed.
+The rank-path solver grows both by blocks of p columns
+(``chol_append_block``, ``qr_append_block``): ``R`` gains the border
+``[W; B]`` with ``W = R_old^-T C`` for the cross terms ``C`` and ``B`` the
+factor of the Schur complement, and ``Q, P`` gain columns by two block
+projection passes plus Gram-Schmidt within the block. Leading blocks never
+change, so advancing to a larger rank reuses everything already computed.
+``chol_step`` / ``qr_append`` are the single-column forms (a zero pad, a
+rank-one update and a rank-one downdate of ``R``).
 """
 
 from __future__ import annotations

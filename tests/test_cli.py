@@ -192,3 +192,31 @@ def test_check_bounds_command(tmp_path):
     gated = [r for r in rows[1:] if r[4] == "True"]
     assert gated, "expected at least one applicable report"
     assert all(r[3] == "True" for r in gated)
+
+
+def test_arpack_no_convergence_exit_code(monkeypatch, tmp_path, capsys):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from nkcca import kcca
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    # route the exact solver's top-L extraction through svds
+    monkeypatch.setattr(kcca, "_DENSE_SVD_LIMIT", 0)
+    monkeypatch.setattr(kcca, "svds", no_convergence)
+    code = run(["exact"] + base_flags(tmp_path, n="50", **{"tune-n": "50"}))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "No convergence" in err
+    assert err.count("\n") == 1
+
+
+def test_check_bounds_reports_reduced_size(tmp_path, capsys):
+    code = run(["check-bounds"] + base_flags(tmp_path, n="500", seeds="0",
+                                             ranks="10,30"))
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "n=500" in err and "n=200" in err
+    rows = read_csv(tmp_path / "check-bounds" / "bounds.csv")
+    assert len(rows) > 1

@@ -246,6 +246,63 @@ def test_nkcca_per_view_checkpoint_pairs():
                                atol=1e-10)
 
 
+def _random_upper(rng, m):
+    R = np.triu(rng.normal(size=(m, m)))
+    R[np.diag_indices(m)] = 1.0 + rng.uniform(size=m)
+    return R
+
+
+def test_bordered_m_and_k_tilde_match_scratch_solves():
+    from nkcca.kcca import _border_k_tilde, _border_m
+
+    rng = np.random.default_rng(40)
+    R1, R2 = _random_upper(rng, 11), _random_upper(rng, 9)
+    P = np.triu(rng.normal(size=(11, 11)))[:10]   # one dependent column
+    core = rng.normal(size=(11, 9))
+    M = np.zeros((0, 0))
+    K = np.zeros((0, 0))
+    # grow both views, view 1 only, view 2 only, then both again
+    for k1, k2, r in ((3, 4, 3), (6, 4, 6), (6, 7, 6), (11, 9, 10)):
+        M = _border_m(M, P[:r, :k1], R1[:k1, :k1])
+        K = _border_k_tilde(K, core[:k1, :k2], R1[:k1, :k1], R2[:k2, :k2])
+        M_ref = scipy.linalg.solve_triangular(R1[:k1, :k1], P[:r, :k1].T,
+                                              trans="T").T
+        K_ref = np.linalg.solve(R1[:k1, :k1].T, core[:k1, :k2]) @ \
+            np.linalg.inv(R2[:k2, :k2])
+        np.testing.assert_allclose(M, M_ref, atol=1e-10)
+        np.testing.assert_allclose(K, K_ref, atol=1e-10)
+
+
+def test_live_m_factor_matches_factor_solves():
+    # M M^T = P R^-1 R^-T P^T = P G^-1 P^T at every checkpoint
+    K1, K2, o1, o2, _, _ = two_view_problem(n=30, seed=41)
+    dist = SamplingDistribution(p=np.full(30, 1 / 30))
+    p1 = sample(dist, 24, seed=41)
+    p2 = sample(dist, 24, seed=42)
+    checked = []
+
+    def hook(entry, f1, f2, core):
+        for f in (f1, f2):
+            np.testing.assert_allclose(f.M @ f.M.T, f.P @ f.solve(f.P.T),
+                                       atol=1e-9)
+        checked.append(entry.m1)
+
+    nkcca_fit(o1, o2, p1, p2, 1e-3, 1e-3, L=1,
+              checkpoints=[(4, 6), (12, 6), (12, 18), (24, 24)],
+              on_checkpoint=hook)
+    assert checked == [4, 12, 12, 24]
+
+
+def test_eager_fit_releases_factor_context():
+    K1, K2, o1, o2, _, _ = two_view_problem(n=14, seed=43)
+    plan = unit_plan([0, 3, 5, 9])
+    eager = nkcca_fit(o1, o2, plan, plan, 1e-3, 1e-3, L=1, checkpoints=[2, 4])
+    lazy = nkcca_fit(o1, o2, plan, plan, 1e-3, 1e-3, L=1, checkpoints=[2, 4],
+                     compute_coefficients=False)
+    assert all(e._coef_ctx is None for e in eager)
+    assert all(e._coef_ctx is not None for e in lazy)
+
+
 # --- coefficients -------------------------------------------------------------
 
 def test_coefficients_zero_kernel_limit():
@@ -260,7 +317,9 @@ def test_coefficients_nullspace_probe():
     # alpha' orthogonal to range(A) leaves only the identity term
     K1, K2, o1, o2, _, _ = two_view_problem(n=10, seed=16)
     plan = unit_plan([1, 6])
-    entries = nkcca_fit(o1, o2, plan, plan, 0.05, 0.05, L=1, checkpoints=[2])
+    # the lazy path keeps the factorization context on the entry
+    entries = nkcca_fit(o1, o2, plan, plan, 0.05, 0.05, L=1, checkpoints=[2],
+                        compute_coefficients=False)
     ctx = entries[0]._coef_ctx
     chol1 = ctx[0]
     A = chol1.A
@@ -387,6 +446,49 @@ def test_model_save_load_round_trip(tmp_path):
     x_new = np.array([0.3, -1.2])
     np.testing.assert_allclose(project(back, x_new, 1),
                                project(e.model, x_new, 1), atol=1e-12)
+
+
+def test_model_save_load_keeps_skipped_positions(tmp_path):
+    ds = synthetic_circles(30, seed=3)
+    X, Y = ds.X.copy(), ds.Y.copy()
+    # points 5 and 8 coincide in both views: drawing 8 after 5 is a distinct
+    # index but an identical column, which the new-mass gate rejects
+    X[8], Y[8] = X[5], Y[5]
+    spec = KernelSpec(sigma=1.0)
+    o1 = KernelColumns.from_data(spec, X)
+    o2 = KernelColumns.from_data(spec, Y)
+    plan = unit_plan([2, 5, 2, 11, 8, 17, 11, 20])
+    e = nkcca_fit(o1, o2, plan, plan, 1e-3, 1e-3, L=1, checkpoints=[8])[0]
+    lm = e.model.landmarks1
+    assert lm.skipped == [2, 4, 6]            # duplicates at 2 and 6, gate at 4
+    np.testing.assert_array_equal(lm.indices, [2, 5, 11, 17, 20])
+    path = tmp_path / "model.npz"
+    save_model(e.model, path)
+    back = load_model(path)
+    for tag in ("1", "2"):
+        orig = getattr(e.model, f"landmarks{tag}")
+        got = getattr(back, f"landmarks{tag}")
+        assert got.skipped == orig.skipped
+        assert got.draws == orig.draws == len(got.indices) + len(got.skipped)
+        np.testing.assert_array_equal(got.indices, orig.indices)
+
+
+def test_load_model_reads_version_1_records(tmp_path):
+    path = tmp_path / "v1.npz"
+    np.savez(path, format_version=np.array(1), kind=np.array("nystrom"),
+             n=np.array(6), lambda1=np.array(0.1), lambda2=np.array(0.2),
+             L=np.array(1), rho=np.array([0.5]),
+             alpha_prime=np.ones((6, 1)), beta_prime=np.ones((6, 1)),
+             sigma_next=np.array(0.25),
+             landmark_indices1=np.array([0, 3]),
+             landmark_scale1=np.array([1.0, 1.0]),
+             landmark_draws1=np.array(3))
+    model = load_model(path)
+    assert (model.n, model.lambda2, model.sigma_next) == (6, 0.2, 0.25)
+    np.testing.assert_array_equal(model.landmarks1.indices, [0, 3])
+    assert model.landmarks1.draws == 3
+    assert model.landmarks1.skipped == []
+    assert model.landmarks2 is None and model.alpha is None
 
 
 # --- implicit operator norm ------------------------------------------------------

@@ -174,3 +174,27 @@ def test_column_oracle_lazy_matches_dense():
 def test_cross_gram_dimension_mismatch():
     with pytest.raises(ValueError):
         cross_gram(KernelSpec(), np.ones((2, 3)), np.ones((4, 2)))
+
+
+def test_column_oracle_rejects_bad_data():
+    spec = KernelSpec()
+    with pytest.raises(ValueError, match="2-D"):
+        KernelColumns.from_data(spec, np.ones(5))
+    with pytest.raises(ValueError, match="2-D"):
+        KernelColumns.from_data(spec, np.ones((2, 3, 4)))
+    X = np.ones((4, 2))
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        KernelColumns.from_data(spec, X)
+    X[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        KernelColumns.from_data(spec, X)
+
+
+def test_column_oracle_rejects_bad_matrix():
+    with pytest.raises(ValueError, match="square"):
+        KernelColumns.from_gram(np.ones((3, 4)))
+    K = np.eye(3)
+    K[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        KernelColumns.from_gram(K)

@@ -1,0 +1,83 @@
+"""Property tests: the incremental rank path equals restarts.
+
+Every entry of ``nkcca_fit`` along a random plan (with repeated draws) and a
+random nondecreasing sequence of per-view checkpoints must match a
+from-scratch ``nkcca_fit_direct`` at the same ranks: the same landmarks, rho
+within 1e-8 and principal angles within 1e-6 (criterion 2's tolerances).
+Examples are derandomized, so the suite is reproducible.
+"""
+
+import numpy as np
+import scipy.linalg
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from nkcca.datasets import synthetic_circles
+from nkcca.kcca import nkcca_fit, nkcca_fit_direct
+from nkcca.kernels import KernelColumns, KernelSpec
+from nkcca.sampling import unit_plan
+
+RHO_TOL = 1e-8
+ANGLE_TOL = 1e-6
+# Principal angles are only determined up to (perturbation / gap); below
+# this singular-value gap the top-L subspace itself is ill-posed.
+MIN_GAP = 1e-5
+
+
+@st.composite
+def rank_paths(draw):
+    n = draw(st.integers(20, 50))
+    m = draw(st.integers(4, 30))
+    # a pool smaller than the plan forces repeated draws
+    pool = draw(st.integers(3, min(n, m - 1)))
+    plans = [draw(st.lists(st.integers(0, pool - 1), min_size=m, max_size=m))
+             for _ in range(2)]
+    count = draw(st.integers(1, 4))
+    ranks = [sorted(draw(st.lists(st.integers(1, m), min_size=count,
+                                  max_size=count))) for _ in range(2)]
+    checkpoints = list(zip(*ranks))
+    assume(any(a != b for a, b in checkpoints))
+    return dict(n=n, seed=draw(st.integers(0, 10_000)),
+                sigma=draw(st.sampled_from([0.3, 0.5, 1.0])),
+                lam=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+                L=draw(st.integers(1, 2)), plans=plans,
+                checkpoints=checkpoints)
+
+
+def _checked_columns(direct, L):
+    """Leading columns with a singular-value gap wide enough for angles."""
+    rho = direct.rho_tilde
+    k = int(np.count_nonzero(np.linalg.norm(direct.model.alpha_prime,
+                                            axis=0)))
+    below = rho[k] if k < L else direct.model.sigma_next
+    return k if k and rho[k - 1] - below > MIN_GAP else 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(rank_paths())
+def test_incremental_path_equals_restart(case):
+    ds = synthetic_circles(case["n"], case["seed"])
+    spec = KernelSpec(sigma=case["sigma"])
+    o1 = KernelColumns.from_data(spec, ds.X)
+    o2 = KernelColumns.from_data(spec, ds.Y)
+    p1, p2 = (unit_plan(p) for p in case["plans"])
+    lam, L = case["lam"], case["L"]
+    entries = nkcca_fit(o1, o2, p1, p2, lam, lam, L, case["checkpoints"])
+    for e in entries:
+        direct = nkcca_fit_direct(o1, o2, p1, p2, lam, lam, L,
+                                  m1=e.m1, m2=e.m2)
+        for tag in ("1", "2"):
+            inc = getattr(e.model, f"landmarks{tag}")
+            ref = getattr(direct.model, f"landmarks{tag}")
+            np.testing.assert_array_equal(inc.indices, ref.indices)
+            assert inc.skipped == ref.skipped
+        np.testing.assert_allclose(e.rho_tilde, direct.rho_tilde, rtol=0,
+                                   atol=RHO_TOL)
+        k = _checked_columns(direct, L)
+        for a, b in ((e.model.alpha_prime, direct.model.alpha_prime),
+                     (e.model.beta_prime, direct.model.beta_prime)):
+            if k:
+                angle = scipy.linalg.subspace_angles(a[:, :k], b[:, :k]).max()
+                assert angle <= ANGLE_TOL
