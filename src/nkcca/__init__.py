@@ -7,8 +7,8 @@ from .kernels import (KernelSpec, GramMatrix, KernelColumns, kernel_eval, gram,
 from .leverage import (LeverageScores, SamplingDistribution, exact_leverage,
                        approx_leverage, effective_dimension, make_distribution)
 from .sampling import SamplingPlan, sample, extend, full_plan, unit_plan
-from .nystrom import (NystromFactor, factor, apply, CholState, chol_init,
-                      chol_step, chol_solve, QrState, qr_append, DowndateError)
+from .nystrom import (NystromFactor, factor, apply, CholState,
+                      chol_append_block, chol_solve, QrState, qr_append_block)
 from .kcca import (KccaModel, RankPathEntry, exact_kcca, nkcca_fit,
                    nkcca_fit_direct, nkcca_coefficients, project, project_many,
                    total_correlation, save_model, load_model)

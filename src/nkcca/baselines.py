@@ -9,8 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kcca import total_correlation
-
 __all__ = [
     "RffMap",
     "make_rff_map",
@@ -127,8 +125,3 @@ def rcca_fit(X_train, Y_train, sigma1: float, sigma2: float, n_features: int,
         return model.transform(rff_features(map_x, X), rff_features(map_y, Y))
 
     return model, project
-
-
-def rcca_test_correlation(project, X_test, Y_test) -> float:
-    px, py = project(X_test, Y_test)
-    return total_correlation(px, py)

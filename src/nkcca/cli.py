@@ -31,7 +31,6 @@ from .kcca import (exact_kcca, nkcca_fit, nkcca_fit_direct, project_many,
 from .kernels import KernelColumns, KernelSpec, gram
 from .leverage import (SamplingDistribution, approx_leverage, exact_leverage,
                        make_distribution)
-from .nystrom import DowndateError
 from .sampling import sample
 
 
@@ -158,7 +157,10 @@ def _make_data(cfg: ExperimentConfig) -> SimpleNamespace:
         return SimpleNamespace(X_train=train.X, Y_train=train.Y,
                                X_tune=tune.X, Y_tune=tune.Y,
                                X_test=test.X, Y_test=test.Y)
-    ds = load_paired_csv(cfg.csv_x, cfg.csv_y, cfg.split, cfg.data_seed)
+    try:
+        ds = load_paired_csv(cfg.csv_x, cfg.csv_y, cfg.split, cfg.data_seed)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load the csv dataset: {exc}") from exc
     xtr, ytr = ds.subset("train")
     xtu, ytu = ds.subset("tune")
     xte, yte = ds.subset("test")
@@ -315,12 +317,6 @@ class _PathRunner:
                             self.cfg.L, checkpoints=list(self.cfg.ranks),
                             on_checkpoint=on_checkpoint)
         return entries, (self.o1, self.o2, plan1, plan2)
-
-
-def _fit_path_for_seed(cfg, data, strategy, s1, s2, l1, l2, seed,
-                       on_checkpoint=None):
-    return _PathRunner(cfg, data, s1, s2, l1, l2).fit(strategy, seed,
-                                                      on_checkpoint)
 
 
 def cmd_nkcca(args) -> int:
@@ -531,20 +527,18 @@ def cmd_check_bounds(args) -> int:
         cfg.tune_n = cfg.test_n = 200
     data = _make_data(cfg)
     s1, s2, l1, l2 = _select_model(cfg, data)
-    spec1, spec2 = KernelSpec(sigma=s1), KernelSpec(sigma=s2)
-    K1 = gram(spec1, data.X_train)
-    K2 = gram(spec2, data.Y_train)
-    o1 = KernelColumns.from_data(spec1, data.X_train)
-    o2 = KernelColumns.from_data(spec2, data.Y_train)
+    runner = _PathRunner(cfg, data, s1, s2, l1, l2)
+    o1, o2 = runner.o1, runner.o2
+    K1 = gram(KernelSpec(sigma=s1), data.X_train)
+    K2 = gram(KernelSpec(sigma=s2), data.Y_train)
     exact = exact_kcca(K1, K2, l1, l2, L=cfg.L, keep_t=True, view1=o1, view2=o2)
     gamma1 = cfg.gamma_mult[0] * l1
     gamma2 = cfg.gamma_mult[0] * l2
     t_gate = 0.9
     rank = min(max(cfg.ranks), K1.n - 1)
+    d1, d2 = runner.distributions(cfg.strategy)
     reports = []
     for seed in cfg.seeds:
-        d1 = _view_distribution(cfg, o1, l1, cfg.gamma_mult[0])
-        d2 = _view_distribution(cfg, o2, l2, cfg.gamma_mult[0])
         plan1 = sample(d1, rank, seed=seed)
         plan2 = sample(d2, rank, seed=seed + 1)
         reports.append(psd_ordering_check(K1, plan1, gamma1))
@@ -603,7 +597,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError,
-            DowndateError, ArpackError) as exc:
+            ArpackError) as exc:
         # ArpackError covers ArpackNoConvergence from the iterative SVDs
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -83,7 +83,11 @@ def synthetic_circles(n: int, seed: int) -> PairedDataset:
 
 
 def _parse_csv(path) -> np.ndarray:
-    """Comma-separated numeric table; a non-numeric first row is a header."""
+    """Comma-separated numeric table; a non-numeric first row is a header.
+
+    Raises ValueError naming the file and line of a cell that does not parse
+    or is not finite (NaN, Inf).
+    """
     rows = []
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -97,9 +101,12 @@ def _parse_csv(path) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            rows.append([float(c) for c in line.split(",")])
+            row = [float(c) for c in line.split(",")]
         except ValueError as exc:
             raise ValueError(f"{path}: parse failure at line {ln}: {exc}") from exc
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}: non-finite value at line {ln}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

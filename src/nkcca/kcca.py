@@ -19,15 +19,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .kernels import KernelColumns, as_matrix, center
-from .nystrom import (DEFAULT_NEW_MASS_RTOL, DEFAULT_PIVOT_COND_LIMIT,
-                      CholState, QrState, chol_append_block, chol_solve,
-                      qr_append_block)
+from .nystrom import (CholState, QrState, admit_columns, chol_append_block,
+                      chol_solve, qr_append_block)
 from .sampling import SamplingPlan
 
 __all__ = [
@@ -201,14 +201,12 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
 class _ViewFactors:
     """The pieces of one view needed to solve a checkpoint."""
 
-    def __init__(self, solve, P, Q, A, M, scale, indices):
+    def __init__(self, solve, P, Q, A, M):
         self.solve = solve
         self.P = P
         self.Q = Q
         self.A = A
         self.M = M
-        self.scale = scale
-        self.indices = indices
 
 
 def _border_m(M: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -261,13 +259,10 @@ def _border_k_tilde(K: np.ndarray, core: np.ndarray, R1: np.ndarray,
 class _ViewState:
     """Mutable per-view sweep state for the incremental fitter."""
 
-    def __init__(self, oracle: KernelColumns, plan: SamplingPlan, lam: float,
-                 new_mass_rtol: float = DEFAULT_NEW_MASS_RTOL,
-                 pivot_cond_limit: float = DEFAULT_PIVOT_COND_LIMIT):
+    def __init__(self, oracle: KernelColumns, plan: SamplingPlan, lam: float):
         self.oracle = oracle
         self.plan = plan
-        self.chol = CholState(oracle.n, lam, new_mass_rtol=new_mass_rtol,
-                              pivot_cond_limit=pivot_cond_limit)
+        self.chol = CholState(oracle.n, lam)
         self.qr = QrState(oracle.n)
         self.M = np.zeros((0, 0))
         self.seen: set[int] = set()
@@ -315,10 +310,8 @@ class _ViewState:
 
     def factors(self) -> _ViewFactors:
         chol = self.chol
-        return _ViewFactors(solve=lambda B: chol_solve(chol, B),
-                            P=self.qr.P, Q=self.qr.Q, A=chol.A, M=self.M,
-                            scale=chol.s_weights.copy(),
-                            indices=np.array(chol.indices, dtype=int))
+        return _ViewFactors(solve=lambda B: chol_solve(chol.R, B),
+                            P=self.qr.P, Q=self.qr.Q, A=chol.A, M=self.M)
 
     def landmarks(self) -> Landmarks:
         return Landmarks(indices=np.array(self.chol.indices, dtype=int),
@@ -377,9 +370,7 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
               plan1: SamplingPlan, plan2: SamplingPlan,
               lambda1: float, lambda2: float, L: int,
               checkpoints, compute_coefficients: bool = True,
-              keep_t: bool = False, on_checkpoint=None,
-              new_mass_rtol: float = DEFAULT_NEW_MASS_RTOL,
-              pivot_cond_limit: float = DEFAULT_PIVOT_COND_LIMIT) -> list[RankPathEntry]:
+              keep_t: bool = False, on_checkpoint=None) -> list[RankPathEntry]:
     """Incremental Nystrom KCCA along a path of landmark ranks.
 
     At every checkpoint (m1, m2) the solver emits the model fitted on the
@@ -406,8 +397,8 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
 
     t0 = time.perf_counter()
     hook_time = 0.0
-    v1 = _ViewState(oracle1, plan1, lambda1, new_mass_rtol, pivot_cond_limit)
-    v2 = _ViewState(oracle2, plan2, lambda2, new_mass_rtol, pivot_cond_limit)
+    v1 = _ViewState(oracle1, plan1, lambda1)
+    v2 = _ViewState(oracle2, plan2, lambda2)
     core = np.zeros((0, 0))
     k_tilde = np.zeros((0, 0))
     entries: list[RankPathEntry] = []
@@ -468,18 +459,11 @@ def nkcca_coefficients(entry: RankPathEntry) -> KccaModel:
     chol1, k1, chol2, k2 = entry._coef_ctx
     model.alpha = _nystrom_coefficients(
         model.alpha_prime, chol1.A_prefix(k1),
-        lambda B: _prefix_solve(chol1, B, k1), model.n, model.lambda1)
+        partial(chol_solve, chol1.R_prefix(k1)), model.n, model.lambda1)
     model.beta = _nystrom_coefficients(
         model.beta_prime, chol2.A_prefix(k2),
-        lambda B: _prefix_solve(chol2, B, k2), model.n, model.lambda2)
+        partial(chol_solve, chol2.R_prefix(k2)), model.n, model.lambda2)
     return model
-
-
-def _prefix_solve(state: CholState, B: np.ndarray, m: int) -> np.ndarray:
-    """Solve against the order-m leading block of a (possibly grown) factor."""
-    R = state.R_prefix(m)
-    Y = scipy.linalg.solve_triangular(R, B, trans="T", lower=False)
-    return scipy.linalg.solve_triangular(R, Y, lower=False)
 
 
 def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
@@ -487,9 +471,7 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
                      lambda1: float, lambda2: float, L: int,
                      m1: int | None = None, m2: int | None = None,
                      compute_coefficients: bool = True,
-                     keep_t: bool = False,
-                     new_mass_rtol: float = DEFAULT_NEW_MASS_RTOL,
-                     pivot_cond_limit: float = DEFAULT_PIVOT_COND_LIMIT) -> RankPathEntry:
+                     keep_t: bool = False) -> RankPathEntry:
     """Non-incremental Nystrom KCCA at a single rank (restart reference).
 
     Builds the factor target and thin QR densely from scratch with library
@@ -508,16 +490,8 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
                                  (oracle2, plan2, m2, lambda2)):
         if m > plan.m:
             raise ValueError("requested rank exceeds the sampling plan length")
-        seen: set[int] = set()
-        cand_pos: list[int] = []
-        skipped: list[int] = []
-        for pos in range(m):
-            i = int(plan.indices[pos])
-            if i in seen:
-                skipped.append(pos)
-            else:
-                seen.add(i)
-                cand_pos.append(pos)
+        # first draw of each index, in draw order; repeats are skipped
+        cand_pos = np.sort(np.unique(plan.indices[:m], return_index=True)[1])
         idx_all = plan.indices[cand_pos]
         scale_all = plan.scale[cand_pos]
         cols = oracle.columns(idx_all)
@@ -526,50 +500,19 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
         G_all = n * lam * 0.5 * (gram_all + gram_all.T) + A_all.T @ A_all
         G_all = 0.5 * (G_all + G_all.T)
 
-        # Bordered Cholesky with the same numerical-dependence and condition
-        # gates as the incremental path: columns adding a negligible fraction
-        # of new mass, or breaching the pivot-ratio cap, are dropped instead
-        # of poisoning the factor.
-        n_cand = len(cand_pos)
-        R_buf = np.zeros((n_cand, n_cand))
-        kept: list[int] = []
-        max_pivot2 = 0.0
-        for j in range(n_cand):
-            kcount = len(kept)
-            d = G_all[j, j]
-            if kcount == 0:
-                new_mass = d
-                w = np.zeros(0)
-            else:
-                c = G_all[kept, j]
-                w = scipy.linalg.solve_triangular(R_buf[:kcount, :kcount], c,
-                                                  trans="T", lower=False)
-                new_mass = d - float(w @ w)
-            if (new_mass <= new_mass_rtol * d or d <= 0
-                    or new_mass <= max_pivot2 / pivot_cond_limit):
-                skipped.append(cand_pos[j])
-                continue
-            R_buf[:kcount, kcount] = w
-            R_buf[kcount, kcount] = math.sqrt(new_mass)
-            max_pivot2 = max(max_pivot2, new_mass)
-            kept.append(j)
-        R = R_buf[: len(kept), : len(kept)]
+        # the same gate as the incremental path, on the whole target at once
+        kept, R, _ = admit_columns(G_all, np.diag(G_all), 0.0)
+        skipped = sorted(set(range(m)).difference(cand_pos[kept].tolist()))
         idx = idx_all[kept]
         scale = scale_all[kept]
         A = A_all[:, kept]
         Q, P = scipy.linalg.qr(A, mode="economic")
 
-        def make_solve(Rf):
-            def solve(B):
-                Y = scipy.linalg.solve_triangular(Rf, B, trans="T", lower=False)
-                return scipy.linalg.solve_triangular(Rf, Y, lower=False)
-            return solve
-
         # M = P R^-1 from scratch: R^T M^T = P^T
         M = scipy.linalg.solve_triangular(R, P.T, trans="T", lower=False).T
-        built.append((_ViewFactors(make_solve(R), P, Q, A, M, scale, idx),
-                      Landmarks(indices=idx.copy(), scale=scale.copy(),
-                                draws=m, skipped=sorted(skipped)), R))
+        built.append((_ViewFactors(partial(chol_solve, R), P, Q, A, M),
+                      Landmarks(indices=idx, scale=scale, draws=m,
+                                skipped=skipped), R))
 
     f1, lm1, R1 = built[0]
     f2, lm2, R2 = built[1]

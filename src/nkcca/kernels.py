@@ -175,11 +175,6 @@ class KernelColumns:
             return self._K[:, idx].copy()
         return cross_gram(self.spec, self._X[idx], self._X).T
 
-    def diag(self, i: int) -> float:
-        if self._K is not None:
-            return float(self._K[i, i])
-        return 1.0
-
     def cross(self, X_new) -> np.ndarray:
         """Kernel columns of new points against the training set (n_new x N)."""
         if self._X is None:

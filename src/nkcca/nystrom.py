@@ -7,14 +7,15 @@ The incremental solver maintains, per view and in an append-only fashion,
   ``G = N lam S^T K S + A^T A``,
 * ``Q, P`` — a thin orthonormal factorization ``A = Q P``.
 
-The rank-path solver grows both by blocks of p columns
-(``chol_append_block``, ``qr_append_block``): ``R`` gains the border
-``[W; B]`` with ``W = R_old^-T C`` for the cross terms ``C`` and ``B`` the
-factor of the Schur complement, and ``Q, P`` gain columns by two block
+Both grow only by blocks of p columns (``chol_append_block``,
+``qr_append_block``; a single landmark is a block of one). ``R`` gains the
+border ``[W; B]`` with ``W = R_old^-T C`` for the cross terms ``C`` and ``B``
+the factor of the Schur complement, and ``Q, P`` gain columns by two block
 projection passes plus Gram-Schmidt within the block. Leading blocks never
 change, so advancing to a larger rank reuses everything already computed.
-``chol_step`` / ``qr_append`` are the single-column forms (a zero pad, a
-rank-one update and a rank-one downdate of ``R``).
+``admit_columns`` is the one landmark-admission gate (shared with the
+from-scratch reference fitter) and ``chol_solve`` the one solve with a
+factor.
 """
 
 from __future__ import annotations
@@ -28,25 +29,16 @@ from .kernels import KernelColumns
 from .sampling import SamplingPlan
 
 __all__ = [
-    "DowndateError",
     "NystromFactor",
     "factor",
     "apply",
-    "cholupdate",
-    "choldowndate",
     "CholState",
-    "chol_init",
-    "chol_step",
+    "admit_columns",
     "chol_append_block",
     "chol_solve",
     "QrState",
-    "qr_append",
     "qr_append_block",
 ]
-
-# Relative threshold at which a downdate pivot is declared to have lost
-# positive definiteness. Exact duplicate columns cancel to ~machine epsilon.
-_DOWNDATE_RTOL = 4.0 * np.finfo(float).eps
 
 # A landmark must contribute at least this fraction of unexplained mass to
 # the factor target (Schur complement over its diagonal). Columns below it
@@ -64,10 +56,6 @@ DEFAULT_PIVOT_COND_LIMIT = 1e8
 
 # Residual threshold below which an incoming QR column counts as dependent.
 _QR_DEP_RTOL = 1e-10
-
-
-class DowndateError(RuntimeError):
-    """A rank-one downdate (or its dense fallback) lost positive definiteness."""
 
 
 # ---------------------------------------------------------------------------
@@ -141,58 +129,6 @@ def apply(f: NystromFactor, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rank-one Cholesky update / downdate on upper-triangular factors
-# ---------------------------------------------------------------------------
-
-def cholupdate(R: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """In-place rank-one update: R'^T R' = R^T R + x x^T.
-
-    Givens-based, so a zero diagonal entry (from zero padding) is handled
-    without division by zero. ``x`` is consumed.
-    """
-    n = R.shape[0]
-    for k in range(n):
-        rkk = R[k, k]
-        xk = x[k]
-        r = math.hypot(rkk, xk)
-        if r == 0.0:
-            continue
-        c = rkk / r
-        s = xk / r
-        R[k, k] = r
-        if k + 1 < n:
-            row = R[k, k + 1:].copy()
-            R[k, k + 1:] = c * row + s * x[k + 1:]
-            x[k + 1:] = c * x[k + 1:] - s * row
-    return R
-
-
-def choldowndate(R: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """In-place rank-one downdate: R'^T R' = R^T R - x x^T.
-
-    Raises DowndateError when a pivot loses positive definiteness instead of
-    producing NaNs; callers may then re-factorize densely. ``x`` is consumed.
-    """
-    n = R.shape[0]
-    for k in range(n):
-        rkk = R[k, k]
-        xk = x[k]
-        d = (rkk - xk) * (rkk + xk)
-        if d <= _DOWNDATE_RTOL * rkk * rkk:
-            raise DowndateError(
-                f"downdate pivot {k} lost positive definiteness "
-                f"(d = {d:.3e}, pivot = {rkk:.3e})")
-        r = math.sqrt(d)
-        c = r / rkk
-        s = xk / rkk
-        R[k, k] = r
-        if k + 1 < n:
-            R[k, k + 1:] = (R[k, k + 1:] - s * x[k + 1:]) / c
-            x[k + 1:] = c * x[k + 1:] - s * R[k, k + 1:]
-    return R
-
-
-# ---------------------------------------------------------------------------
 # Incremental Cholesky state
 # ---------------------------------------------------------------------------
 
@@ -201,20 +137,16 @@ class CholState:
 
     After m appended landmarks, ``R`` is the upper-triangular Cholesky
     factor of ``G_m = N lam * gram + A^T A`` where ``gram[j, l] =
-    s_j s_l K(i_j, i_l)`` and ``A[:, j] = s_j H k_{i_j}``. Steps must be
+    s_j s_l K(i_j, i_l)`` and ``A[:, j] = s_j H k_{i_j}``. Appends must be
     applied sequentially (single writer); reads of a finished state are safe
     from any thread.
     """
 
-    def __init__(self, n: int, lam: float, capacity: int = 16,
-                 new_mass_rtol: float = DEFAULT_NEW_MASS_RTOL,
-                 pivot_cond_limit: float = DEFAULT_PIVOT_COND_LIMIT):
+    def __init__(self, n: int, lam: float, capacity: int = 16):
         if lam <= 0:
             raise ValueError("lambda must be positive")
         self.n = n
         self.lam = lam
-        self.new_mass_rtol = new_mass_rtol
-        self.pivot_cond_limit = pivot_cond_limit
         self.max_pivot2 = 0.0
         self.m = 0
         self.indices: list[int] = []
@@ -222,16 +154,6 @@ class CholState:
         self._A = np.zeros((n, capacity))
         self._R = np.zeros((capacity, capacity))
         self._gram = np.zeros((capacity, capacity))
-
-    def admit_pivot(self, new_mass: float, diag: float) -> bool:
-        """Gate for a candidate landmark's Schur complement."""
-        if new_mass <= self.new_mass_rtol * diag or diag <= 0:
-            return False
-        return new_mass > self.max_pivot2 / self.pivot_cond_limit
-
-    @classmethod
-    def empty(cls, n: int, lam: float) -> "CholState":
-        return cls(n, lam)
 
     @property
     def A(self) -> np.ndarray:
@@ -275,115 +197,50 @@ class CholState:
         G[:cap, :cap] = self._gram
         self._s, self._A, self._R, self._gram = s, A, R, G
 
-    def target(self) -> np.ndarray:
-        """Dense G_m = N lam S^T K S + A^T A (oracle for tests/fallback)."""
-        G = self.n * self.lam * self.gram + self.A.T @ self.A
-        return 0.5 * (G + G.T)
 
+def admit_columns(S: np.ndarray, d: np.ndarray,
+                  max_pivot2: float) -> tuple[list[int], np.ndarray, float]:
+    """The landmark-admission gate: a gated progressive Cholesky of ``S``.
 
-def chol_init(oracle: KernelColumns, i1: int, s1: float, lam: float) -> CholState:
-    """Start a factorization state with its first landmark."""
-    state = CholState.empty(oracle.n, lam)
-    chol_step(state, i1, s1, column=oracle.column(i1))
-    return state
-
-
-def chol_step(state: CholState, i_m: int, s_m: float, column: np.ndarray | None = None,
-              oracle: KernelColumns | None = None,
-              dense_fallback: bool = True) -> CholState:
-    """Append one landmark column, updating R by a pad/update/downdate cycle.
-
-    ``column`` is the raw kernel column for index ``i_m`` (fetched from
-    ``oracle`` when omitted). The update is transactional: on failure the
-    state is unchanged and DowndateError propagates. With ``dense_fallback``
-    a failed downdate first retries via a dense Cholesky of the grown target,
-    which only fails when that target is genuinely not positive definite
-    (e.g. an exactly duplicated landmark).
+    ``S`` is the symmetric target block of the candidate columns (a Schur
+    complement when a factor already exists), ``d`` their full diagonal in
+    the factor target and ``max_pivot2`` the largest squared pivot admitted
+    so far. Column j is kept when its remaining mass exceeds
+    ``DEFAULT_NEW_MASS_RTOL * d[j]`` and ``max_pivot2 /
+    DEFAULT_PIVOT_COND_LIMIT``. Returns the kept positions, the upper factor
+    of ``S[kept][:, kept]`` and the updated ``max_pivot2``.
     """
-    if s_m <= 0:
-        raise ValueError("landmark weight must be positive")
-    if column is None:
-        if oracle is None:
-            raise ValueError("provide the kernel column or an oracle")
-        column = oracle.column(i_m)
-    k = np.asarray(column, dtype=float)
-    n, lam, m = state.n, state.lam, state.m
-
-    a = s_m * (k - k.mean())
-    diag = float(k[i_m])
-    d = float(a @ a) + n * lam * s_m * s_m * diag
-    if m == 0 and d <= 0:
-        raise DowndateError("degenerate first landmark (zero column and zero "
-                            "self-affinity)")
-    prev_idx = np.asarray(state.indices, dtype=int)
-    b = s_m * (state.s_weights * k[prev_idx])
-    c = state.A.T @ a + n * lam * b
-
-    # Reject landmarks whose Schur complement d - c^T G^-1 c is negligible
-    # (numerically dependent) or would breach the factor's condition cap.
-    if m > 0:
-        w = scipy.linalg.solve_triangular(state.R, c, trans="T", lower=False)
-        new_mass = d - float(w @ w)
-    else:
-        new_mass = d
-    if not state.admit_pivot(new_mass, d):
-        raise DowndateError(
-            f"landmark {i_m} rejected (unexplained mass {new_mass:.3e} of "
-            f"diagonal {d:.3e}, largest pivot {state.max_pivot2:.3e})")
-
-    g = math.sqrt(1.0 + d)
-    u = np.concatenate([c / (1.0 + g), [g]])
-    v = np.concatenate([c / (1.0 + g), [-1.0]])
-
-    R_new = np.zeros((m + 1, m + 1))
-    R_new[:m, :m] = state.R
-    cholupdate(R_new, u.copy())
-    try:
-        choldowndate(R_new, v.copy())
-    except DowndateError:
-        if not dense_fallback:
-            raise
-        G_new = np.zeros((m + 1, m + 1))
-        G_new[:m, :m] = state.R.T @ state.R
-        G_new[:m, m] = c
-        G_new[m, :m] = c
-        G_new[m, m] = d
-        try:
-            R_new = scipy.linalg.cholesky(G_new, lower=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise DowndateError(
-                "downdate failed and dense re-factorization found the grown "
-                "target not positive definite") from exc
-        if np.any(np.diag(R_new) ** 2 <= _DOWNDATE_RTOL * np.diag(G_new)):
-            raise DowndateError(
-                "downdate failed and the grown target is singular to machine "
-                "precision")
-    if np.any(np.diag(R_new) <= 0):
-        raise DowndateError("non-positive diagonal after downdate")
-
-    # Commit.
-    state._grow(m + 1)
-    state._A[:, m] = a
-    state._s[m] = s_m
-    state._gram[:m, m] = b
-    state._gram[m, :m] = b
-    state._gram[m, m] = s_m * s_m * diag
-    state._R[: m + 1, : m + 1] = R_new
-    state.indices.append(int(i_m))
-    state.max_pivot2 = max(state.max_pivot2, new_mass)
-    state.m = m + 1
-    return state
+    nb = S.shape[0]
+    kept: list[int] = []
+    R = np.zeros((nb, nb))
+    for j in range(nb):
+        p = len(kept)
+        resid = S[j, j]
+        if p > 0:
+            w = scipy.linalg.solve_triangular(R[:p, :p], S[kept, j], trans="T",
+                                              lower=False, check_finite=False)
+            resid -= float(w @ w)
+        else:
+            w = np.zeros(0)
+        if (resid <= DEFAULT_NEW_MASS_RTOL * d[j] or d[j] <= 0
+                or resid <= max_pivot2 / DEFAULT_PIVOT_COND_LIMIT):
+            continue
+        R[:p, p] = w
+        R[p, p] = math.sqrt(resid)
+        max_pivot2 = max(max_pivot2, resid)
+        kept.append(j)
+    p = len(kept)
+    return kept, R[:p, :p], max_pivot2
 
 
 def chol_append_block(state: CholState, indices, scales,
                       columns: np.ndarray) -> list[int]:
     """Append a block of landmarks via block-bordered Cholesky.
 
-    Mathematically identical to repeated chol_step (the grown factor's
-    leading block is unchanged, the border is R_old^-T applied to the cross
-    terms, and the trailing block factors the Schur complement), but runs on
-    matrix kernels instead of per-column rank-one passes. Columns failing
-    the new-mass gate are skipped; returns the block-local positions kept.
+    The grown factor's leading block is unchanged, the border is R_old^-T
+    applied to the cross terms, and the trailing block factors the Schur
+    complement. Columns failing ``admit_columns`` are skipped and leave no
+    trace in the state; returns the block-local positions kept.
     """
     indices = np.asarray(indices, dtype=int)
     scales = np.asarray(scales, dtype=float)
@@ -405,7 +262,7 @@ def chol_append_block(state: CholState, indices, scales,
         gram_cross = (columns[prev_idx, :] * state.s_weights[:, None]) * scales
         C_full = state.A.T @ A_blk + n * lam * gram_cross
         W = scipy.linalg.solve_triangular(state.R, C_full, trans="T",
-                                          lower=False)
+                                          lower=False, check_finite=False)
         S_blk = (n * lam * gram_blk + A_blk.T @ A_blk) - W.T @ W
     else:
         gram_cross = np.zeros((0, nb))
@@ -413,29 +270,7 @@ def chol_append_block(state: CholState, indices, scales,
         S_blk = n * lam * gram_blk + A_blk.T @ A_blk
     S_blk = 0.5 * (S_blk + S_blk.T)
 
-    # Progressive bordering inside the (small) Schur block, gating each
-    # column on its remaining mass and the factor's condition cap.
-    kept: list[int] = []
-    R_blk = np.zeros((nb, nb))
-    max_pivot2 = state.max_pivot2
-    for j in range(nb):
-        p = len(kept)
-        resid = S_blk[j, j]
-        if p > 0:
-            c_in = S_blk[kept, j]
-            w_in = scipy.linalg.solve_triangular(R_blk[:p, :p], c_in,
-                                                 trans="T", lower=False)
-            resid -= float(w_in @ w_in)
-        else:
-            w_in = np.zeros(0)
-        if (resid <= state.new_mass_rtol * d_full[j] or d_full[j] <= 0
-                or resid <= max_pivot2 / state.pivot_cond_limit):
-            continue
-        R_blk[:p, p] = w_in
-        R_blk[p, p] = math.sqrt(resid)
-        max_pivot2 = max(max_pivot2, resid)
-        kept.append(j)
-
+    kept, R_blk, max_pivot2 = admit_columns(S_blk, d_full, state.max_pivot2)
     p = len(kept)
     if p == 0:
         return kept
@@ -444,7 +279,7 @@ def chol_append_block(state: CholState, indices, scales,
     state._A[:, sl] = A_blk[:, kept]
     state._s[sl] = scales[kept]
     state._R[:m0, sl] = W[:, kept]
-    state._R[sl, sl] = R_blk[:p, :p]
+    state._R[sl, sl] = R_blk
     state._gram[:m0, sl] = gram_cross[:, kept]
     state._gram[sl, :m0] = gram_cross[:, kept].T
     state._gram[sl, sl] = gram_blk[np.ix_(kept, kept)]
@@ -454,17 +289,14 @@ def chol_append_block(state: CholState, indices, scales,
     return kept
 
 
-def chol_solve(state: CholState, B: np.ndarray) -> np.ndarray:
-    """Solve G_m X = B via two triangular solves with the cached factor."""
-    if state.m == 0:
-        raise ValueError("empty factorization state")
-    B = np.asarray(B, dtype=float)
-    squeeze = B.ndim == 1
-    if squeeze:
-        B = B[:, None]
-    Y = scipy.linalg.solve_triangular(state.R, B, trans="T", lower=False)
-    X = scipy.linalg.solve_triangular(state.R, Y, lower=False)
-    return X[:, 0] if squeeze else X
+def chol_solve(R: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve R^T R X = B for an upper-triangular factor R (e.g.
+    ``CholState.R`` or ``R_prefix(m)``) via two triangular solves."""
+    if R.shape[0] == 0:
+        raise ValueError("empty factor")
+    Y = scipy.linalg.solve_triangular(R, B, trans="T", lower=False,
+                                      check_finite=False)
+    return scipy.linalg.solve_triangular(R, Y, lower=False, check_finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -510,41 +342,12 @@ class QrState:
         self._Q, self._P = Q, P
 
 
-def qr_append(state: QrState, a_m: np.ndarray) -> QrState:
-    """Append one column: project against Q, reorthogonalize once, extend.
-
-    A residual below 1e-10 * ||a_m|| flags the column as dependent: its
-    projection coefficients are recorded in P but no Q column is invented.
-    """
-    a = np.asarray(a_m, dtype=float)
-    if a.shape[0] != state.n:
-        raise ValueError("column length does not match state dimension")
-    state._grow(state.m + 1)
-    m, r = state.m, state.r
-    Q = state._Q[:, :r]
-    v = a.copy()
-    coef = Q.T @ v
-    v -= Q @ coef
-    c2 = Q.T @ v
-    v -= Q @ c2
-    coef += c2
-    rnorm = float(np.linalg.norm(v))
-    state._P[:r, m] = coef
-    if rnorm < _QR_DEP_RTOL * max(float(np.linalg.norm(a)), np.finfo(float).tiny):
-        state.dependent.append(True)
-    else:
-        state._Q[:, r] = v / rnorm
-        state._P[r, m] = rnorm
-        state.r = r + 1
-        state.dependent.append(False)
-    state.m = m + 1
-    return state
-
-
 def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
     """Append a block of columns: two block projection passes against the
     existing basis (matrix products), then per-column Gram-Schmidt within
-    the small block. Same dependence rule as qr_append."""
+    the small block. A residual below 1e-10 times the input column's norm
+    flags the column as dependent: its projection coefficients are recorded
+    in P but no Q column is invented."""
     nb = A_blk.shape[1]
     if A_blk.shape[0] != state.n:
         raise ValueError("column block shape mismatch")

@@ -220,3 +220,35 @@ def test_check_bounds_reports_reduced_size(tmp_path, capsys):
     assert "n=500" in err and "n=200" in err
     rows = read_csv(tmp_path / "check-bounds" / "bounds.csv")
     assert len(rows) > 1
+
+
+@pytest.mark.parametrize("cell", ["oops", "nan"])
+def test_bad_csv_cell_is_config_error(tmp_path, capsys, cell):
+    rows = [f"{i}.0,{i % 3}.5" for i in range(12)]
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    y.write_text("\n".join(rows) + "\n")
+    rows[4] = f"{cell},1.0"
+    x.write_text("\n".join(rows) + "\n")
+    code = run(["nkcca", "--dataset", "csv", "--csv-x", str(x),
+                "--csv-y", str(y), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"{x}: " in err and "line 5" in err
+
+
+def test_check_bounds_builds_distributions_once(monkeypatch, tmp_path):
+    from nkcca import cli as cli_mod
+
+    calls = []
+    original = cli_mod._view_distribution
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "_view_distribution", counting)
+    code = run(["check-bounds"] + base_flags(tmp_path, seeds="0,1,2",
+                                             ranks="10,30"))
+    assert code == 0
+    assert len(calls) == 2  # one per view, shared by every seed

@@ -10,6 +10,7 @@ from nkcca.kcca import (_nystrom_coefficients, exact_kcca, load_model,
                         total_correlation)
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import SamplingDistribution
+from nkcca.nystrom import chol_solve
 from nkcca.sampling import SamplingPlan, full_plan, sample, unit_plan
 
 
@@ -326,9 +327,8 @@ def test_coefficients_nullspace_probe():
     probe = np.linalg.qr(np.column_stack([A, np.ones((10, 1)),
                                           np.eye(10)[:, :3]]))[0][:, -1]
     assert np.abs(A.T @ probe).max() < 1e-10
-    from nkcca.kcca import _prefix_solve
     out = _nystrom_coefficients(probe[:, None], A,
-                                lambda B: _prefix_solve(chol1, B, 2),
+                                lambda B: chol_solve(chol1.R_prefix(2), B),
                                 n=10, lam=0.05)
     np.testing.assert_allclose(out[:, 0], probe / (np.sqrt(10) * 0.05),
                                atol=1e-10)

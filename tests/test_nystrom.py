@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg
 from conftest import centering_matrix, random_psd
 
-from nkcca.kernels import KernelColumns
+from nkcca.kernels import KernelColumns, KernelSpec
 from nkcca.leverage import SamplingDistribution
-from nkcca.nystrom import (DowndateError, QrState, apply, chol_init,
-                           chol_solve, chol_step, choldowndate, cholupdate,
-                           factor, qr_append)
+from nkcca.nystrom import (DEFAULT_NEW_MASS_RTOL, DEFAULT_PIVOT_COND_LIMIT,
+                           CholState, QrState, apply, chol_append_block,
+                           chol_solve, factor, qr_append_block)
 from nkcca.sampling import full_plan, sample, unit_plan
 
 
@@ -18,50 +18,6 @@ def dense_target(K, idx, s, lam):
     S = np.zeros((n, len(idx)))
     S[idx, np.arange(len(idx))] = s
     return n * lam * S.T @ K @ S + S.T @ K @ H @ K @ S
-
-
-# --- rank-one update / downdate ---------------------------------------------
-
-def test_cholupdate_matches_dense():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        n = int(rng.integers(1, 8))
-        G = random_psd(rng, n, jitter=0.5)
-        R = scipy.linalg.cholesky(G)
-        x = rng.normal(size=n)
-        R2 = cholupdate(R.copy(), x.copy())
-        expected = scipy.linalg.cholesky(G + np.outer(x, x))
-        np.testing.assert_allclose(R2, expected, atol=1e-10)
-
-
-def test_cholupdate_zero_padded_diagonal():
-    # padded factor with zero last pivot must update without division issues
-    R = np.array([[2.0, 0.0], [0.0, 0.0]])
-    x = np.array([0.5, 3.0])
-    R2 = cholupdate(R.copy(), x.copy())
-    target = R.T @ R + np.outer(x, x)
-    np.testing.assert_allclose(R2.T @ R2, target, atol=1e-12)
-    assert np.all(np.diag(R2) > 0)
-
-
-def test_choldowndate_matches_dense():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        n = int(rng.integers(1, 8))
-        G = random_psd(rng, n, jitter=1.0)
-        x = 0.3 * rng.normal(size=n)
-        target = G - np.outer(x, x)
-        if np.linalg.eigvalsh(target).min() <= 1e-8:
-            continue
-        R = scipy.linalg.cholesky(G)
-        R2 = choldowndate(R.copy(), x.copy())
-        np.testing.assert_allclose(R2, scipy.linalg.cholesky(target), atol=1e-9)
-
-
-def test_choldowndate_detects_indefiniteness():
-    R = np.eye(2)
-    with pytest.raises(DowndateError):
-        choldowndate(R, np.array([2.0, 0.0]))
 
 
 # --- Nystrom factor ----------------------------------------------------------
@@ -126,18 +82,27 @@ def test_factor_psd_ordering_small_instances():
 
 # --- incremental Cholesky -----------------------------------------------------
 
+def append(state, oracle, idx, s):
+    """chol_append_block over the oracle's columns for landmarks idx."""
+    idx = np.atleast_1d(np.asarray(idx, dtype=int))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    return chol_append_block(state, idx, s, oracle.columns(idx))
+
+
 def test_chol_init_identity_hand_arithmetic():
     # K = I, N = 2, first landmark 0 with unit weight, lambda = 1:
     # a1 = [0.5, -0.5], d1 = 0.5 + 2 * 1 * 1 * 1 = 2.5, R1 = sqrt(2.5)
     oracle = KernelColumns.from_gram(np.eye(2))
-    state = chol_init(oracle, 0, 1.0, lam=1.0)
+    state = CholState(2, lam=1.0)
+    assert append(state, oracle, 0, 1.0) == [0]
     np.testing.assert_allclose(state.A[:, 0], [0.5, -0.5], atol=1e-15)
     assert state.R[0, 0] == pytest.approx(np.sqrt(2.5), abs=1e-15)
 
 
 def test_chol_init_constant_column():
     K = np.full((4, 4), 0.7)
-    state = chol_init(KernelColumns.from_gram(K), 1, 2.0, lam=0.5)
+    state = CholState(4, lam=0.5)
+    append(state, KernelColumns.from_gram(K), 1, 2.0)
     np.testing.assert_allclose(state.A[:, 0], np.zeros(4), atol=1e-15)
     # d1 = 0 + N lam s^2 K_ii = 4 * 0.5 * 4 * 0.7
     assert state.R[0, 0] ** 2 == pytest.approx(4 * 0.5 * 4.0 * 0.7, rel=1e-12)
@@ -147,24 +112,10 @@ def test_chol_init_matches_dense_scalar():
     rng = np.random.default_rng(5)
     K = random_psd(rng, 6)
     s, lam = 1.7, 0.2
-    state = chol_init(KernelColumns.from_gram(K), 4, s, lam)
+    state = CholState(6, lam)
+    append(state, KernelColumns.from_gram(K), 4, s)
     expected = dense_target(K, [4], [s], lam)[0, 0]
     assert state.R[0, 0] ** 2 == pytest.approx(expected, rel=1e-12)
-
-
-def test_chol_update_pair_reconstruction_identity():
-    # u u^T - v v^T with u = [c/(1+g); g], v = [c/(1+g); -1] must produce
-    # the bordered block [[0, c], [c^T, g^2 - 1]]
-    rng = np.random.default_rng(6)
-    c = rng.normal(size=3)
-    d = float(rng.uniform(0.1, 4.0))
-    g = np.sqrt(1.0 + d)
-    u = np.concatenate([c / (1.0 + g), [g]])
-    v = np.concatenate([c / (1.0 + g), [-1.0]])
-    M = np.outer(u, u) - np.outer(v, v)
-    np.testing.assert_allclose(M[:3, :3], np.zeros((3, 3)), atol=1e-14)
-    np.testing.assert_allclose(M[:3, 3], c, atol=1e-14)
-    assert M[3, 3] == pytest.approx(d, abs=1e-12)  # g^2 - 1 = d
 
 
 def test_chol_two_steps_match_dense_target():
@@ -173,8 +124,9 @@ def test_chol_two_steps_match_dense_target():
     oracle = KernelColumns.from_gram(K)
     lam = 0.3
     idx, s = [1, 4], [1.2, 0.8]
-    state = chol_init(oracle, idx[0], s[0], lam)
-    chol_step(state, idx[1], s[1], oracle=oracle)
+    state = CholState(6, lam)
+    append(state, oracle, idx[0], s[0])
+    append(state, oracle, idx[1], s[1])
     target = dense_target(K, idx, s, lam)
     np.testing.assert_allclose(state.R.T @ state.R, target, atol=1e-10)
 
@@ -187,43 +139,50 @@ def test_chol_many_steps_match_batch_factorization():
     lam = 0.05
     idx = rng.choice(n, size=8, replace=False)
     s = rng.uniform(0.5, 2.0, size=8)
-    state = chol_init(oracle, int(idx[0]), float(s[0]), lam)
-    for i, w in zip(idx[1:], s[1:]):
-        chol_step(state, int(i), float(w), oracle=oracle)
     target = dense_target(K, idx, s, lam)
     R_dense = scipy.linalg.cholesky(target)
-    np.testing.assert_allclose(state.R, R_dense,
-                               atol=1e-8 * np.abs(R_dense).max())
     B = rng.normal(size=(8, 3))
-    np.testing.assert_allclose(chol_solve(state, B),
-                               np.linalg.solve(target, B), atol=1e-8)
+    stepped = CholState(n, lam)
+    for i, w in zip(idx, s):
+        append(stepped, oracle, i, w)
+    block = CholState(n, lam)
+    assert append(block, oracle, idx, s) == list(range(8))
+    for state in (stepped, block):
+        np.testing.assert_allclose(state.R, R_dense,
+                                   atol=1e-8 * np.abs(R_dense).max())
+        np.testing.assert_allclose(chol_solve(state.R, B),
+                                   np.linalg.solve(target, B), atol=1e-8)
 
 
 def test_chol_duplicate_landmark_hits_error_path():
     # an exactly duplicated landmark makes the grown target singular; the
-    # dense oracle confirms it is not PD, so the step must signal
+    # dense oracle confirms it is not PD, so the append must not keep it
     rng = np.random.default_rng(9)
     K = random_psd(rng, 6, jitter=0.1)
     oracle = KernelColumns.from_gram(K)
-    state = chol_init(oracle, 2, 1.0, lam=0.4)
+    state = CholState(6, lam=0.4)
+    append(state, oracle, 2, 1.0)
+    R_before = state.R.copy()
     target = dense_target(K, [2, 2], [1.0, 1.0], 0.4)
     assert np.linalg.eigvalsh(target).min() < 1e-10  # singular, not PD
-    with pytest.raises(DowndateError):
-        chol_step(state, 2, 1.0, oracle=oracle)
-    assert state.m == 1  # transactional: state unchanged
+    assert append(state, oracle, 2, 1.0) == []
+    assert state.m == 1 and state.indices == [2]  # state unchanged
+    np.testing.assert_array_equal(state.R, R_before)
 
 
 def test_chol_solve_identity_and_scalar():
     rng = np.random.default_rng(10)
     K = random_psd(rng, 7)
     oracle = KernelColumns.from_gram(K)
-    state = chol_init(oracle, 0, 1.0, lam=0.1)
-    chol_step(state, 3, 1.0, oracle=oracle)
+    state = CholState(7, lam=0.1)
+    append(state, oracle, 0, 1.0)
+    append(state, oracle, 3, 1.0)
     G = state.R.T @ state.R
-    np.testing.assert_allclose(chol_solve(state, G), np.eye(2), atol=1e-8)
-    single = chol_init(oracle, 5, 1.0, lam=0.1)
+    np.testing.assert_allclose(chol_solve(state.R, G), np.eye(2), atol=1e-8)
+    single = CholState(7, lam=0.1)
+    append(single, oracle, 5, 1.0)
     b = np.array([2.0])
-    assert chol_solve(single, b)[0] == pytest.approx(
+    assert chol_solve(single.R, b)[0] == pytest.approx(
         2.0 / single.R[0, 0] ** 2, rel=1e-12)
 
 
@@ -232,9 +191,9 @@ def test_chol_state_diag_positive_and_gram_cached():
     K = random_psd(rng, 9)
     oracle = KernelColumns.from_gram(K)
     idx, s = [0, 5, 7], [1.0, 2.0, 0.5]
-    state = chol_init(oracle, idx[0], s[0], 0.2)
-    for i, w in zip(idx[1:], s[1:]):
-        chol_step(state, i, w, oracle=oracle)
+    state = CholState(9, 0.2)
+    for i, w in zip(idx, s):
+        append(state, oracle, i, w)
     assert np.all(np.diag(state.R) > 0)
     expected_gram = np.outer(s, s) * K[np.ix_(idx, idx)]
     np.testing.assert_allclose(state.gram, expected_gram, atol=1e-12)
@@ -242,43 +201,107 @@ def test_chol_state_diag_positive_and_gram_cached():
 
 def test_chol_weight_validation():
     oracle = KernelColumns.from_gram(np.eye(3))
-    state = chol_init(oracle, 0, 1.0, 0.1)
+    state = CholState(3, 0.1)
+    append(state, oracle, 0, 1.0)
     with pytest.raises(ValueError):
-        chol_step(state, 1, 0.0, oracle=oracle)
-    with pytest.raises(DowndateError):
-        chol_init(KernelColumns.from_gram(np.zeros((3, 3))), 0, 1.0, 0.1)
+        append(state, oracle, 1, 0.0)
+    # a zero kernel gives the first column no mass: it is skipped
+    empty = CholState(3, 0.1)
+    assert append(empty, KernelColumns.from_gram(np.zeros((3, 3))), 0, 1.0) == []
+    assert empty.m == 0
+
+
+# --- the admission gate ---------------------------------------------------------
+
+def test_gate_rejects_duplicate_within_block():
+    rng = np.random.default_rng(14)
+    K = random_psd(rng, 8, jitter=0.1)
+    oracle = KernelColumns.from_gram(K)
+    state = CholState(8, 0.2)
+    assert append(state, oracle, [3, 5, 3], [1.0, 1.0, 1.0]) == [0, 1]
+    assert state.indices == [3, 5]
+    np.testing.assert_allclose(state.R.T @ state.R,
+                               dense_target(K, [3, 5], [1.0, 1.0], 0.2),
+                               atol=1e-10)
+
+
+def test_gate_rejects_pivot_below_condition_cap():
+    # the squared pivot of a second landmark scales with its weight squared,
+    # so weights just around the cap put it on either side of
+    # max_pivot2 / DEFAULT_PIVOT_COND_LIMIT while its relative new mass
+    # stays near 1 (the new-mass gate never fires)
+    K = np.eye(4)
+    oracle = KernelColumns.from_gram(K)
+    G = dense_target(K, [0, 1], [1.0, 1.0], 1.0)
+    resid1 = G[1, 1] - G[0, 1] ** 2 / G[0, 0]
+    cap = G[0, 0] / DEFAULT_PIVOT_COND_LIMIT
+    for ratio, expected in ((0.5, []), (2.0, [0])):
+        state = CholState(4, 1.0)
+        append(state, oracle, 0, 1.0)
+        assert state.max_pivot2 == pytest.approx(G[0, 0], rel=1e-12)
+        s = np.sqrt(ratio * cap / resid1)
+        assert append(state, oracle, 1, s) == expected
+        assert state.m == 1 + len(expected)
+
+
+def test_gate_rejects_negligible_new_mass():
+    # a heavily weighted near-copy of a kept landmark: its squared pivot is
+    # far above the condition cap, but its unexplained mass is below
+    # DEFAULT_NEW_MASS_RTOL of its diagonal once the points are 1e-6 apart
+    for delta, expected in ((1e-6, [0]), (1e-3, [0, 1])):
+        X = np.array([[0.0], [delta], [1.0], [2.0], [3.5]])
+        oracle = KernelColumns.from_data(KernelSpec(sigma=1.0), X)
+        s = [1.0, 1e3]
+        G = dense_target(oracle.dense(), [0, 1], s, 0.1)
+        resid = G[1, 1] - G[0, 1] ** 2 / G[0, 0]
+        assert resid > 10 * G[0, 0] / DEFAULT_PIVOT_COND_LIMIT
+        assert (resid < DEFAULT_NEW_MASS_RTOL * G[1, 1]) == (len(expected) == 1)
+        state = CholState(5, 0.1)
+        assert append(state, oracle, [0, 1], s) == expected
+
+
+def test_gate_rejects_zero_mass_first_column():
+    # column 0 of K is zero: no centered mass and no self-affinity
+    K = np.diag([0.0, 1.0, 1.0, 1.0])
+    state = CholState(4, 0.1)
+    assert append(state, KernelColumns.from_gram(K), [0, 1], [1.0, 1.0]) == [1]
+    assert state.indices == [1]
+    assert state.R[0, 0] ** 2 == pytest.approx(
+        dense_target(K, [1], [1.0], 0.1)[0, 0], rel=1e-12)
 
 
 # --- incremental QR -----------------------------------------------------------
 
 def test_qr_orthogonal_inputs():
     state = QrState(3)
-    qr_append(state, np.array([1.0, 0.0, 0.0]))
-    qr_append(state, np.array([0.0, 1.0, 0.0]))
+    qr_append_block(state, np.array([[1.0], [0.0], [0.0]]))
+    qr_append_block(state, np.array([[0.0], [1.0], [0.0]]))
     np.testing.assert_allclose(state.Q, np.eye(3)[:, :2], atol=1e-14)
     np.testing.assert_allclose(state.P, np.eye(2), atol=1e-14)
     assert state.dependent == [False, False]
 
 
 def test_qr_dependent_column_flagged():
-    state = QrState(4)
     a = np.array([1.0, 2.0, 0.0, -1.0])
-    qr_append(state, a)
-    qr_append(state, 2.0 * a)
-    assert state.dependent == [False, True]
-    assert state.r == 1
-    assert state.Q.shape == (4, 1)
-    # P retains the projection coefficients of the dependent column
-    np.testing.assert_allclose(state.Q @ state.P[:, 1], 2.0 * a, atol=1e-10)
+    one_by_one = QrState(4)
+    qr_append_block(one_by_one, a[:, None])
+    qr_append_block(one_by_one, 2.0 * a[:, None])
+    block = QrState(4)
+    qr_append_block(block, np.column_stack([a, 2.0 * a]))
+    for state in (one_by_one, block):
+        assert state.dependent == [False, True]
+        assert state.r == 1
+        assert state.Q.shape == (4, 1)
+        # P retains the projection coefficients of the dependent column
+        np.testing.assert_allclose(state.Q @ state.P[:, 1], 2.0 * a,
+                                   atol=1e-10)
 
 
 def test_qr_random_columns_reconstruct():
     rng = np.random.default_rng(12)
     state = QrState(9)
-    cols = [rng.normal(size=9) for _ in range(5)]
-    for a in cols:
-        qr_append(state, a)
-    A = np.column_stack(cols)
+    A = rng.normal(size=(9, 5))
+    qr_append_block(state, A)
     np.testing.assert_allclose(state.Q.T @ state.Q, np.eye(5), atol=1e-10)
     np.testing.assert_allclose(state.Q @ state.P, A,
                                atol=1e-10 * np.abs(A).max())
@@ -286,15 +309,19 @@ def test_qr_random_columns_reconstruct():
 
 def test_qr_growth_beyond_initial_capacity():
     rng = np.random.default_rng(13)
-    state = QrState(40, capacity=4)
     A = rng.normal(size=(40, 20))
+    one_by_one = QrState(40, capacity=4)
     for j in range(20):
-        qr_append(state, A[:, j])
-    np.testing.assert_allclose(state.Q.T @ state.Q, np.eye(20), atol=1e-9)
-    np.testing.assert_allclose(state.Q @ state.P, A, atol=1e-9)
+        qr_append_block(one_by_one, A[:, j : j + 1])
+    blocks = QrState(40, capacity=4)
+    for j in range(0, 20, 7):
+        qr_append_block(blocks, A[:, j : j + 7])
+    for state in (one_by_one, blocks):
+        np.testing.assert_allclose(state.Q.T @ state.Q, np.eye(20), atol=1e-9)
+        np.testing.assert_allclose(state.Q @ state.P, A, atol=1e-9)
 
 
 def test_qr_dimension_check():
     state = QrState(3)
     with pytest.raises(ValueError):
-        qr_append(state, np.ones(4))
+        qr_append_block(state, np.ones((4, 1)))

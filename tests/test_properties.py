@@ -1,9 +1,13 @@
-"""Property tests: the incremental rank path equals restarts.
+"""Property tests of the rank path.
 
-Every entry of ``nkcca_fit`` along a random plan (with repeated draws) and a
-random nondecreasing sequence of per-view checkpoints must match a
-from-scratch ``nkcca_fit_direct`` at the same ranks: the same landmarks, rho
-within 1e-8 and principal angles within 1e-6 (criterion 2's tolerances).
+* The incremental path equals restarts: every entry of ``nkcca_fit`` along
+  a random plan (with repeated draws) and a random nondecreasing sequence of
+  per-view checkpoints must match a from-scratch ``nkcca_fit_direct`` at the
+  same ranks: the same landmarks, rho within 1e-8 and principal angles
+  within 1e-6 (criterion 2's tolerances).
+* Duplicate draws never change rho: a plan with repeats gives the same
+  final landmarks and rho (within 1e-8) as the plan with them removed.
+
 Examples are derandomized, so the suite is reproducible.
 """
 
@@ -81,3 +85,49 @@ def test_incremental_path_equals_restart(case):
             if k:
                 angle = scipy.linalg.subspace_angles(a[:, :k], b[:, :k]).max()
                 assert angle <= ANGLE_TOL
+
+
+@st.composite
+def plans_with_repeats(draw):
+    n = draw(st.integers(20, 50))
+    distinct = [draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=15,
+                              unique=True)) for _ in range(2)]
+    plans = []
+    for base in distinct:
+        # each draw may be followed by a repeat of any earlier draw
+        plan = []
+        for i in base:
+            plan.append(i)
+            if draw(st.booleans()):
+                plan.append(draw(st.sampled_from(plan)))
+        plans.append(plan)
+    count = draw(st.integers(1, 4))
+    cps = [sorted(draw(st.lists(st.integers(1, len(p)), min_size=count,
+                                max_size=count))) + [len(p)] for p in plans]
+    return dict(n=n, seed=draw(st.integers(0, 10_000)),
+                sigma=draw(st.sampled_from([0.3, 0.5, 1.0])),
+                lam=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+                L=draw(st.integers(1, 2)), distinct=distinct, plans=plans,
+                checkpoints=list(zip(*cps)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plans_with_repeats())
+def test_duplicate_draws_never_change_rho(case):
+    ds = synthetic_circles(case["n"], case["seed"])
+    spec = KernelSpec(sigma=case["sigma"])
+    o1 = KernelColumns.from_data(spec, ds.X)
+    o2 = KernelColumns.from_data(spec, ds.Y)
+    lam, L = case["lam"], case["L"]
+    repeated = nkcca_fit(o1, o2, *(unit_plan(p) for p in case["plans"]),
+                         lam, lam, L, case["checkpoints"])[-1]
+    distinct = nkcca_fit(o1, o2, *(unit_plan(p) for p in case["distinct"]),
+                         lam, lam, L,
+                         [tuple(len(p) for p in case["distinct"])])[-1]
+    for tag in ("1", "2"):
+        np.testing.assert_array_equal(
+            getattr(repeated.model, f"landmarks{tag}").indices,
+            getattr(distinct.model, f"landmarks{tag}").indices)
+    np.testing.assert_allclose(repeated.rho_tilde, distinct.rho_tilde, rtol=0,
+                               atol=RHO_TOL)
