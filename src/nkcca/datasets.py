@@ -82,8 +82,17 @@ def synthetic_circles(n: int, seed: int) -> PairedDataset:
     return PairedDataset(X=X, Y=Y, split=np.full(n, "train"), seed=seed)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_csv(path) -> np.ndarray:
-    """Comma-separated numeric table; a non-numeric first row is a header.
+    """Comma-separated numeric table; a first row none of whose cells parses
+    as a number is a header.
 
     Raises ValueError naming the file and line of a cell that does not parse
     or is not finite (NaN, Inf).
@@ -92,11 +101,8 @@ def _parse_csv(path) -> np.ndarray:
     with open(path) as fh:
         lines = fh.read().splitlines()
     start = 0
-    if lines:
-        try:
-            [float(c) for c in lines[0].split(",")]
-        except ValueError:
-            start = 1
+    if lines and not any(_is_number(c) for c in lines[0].split(",")):
+        start = 1
     for ln, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue

@@ -16,6 +16,7 @@ import scipy.linalg
 
 from .kernels import KernelColumns, as_matrix, center
 from .kcca import KccaModel, project_many
+from .leverage import _psd_eigh
 from .nystrom import factor
 from .sampling import SamplingPlan, sampling_matrix
 
@@ -103,8 +104,7 @@ def d_matrix_norm(K, plan: SamplingPlan | None, gamma: float) -> float:
     K = as_matrix(K)
     n = K.shape[0]
     _check_dense_feasible(n)
-    sig, U = scipy.linalg.eigh(K)
-    sig = np.maximum(sig, 0.0)
+    sig, U = _psd_eigh(K)
     phi = sig / (sig + n * gamma)
     if plan is None or plan.m == 0:
         return float(phi.max(initial=0.0))

@@ -540,26 +540,19 @@ def t_error_norm(T: np.ndarray, f1: _ViewFactors, f2: _ViewFactors,
                  core: np.ndarray) -> float:
     """Spectral norm of T minus the implicit low-rank T of a checkpoint.
 
-    The low-rank side is applied through its factors (Q, P, triangular
-    solves), so only the dense exact T is ever materialized.
+    The low-rank side is applied as Y Q2^T through the N x r2 factor
+    Y = Q1 P1 G1^-1 core G2^-1 P2^T, formed once with two factor solves over
+    many right-hand sides, so only the dense exact T is ever N x N.
     """
     n = T.shape[0]
     if min(f1.P.shape[0], f2.P.shape[0]) == 0:
         return float(np.linalg.norm(T, 2))
-
-    def tilde_mv(v):
-        t = f2.solve(f2.P.T @ (f2.Q.T @ v))
-        return f1.Q @ (f1.P @ f1.solve(core @ t))
-
-    def tilde_rmv(u):
-        t = f1.solve(f1.P.T @ (f1.Q.T @ u))
-        return f2.Q @ (f2.P @ f2.solve(core.T @ t))
-
-    op = LinearOperator((n, n), matvec=lambda v: T @ v - tilde_mv(v),
-                        rmatvec=lambda u: T.T @ u - tilde_rmv(u))
+    Y = f1.Q @ (f1.P @ f1.solve(core @ f2.solve(f2.P.T)))
+    Q2 = f2.Q
     if n <= 320:
-        dense = T - tilde_mv(np.eye(n))
-        return float(np.linalg.norm(dense, 2))
+        return float(np.linalg.norm(T - Y @ Q2.T, 2))
+    op = LinearOperator((n, n), matvec=lambda v: T @ v - Y @ (Q2.T @ v),
+                        rmatvec=lambda u: T.T @ u - Q2 @ (Y.T @ u))
     s = svds(op, k=1, v0=np.ones(n), return_singular_vectors=False)
     return float(s[0])
 

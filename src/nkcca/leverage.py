@@ -62,9 +62,17 @@ class SamplingDistribution:
         return self.p.shape[0]
 
 
-def _psd_eigh(K: np.ndarray):
-    """Eigendecomposition with tiny negative eigenvalues clipped to zero."""
-    sig, U = scipy.linalg.eigh(K)
+def _psd_eigh(K: np.ndarray, eigvals_only: bool = False):
+    """Eigendecomposition with tiny negative eigenvalues clipped to zero.
+
+    Uses LAPACK's divide-and-conquer driver: scipy's default MRRR driver
+    (``evr``) can be several times slower on the clustered spectra of RBF
+    kernels. Returns the eigenvalues alone when ``eigvals_only``.
+    """
+    out = scipy.linalg.eigh(K, eigvals_only=eigvals_only, driver="evd")
+    if eigvals_only:
+        return np.maximum(out, 0.0)
+    sig, U = out
     return np.maximum(sig, 0.0), U
 
 
@@ -93,7 +101,7 @@ def effective_dimension(K, gamma: float) -> float:
         raise ValueError("gamma must be positive")
     K = as_matrix(K)
     n = K.shape[0]
-    sig = np.maximum(scipy.linalg.eigvalsh(K), 0.0)
+    sig = _psd_eigh(K, eigvals_only=True)
     return float(np.sum(sig / (sig + n * gamma)))
 
 

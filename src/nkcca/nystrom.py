@@ -153,7 +153,6 @@ class CholState:
         self._s = np.zeros(capacity)
         self._A = np.zeros((n, capacity))
         self._R = np.zeros((capacity, capacity))
-        self._gram = np.zeros((capacity, capacity))
 
     @property
     def A(self) -> np.ndarray:
@@ -166,11 +165,6 @@ class CholState:
     @property
     def s_weights(self) -> np.ndarray:
         return self._s[: self.m]
-
-    @property
-    def gram(self) -> np.ndarray:
-        """The cached s-weighted kernel submatrix S^T K S."""
-        return self._gram[: self.m, : self.m]
 
     def A_prefix(self, m: int) -> np.ndarray:
         """View of the first m centered columns (append-only, so stable)."""
@@ -193,9 +187,7 @@ class CholState:
         A[:, :cap] = self._A
         R = np.zeros((new_cap, new_cap))
         R[:cap, :cap] = self._R
-        G = np.zeros((new_cap, new_cap))
-        G[:cap, :cap] = self._gram
-        self._s, self._A, self._R, self._gram = s, A, R, G
+        self._s, self._A, self._R = s, A, R
 
 
 def admit_columns(S: np.ndarray, d: np.ndarray,
@@ -265,7 +257,6 @@ def chol_append_block(state: CholState, indices, scales,
                                           lower=False, check_finite=False)
         S_blk = (n * lam * gram_blk + A_blk.T @ A_blk) - W.T @ W
     else:
-        gram_cross = np.zeros((0, nb))
         W = np.zeros((0, nb))
         S_blk = n * lam * gram_blk + A_blk.T @ A_blk
     S_blk = 0.5 * (S_blk + S_blk.T)
@@ -280,9 +271,6 @@ def chol_append_block(state: CholState, indices, scales,
     state._s[sl] = scales[kept]
     state._R[:m0, sl] = W[:, kept]
     state._R[sl, sl] = R_blk
-    state._gram[:m0, sl] = gram_cross[:, kept]
-    state._gram[sl, :m0] = gram_cross[:, kept].T
-    state._gram[sl, sl] = gram_blk[np.ix_(kept, kept)]
     state.indices.extend(int(i) for i in indices[kept])
     state.max_pivot2 = max_pivot2
     state.m = m0 + p

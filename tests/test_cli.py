@@ -237,6 +237,20 @@ def test_bad_csv_cell_is_config_error(tmp_path, capsys, cell):
     assert f"{x}: " in err and "line 5" in err
 
 
+def test_bad_csv_first_row_is_config_error(tmp_path, capsys):
+    rows = [f"{i}.0,{i % 3}.5" for i in range(12)]
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    y.write_text("\n".join(rows) + "\n")
+    rows[0] = "oops,1.0"
+    x.write_text("\n".join(rows) + "\n")
+    code = run(["nkcca", "--dataset", "csv", "--csv-x", str(x),
+                "--csv-y", str(y), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"{x}: " in err and "line 1" in err
+
+
 def test_check_bounds_builds_distributions_once(monkeypatch, tmp_path):
     from nkcca import cli as cli_mod
 

@@ -124,6 +124,15 @@ def test_load_paired_csv_parse_error_reports_line(tmp_path):
         load_paired_csv(px, py, "1:0:1", 0)
 
 
+def test_load_paired_csv_bad_first_row_is_data_not_header(tmp_path):
+    px = tmp_path / "x.csv"
+    px.write_text("oops,1.0\n1,2\n3,4\n")
+    py = tmp_path / "y.csv"
+    py.write_text("1.0\n2.0\n3.0\n")
+    with pytest.raises(ValueError, match="line 1"):
+        load_paired_csv(px, py, "2:0:1", 0)
+
+
 def test_round_trip_write_then_read(tmp_path):
     ds = synthetic_circles(15, seed=4)
     write_paired_csv(ds, tmp_path / "x.csv", tmp_path / "y.csv")

@@ -67,6 +67,19 @@ def test_d_norm_matches_brute_force():
     assert d_matrix_norm(K, plan, gamma) == pytest.approx(expected, abs=1e-10)
 
 
+def test_d_norm_matches_mrrr_driver_on_clustered_ring_kernel():
+    ds = synthetic_circles(300, 0)
+    K = gram(KernelSpec(sigma=0.2), ds.X).entries
+    gamma = 1e-2
+    plan = sample(make_distribution(exact_leverage(K, gamma)), 100, seed=4)
+    sig, U = scipy.linalg.eigh(K, driver="evr")
+    sig = np.maximum(sig, 0.0)
+    phi = sig / (sig + 300 * gamma)
+    B = np.sqrt(phi)[:, None] * (U.T @ sampling_matrix(plan, 300))
+    expected = np.linalg.norm(np.diag(phi) - B @ B.T, 2)
+    assert d_matrix_norm(K, plan, gamma) == pytest.approx(expected, abs=1e-10)
+
+
 def test_d_norm_requires_positive_gamma():
     with pytest.raises(ValueError):
         d_matrix_norm(np.eye(4), None, 0.0)

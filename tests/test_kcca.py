@@ -507,3 +507,30 @@ def test_t_error_norm_matches_dense():
     T_tilde = dense_t_tilde(K1.entries, K2.entries, p1, p2, lam, lam, 18)
     expected = np.linalg.norm(exact.t_matrix - T_tilde, 2)
     assert captured[0] == pytest.approx(expected, rel=1e-8)
+
+
+def test_t_error_norm_arpack_branch_matches_dense():
+    # n above the dense cut-off, so the norm comes from ARPACK over the
+    # factored operator; the oracle is the stored T of the same checkpoint
+    n = 400
+    ds = synthetic_circles(n, 0)
+    spec = KernelSpec(sigma=0.2)
+    o1 = KernelColumns.from_data(spec, ds.X)
+    o2 = KernelColumns.from_data(spec, ds.Y)
+    lam = 1e-3
+    exact = exact_kcca(o1.dense(), o2.dense(), lam, lam, L=1, keep_t=True)
+    dist = SamplingDistribution(p=np.full(n, 1 / n))
+    p1 = sample(dist, 90, seed=17)
+    p2 = sample(dist, 90, seed=18)
+    captured = []
+
+    def measure(entry, f1, f2, core):
+        captured.append((t_error_norm(exact.t_matrix, f1, f2, core),
+                         np.linalg.norm(exact.t_matrix - entry.model.t_matrix,
+                                        2)))
+
+    nkcca_fit(o1, o2, p1, p2, lam, lam, L=1, checkpoints=[30, 60, 90],
+              keep_t=True, on_checkpoint=measure)
+    assert len(captured) == 3
+    for got, expected in captured:
+        assert got == pytest.approx(expected, rel=1e-8)

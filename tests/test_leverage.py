@@ -15,6 +15,23 @@ def dense_inverse_scores(K, gamma):
     return np.diag(K @ np.linalg.inv(K + n * gamma * np.eye(n)))
 
 
+def test_exact_leverage_matches_mrrr_driver_on_clustered_ring_kernel():
+    # the RBF spectrum of ring data at a narrow bandwidth is tightly
+    # clustered: the case where the eigensolver drivers differ in speed
+    ds = synthetic_circles(300, 0)
+    K = gram(KernelSpec(sigma=0.2), ds.X).entries
+    gamma = 1e-2
+    sig, U = scipy.linalg.eigh(K, driver="evr")
+    sig = np.maximum(sig, 0.0)
+    shrink = sig / (sig + 300 * gamma)
+    lv = exact_leverage(K, gamma)
+    np.testing.assert_allclose(lv.scores, np.einsum("ij,j,ij->i", U, shrink, U),
+                               rtol=0, atol=1e-10)
+    assert lv.d_eff == pytest.approx(shrink.sum(), abs=1e-10)
+    assert effective_dimension(K, gamma) == pytest.approx(shrink.sum(),
+                                                          abs=1e-10)
+
+
 def test_exact_identity_kernel():
     lv = exact_leverage(np.eye(2), gamma=0.5)
     np.testing.assert_allclose(lv.scores, [0.5, 0.5], atol=1e-14)
