@@ -3,14 +3,16 @@
 Configuration is a flat key=value file (lists as `a,b,c`, integer ranges as
 `start:stop:step`, `#` comments); command-line flags override file keys.
 Every run writes its tables plus a README documenting the columns into the
-output directory. Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+output directory; progress messages go to stderr. Exit codes: 0 success,
+2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
+import logging
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -23,15 +25,18 @@ from scipy.sparse.linalg import ArpackError
 
 from .baselines import rcca_fit
 from .datasets import load_paired_csv, synthetic_circles, write_paired_csv
+from .diagnostics import _DENSE_N_LIMIT as _CHECK_N_LIMIT
 from .diagnostics import (correlation_error_check, projection_error_check,
                           psd_ordering_check, stability_check,
                           tail_bound_check, write_reports)
-from .kcca import (exact_kcca, nkcca_fit, nkcca_fit_direct, project_many,
-                   save_model, t_error_norm, total_correlation)
-from .kernels import KernelColumns, KernelSpec, gram
+from .kcca import (_EXACT_N_LIMIT, exact_kcca, nkcca_fit, nkcca_fit_direct,
+                   project_many, save_model, t_error_norm, total_correlation)
+from .kernels import KernelColumns, KernelSpec
 from .leverage import (SamplingDistribution, approx_leverage, exact_leverage,
                        make_distribution)
 from .sampling import sample
+
+_log = logging.getLogger("nkcca.cli")  # not __name__: __main__ under python -m
 
 
 class ConfigError(Exception):
@@ -53,7 +58,7 @@ class ExperimentConfig:
     lambda1: tuple = (1e-3,)
     lambda2: tuple = (1e-3,)
     strategy: str = "uniform"           # uniform | ridge | exact
-    gamma_mult: tuple = (1.0,)
+    gamma_mult: tuple = (1.0,)          # a single value: gamma = mult * lambda
     ranks: tuple = tuple(range(100, 1001, 100))
     L: int = 1
     seeds: tuple = (0,)
@@ -66,10 +71,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset kind {self.dataset!r}")
         if self.dataset == "csv" and not (self.csv_x and self.csv_y):
             raise ConfigError("csv dataset needs csv_x and csv_y")
-        for key in ("sigma1", "sigma2", "lambda1", "lambda2", "gamma_mult",
-                    "ranks", "seeds"):
+        for key in _TUPLE_KEYS:
             if len(getattr(self, key)) == 0:
                 raise ConfigError(f"{key} grid must be nonempty")
+        if len(self.gamma_mult) > 1:
+            raise ConfigError(f"gamma_mult takes one value, got {self.gamma_mult}")
         if any(v <= 0 for v in self.sigma1 + self.sigma2 + self.lambda1
                + self.lambda2 + self.gamma_mult):
             raise ConfigError("sigma, lambda, and gamma multipliers must be positive")
@@ -81,8 +87,8 @@ class ExperimentConfig:
             raise ConfigError("L must be at least 1")
 
 
-_TUPLE_KEYS = {"sigma1", "sigma2", "lambda1", "lambda2", "gamma_mult",
-               "ranks", "seeds"}
+_TUPLE_KEYS = ("sigma1", "sigma2", "lambda1", "lambda2", "gamma_mult",
+               "ranks", "seeds")
 _INT_KEYS = {"n", "tune_n", "test_n", "data_seed", "L", "sketch", "select_n"}
 
 
@@ -149,54 +155,20 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _make_data(cfg: ExperimentConfig) -> SimpleNamespace:
     if cfg.dataset == "synthetic":
-        tune_n = cfg.tune_n or cfg.n
-        test_n = cfg.test_n or cfg.n
-        train = synthetic_circles(cfg.n, cfg.data_seed)
-        tune = synthetic_circles(tune_n, cfg.data_seed + 1)
-        test = synthetic_circles(test_n, cfg.data_seed + 2)
-        return SimpleNamespace(X_train=train.X, Y_train=train.Y,
-                               X_tune=tune.X, Y_tune=tune.Y,
-                               X_test=test.X, Y_test=test.Y)
-    try:
-        ds = load_paired_csv(cfg.csv_x, cfg.csv_y, cfg.split, cfg.data_seed)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load the csv dataset: {exc}") from exc
-    xtr, ytr = ds.subset("train")
-    xtu, ytu = ds.subset("tune")
-    xte, yte = ds.subset("test")
-    if min(len(xtr), len(xtu), len(xte)) == 0:
-        raise ConfigError("every split must be nonempty")
+        sizes = (cfg.n, cfg.tune_n or cfg.n, cfg.test_n or cfg.n)
+        parts = [(ds.X, ds.Y) for ds in (synthetic_circles(n, cfg.data_seed + i)
+                                         for i, n in enumerate(sizes))]
+    else:
+        try:
+            ds = load_paired_csv(cfg.csv_x, cfg.csv_y, cfg.split, cfg.data_seed)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load the csv dataset: {exc}") from exc
+        parts = [ds.subset(name) for name in ("train", "tune", "test")]
+        if min(len(x) for x, _ in parts) == 0:
+            raise ConfigError("every split must be nonempty")
+    (xtr, ytr), (xtu, ytu), (xte, yte) = parts
     return SimpleNamespace(X_train=xtr, Y_train=ytr, X_tune=xtu, Y_tune=ytu,
                            X_test=xte, Y_test=yte)
-
-
-def _select_model(cfg: ExperimentConfig, data: SimpleNamespace):
-    """Grid-search (sigma1, sigma2, lambda1, lambda2) by tuning-set total
-    correlation of exact KCCA on a train subsample."""
-    n_sel = min(cfg.select_n, data.X_train.shape[0])
-    Xs = data.X_train[:n_sel]
-    Ys = data.Y_train[:n_sel]
-    best = None
-    single = (len(cfg.sigma1) == len(cfg.sigma2) == len(cfg.lambda1)
-              == len(cfg.lambda2) == 1)
-    if single:
-        return cfg.sigma1[0], cfg.sigma2[0], cfg.lambda1[0], cfg.lambda2[0]
-    for s1 in cfg.sigma1:
-        for s2 in cfg.sigma2:
-            spec1, spec2 = KernelSpec(sigma=s1), KernelSpec(sigma=s2)
-            K1, K2 = gram(spec1, Xs), gram(spec2, Ys)
-            o1 = KernelColumns.from_data(spec1, Xs)
-            o2 = KernelColumns.from_data(spec2, Ys)
-            for l1 in cfg.lambda1:
-                for l2 in cfg.lambda2:
-                    model = exact_kcca(K1, K2, l1, l2, L=cfg.L,
-                                       view1=o1, view2=o2)
-                    tc = total_correlation(
-                        project_many(model, data.X_tune, 1),
-                        project_many(model, data.Y_tune, 2))
-                    if best is None or tc > best[0]:
-                        best = (tc, s1, s2, l1, l2)
-    return best[1], best[2], best[3], best[4]
 
 
 def _view_distribution(cfg: ExperimentConfig, oracle: KernelColumns,
@@ -213,38 +185,120 @@ def _view_distribution(cfg: ExperimentConfig, oracle: KernelColumns,
     if strategy == "exact":
         scores = exact_leverage(oracle.dense(), gamma)
     else:
-        sketch = cfg.sketch or min(n, max(max(cfg.ranks) + 200, 500))
-        sketch = min(sketch, n)
+        sketch = min(n, cfg.sketch or max(max(cfg.ranks) + 200, 500))
         scores = approx_leverage(oracle, gamma, sketch,
                                  seed=cfg.data_seed + 104729)
     return make_distribution(scores, mix_uniform=0.0)
 
 
-def _csv_out(outdir: Path, name: str, header: list, rows: list) -> Path:
-    path = outdir / name
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+class _Experiment:
+    """One command's pipeline: the selected model, the two training oracles
+    and the per-strategy sampling distributions, built once for all seeds.
+    A training N above `dense_limit` (the command's dense N x N work) is a
+    configuration error, raised before any of that work."""
+
+    def __init__(self, cfg: ExperimentConfig, data: SimpleNamespace | None = None,
+                 dense_limit: int | None = None):
+        self.cfg = cfg
+        self.data = data = _make_data(cfg) if data is None else data
+        n = data.X_train.shape[0]
+        if dense_limit is not None and n > dense_limit:
+            raise ConfigError(f"the training split has N = {n} points; this "
+                              f"command is dense and limited to N <= {dense_limit}")
+        self.s1, self.s2, self.l1, self.l2 = self._select_model()
+        self.o1 = KernelColumns.from_data(KernelSpec(sigma=self.s1), data.X_train)
+        self.o2 = KernelColumns.from_data(KernelSpec(sigma=self.s2), data.Y_train)
+        self._dists: dict[str, tuple] = {}
+
+    def _select_model(self):
+        """Grid-search (sigma1, sigma2, lambda1, lambda2) by tuning-set total
+        correlation of exact KCCA on a train subsample."""
+        cfg, d = self.cfg, self.data
+        grid = (cfg.sigma1, cfg.sigma2, cfg.lambda1, cfg.lambda2)
+        if all(len(g) == 1 for g in grid):
+            return tuple(g[0] for g in grid)
+        n_sel = min(cfg.select_n, d.X_train.shape[0])
+        best = None
+        for s1, s2 in itertools.product(cfg.sigma1, cfg.sigma2):
+            o1 = KernelColumns.from_data(KernelSpec(sigma=s1), d.X_train[:n_sel])
+            o2 = KernelColumns.from_data(KernelSpec(sigma=s2), d.Y_train[:n_sel])
+            K1, K2 = o1.dense(), o2.dense()
+            for l1, l2 in itertools.product(cfg.lambda1, cfg.lambda2):
+                model = exact_kcca(K1, K2, l1, l2, L=cfg.L, view1=o1, view2=o2)
+                tc = self.score(model, tune=True)
+                if best is None or tc > best[0]:
+                    best = (tc, s1, s2, l1, l2)
+        return best[1:]
+
+    def distributions(self, strategy):
+        if strategy not in self._dists:
+            self._dists[strategy] = tuple(
+                _view_distribution(self.cfg, o, lam, self.cfg.gamma_mult[0], strategy)
+                for o, lam in ((self.o1, self.l1), (self.o2, self.l2)))
+        return self._dists[strategy]
+
+    def plans(self, strategy, seed, m=None):
+        """Landmark plans for both views; `m` draws each (default max rank)."""
+        m = m or max(self.cfg.ranks)
+        d1, d2 = self.distributions(strategy)
+        return sample(d1, m, seed=seed), sample(d2, m, seed=seed + 1)
+
+    def fit(self, plans, on_checkpoint=None):
+        """The rank path over the configured checkpoints."""
+        return nkcca_fit(self.o1, self.o2, *plans, self.l1, self.l2, self.cfg.L,
+                         checkpoints=list(self.cfg.ranks),
+                         on_checkpoint=on_checkpoint)
+
+    def exact(self, grams=None, keep_t=False):
+        """Dense exact KCCA on the training set (`grams` if already held)."""
+        K1, K2 = grams or (self.o1.dense(), self.o2.dense())
+        return exact_kcca(K1, K2, self.l1, self.l2, L=self.cfg.L,
+                          keep_t=keep_t, view1=self.o1, view2=self.o2)
+
+    def score(self, model, tune=False) -> float:
+        """Total correlation of a fitted model on the test (or tuning) pairs."""
+        d = self.data
+        X, Y = (d.X_tune, d.Y_tune) if tune else (d.X_test, d.Y_test)
+        return total_correlation(project_many(model, X, 1), project_many(model, Y, 2))
+
+    def rcca(self, seed, rank) -> float:
+        """Test-set total correlation of the RFF-CCA baseline."""
+        d = self.data
+        _, proj = rcca_fit(d.X_train, d.Y_train, self.s1, self.s2, rank,
+                           self.l1, self.l2, self.cfg.L, seed)
+        return total_correlation(*proj(d.X_test, d.Y_test))
 
 
-def _write_run_readme(outdir: Path, command: str, cfg: ExperimentConfig,
-                      tables: dict[str, list[str]]) -> None:
+def _write_run(cfg: ExperimentConfig, command: str, table: str, docs: list,
+               rows: list | None = None) -> Path:
+    """Write the run README documenting `table` from `docs`, its (column,
+    description) pairs, and given `rows` the table under that header."""
+    outdir = Path(cfg.out) / command
+    outdir.mkdir(parents=True, exist_ok=True)
+    if rows is not None:
+        with open(outdir / table, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([col for col, _ in docs])
+            writer.writerows(rows)
     lines = [f"# {command} run", "", "Configuration:", "```"]
-    for f in fields(ExperimentConfig):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
-    lines += ["```", ""]
-    for name, cols in tables.items():
-        lines.append(f"## {name}")
-        lines += [f"- `{c}`" for c in cols]
-        lines.append("")
+    lines += [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(ExperimentConfig)]
+    lines += ["```", "", f"## {table}"]
+    lines += [f"- `{col}: {doc}`" for col, doc in docs] + [""]
     (outdir / "README.md").write_text("\n".join(lines))
+    return outdir
 
 
-def _outdir(cfg: ExperimentConfig, command: str) -> Path:
-    out = Path(cfg.out) / command
-    out.mkdir(parents=True, exist_ok=True)
+def _append_means(rows, seed_col):
+    """Append seed-averaged rows (seed = 'mean') per distinct (columns before
+    the seed, rank); rank follows the seed and the values follow the rank."""
+    def key(r):
+        return tuple(r[:seed_col]) + (r[seed_col + 1],)
+
+    out = list(rows)
+    for k in sorted({key(r) for r in rows}):
+        block = [r[seed_col + 2:] for r in rows if key(r) == k]
+        out.append(list(k[:-1]) + ["mean", k[-1]]
+                   + [float(np.mean(col)) for col in zip(*block)])
     return out
 
 
@@ -254,265 +308,145 @@ def _outdir(cfg: ExperimentConfig, command: str) -> Path:
 
 def cmd_gen_data(args) -> int:
     cfg = resolve_config(args)
-    outdir = _outdir(cfg, "gen-data")
     ds = synthetic_circles(cfg.n, cfg.data_seed)
+    outdir = _write_run(cfg, "gen-data", "x.csv / y.csv", [
+        ("rows", "paired observations"),
+        ("columns", "2-D view coordinates, no header")])
     write_paired_csv(ds, outdir / "x.csv", outdir / "y.csv")
-    _write_run_readme(outdir, "gen-data", cfg, {
-        "x.csv / y.csv": ["rows: paired observations",
-                          "columns: 2-D view coordinates, no header"]})
     print(f"wrote {outdir}/x.csv and {outdir}/y.csv ({cfg.n} rows)")
     return 0
 
 
 def cmd_exact(args) -> int:
-    cfg = resolve_config(args)
-    data = _make_data(cfg)
-    s1, s2, l1, l2 = _select_model(cfg, data)
-    spec1, spec2 = KernelSpec(sigma=s1), KernelSpec(sigma=s2)
-    o1 = KernelColumns.from_data(spec1, data.X_train)
-    o2 = KernelColumns.from_data(spec2, data.Y_train)
-    model = exact_kcca(gram(spec1, data.X_train), gram(spec2, data.Y_train),
-                       l1, l2, L=cfg.L, view1=o1, view2=o2)
-    tc = total_correlation(project_many(model, data.X_test, 1),
-                           project_many(model, data.Y_test, 2))
-    outdir = _outdir(cfg, "exact")
+    exp = _Experiment(resolve_config(args), dense_limit=_EXACT_N_LIMIT)
+    model = exp.exact()
     rows = [[i + 1, rho] for i, rho in enumerate(model.rho)]
-    _csv_out(outdir, "correlations.csv", ["component", "rho"], rows)
+    outdir = _write_run(exp.cfg, "exact", "correlations.csv", [
+        ("component", "canonical index (1-based)"),
+        ("rho", "training canonical correlation")], rows)
     save_model(model, outdir / "model.npz")
-    _write_run_readme(outdir, "exact", cfg, {
-        "correlations.csv": ["component: canonical index (1-based)",
-                             "rho: training canonical correlation"]})
-    print(f"sigma=({s1:.4g},{s2:.4g}) lambda=({l1:.4g},{l2:.4g}) "
-          f"rho1={model.rho[0]:.6f} test_total_correlation={tc:.4f}")
+    print(f"sigma=({exp.s1:.4g},{exp.s2:.4g}) lambda=({exp.l1:.4g},{exp.l2:.4g}) "
+          f"rho1={model.rho[0]:.6f} test_total_correlation={exp.score(model):.4f}")
     return 0
 
 
-class _PathRunner:
-    """Caches per-strategy oracles and sampling distributions so repeated
-    seeds only redraw plans."""
-
-    def __init__(self, cfg, data, s1, s2, l1, l2):
-        self.cfg, self.l1, self.l2 = cfg, l1, l2
-        spec1, spec2 = KernelSpec(sigma=s1), KernelSpec(sigma=s2)
-        self.o1 = KernelColumns.from_data(spec1, data.X_train)
-        self.o2 = KernelColumns.from_data(spec2, data.Y_train)
-        self._dists: dict[str, tuple] = {}
-
-    def distributions(self, strategy):
-        if strategy not in self._dists:
-            gm = self.cfg.gamma_mult[0]
-            self._dists[strategy] = (
-                _view_distribution(self.cfg, self.o1, self.l1, gm, strategy),
-                _view_distribution(self.cfg, self.o2, self.l2, gm, strategy))
-        return self._dists[strategy]
-
-    def plans(self, strategy, seed):
-        d1, d2 = self.distributions(strategy)
-        return (sample(d1, max(self.cfg.ranks), seed=seed),
-                sample(d2, max(self.cfg.ranks), seed=seed + 1))
-
-    def fit(self, strategy, seed, on_checkpoint=None):
-        plan1, plan2 = self.plans(strategy, seed)
-        entries = nkcca_fit(self.o1, self.o2, plan1, plan2, self.l1, self.l2,
-                            self.cfg.L, checkpoints=list(self.cfg.ranks),
-                            on_checkpoint=on_checkpoint)
-        return entries, (self.o1, self.o2, plan1, plan2)
-
-
 def cmd_nkcca(args) -> int:
-    cfg = resolve_config(args)
-    data = _make_data(cfg)
-    s1, s2, l1, l2 = _select_model(cfg, data)
-    runner = _PathRunner(cfg, data, s1, s2, l1, l2)
-    rows = []
-    for seed in cfg.seeds:
-        entries, _ = runner.fit(cfg.strategy, seed)
-        for e in entries:
-            tc = total_correlation(project_many(e.model, data.X_test, 1),
-                                   project_many(e.model, data.Y_test, 2))
-            rows.append([seed, e.m1, e.rho_tilde[0], tc,
-                         e.wall_time_incremental])
-    outdir = _outdir(cfg, "nkcca")
-    _csv_out(outdir, "rank_path.csv",
-             ["seed", "rank", "rho1", "test_total_correlation", "wall_s"], rows)
-    _write_run_readme(outdir, "nkcca", cfg, {
-        "rank_path.csv": ["seed: sampling seed", "rank: landmark draws per view",
-                          "rho1: top approximate canonical correlation",
-                          "test_total_correlation: sum of |Pearson| over L dims",
-                          "wall_s: cumulative incremental wall time"]})
+    exp = _Experiment(resolve_config(args))
+    rows = [[seed, e.m1, e.rho_tilde[0], exp.score(e.model),
+             e.wall_time_incremental]
+            for seed in exp.cfg.seeds
+            for e in exp.fit(exp.plans(exp.cfg.strategy, seed))]
+    outdir = _write_run(exp.cfg, "nkcca", "rank_path.csv", [
+        ("seed", "sampling seed"), ("rank", "landmark draws per view"),
+        ("rho1", "top approximate canonical correlation"),
+        ("test_total_correlation", "sum of |Pearson| over L dims"),
+        ("wall_s", "cumulative incremental wall time")], rows)
     print(f"wrote {outdir}/rank_path.csv ({len(rows)} rows)")
     return 0
 
 
 def cmd_rcca(args) -> int:
-    cfg = resolve_config(args)
-    data = _make_data(cfg)
-    s1, s2, l1, l2 = _select_model(cfg, data)
-    rows = []
-    for seed in cfg.seeds:
-        for rank in cfg.ranks:
-            _, proj = rcca_fit(data.X_train, data.Y_train, s1, s2, rank,
-                               l1, l2, cfg.L, seed)
-            px, py = proj(data.X_test, data.Y_test)
-            rows.append([seed, rank, total_correlation(px, py)])
-    outdir = _outdir(cfg, "rcca")
-    _csv_out(outdir, "rcca.csv", ["seed", "rank", "test_total_correlation"], rows)
-    _write_run_readme(outdir, "rcca", cfg, {
-        "rcca.csv": ["seed: feature-map seed", "rank: number of random features",
-                     "test_total_correlation: sum of |Pearson| over L dims"]})
+    exp = _Experiment(resolve_config(args))
+    rows = [[seed, rank, exp.rcca(seed, rank)]
+            for seed in exp.cfg.seeds for rank in exp.cfg.ranks]
+    outdir = _write_run(exp.cfg, "rcca", "rcca.csv", [
+        ("seed", "feature-map seed"), ("rank", "number of random features"),
+        ("test_total_correlation", "sum of |Pearson| over L dims")], rows)
     print(f"wrote {outdir}/rcca.csv ({len(rows)} rows)")
     return 0
 
 
-def _error_curve_rows(cfg, data, strategies, progress=print):
-    """Shared by error-curve and the strategy comparison: per (strategy,
-    seed, rank) approximation errors against the dense exact reference."""
-    s1, s2, l1, l2 = _select_model(cfg, data)
-    spec1, spec2 = KernelSpec(sigma=s1), KernelSpec(sigma=s2)
-    o1 = KernelColumns.from_data(spec1, data.X_train)
-    o2 = KernelColumns.from_data(spec2, data.Y_train)
-    progress(f"exact reference at N={data.X_train.shape[0]} ...")
-    exact = exact_kcca(gram(spec1, data.X_train), gram(spec2, data.Y_train),
-                       l1, l2, L=cfg.L, keep_t=True, view1=o1, view2=o2)
+def _error_curve_rows(cfg, data, strategies):
+    """Per (strategy, seed, rank) approximation errors of the rank path
+    against the dense exact reference."""
+    exp = _Experiment(cfg, data, dense_limit=_EXACT_N_LIMIT)
+    _log.info("exact reference at N=%d ...", exp.o1.n)
+    exact = exp.exact(keep_t=True)
     gap = exact.rho[0] - (exact.rho[1] if cfg.L > 1 else exact.sigma_next)
     n = exact.n
-    runner = _PathRunner(cfg, data, s1, s2, l1, l2)
     rows = []
     for strategy in strategies:
         for seed in cfg.seeds:
-            records = []
-
-            def hook(entry, f1, f2, core):
-                records.append(t_error_norm(exact.t_matrix, f1, f2, core))
-
-            entries, _ = runner.fit(strategy, seed, on_checkpoint=hook)
-            for e, t_err in zip(entries, records):
+            t_errs = []
+            entries = exp.fit(exp.plans(strategy, seed), on_checkpoint=(
+                lambda e, f1, f2, core: t_errs.append(
+                    t_error_norm(exact.t_matrix, f1, f2, core))))
+            for e, t_err in zip(entries, t_errs):
                 flip = -1.0 if float(e.model.alpha_prime[:, 0]
                                      @ exact.alpha_prime[:, 0]) < 0 else 1.0
                 rho_err = abs(exact.rho[0] - e.rho_tilde[0])
                 alpha_err = float(np.linalg.norm(
                     exact.alpha[:, 0] - flip * e.model.alpha[:, 0])) / math.sqrt(n)
-                bound = ((0.5 + 4.0 * math.sqrt(2.0) / gap) * t_err / (n * l1)
+                bound = ((0.5 + 4.0 * math.sqrt(2.0) / gap) * t_err / (n * exp.l1)
                          if gap > 0 else float("inf"))
-                rows.append([strategy, seed, e.m1, rho_err, t_err, alpha_err,
-                             bound])
-            progress(f"  {strategy} seed {seed}: done "
-                     f"({entries[-1].wall_time_incremental:.1f}s)")
-    return rows, (s1, s2, l1, l2, gap)
-
-
-def _append_means(rows):
-    """Seed-averaged rows (seed column = 'mean') per (strategy, rank)."""
-    out = list(rows)
-    keys = sorted({(r[0], r[2]) for r in rows})
-    for strategy, rank in keys:
-        block = [r for r in rows if r[0] == strategy and r[2] == rank]
-        means = [float(np.mean([b[i] for b in block])) for i in range(3, 7)]
-        out.append([strategy, "mean", rank] + means)
-    return out
-
-
-_ERROR_COLS = ["strategy", "seed", "rank", "rho_err", "t_err", "alpha_err",
-               "stability_bound"]
-_ERROR_DOC = [
-    "strategy: uniform | ridge | exact leverage sampling",
-    "seed: sampling seed, or 'mean' for the seed average",
-    "rank: landmark draws per view (M1 = M2)",
-    "rho_err: |rho - rho_tilde| for the top canonical correlation",
-    "t_err: spectral norm of T - T_tilde",
-    "alpha_err: ||alpha - alpha_tilde|| / sqrt(N)",
-    "stability_bound: (1/2 + 4 sqrt2 / r) t_err / (N lambda1)",
-]
+                rows.append([strategy, seed, e.m1, rho_err, t_err, alpha_err, bound])
+            _log.info("  %s seed %s: done (%.1fs)", strategy, seed,
+                      entries[-1].wall_time_incremental)
+    return rows
 
 
 def cmd_error_curve(args) -> int:
     cfg = resolve_config(args)
-    data = _make_data(cfg)
-    rows, _ = _error_curve_rows(cfg, data, [cfg.strategy])
-    rows = _append_means(rows)
-    outdir = _outdir(cfg, "error-curve")
-    _csv_out(outdir, "error_curve.csv", _ERROR_COLS, rows)
-    _write_run_readme(outdir, "error-curve", cfg, {"error_curve.csv": _ERROR_DOC})
+    rows = _append_means(_error_curve_rows(cfg, _make_data(cfg), [cfg.strategy]),
+                         seed_col=1)
+    outdir = _write_run(cfg, "error-curve", "error_curve.csv", [
+        ("strategy", "uniform | ridge | exact leverage sampling"),
+        ("seed", "sampling seed, or 'mean' for the seed average"),
+        ("rank", "landmark draws per view (M1 = M2)"),
+        ("rho_err", "|rho - rho_tilde| for the top canonical correlation"),
+        ("t_err", "spectral norm of T - T_tilde"),
+        ("alpha_err", "||alpha - alpha_tilde|| / sqrt(N)"),
+        ("stability_bound", "(1/2 + 4 sqrt2 / r) t_err / (N lambda1)")], rows)
     print(f"wrote {outdir}/error_curve.csv ({len(rows)} rows)")
     return 0
 
 
 def cmd_speedup(args) -> int:
-    cfg = resolve_config(args)
-    data = _make_data(cfg)
-    s1, s2, l1, l2 = _select_model(cfg, data)
-    runner = _PathRunner(cfg, data, s1, s2, l1, l2)
+    exp = _Experiment(resolve_config(args))
+    cfg = exp.cfg
     rows = []
     for seed in cfg.seeds:
-        entries, (o1, o2, plan1, plan2) = runner.fit(cfg.strategy, seed)
+        plans = exp.plans(cfg.strategy, seed)
         restart_total = 0.0
-        for e in entries:
-            direct = nkcca_fit_direct(o1, o2, plan1, plan2, l1, l2, cfg.L,
-                                      m1=e.m1, m2=e.m2)
+        for e in exp.fit(plans):
+            direct = nkcca_fit_direct(exp.o1, exp.o2, *plans, exp.l1, exp.l2,
+                                      cfg.L, m1=e.m1, m2=e.m2)
             restart_total += direct.wall_time_restart
             drho = float(np.abs(e.rho_tilde - direct.rho_tilde).max())
             rows.append([seed, e.m1, e.wall_time_incremental,
                          direct.wall_time_restart, restart_total,
                          restart_total / e.wall_time_incremental, drho])
-    outdir = _outdir(cfg, "speedup")
-    _csv_out(outdir, "speedup.csv",
-             ["seed", "rank", "incremental_cum_s", "restart_s",
-              "restart_cum_s", "speedup", "drho_vs_restart"], rows)
-    by_seed = {}
-    for r in rows:
-        by_seed.setdefault(r[0], []).append(r[5])
-    trend = all(s[-1] >= s[len(s) // 2] for s in by_seed.values() if len(s) > 1)
-    _write_run_readme(outdir, "speedup", cfg, {
-        "speedup.csv": ["seed: sampling seed", "rank: checkpoint",
-                        "incremental_cum_s: cumulative incremental wall time",
-                        "restart_s: one fresh non-incremental fit at this rank",
-                        "restart_cum_s: summed restarts through this rank",
-                        "speedup: restart_cum_s / incremental_cum_s",
-                        "drho_vs_restart: max |rho_tilde| gap vs restart"]})
+    outdir = _write_run(cfg, "speedup", "speedup.csv", [
+        ("seed", "sampling seed"), ("rank", "checkpoint"),
+        ("incremental_cum_s", "cumulative incremental wall time"),
+        ("restart_s", "one fresh non-incremental fit at this rank"),
+        ("restart_cum_s", "summed restarts through this rank"),
+        ("speedup", "restart_cum_s / incremental_cum_s"),
+        ("drho_vs_restart", "max |rho_tilde| gap vs restart")], rows)
+    ratios = ([r[5] for r in rows if r[0] == seed] for seed in cfg.seeds)
+    trend = all(s[-1] >= s[len(s) // 2] for s in ratios if len(s) > 1)
     print(f"wrote {outdir}/speedup.csv; speedup nondecreasing over last half: "
           f"{trend}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = resolve_config(args)
-    data = _make_data(cfg)
-    s1, s2, l1, l2 = _select_model(cfg, data)
-    runner = _PathRunner(cfg, data, s1, s2, l1, l2)
+    exp = _Experiment(resolve_config(args))
+    cfg = exp.cfg
+    other = cfg.strategy if cfg.strategy != "uniform" else "ridge"
     rows = []
     for seed in cfg.seeds:
-        per_rank = {}
-        for strategy in ("uniform", cfg.strategy if cfg.strategy != "uniform"
-                         else "ridge"):
-            entries, _ = runner.fit(strategy, seed)
-            for e in entries:
-                tc = total_correlation(
-                    project_many(e.model, data.X_test, 1),
-                    project_many(e.model, data.Y_test, 2))
-                per_rank.setdefault(e.m1, {})[strategy] = tc
-        for rank in cfg.ranks:
-            _, proj = rcca_fit(data.X_train, data.Y_train, s1, s2, rank,
-                               l1, l2, cfg.L, seed)
-            px, py = proj(data.X_test, data.Y_test)
-            per_rank.setdefault(rank, {})["rcca"] = total_correlation(px, py)
-        for rank in cfg.ranks:
-            d = per_rank[rank]
-            rows.append([seed, rank, d.get("rcca"), d.get("uniform"),
-                         d.get("ridge", d.get("exact"))])
-    keys = sorted({r[1] for r in rows})
-    for rank in keys:
-        block = [r for r in rows if r[1] == rank]
-        rows.append(["mean", rank] + [float(np.mean([b[i] for b in block]))
-                                      for i in range(2, 5)])
-    outdir = _outdir(cfg, "compare")
-    _csv_out(outdir, "compare.csv",
-             ["seed", "rank", "rcca", "nkcca_uniform", "nkcca_ridge"], rows)
-    _write_run_readme(outdir, "compare", cfg, {
-        "compare.csv": ["seed: sampling seed, or 'mean' for the seed average",
-                        "rank: landmarks / random features",
-                        "rcca: RFF-CCA test total correlation",
-                        "nkcca_uniform: uniform-sampling test total correlation",
-                        "nkcca_ridge: leverage-sampling test total correlation"]})
+        tc = {s: {e.m1: exp.score(e.model) for e in exp.fit(exp.plans(s, seed))}
+              for s in ("uniform", other)}
+        rows += [[seed, rank, exp.rcca(seed, rank), tc["uniform"][rank],
+                  tc[other][rank]] for rank in cfg.ranks]
+    rows = _append_means(rows, seed_col=0)
+    outdir = _write_run(cfg, "compare", "compare.csv", [
+        ("seed", "sampling seed, or 'mean' for the seed average"),
+        ("rank", "landmarks / random features"),
+        ("rcca", "RFF-CCA test total correlation"),
+        ("nkcca_uniform", "uniform-sampling test total correlation"),
+        ("nkcca_ridge", "leverage-sampling test total correlation")], rows)
     print(f"wrote {outdir}/compare.csv ({len(rows)} rows)")
     return 0
 
@@ -523,39 +457,30 @@ def cmd_check_bounds(args) -> int:
         # the bound checks are dense N x N verifiers
         print(f"check-bounds: n={cfg.n} exceeds the dense-check limit 400; "
               f"using n=200", file=sys.stderr)
-        cfg.n = 200
-        cfg.tune_n = cfg.test_n = 200
-    data = _make_data(cfg)
-    s1, s2, l1, l2 = _select_model(cfg, data)
-    runner = _PathRunner(cfg, data, s1, s2, l1, l2)
-    o1, o2 = runner.o1, runner.o2
-    K1 = gram(KernelSpec(sigma=s1), data.X_train)
-    K2 = gram(KernelSpec(sigma=s2), data.Y_train)
-    exact = exact_kcca(K1, K2, l1, l2, L=cfg.L, keep_t=True, view1=o1, view2=o2)
-    gamma1 = cfg.gamma_mult[0] * l1
-    gamma2 = cfg.gamma_mult[0] * l2
+        cfg.n = cfg.tune_n = cfg.test_n = 200
+    exp = _Experiment(cfg, dense_limit=min(_CHECK_N_LIMIT, _EXACT_N_LIMIT))
+    o1, o2, l1, l2 = exp.o1, exp.o2, exp.l1, exp.l2
+    K1, K2 = o1.dense(), o2.dense()
+    exact = exp.exact((K1, K2), keep_t=True)
+    gamma1, gamma2 = cfg.gamma_mult[0] * l1, cfg.gamma_mult[0] * l2
     t_gate = 0.9
-    rank = min(max(cfg.ranks), K1.n - 1)
-    d1, d2 = runner.distributions(cfg.strategy)
     reports = []
     for seed in cfg.seeds:
-        plan1 = sample(d1, rank, seed=seed)
-        plan2 = sample(d2, rank, seed=seed + 1)
+        plan1, plan2 = exp.plans(cfg.strategy, seed, min(max(cfg.ranks), o1.n - 1))
         reports.append(psd_ordering_check(K1, plan1, gamma1))
         reports.append(tail_bound_check(K1, plan1, gamma1, t_gate))
         reports.append(projection_error_check(K1, plan1, gamma1, l1, t_gate))
         reports.append(correlation_error_check(K1, K2, (plan1, plan2), (l1, l2),
-                                      (gamma1, gamma2), t_gate, t_gate))
+                                               (gamma1, gamma2), t_gate, t_gate))
         approx = nkcca_fit_direct(o1, o2, plan1, plan2, l1, l2, L=1,
                                   keep_t=True)
         reports.extend(stability_check(exact, approx.model,
-                                       data.X_test[:200], c=1.0))
-    outdir = _outdir(cfg, "check-bounds")
+                                       exp.data.X_test[:200], c=1.0))
+    outdir = _write_run(cfg, "check-bounds", "bounds.csv", [
+        ("context", "which inequality"), ("lhs / rhs", "both sides"),
+        ("holds", "lhs <= rhs + 1e-8 max(1, rhs)"),
+        ("applicable", "False when preconditions failed")])
     write_reports(outdir / "bounds.csv", reports)
-    _write_run_readme(outdir, "check-bounds", cfg, {
-        "bounds.csv": ["context: which inequality", "lhs / rhs: both sides",
-                       "holds: lhs <= rhs + 1e-8 max(1, rhs)",
-                       "applicable: False when preconditions failed"]})
     bad = [r for r in reports if r.applicable and not r.holds]
     print(f"wrote {outdir}/bounds.csv: {len(reports)} reports, "
           f"{len(bad)} gated failures")
@@ -591,6 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # progress records of the package go to stderr for this run only
+    log = logging.getLogger("nkcca")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return args.handler(args)
     except ConfigError as exc:
@@ -601,6 +531,9 @@ def main(argv=None) -> int:
         # ArpackError covers ArpackNoConvergence from the iterative SVDs
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -49,6 +49,8 @@ __all__ = [
 # Above this size the top-L singular triplets are extracted iteratively
 # instead of via a dense SVD.
 _DENSE_SVD_LIMIT = 1200
+# exact_kcca forms several N x N matrices; it refuses larger problems.
+_EXACT_N_LIMIT = 5000
 
 
 @dataclass
@@ -135,8 +137,7 @@ def _top_svd(T: np.ndarray, k: int):
 
 def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
                keep_t: bool = False, view1: KernelColumns | None = None,
-               view2: KernelColumns | None = None,
-               dense_limit: int = 5000) -> KccaModel:
+               view2: KernelColumns | None = None) -> KccaModel:
     """Dense kernel CCA on two Gram matrices.
 
     Parameters
@@ -164,8 +165,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     n = K1.shape[0]
     if K2.shape[0] != n:
         raise ValueError("views have different sample counts")
-    if n > dense_limit:
-        raise ValueError(f"N = {n} exceeds the dense-path limit {dense_limit}")
+    if n > _EXACT_N_LIMIT:
+        raise ValueError(f"N = {n} exceeds the dense-path limit {_EXACT_N_LIMIT}")
     if not 1 <= L <= n:
         raise ValueError("L must lie in [1, N]")
 

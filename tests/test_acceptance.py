@@ -267,8 +267,7 @@ def bench_curves():
                            data_seed=0)
     data = _make_data(cfg)
     t0 = time.perf_counter()
-    rows, _ = _error_curve_rows(cfg, data, ["uniform", RIDGE_STRATEGY],
-                                progress=lambda *a: None)
+    rows = _error_curve_rows(cfg, data, ["uniform", RIDGE_STRATEGY])
     print(f"\n[bench] 20-seed error curves for both strategies: "
           f"{time.perf_counter() - t0:.0f}s")
     means = {}

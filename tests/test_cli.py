@@ -85,6 +85,19 @@ def test_config_validation_errors():
         ExperimentConfig(lambda1=(0.0,)).validate()
 
 
+def test_gamma_mult_grid_is_rejected():
+    ExperimentConfig(gamma_mult=(10.0,)).validate()
+    with pytest.raises(ConfigError, match="gamma_mult"):
+        ExperimentConfig(gamma_mult=(1.0, 10.0)).validate()
+
+
+def test_gamma_mult_grid_exit_code(tmp_path, capsys):
+    assert run(["nkcca"] + base_flags(tmp_path, **{"gamma-mult": "1,10"})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gamma_mult" in err
+    assert not (tmp_path / "nkcca").exists()
+
+
 def test_bad_config_exit_code(tmp_path):
     assert run(["nkcca", "--strategy", "magic",
                 "--out", str(tmp_path)]) == 2
@@ -145,9 +158,13 @@ def test_rcca_command(tmp_path):
     assert all(0 <= v <= 1.0 + 1e-6 for v in vals)
 
 
-def test_error_curve_command_and_determinism(tmp_path):
+def test_error_curve_command_and_determinism(tmp_path, capsys):
     argv = ["error-curve"] + base_flags(tmp_path / "r1", seeds="0,1")
     assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert "exact reference at N=60" in captured.err  # progress goes to stderr
+    assert "uniform seed 1: done" in captured.err
+    assert "exact reference" not in captured.out
     argv2 = ["error-curve"] + base_flags(tmp_path / "r2", seeds="0,1")
     assert run(argv2) == 0
     a = (tmp_path / "r1" / "error-curve" / "error_curve.csv").read_text()
@@ -266,3 +283,45 @@ def test_check_bounds_builds_distributions_once(monkeypatch, tmp_path):
                                              ranks="10,30"))
     assert code == 0
     assert len(calls) == 2  # one per view, shared by every seed
+
+
+def test_exact_above_dense_limit_is_config_error(tmp_path, capsys):
+    code = run(["exact"] + base_flags(tmp_path, n="5001", **{"tune-n": "50",
+                                                            "test-n": "50"}))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "5001" in err and "5000" in err
+    assert not (tmp_path / "exact").exists()
+
+
+def test_check_bounds_csv_above_dense_limit_is_config_error(tmp_path, capsys):
+    # a 3,500-row dataset puts N = 2100 in the default 0.6 training split
+    rng = np.random.default_rng(0)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, rng.standard_normal((3500, 2)), delimiter=",")
+    np.savetxt(y, rng.standard_normal((3500, 2)), delimiter=",")
+    code = run(["check-bounds", "--dataset", "csv", "--csv-x", str(x),
+                "--csv-y", str(y), "--ranks", "10,20",
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "2100" in err and "2000" in err
+    assert not (tmp_path / "out" / "check-bounds").exists()
+
+
+def test_compare_agrees_with_rank_path_and_rcca(tmp_path):
+    """compare, nkcca and rcca share one experiment runner, so at the same
+    config compare's columns are exactly the other commands' tables."""
+    for command in ("compare", "nkcca", "rcca"):
+        assert run([command] + base_flags(tmp_path)) == 0
+    compare = {(r[0], r[1]): r for r in
+               read_csv(tmp_path / "compare" / "compare.csv")[1:]}
+    rank_path = read_csv(tmp_path / "nkcca" / "rank_path.csv")[1:]
+    rcca = read_csv(tmp_path / "rcca" / "rcca.csv")[1:]
+    assert len(rank_path) == len(rcca) == 4
+    for seed, rank, _, tc, _ in rank_path:
+        assert compare[(seed, rank)][3] == tc
+    for seed, rank, tc in rcca:
+        assert compare[(seed, rank)][2] == tc

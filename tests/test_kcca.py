@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from conftest import centering_matrix, random_psd
 
+from nkcca import kcca
 from nkcca.datasets import synthetic_circles
 from nkcca.kcca import (_nystrom_coefficients, exact_kcca, load_model,
                         nkcca_coefficients, nkcca_fit, nkcca_fit_direct,
@@ -103,14 +104,15 @@ def test_exact_model_invariants():
     assert model.sigma_next <= model.rho[-1] + 1e-12
 
 
-def test_exact_validation():
+def test_exact_validation(monkeypatch):
     K1, K2, *_ = two_view_problem(n=8)
     with pytest.raises(ValueError):
         exact_kcca(K1, K2, 0.0, 0.1)
     with pytest.raises(ValueError):
         exact_kcca(K1, K2, 0.1, 0.1, L=9)
+    monkeypatch.setattr(kcca, "_EXACT_N_LIMIT", 4)
     with pytest.raises(ValueError):
-        exact_kcca(K1, K2, 0.1, 0.1, dense_limit=4)
+        exact_kcca(K1, K2, 0.1, 0.1)
 
 
 # --- Nystrom solver -----------------------------------------------------------
