@@ -2,15 +2,14 @@
 with leverage-score sampling, an incremental rank-path solver, and empirical
 bound checking."""
 
-from .kernels import (KernelSpec, GramMatrix, KernelColumns, kernel_eval, gram,
-                      center, centered_column)
+from .kernels import KernelSpec, GramMatrix, KernelColumns, gram, center
 from .leverage import (LeverageScores, SamplingDistribution, exact_leverage,
                        approx_leverage, effective_dimension, make_distribution)
-from .sampling import SamplingPlan, sample, extend, full_plan, unit_plan
-from .nystrom import (NystromFactor, factor, apply, CholState,
-                      chol_append_block, chol_solve, QrState, qr_append_block)
+from .sampling import SamplingPlan, sample
+from .nystrom import (CholState, chol_append_block, chol_solve, QrState,
+                      qr_append_block)
 from .kcca import (KccaModel, RankPathEntry, exact_kcca, nkcca_fit,
-                   nkcca_fit_direct, nkcca_coefficients, project, project_many,
+                   nkcca_fit_direct, nkcca_coefficients, project_many,
                    total_correlation, save_model, load_model)
 from .diagnostics import (BoundReport, correlation_error_check, d_matrix_norm,
                           projection_error_check, psd_ordering_check,

@@ -180,7 +180,7 @@ def _view_distribution(cfg: ExperimentConfig, oracle: KernelColumns,
     strategy = strategy or cfg.strategy
     n = oracle.n
     if strategy == "uniform":
-        return SamplingDistribution(p=np.full(n, 1.0 / n), beta_floor=1.0)
+        return SamplingDistribution(p=np.full(n, 1.0 / n))
     gamma = gamma_mult * lam
     if strategy == "exact":
         scores = exact_leverage(oracle.dense(), gamma)
@@ -456,7 +456,9 @@ def cmd_check_bounds(args) -> int:
     if cfg.dataset == "synthetic" and cfg.n > 400:
         # the bound checks are dense N x N verifiers
         print(f"check-bounds: n={cfg.n} exceeds the dense-check limit 400; "
-              f"using n=200", file=sys.stderr)
+              f"using n=200, tune_n=200 and test_n=200 instead of "
+              f"tune_n={cfg.tune_n or cfg.n} and test_n={cfg.test_n or cfg.n}",
+              file=sys.stderr)
         cfg.n = cfg.tune_n = cfg.test_n = 200
     exp = _Experiment(cfg, dense_limit=min(_CHECK_N_LIMIT, _EXACT_N_LIMIT))
     o1, o2, l1, l2 = exp.o1, exp.o2, exp.l1, exp.l2
@@ -474,8 +476,8 @@ def cmd_check_bounds(args) -> int:
                                                (gamma1, gamma2), t_gate, t_gate))
         approx = nkcca_fit_direct(o1, o2, plan1, plan2, l1, l2, L=1,
                                   keep_t=True)
-        reports.extend(stability_check(exact, approx.model,
-                                       exp.data.X_test[:200], c=1.0))
+        reports += stability_check(exact, approx.model, exp.data.X_test[:200],
+                                   c=1.0)
     outdir = _write_run(cfg, "check-bounds", "bounds.csv", [
         ("context", "which inequality"), ("lhs / rhs", "both sides"),
         ("holds", "lhs <= rhs + 1e-8 max(1, rhs)"),

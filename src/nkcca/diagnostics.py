@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .kernels import KernelColumns, as_matrix, center
+from .kernels import as_matrix, center
 from .kcca import KccaModel, project_many
 from .leverage import _psd_eigh
-from .nystrom import factor
 from .sampling import SamplingPlan, sampling_matrix
 
 __all__ = [
@@ -88,9 +87,27 @@ def ridge_projection(A: np.ndarray, lam: float) -> np.ndarray:
 
 
 def low_rank_dense(K, plan: SamplingPlan, gamma: float) -> np.ndarray:
-    """Dense column-sampled approximation K S (S^T K S + N gamma I)^+ S^T K."""
-    oracle = KernelColumns.from_gram(as_matrix(K))
-    return factor(oracle, plan, gamma).dense()
+    """Dense column-sampled approximation K S (S^T K S + N gamma I)^+ S^T K.
+
+    S carries the plan's importance weights; with gamma = 0 a singular core
+    falls back to its pseudo-inverse.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    K = as_matrix(K)
+    if not np.all(np.isfinite(K)):
+        raise ValueError("kernel matrix has non-finite entries")
+    idx, w = plan.indices, plan.weights
+    # C-ordered, unlike K[:, idx]: the BLAS rounding below depends on layout
+    C = np.take(K, idx, axis=1) * w
+    W = C[idx] * w[:, None]
+    W_reg = 0.5 * (W + W.T) + K.shape[0] * gamma * np.eye(plan.m)
+    try:
+        X = scipy.linalg.cho_solve(scipy.linalg.cho_factor(W_reg), C.T)
+    except scipy.linalg.LinAlgError:
+        X = scipy.linalg.pinvh(W_reg) @ C.T
+    out = C @ X
+    return 0.5 * (out + out.T)
 
 
 def d_matrix_norm(K, plan: SamplingPlan | None, gamma: float) -> float:

@@ -38,7 +38,6 @@ __all__ = [
     "nkcca_fit",
     "nkcca_fit_direct",
     "nkcca_coefficients",
-    "project",
     "project_many",
     "total_correlation",
     "t_error_norm",
@@ -88,13 +87,6 @@ class KccaModel:
     landmarks1: Landmarks | None = None
     landmarks2: Landmarks | None = None
     t_matrix: np.ndarray | None = None
-
-    @property
-    def gap(self) -> float | None:
-        """Singular value gap below the last extracted correlation."""
-        if self.sigma_next is None:
-            return None
-        return float(self.rho[min(self.L, len(self.rho)) - 1] - self.sigma_next)
 
 
 @dataclass
@@ -582,11 +574,6 @@ def project_many(model: KccaModel, X_new, view: int) -> np.ndarray:
     K_new = oracle.cross(np.atleast_2d(np.asarray(X_new, dtype=float)))
     K_new = K_new - K_new.mean(axis=1, keepdims=True)
     return K_new @ coeffs
-
-
-def project(model: KccaModel, x_new, view: int) -> np.ndarray:
-    """Length-L projection of a single new observation."""
-    return project_many(model, np.atleast_2d(x_new), view)[0]
 
 
 def total_correlation(proj_x: np.ndarray, proj_y: np.ndarray) -> float:

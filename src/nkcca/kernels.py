@@ -10,10 +10,8 @@ __all__ = [
     "KernelSpec",
     "GramMatrix",
     "KernelColumns",
-    "kernel_eval",
     "gram",
     "center",
-    "centered_column",
 ]
 
 
@@ -54,16 +52,6 @@ def as_matrix(K) -> np.ndarray:
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("expected a square matrix")
     return K
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y); for the RBF this is exp(-||x-y||^2 / (2 sigma^2))."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    d2 = float(np.dot(x - y, x - y))
-    return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -110,14 +98,6 @@ def center(K) -> GramMatrix:
     out = K - row - col + grand
     out = 0.5 * (out + out.T)
     return GramMatrix(out)
-
-
-def centered_column(oracle: "KernelColumns", i: int, s: float = 1.0) -> np.ndarray:
-    """Return s * H k_i, the weighted centered kernel column for point i."""
-    if s <= 0:
-        raise ValueError("weight must be positive")
-    k = oracle.column(i)
-    return s * (k - k.mean())
 
 
 class KernelColumns:

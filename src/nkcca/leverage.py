@@ -28,26 +28,18 @@ class LeverageScores:
     """Per-sample ridge leverage scores l_i = (K (K + N gamma I)^-1)_ii.
 
     d_eff is their sum, the effective dimension of K at shrinkage gamma.
-    `exact` distinguishes eigendecomposition-based scores from sketched
-    estimates.
     """
 
     scores: np.ndarray
     gamma: float
     d_eff: float
-    exact: bool = True
 
 
 @dataclass(frozen=True)
 class SamplingDistribution:
-    """Column-sampling probabilities plus the assumed lower-bound factor beta.
-
-    beta_floor records the assumed beta in p_i >= beta * l_i / d_eff; it is a
-    bookkeeping value, not a certified bound, when scores are approximate.
-    """
+    """Column-sampling probabilities over the N training points."""
 
     p: np.ndarray
-    beta_floor: float = 1.0
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -91,8 +83,7 @@ def exact_leverage(K, gamma: float) -> LeverageScores:
     shrink = sig / (sig + n * gamma)
     scores = np.einsum("ij,j,ij->i", U, shrink, U)
     np.clip(scores, 0.0, 1.0, out=scores)
-    return LeverageScores(scores=scores, gamma=gamma, d_eff=float(shrink.sum()),
-                          exact=True)
+    return LeverageScores(scores=scores, gamma=gamma, d_eff=float(shrink.sum()))
 
 
 def effective_dimension(K, gamma: float) -> float:
@@ -141,8 +132,7 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     B = Q @ V
     scores = np.einsum("ij,j,ij->i", B, shrink, B)
     np.clip(scores, 0.0, 1.0, out=scores)
-    return LeverageScores(scores=scores, gamma=gamma, d_eff=float(scores.sum()),
-                          exact=False)
+    return LeverageScores(scores=scores, gamma=gamma, d_eff=float(scores.sum()))
 
 
 def make_distribution(scores: LeverageScores, mix_uniform: float = 0.0) -> SamplingDistribution:
@@ -164,8 +154,4 @@ def make_distribution(scores: LeverageScores, mix_uniform: float = 0.0) -> Sampl
         ridge_part = l / scores.d_eff
     p = (1.0 - mix_uniform) * ridge_part + mix_uniform / n
     p = np.maximum(p, PROB_FLOOR / n)
-    p = p / p.sum()
-    # With approximate scores beta_floor is a recorded assumption, not a
-    # certified bound (there is no recipe for estimating the true beta).
-    beta = 1.0 if mix_uniform == 1.0 else (1.0 - mix_uniform)
-    return SamplingDistribution(p=p, beta_floor=beta)
+    return SamplingDistribution(p=p / p.sum())

@@ -1,4 +1,4 @@
-"""Nystrom factors and the incremental Cholesky / QR state machines.
+"""The incremental Cholesky / QR state machines of the Nystrom solver.
 
 The incremental solver maintains, per view and in an append-only fashion,
 
@@ -25,13 +25,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .kernels import KernelColumns
-from .sampling import SamplingPlan
-
 __all__ = [
-    "NystromFactor",
-    "factor",
-    "apply",
     "CholState",
     "admit_columns",
     "chol_append_block",
@@ -56,76 +50,6 @@ DEFAULT_PIVOT_COND_LIMIT = 1e8
 
 # Residual threshold below which an incoming QR column counts as dependent.
 _QR_DEP_RTOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Nystrom factor (regularized column-sampled approximation)
-# ---------------------------------------------------------------------------
-
-class NystromFactor:
-    """Factored form of the column-sampled approximation
-    ``K ~ C (S^T K S + N gamma I)^+ C^T`` with ``C = K S``.
-
-    ``S`` carries the plan's importance weights; the N x N product is never
-    formed here (use :meth:`dense` explicitly for small-N diagnostics).
-    """
-
-    def __init__(self, C: np.ndarray, W_reg: np.ndarray, gamma: float):
-        self.C = C
-        self.W_reg = 0.5 * (W_reg + W_reg.T)
-        self.gamma = gamma
-        self._cho = None
-        self._pinv = None
-
-    @property
-    def n(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.C.shape[1]
-
-    def _solve(self, B: np.ndarray) -> np.ndarray:
-        if self._pinv is not None:
-            return self._pinv @ B
-        if self._cho is None:
-            try:
-                self._cho = scipy.linalg.cho_factor(self.W_reg)
-            except scipy.linalg.LinAlgError:
-                self._pinv = scipy.linalg.pinvh(self.W_reg)
-                return self._pinv @ B
-        return scipy.linalg.cho_solve(self._cho, B)
-
-    def dense(self) -> np.ndarray:
-        """Materialize the N x N approximation (small-N diagnostics only)."""
-        out = self.C @ self._solve(self.C.T)
-        return 0.5 * (out + out.T)
-
-
-def factor(oracle: KernelColumns, plan: SamplingPlan, gamma: float) -> NystromFactor:
-    """Build the weighted Nystrom factor for a sampling plan.
-
-    C holds the weighted kernel columns K S and W_reg = S^T K S + N gamma I;
-    with gamma = 0 and a rank-deficient core the pseudo-inverse is used when
-    applying the factor.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    n = oracle.n
-    w = plan.weights
-    cols = np.column_stack([oracle.column(i) for i in plan.indices])
-    C = cols * w
-    W = (C[plan.indices, :] * w[:, None])
-    W_reg = 0.5 * (W + W.T) + n * gamma * np.eye(plan.m)
-    return NystromFactor(C=C, W_reg=W_reg, gamma=gamma)
-
-
-def apply(f: NystromFactor, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product of the implied approximation with v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != f.n:
-        raise ValueError("vector length does not match factor dimension")
-    return f.C @ f._solve(f.C.T @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +195,7 @@ def chol_append_block(state: CholState, indices, scales,
     state._s[sl] = scales[kept]
     state._R[:m0, sl] = W[:, kept]
     state._R[sl, sl] = R_blk
-    state.indices.extend(int(i) for i in indices[kept])
+    state.indices += [int(i) for i in indices[kept]]
     state.max_pivot2 = max_pivot2
     state.m = m0 + p
     return kept
@@ -297,14 +221,13 @@ class QrState:
     ``Q`` keeps only independent directions (r columns after m appends,
     r <= m); ``P`` is r x m with column j holding the coefficients of input
     column j in the Q basis, upper triangular in the full-rank case.
-    Dependent columns are flagged rather than given fabricated directions.
+    A dependent column gets coefficients in P but no fabricated direction.
     """
 
     def __init__(self, n: int, capacity: int = 16):
         self.n = n
         self.m = 0
         self.r = 0
-        self.dependent: list[bool] = []
         self._Q = np.zeros((n, capacity))
         self._P = np.zeros((capacity, capacity))
 
@@ -333,9 +256,9 @@ class QrState:
 def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
     """Append a block of columns: two block projection passes against the
     existing basis (matrix products), then per-column Gram-Schmidt within
-    the small block. A residual below 1e-10 times the input column's norm
-    flags the column as dependent: its projection coefficients are recorded
-    in P but no Q column is invented."""
+    the small block. A column whose residual is below 1e-10 times its norm
+    is dependent: its projection coefficients are recorded in P but no Q
+    column is invented."""
     nb = A_blk.shape[1]
     if A_blk.shape[0] != state.n:
         raise ValueError("column block shape mismatch")
@@ -363,12 +286,9 @@ def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
             v -= Qnew @ c2
             state._P[r0:r, m0 + j] = cj + c2
         rnorm = float(np.linalg.norm(v))
-        if rnorm < _QR_DEP_RTOL * max(float(norms[j]), np.finfo(float).tiny):
-            state.dependent.append(True)
-        else:
+        if rnorm >= _QR_DEP_RTOL * max(float(norms[j]), np.finfo(float).tiny):
             state._Q[:, r] = v / rnorm
             state._P[r, m0 + j] = rnorm
             state.r = r + 1
-            state.dependent.append(False)
         state.m += 1
     return state

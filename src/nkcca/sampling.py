@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,9 +11,6 @@ from .leverage import SamplingDistribution
 __all__ = [
     "SamplingPlan",
     "sample",
-    "extend",
-    "full_plan",
-    "unit_plan",
     "sampling_matrix",
 ]
 
@@ -28,19 +24,16 @@ class SamplingPlan:
     conventions derive:
 
     * ``weights[j] = 1 / sqrt(M * p_sampled[j])`` — the scaled sampling
-      matrix entries. These depend on M and are recomputed when a plan is
-      extended.
+      matrix entries. These depend on M, the plan length.
     * ``scale[j] = 1 / sqrt(p_sampled[j])`` — the M-independent per-column
       weights used by the incremental factorization, equal to
-      ``weights * sqrt(M)``. Appending draws never changes existing entries,
-      which is what makes append-only factor updates valid: the solver's
-      output is invariant to a common rescaling of all column weights.
+      ``weights * sqrt(M)``. A prefix of the plan keeps its entries, which
+      is what makes append-only factor updates valid: the solver's output
+      is invariant to a common rescaling of all column weights.
     """
 
     indices: np.ndarray
     p_sampled: np.ndarray
-    seed: int | None = None
-    distribution: SamplingDistribution | None = None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int)
@@ -49,6 +42,8 @@ class SamplingPlan:
             raise ValueError("indices and p_sampled must be 1-D and aligned")
         if idx.size < 1:
             raise ValueError("a plan needs at least one column")
+        if np.any(idx < 0):
+            raise ValueError("column indices must be nonnegative")
         if np.any(p <= 0):
             raise ValueError("sampled probabilities must be positive")
         object.__setattr__(self, "indices", idx)
@@ -66,30 +61,6 @@ class SamplingPlan:
     def scale(self) -> np.ndarray:
         return 1.0 / np.sqrt(self.p_sampled)
 
-    def prefix(self, m: int) -> "SamplingPlan":
-        """The plan truncated to its first m draws (weights recomputed)."""
-        if not 1 <= m <= self.m:
-            raise ValueError(f"prefix length must be in [1, {self.m}]")
-        return SamplingPlan(self.indices[:m], self.p_sampled[:m],
-                            seed=self.seed, distribution=self.distribution)
-
-    def to_record(self) -> str:
-        """Compact text record for experiment reproducibility."""
-        return json.dumps({
-            "version": 1,
-            "seed": self.seed,
-            "indices": self.indices.tolist(),
-            "p_sampled": self.p_sampled.tolist(),
-        })
-
-    @classmethod
-    def from_record(cls, record: str) -> "SamplingPlan":
-        obj = json.loads(record)
-        if obj.get("version") != 1:
-            raise ValueError("unknown plan record version")
-        return cls(np.array(obj["indices"], dtype=int),
-                   np.array(obj["p_sampled"], dtype=float), seed=obj["seed"])
-
 
 def sample(dist: SamplingDistribution, m: int, seed) -> SamplingPlan:
     """Draw m column indices i.i.d. with replacement from dist.
@@ -101,51 +72,14 @@ def sample(dist: SamplingDistribution, m: int, seed) -> SamplingPlan:
         raise ValueError("m must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     idx = rng.choice(dist.n, size=m, p=dist.p)
-    return SamplingPlan(indices=idx, p_sampled=dist.p[idx],
-                        seed=None if isinstance(seed, np.random.Generator) else seed,
-                        distribution=dist)
+    return SamplingPlan(indices=idx, p_sampled=dist.p[idx])
 
 
-def extend(plan: SamplingPlan, dist: SamplingDistribution, extra: int,
-           seed_stream) -> SamplingPlan:
-    """Append `extra` fresh draws to a plan.
-
-    Existing indices are unchanged; the rank-dependent `weights` of all entries
-    change because M grows, while `scale` entries are append-only.
-    """
-    if extra < 1:
-        raise ValueError("extra must be at least 1")
-    rng = (seed_stream if isinstance(seed_stream, np.random.Generator)
-           else np.random.default_rng(seed_stream))
-    idx = rng.choice(dist.n, size=extra, p=dist.p)
-    return SamplingPlan(indices=np.concatenate([plan.indices, idx]),
-                        p_sampled=np.concatenate([plan.p_sampled, dist.p[idx]]),
-                        seed=plan.seed, distribution=dist)
-
-
-def full_plan(n: int) -> SamplingPlan:
-    """All n columns once, unit weights (exact-recovery diagnostic)."""
-    return unit_plan(np.arange(n))
-
-
-def unit_plan(indices) -> SamplingPlan:
-    """A plan with prescribed indices and unit weights.
-
-    This is the unweighted sampling-matrix convention (nonzero entries 1),
-    recovered here as p_j = 1/M so that 1/sqrt(M p_j) = 1.
-    """
-    indices = np.asarray(indices, dtype=int)
-    m = indices.shape[0]
-    return SamplingPlan(indices=indices, p_sampled=np.full(m, 1.0 / m))
-
-
-def sampling_matrix(plan: SamplingPlan, n: int, unit: bool = False) -> np.ndarray:
+def sampling_matrix(plan: SamplingPlan, n: int) -> np.ndarray:
     """Dense N x M sampling matrix S with S[i_j, j] = weights[j].
 
-    With unit=True the nonzero entries are 1 instead (the unweighted
-    convention). Intended for small-N diagnostics and tests only.
+    Intended for small-N diagnostics and tests only.
     """
     S = np.zeros((n, plan.m))
-    vals = np.ones(plan.m) if unit else plan.weights
-    S[plan.indices, np.arange(plan.m)] = vals
+    S[plan.indices, np.arange(plan.m)] = plan.weights
     return S

@@ -4,6 +4,7 @@ import numpy as np
 
 from nkcca.datasets import synthetic_circles
 from nkcca.kernels import KernelSpec, gram
+from nkcca.sampling import SamplingPlan
 
 
 def random_psd(rng, n, rank=None, jitter=0.0):
@@ -25,3 +26,29 @@ def ring_gram(n, seed, sigma=1.0, view=1):
 
 def centering_matrix(n):
     return np.eye(n) - np.ones((n, n)) / n
+
+
+def kernel_eval(spec, x, y):
+    """Pairwise reference k(x, y) = exp(-||x-y||^2 / (2 sigma^2))."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    d2 = float(np.dot(x - y, x - y))
+    return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
+
+
+def unit_plan(indices):
+    """A plan with prescribed indices and unit weights.
+
+    This is the unweighted sampling-matrix convention (nonzero entries 1),
+    recovered as p_j = 1/M so that 1/sqrt(M p_j) = 1.
+    """
+    indices = np.asarray(indices, dtype=int)
+    m = indices.shape[0]
+    return SamplingPlan(indices=indices, p_sampled=np.full(m, 1.0 / m))
+
+
+def full_plan(n):
+    """All n columns once, unit weights (exact-recovery diagnostic)."""
+    return unit_plan(np.arange(n))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from conftest import kernel_eval
 
 from nkcca.baselines import (linear_cca, make_rff_map, rcca_fit, rff_features)
 from nkcca.datasets import synthetic_circles
 from nkcca.kcca import nkcca_fit, total_correlation
-from nkcca.kernels import KernelColumns, KernelSpec, kernel_eval
+from nkcca.kernels import KernelColumns, KernelSpec
 from nkcca.leverage import SamplingDistribution
 from nkcca.sampling import sample
 

@@ -1,0 +1,80 @@
+"""The benchmark's library contract: every nkcca name that ``bench/`` reads
+still exists.
+
+``bench/tracing.py`` wraps the functions and methods listed in its
+``TARGETS``, and ``bench/workloads.py`` calls the library through ``nk.<name>``
+and ``nk_kcca.<name>``. Both files are only parsed here (never imported), so
+deleting a name they need fails this test instead of a benchmark run.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import nkcca
+from nkcca import kcca
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _tracing_targets():
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TARGETS")
+
+
+def _workload_chains():
+    """Every dotted chain rooted at ``nk`` or ``nk_kcca`` in the workloads,
+    e.g. ``("nk", "KernelColumns", "from_data")``, outermost chains only."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    inner = set()
+    chains = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        parts = []
+        cur = node
+        while isinstance(cur, ast.Attribute):
+            parts.append(cur.attr)
+            inner.add(id(cur.value))
+            cur = cur.value
+        if isinstance(cur, ast.Name) and cur.id in ("nk", "nk_kcca"):
+            chains.add((cur.id, *reversed(parts)))
+    return sorted(chains)
+
+
+TARGETS = [(layer, name) for layer, names in _tracing_targets().items()
+           for name in names]
+
+
+@pytest.mark.parametrize("layer,name", TARGETS,
+                         ids=[f"{layer}.{name}" for layer, name in TARGETS])
+def test_tracing_target_resolves(layer, name):
+    module = importlib.import_module(f"nkcca.{layer}")
+    if "." in name:
+        cls_name, meth = name.split(".")
+        # the tracer wraps the method found in the class __dict__
+        assert meth in vars(getattr(module, cls_name))
+    else:
+        assert hasattr(module, name)
+
+
+def test_workload_names_resolve():
+    chains = _workload_chains()
+    assert chains, "no nk.<name> use found in bench/workloads.py"
+    roots = {"nk": nkcca, "nk_kcca": kcca}
+    missing = []
+    for root, *path in chains:
+        obj = roots[root]
+        for attr in path:
+            if not hasattr(obj, attr):
+                missing.append(".".join([root, *path]))
+                break
+            obj = getattr(obj, attr)
+    assert missing == []

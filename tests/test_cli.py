@@ -239,6 +239,21 @@ def test_check_bounds_reports_reduced_size(tmp_path, capsys):
     assert len(rows) > 1
 
 
+def test_check_bounds_notice_names_every_overridden_size(tmp_path, capsys):
+    code = run(["check-bounds"] + base_flags(tmp_path, n="500",
+                                             **{"tune-n": "1000",
+                                                "test-n": "1000"},
+                                             seeds="0", ranks="10"))
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "n=500" in err
+    assert "tune_n=1000" in err and "test_n=1000" in err
+    assert "tune_n=200" in err and "test_n=200" in err
+    readme = (tmp_path / "check-bounds" / "README.md").read_text()
+    assert "tune_n = 200" in readme and "test_n = 200" in readme
+    assert len(read_csv(tmp_path / "check-bounds" / "bounds.csv")) > 1
+
+
 @pytest.mark.parametrize("cell", ["oops", "nan"])
 def test_bad_csv_cell_is_config_error(tmp_path, capsys, cell):
     rows = [f"{i}.0,{i % 3}.5" for i in range(12)]

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_psd, ring_gram
+from conftest import full_plan, random_psd, ring_gram, unit_plan
 
 from nkcca.datasets import synthetic_circles
-from nkcca.diagnostics import (BoundReport, d_matrix_norm, projection_error_check,
-                               psd_ordering_check, ridge_projection,
-                               stability_check, tail_bound_check,
-                               correlation_error_check, write_reports)
+from nkcca.diagnostics import (BoundReport, d_matrix_norm, low_rank_dense,
+                               projection_error_check, psd_ordering_check,
+                               ridge_projection, stability_check,
+                               tail_bound_check, correlation_error_check,
+                               write_reports)
 from nkcca.kcca import exact_kcca, nkcca_fit_direct
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import SamplingDistribution, exact_leverage, make_distribution
-from nkcca.sampling import full_plan, sample, sampling_matrix
+from nkcca.sampling import sample, sampling_matrix
 
 
 def uniform_plan(n, m, seed):
@@ -85,6 +86,66 @@ def test_d_norm_requires_positive_gamma():
         d_matrix_norm(np.eye(4), None, 0.0)
 
 
+# --- dense column-sampled approximation --------------------------------------
+
+def test_low_rank_dense_full_plan_exact():
+    rng = np.random.default_rng(2)
+    K = random_psd(rng, 12)
+    np.testing.assert_allclose(low_rank_dense(K, full_plan(12), 0.0), K,
+                               atol=1e-8)
+
+
+def test_low_rank_dense_single_column_identity():
+    expected = np.zeros((5, 5))
+    expected[2, 2] = 1.0
+    np.testing.assert_allclose(low_rank_dense(np.eye(5), unit_plan([2]), 0.0),
+                               expected, atol=1e-12)
+
+
+def test_low_rank_dense_matches_dense_oracle():
+    rng = np.random.default_rng(3)
+    K = random_psd(rng, 8)
+    p = rng.uniform(0.5, 2.0, size=8)
+    plan = sample(SamplingDistribution(p=p / p.sum()), 4, seed=7)
+    gamma = 0.05
+    # dense oracle straight from the weighted sampling matrix
+    S = sampling_matrix(plan, 8)
+    L = K @ S @ np.linalg.pinv(S.T @ K @ S + 8 * gamma * np.eye(4)) @ S.T @ K
+    np.testing.assert_allclose(low_rank_dense(K, plan, gamma), L, atol=1e-10)
+
+
+def test_low_rank_dense_gamma_zero_singular_core_falls_back_to_pinv():
+    K = np.ones((4, 4))          # rank one, duplicated columns
+    # any column of a rank-1 matrix recovers it in full
+    np.testing.assert_allclose(low_rank_dense(K, unit_plan([0, 1]), 0.0), K,
+                               atol=1e-10)
+
+
+def test_low_rank_dense_psd_ordering_small_instances():
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        n = int(rng.integers(6, 16))
+        K = random_psd(rng, n)
+        m = int(rng.integers(1, n))
+        plan = uniform_plan(n, m, seed=11)
+        gamma = float(rng.uniform(0.01, 0.5))
+        L = low_rank_dense(K, plan, 0.0)
+        Lg = low_rank_dense(K, plan, gamma)
+        norm = np.linalg.norm(K, 2)
+        assert np.linalg.eigvalsh(K - L).min() >= -1e-8 * norm
+        assert np.linalg.eigvalsh(L - Lg).min() >= -1e-8 * norm
+        assert np.linalg.eigvalsh(K - Lg).min() >= -1e-8 * norm
+
+
+def test_low_rank_dense_rejects_bad_input():
+    K = np.eye(4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        low_rank_dense(K, unit_plan([0, 2]), -0.1)
+    K[1, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        low_rank_dense(K, unit_plan([0, 2]), 0.1)
+
+
 # --- PSD ordering / tail ---------------------------------------------------------
 
 def test_psd_ordering_full_sampling():
@@ -100,7 +161,6 @@ def test_psd_ordering_gamma_zero_middle_gap():
     rng = np.random.default_rng(4)
     K = random_psd(rng, 8)
     plan = uniform_plan(8, 4, seed=5)
-    from nkcca.diagnostics import low_rank_dense
     gap = low_rank_dense(K, plan, 0.0) - low_rank_dense(K, plan, 0.0)
     np.testing.assert_allclose(gap, np.zeros((8, 8)), atol=1e-12)
 

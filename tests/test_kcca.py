@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import centering_matrix, random_psd
+from conftest import centering_matrix, full_plan, random_psd, unit_plan
 
 from nkcca import kcca
 from nkcca.datasets import synthetic_circles
 from nkcca.kcca import (_nystrom_coefficients, exact_kcca, load_model,
                         nkcca_coefficients, nkcca_fit, nkcca_fit_direct,
-                        project, project_many, save_model, t_error_norm,
+                        project_many, save_model, t_error_norm,
                         total_correlation)
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import SamplingDistribution
 from nkcca.nystrom import chol_solve
-from nkcca.sampling import SamplingPlan, full_plan, sample, unit_plan
+from nkcca.sampling import SamplingPlan, sample
 
 
 def two_view_problem(n=24, seed=0, sigma=1.0, noise=0.25):
@@ -380,7 +380,8 @@ def test_project_zero_coefficients():
     K1, K2, o1, o2, X, _ = two_view_problem(n=9, seed=20)
     model = exact_kcca(K1, K2, 1e-2, 1e-2, L=2, view1=o1, view2=o2)
     model.alpha = np.zeros_like(model.alpha)
-    np.testing.assert_array_equal(project(model, X[0], view=1), np.zeros(2))
+    np.testing.assert_array_equal(project_many(model, X[:1], view=1),
+                                  np.zeros((1, 2)))
 
 
 def test_project_basis_probe_gives_centered_affinity():
@@ -391,7 +392,7 @@ def test_project_basis_probe_gives_centered_affinity():
     rng = np.random.default_rng(0)
     x_new = rng.normal(size=2)
     k = o1.cross(x_new[None, :])[0]
-    assert project(model, x_new, view=1)[0] == pytest.approx(
+    assert project_many(model, x_new[None, :], view=1)[0, 0] == pytest.approx(
         k[j] - k.mean(), abs=1e-12)
 
 
@@ -399,7 +400,7 @@ def test_project_requires_coefficients_and_oracle():
     K1, K2, o1, o2, X, _ = two_view_problem(n=8, seed=22)
     model = exact_kcca(K1, K2, 1e-2, 1e-2, L=1)
     with pytest.raises(ValueError):
-        project(model, X[0], view=1)
+        project_many(model, X[:1], view=1)
 
 
 def test_total_correlation_identical_projections():
@@ -446,8 +447,9 @@ def test_model_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.landmarks1.indices,
                                   e.model.landmarks1.indices)
     x_new = np.array([0.3, -1.2])
-    np.testing.assert_allclose(project(back, x_new, 1),
-                               project(e.model, x_new, 1), atol=1e-12)
+    np.testing.assert_allclose(project_many(back, x_new[None, :], 1),
+                               project_many(e.model, x_new[None, :], 1),
+                               atol=1e-12)
 
 
 def test_model_save_load_keeps_skipped_positions(tmp_path):

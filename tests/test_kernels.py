@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import centering_matrix, random_psd
+from conftest import centering_matrix, kernel_eval, random_psd
 
 from nkcca.kernels import (GramMatrix, KernelColumns, KernelSpec, center,
-                           centered_column, cross_gram, gram, kernel_eval)
+                           cross_gram, gram)
 
 
 def test_kernel_eval_zero_distance():
@@ -131,35 +131,6 @@ def test_center_kills_constant_vector():
     assert np.abs(C @ np.ones(15)).max() < 1e-10 * np.abs(K).max() * 15
 
 
-def test_centered_column_constant_column():
-    K = np.full((4, 4), 0.3)
-    oracle = KernelColumns.from_gram(K)
-    np.testing.assert_allclose(centered_column(oracle, 2, s=5.0),
-                               np.zeros(4), atol=1e-15)
-
-
-def test_centered_column_mean_subtraction():
-    oracle = KernelColumns.from_gram(np.eye(2))
-    np.testing.assert_allclose(centered_column(oracle, 0, s=1.0), [0.5, -0.5])
-
-
-def test_centered_column_matches_dense_oracle():
-    rng = np.random.default_rng(11)
-    K = random_psd(rng, 5)
-    oracle = KernelColumns.from_gram(K)
-    H = centering_matrix(5)
-    np.testing.assert_allclose(centered_column(oracle, 3, s=2.0),
-                               2.0 * H @ K[:, 3], atol=1e-13)
-
-
-def test_centered_column_errors():
-    oracle = KernelColumns.from_gram(np.eye(3))
-    with pytest.raises(IndexError):
-        centered_column(oracle, 3, 1.0)
-    with pytest.raises(ValueError):
-        centered_column(oracle, 0, 0.0)
-
-
 def test_column_oracle_lazy_matches_dense():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(8, 3))
@@ -169,6 +140,11 @@ def test_column_oracle_lazy_matches_dense():
     for i in (0, 3, 7):
         np.testing.assert_allclose(lazy.column(i), densed.column(i), atol=1e-12)
     np.testing.assert_allclose(lazy.dense(), densed.dense(), atol=1e-12)
+    for oracle in (lazy, densed):
+        with pytest.raises(IndexError):
+            oracle.column(8)
+        with pytest.raises(IndexError):
+            oracle.columns([0, 8])
 
 
 def test_cross_gram_dimension_mismatch():

@@ -36,7 +36,6 @@ def test_exact_identity_kernel():
     lv = exact_leverage(np.eye(2), gamma=0.5)
     np.testing.assert_allclose(lv.scores, [0.5, 0.5], atol=1e-14)
     assert lv.d_eff == pytest.approx(1.0, abs=1e-14)
-    assert lv.exact
 
 
 def test_exact_zero_kernel():
@@ -127,7 +126,6 @@ def test_approx_full_sketch_equals_exact():
     approx = approx_leverage(oracle, gamma, sketch_size=n, seed=0)
     exact = exact_leverage(K, gamma)
     np.testing.assert_allclose(approx.scores, exact.scores, atol=1e-6)
-    assert not approx.exact
 
 
 def test_approx_identity_kernel_symmetric():
@@ -179,7 +177,6 @@ def test_make_distribution_uniform():
     lv = exact_leverage(np.eye(4), 0.25)
     dist = make_distribution(lv, mix_uniform=1.0)
     np.testing.assert_allclose(dist.p, np.full(4, 0.25), atol=1e-15)
-    assert dist.beta_floor == 1.0
 
 
 def test_make_distribution_pure_ridge():
@@ -187,19 +184,17 @@ def test_make_distribution_pure_ridge():
     # normalization identity: p = l / d_eff
     dist = make_distribution(lv, mix_uniform=0.0)
     np.testing.assert_allclose(dist.p, lv.scores / lv.d_eff, atol=1e-12)
-    assert dist.beta_floor == 1.0
 
 
 def test_make_distribution_half_mix():
     # frozen from 0.5 * [0.2, 0.6, 0.2] + 0.5 * (1/3)
     from nkcca.leverage import LeverageScores
     lv = LeverageScores(scores=np.array([0.2, 0.6, 0.2]), gamma=0.1,
-                        d_eff=1.0, exact=True)
+                        d_eff=1.0)
     dist = make_distribution(lv, mix_uniform=0.5)
     np.testing.assert_allclose(dist.p, [0.26666666666666666,
                                         0.4666666666666667,
                                         0.26666666666666666], atol=1e-12)
-    assert dist.beta_floor == 0.5
 
 
 def test_make_distribution_sums_to_one_exactly():

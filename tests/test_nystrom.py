@@ -4,11 +4,9 @@ import scipy.linalg
 from conftest import centering_matrix, random_psd
 
 from nkcca.kernels import KernelColumns, KernelSpec
-from nkcca.leverage import SamplingDistribution
 from nkcca.nystrom import (DEFAULT_NEW_MASS_RTOL, DEFAULT_PIVOT_COND_LIMIT,
-                           CholState, QrState, apply, chol_append_block,
-                           chol_solve, factor, qr_append_block)
-from nkcca.sampling import full_plan, sample, unit_plan
+                           CholState, QrState, chol_append_block, chol_solve,
+                           qr_append_block)
 
 
 def dense_target(K, idx, s, lam):
@@ -18,66 +16,6 @@ def dense_target(K, idx, s, lam):
     S = np.zeros((n, len(idx)))
     S[idx, np.arange(len(idx))] = s
     return n * lam * S.T @ K @ S + S.T @ K @ H @ K @ S
-
-
-# --- Nystrom factor ----------------------------------------------------------
-
-def test_factor_full_plan_exact():
-    rng = np.random.default_rng(2)
-    K = random_psd(rng, 12)
-    f = factor(KernelColumns.from_gram(K), full_plan(12), gamma=0.0)
-    np.testing.assert_allclose(f.dense(), K, atol=1e-8)
-
-
-def test_factor_single_column_identity():
-    K = np.eye(5)
-    f = factor(KernelColumns.from_gram(K), unit_plan([2]), gamma=0.0)
-    expected = np.zeros((5, 5))
-    expected[2, 2] = 1.0
-    np.testing.assert_allclose(f.dense(), expected, atol=1e-12)
-
-
-def test_factor_apply_matches_dense_oracle():
-    rng = np.random.default_rng(3)
-    K = random_psd(rng, 8)
-    oracle = KernelColumns.from_gram(K)
-    p = rng.uniform(0.5, 2.0, size=8)
-    dist = SamplingDistribution(p=p / p.sum())
-    plan = sample(dist, 4, seed=7)
-    gamma = 0.05
-    f = factor(oracle, plan, gamma)
-    # dense oracle straight from the weighted sampling matrix
-    S = np.zeros((8, 4))
-    S[plan.indices, np.arange(4)] = plan.weights
-    L = K @ S @ np.linalg.pinv(S.T @ K @ S + 8 * gamma * np.eye(4)) @ S.T @ K
-    v = rng.normal(size=8)
-    np.testing.assert_allclose(apply(f, v), L @ v, atol=1e-10)
-    np.testing.assert_allclose(f.dense(), L, atol=1e-10)
-
-
-def test_factor_gamma_zero_singular_core_falls_back_to_pinv():
-    K = np.ones((4, 4))          # rank one, duplicated columns
-    f = factor(KernelColumns.from_gram(K), unit_plan([0, 1]), gamma=0.0)
-    v = np.arange(4.0)
-    L = K  # full approximation of a rank-1 matrix from any of its columns
-    np.testing.assert_allclose(apply(f, v), L @ v, atol=1e-10)
-
-
-def test_factor_psd_ordering_small_instances():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        n = int(rng.integers(6, 16))
-        K = random_psd(rng, n)
-        oracle = KernelColumns.from_gram(K)
-        m = int(rng.integers(1, n))
-        plan = sample(SamplingDistribution(p=np.full(n, 1 / n)), m, seed=11)
-        gamma = float(rng.uniform(0.01, 0.5))
-        L = factor(oracle, plan, 0.0).dense()
-        Lg = factor(oracle, plan, gamma).dense()
-        norm = np.linalg.norm(K, 2)
-        assert np.linalg.eigvalsh(K - L).min() >= -1e-8 * norm
-        assert np.linalg.eigvalsh(L - Lg).min() >= -1e-8 * norm
-        assert np.linalg.eigvalsh(K - Lg).min() >= -1e-8 * norm
 
 
 # --- incremental Cholesky -----------------------------------------------------
@@ -276,7 +214,7 @@ def test_qr_orthogonal_inputs():
     qr_append_block(state, np.array([[0.0], [1.0], [0.0]]))
     np.testing.assert_allclose(state.Q, np.eye(3)[:, :2], atol=1e-14)
     np.testing.assert_allclose(state.P, np.eye(2), atol=1e-14)
-    assert state.dependent == [False, False]
+    assert (state.m, state.r) == (2, 2)
 
 
 def test_qr_dependent_column_flagged():
@@ -287,8 +225,7 @@ def test_qr_dependent_column_flagged():
     block = QrState(4)
     qr_append_block(block, np.column_stack([a, 2.0 * a]))
     for state in (one_by_one, block):
-        assert state.dependent == [False, True]
-        assert state.r == 1
+        assert (state.m, state.r) == (2, 1)
         assert state.Q.shape == (4, 1)
         # P retains the projection coefficients of the dependent column
         np.testing.assert_allclose(state.Q @ state.P[:, 1], 2.0 * a,

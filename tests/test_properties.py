@@ -7,19 +7,26 @@
   within 1e-6 (criterion 2's tolerances).
 * Duplicate draws never change rho: a plan with repeats gives the same
   final landmarks and rho (within 1e-8) as the plan with them removed.
+* save/load round-trips a rank-path model: every field the record holds
+  (landmark bookkeeping included) comes back equal, and the reloaded model
+  projects new points bitwise like the original.
 
 Examples are derandomized, so the suite is reproducible.
 """
 
+import dataclasses
+import io
+
 import numpy as np
 import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings
+from conftest import unit_plan
 from hypothesis import strategies as st
 
 from nkcca.datasets import synthetic_circles
-from nkcca.kcca import nkcca_fit, nkcca_fit_direct
+from nkcca.kcca import (KccaModel, Landmarks, load_model, nkcca_fit,
+                        nkcca_fit_direct, project_many, save_model)
 from nkcca.kernels import KernelColumns, KernelSpec
-from nkcca.sampling import unit_plan
 
 RHO_TOL = 1e-8
 ANGLE_TOL = 1e-6
@@ -131,3 +138,66 @@ def test_duplicate_draws_never_change_rho(case):
             getattr(distinct.model, f"landmarks{tag}").indices)
     np.testing.assert_allclose(repeated.rho_tilde, distinct.rho_tilde, rtol=0,
                                atol=RHO_TOL)
+
+
+@st.composite
+def saved_paths(draw):
+    n = draw(st.integers(20, 40))
+    m = draw(st.integers(2, 20))
+    # a small pool repeats draws, so the skipped lists are not all empty
+    pool = draw(st.integers(2, n))
+    plans = [draw(st.lists(st.integers(0, pool - 1), min_size=m, max_size=m))
+             for _ in range(2)]
+    checkpoints = sorted(draw(st.lists(st.integers(1, m), min_size=1,
+                                       max_size=3)))
+    return dict(n=n, seed=draw(st.integers(0, 10_000)),
+                sigma=draw(st.sampled_from([0.3, 0.5, 1.0])),
+                lam=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+                L=draw(st.integers(1, 2)), plans=plans,
+                checkpoints=checkpoints)
+
+
+def _assert_same(a, b, name):
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.dtype == b.dtype, name
+        np.testing.assert_array_equal(b, a, err_msg=name)
+    else:
+        assert type(b) is type(a) and b == a, name
+
+
+# not in the record: the oracles hold the training data (only their kernel
+# spec is stored), and the dense T is a diagnostics-only attachment
+_UNSAVED = {"view1", "view2", "t_matrix"}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(saved_paths())
+def test_save_load_round_trips_rank_path_models(case):
+    ds = synthetic_circles(case["n"], case["seed"])
+    test = synthetic_circles(8, case["seed"] + 1)
+    spec = KernelSpec(sigma=case["sigma"])
+    o1 = KernelColumns.from_data(spec, ds.X)
+    o2 = KernelColumns.from_data(spec, ds.Y)
+    p1, p2 = (unit_plan(p) for p in case["plans"])
+    lam = case["lam"]
+    for e in nkcca_fit(o1, o2, p1, p2, lam, lam, case["L"],
+                       case["checkpoints"]):
+        buf = io.BytesIO()
+        save_model(e.model, buf)
+        buf.seek(0)
+        back = load_model(buf, ds.X, ds.Y)
+        for f in dataclasses.fields(KccaModel):
+            if f.name in _UNSAVED:
+                continue
+            a, b = getattr(e.model, f.name), getattr(back, f.name)
+            if isinstance(a, Landmarks):
+                for g in dataclasses.fields(Landmarks):
+                    _assert_same(getattr(a, g.name), getattr(b, g.name),
+                                 f"{f.name}.{g.name}")
+            else:
+                _assert_same(a, b, f.name)
+        assert back.view1.spec == spec and back.view2.spec == spec
+        for view, X in ((1, test.X), (2, test.Y)):
+            np.testing.assert_array_equal(project_many(back, X, view),
+                                          project_many(e.model, X, view))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from conftest import full_plan, unit_plan
 
 from nkcca.leverage import SamplingDistribution
-from nkcca.sampling import (SamplingPlan, extend, full_plan, sample,
-                            sampling_matrix, unit_plan)
+from nkcca.sampling import SamplingPlan, sample, sampling_matrix
 
 
 def point_mass(n, i):
@@ -48,40 +48,6 @@ def test_sample_requires_positive_m():
         sample(uniform_dist(4), m=0, seed=0)
 
 
-def test_extend_keeps_prefix():
-    dist = uniform_dist(12)
-    base = sample(dist, 5, seed=9)
-    grown = extend(base, dist, extra=5, seed_stream=77)
-    np.testing.assert_array_equal(grown.indices[:5], base.indices)
-    assert grown.m == 10
-
-
-def test_extend_rescales_existing_weights():
-    dist = uniform_dist(9)
-    base = sample(dist, 2, seed=2)
-    np.testing.assert_allclose(base.weights, np.full(2, np.sqrt(9 / 2)))
-    grown = extend(base, dist, extra=1, seed_stream=3)
-    np.testing.assert_allclose(grown.weights, np.full(3, np.sqrt(9 / 3)))
-    # the rank-invariant scale does not change for existing entries
-    np.testing.assert_array_equal(grown.scale[:2], base.scale)
-
-
-def test_extend_stream_replay():
-    dist = uniform_dist(30)
-    base = sample(dist, 5, seed=4)
-    again = sample(dist, 5, seed=4)
-    grown = extend(base, dist, extra=5, seed_stream=55)
-    np.testing.assert_array_equal(grown.indices[:5], again.indices)
-
-
-def test_extend_truncate_round_trip():
-    dist = uniform_dist(8)
-    base = sample(dist, 3, seed=6)
-    grown = extend(base, dist, extra=1, seed_stream=7)
-    np.testing.assert_array_equal(grown.prefix(3).indices, base.indices)
-    np.testing.assert_array_equal(grown.prefix(3).weights, base.weights)
-
-
 def test_sampling_matrix_gram_is_diagonal_on_support():
     rng = np.random.default_rng(10)
     n = 40
@@ -118,17 +84,11 @@ def test_unit_plan_weights_one():
     np.testing.assert_allclose(plan.weights, np.ones(3))
 
 
-def test_record_round_trip():
-    dist = uniform_dist(11)
-    plan = sample(dist, 6, seed=21)
-    back = SamplingPlan.from_record(plan.to_record())
-    np.testing.assert_array_equal(back.indices, plan.indices)
-    np.testing.assert_array_equal(back.p_sampled, plan.p_sampled)
-    assert back.seed == plan.seed
-
-
 def test_plan_validation():
     with pytest.raises(ValueError):
         SamplingPlan(indices=np.array([1, 2]), p_sampled=np.array([0.5]))
     with pytest.raises(ValueError):
         SamplingPlan(indices=np.array([1]), p_sampled=np.array([0.0]))
+    # a negative index would silently wrap to a column from the end
+    with pytest.raises(ValueError, match="nonnegative"):
+        SamplingPlan(indices=np.array([2, -1]), p_sampled=np.array([0.5, 0.5]))
