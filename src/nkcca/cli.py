@@ -76,11 +76,24 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} grid must be nonempty")
         if len(self.gamma_mult) > 1:
             raise ConfigError(f"gamma_mult takes one value, got {self.gamma_mult}")
-        if any(v <= 0 for v in self.sigma1 + self.sigma2 + self.lambda1
-               + self.lambda2 + self.gamma_mult):
-            raise ConfigError("sigma, lambda, and gamma multipliers must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in self.sigma1 + self.sigma2 + self.lambda1
+                   + self.lambda2 + self.gamma_mult):
+            raise ConfigError("sigma, lambda, and gamma multipliers must be "
+                              "finite and positive")
         if list(self.ranks) != sorted(set(self.ranks)):
             raise ConfigError("ranks must be strictly increasing")
+        if self.ranks[0] < 1:
+            raise ConfigError("ranks must be at least 1")
+        if self.dataset == "synthetic" and self.n < 1:
+            raise ConfigError("n must be at least 1")
+        for key in ("tune_n", "test_n", "sketch", "data_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be nonnegative")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonnegative")
+        if self.select_n < 1:
+            raise ConfigError("select_n must be at least 1")
         if self.strategy not in ("uniform", "ridge", "exact"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.L < 1:

@@ -243,11 +243,6 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
                             d1=d1, d2=d2, t1=t1, t2=t2)
 
 
-def _plan_from_landmarks(lm) -> SamplingPlan:
-    # scale = 1/sqrt(p); the implied p gives back the same per-column weights
-    return SamplingPlan(indices=lm.indices, p_sampled=1.0 / lm.scale**2)
-
-
 def stability_check(exact: KccaModel, approx: KccaModel, test_points,
                     c: float = 1.0) -> list[BoundReport]:
     """Layered out-of-sample stability checks for the top canonical pair.
@@ -285,10 +280,12 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
     flip = -1.0 if float(a_pt @ a_p) < 0 else 1.0
     a_pt *= flip
 
+    # L at gamma = 0 does not depend on the landmark weights: use unit ones
     K1 = exact.view1.dense()
     K2 = exact.view2.dense()
-    L1 = low_rank_dense(K1, _plan_from_landmarks(approx.landmarks1), 0.0)
-    L2 = low_rank_dense(K2, _plan_from_landmarks(approx.landmarks2), 0.0)
+    idx1, idx2 = approx.landmarks1.indices, approx.landmarks2.indices
+    L1 = low_rank_dense(K1, SamplingPlan(idx1, np.ones(idx1.size)), 0.0)
+    L2 = low_rank_dense(K2, SamplingPlan(idx2, np.ones(idx2.size)), 0.0)
     eps1 = _sym_norm(ridge_projection(center(K1).entries, lam1)
                      - ridge_projection(center(L1).entries, lam1))
     eps2 = _sym_norm(ridge_projection(center(K2).entries, exact.lambda2)

@@ -5,9 +5,11 @@ densely (Kc = centered Gram matrix) and reads the canonical correlations off
 its singular values. The Nystrom solver never touches N x N matrices: per
 view it maintains the incremental Cholesky factor R of
 G = N lam S^T K S + (H K S)^T (H K S) = R^T R and a thin QR of H K S = Q P,
-plus the cross-view core matrix (H K1 S1)^T (H K2 S2). At a rank checkpoint
-the canonical system reduces to the SVD of the small r1 x r2 matrix
-P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with M = P R^-1 per view and
+plus the cross-view core matrix (H K1 S1)^T (H K2 S2). S selects the kept
+landmarks, each column scaled to a unit diagonal of G; the solution does not
+depend on that scaling, so the plans' importance weights are not used. At a
+rank checkpoint the canonical system reduces to the SVD of the small r1 x r2
+matrix P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with M = P R^-1 per view and
 Kt = R1^-T core R2^-1. M and Kt are grown by bordering as landmarks are
 appended (their leading blocks never change), so each checkpoint forms the
 matrix with two products and takes its top singular triplets, which lift
@@ -26,8 +28,8 @@ import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .kernels import KernelColumns, as_matrix, center
-from .nystrom import (CholState, QrState, admit_columns, chol_append_block,
-                      chol_solve, qr_append_block)
+from .nystrom import (CholState, QrState, _equilibrated_block, admit_columns,
+                      chol_append_block, chol_solve, qr_append_block)
 from .sampling import SamplingPlan
 
 __all__ = [
@@ -57,7 +59,6 @@ class Landmarks:
     """Per-view landmark bookkeeping for a fitted Nystrom model."""
 
     indices: np.ndarray          # kept landmark indices, in draw order
-    scale: np.ndarray            # rank-invariant column weights 1/sqrt(p)
     draws: int                   # plan draws consumed (>= len(indices))
     skipped: list = field(default_factory=list)   # plan positions dropped
 
@@ -272,7 +273,6 @@ class _ViewState:
         if target_draws > self.plan.m:
             raise ValueError("checkpoint exceeds the sampling plan length")
         idx = self.plan.indices
-        scale = self.plan.scale
         pending: list[int] = []
         while self.draws < target_draws:
             pos = self.draws
@@ -288,7 +288,7 @@ class _ViewState:
             return self.chol.A[:, m0:m0]
         block_idx = idx[pending]
         columns = self.oracle.columns(block_idx)
-        kept = chol_append_block(self.chol, block_idx, scale[pending], columns)
+        kept = chol_append_block(self.chol, block_idx, columns)
         kept_set = set(kept)
         for j, pos in enumerate(pending):
             if j not in kept_set:
@@ -308,8 +308,7 @@ class _ViewState:
 
     def landmarks(self) -> Landmarks:
         return Landmarks(indices=np.array(self.chol.indices, dtype=int),
-                         scale=self.chol.s_weights.copy(), draws=self.draws,
-                         skipped=list(self.skipped))
+                         draws=self.draws, skipped=list(self.skipped))
 
 
 def _checkpoint_solution(f1: _ViewFactors, f2: _ViewFactors,
@@ -486,26 +485,20 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
         # first draw of each index, in draw order; repeats are skipped
         cand_pos = np.sort(np.unique(plan.indices[:m], return_index=True)[1])
         idx_all = plan.indices[cand_pos]
-        scale_all = plan.scale[cand_pos]
-        cols = oracle.columns(idx_all)
-        A_all = (cols - cols.mean(axis=0)) * scale_all
-        gram_all = (cols[idx_all, :] * scale_all[:, None]) * scale_all[None, :]
-        G_all = n * lam * 0.5 * (gram_all + gram_all.T) + A_all.T @ A_all
-        G_all = 0.5 * (G_all + G_all.T)
+        A_all, _, G_all = _equilibrated_block(oracle.columns(idx_all), idx_all,
+                                              lam)
 
         # the same gate as the incremental path, on the whole target at once
-        kept, R, _ = admit_columns(G_all, np.diag(G_all), 0.0)
+        kept, R = admit_columns(G_all)
         skipped = sorted(set(range(m)).difference(cand_pos[kept].tolist()))
         idx = idx_all[kept]
-        scale = scale_all[kept]
         A = A_all[:, kept]
         Q, P = scipy.linalg.qr(A, mode="economic")
 
         # M = P R^-1 from scratch: R^T M^T = P^T
         M = scipy.linalg.solve_triangular(R, P.T, trans="T", lower=False).T
         built.append((_ViewFactors(partial(chol_solve, R), P, Q, A, M),
-                      Landmarks(indices=idx, scale=scale, draws=m,
-                                skipped=skipped), R))
+                      Landmarks(indices=idx, draws=m, skipped=skipped), R))
 
     f1, lm1, R1 = built[0]
     f2, lm2, R2 = built[1]
@@ -598,12 +591,14 @@ def total_correlation(proj_x: np.ndarray, proj_y: np.ndarray) -> float:
 # Model serialization (flat versioned record)
 # ---------------------------------------------------------------------------
 
-# Version 2 adds each view's skipped plan positions (landmark_skipped1/2).
-_FORMAT_VERSION = 2
+# Version 2 adds each view's skipped plan positions (landmark_skipped1/2);
+# version 3 drops the per-landmark importance weights (landmark_scale1/2),
+# which the fitted model does not depend on.
+_FORMAT_VERSION = 3
 
 
 def save_model(model: KccaModel, path) -> None:
-    """Persist a fitted model to a flat .npz record (format version 2)."""
+    """Persist a fitted model to a flat .npz record (format version 3)."""
     payload = {
         "format_version": np.array(_FORMAT_VERSION),
         "kind": np.array(model.kind),
@@ -624,12 +619,11 @@ def save_model(model: KccaModel, path) -> None:
     for tag, lm in (("1", model.landmarks1), ("2", model.landmarks2)):
         if lm is not None:
             payload[f"landmark_indices{tag}"] = lm.indices
-            payload[f"landmark_scale{tag}"] = lm.scale
             payload[f"landmark_draws{tag}"] = np.array(lm.draws)
             payload[f"landmark_skipped{tag}"] = np.array(lm.skipped,
                                                          dtype=int)
     for tag, oracle in (("1", model.view1), ("2", model.view2)):
-        if oracle is not None and oracle.spec is not None:
+        if oracle is not None:
             payload[f"sigma_rbf{tag}"] = np.array(oracle.spec.sigma)
     np.savez(path, **payload)
 
@@ -640,12 +634,13 @@ def load_model(path, X1=None, X2=None) -> KccaModel:
     Training inputs are not stored in the record; pass X1/X2 to re-attach
     projection oracles (the stored kernel bandwidths are reused). Version-1
     records load with empty ``Landmarks.skipped`` lists, since they did not
-    store them.
+    store them; the landmark weights of version-1 and version-2 records are
+    ignored.
     """
     from .kernels import KernelSpec
 
     with np.load(path, allow_pickle=False) as z:
-        if int(z["format_version"]) not in (1, _FORMAT_VERSION):
+        if int(z["format_version"]) not in (1, 2, _FORMAT_VERSION):
             raise ValueError("unknown model format version")
         model = KccaModel(
             kind=str(z["kind"]), n=int(z["n"]), lambda1=float(z["lambda1"]),
@@ -658,7 +653,6 @@ def load_model(path, X1=None, X2=None) -> KccaModel:
             if f"landmark_indices{tag}" in z:
                 skipped = f"landmark_skipped{tag}"
                 lm = Landmarks(indices=z[f"landmark_indices{tag}"],
-                               scale=z[f"landmark_scale{tag}"],
                                draws=int(z[f"landmark_draws{tag}"]),
                                skipped=z[skipped].tolist() if skipped in z
                                else [])

@@ -101,49 +101,30 @@ def center(K) -> GramMatrix:
 
 
 class KernelColumns:
-    """Column oracle for a kernel matrix: serves single columns without
-    requiring the full N x N matrix in memory.
-
-    Backed either by (spec, X) with columns evaluated on demand, or by a
-    precomputed dense matrix. The inputs are validated here, once: X must be
-    a finite 2-D array (rows are points), and matrix a finite square one.
+    """Column oracle for a kernel matrix: serves columns of the kernel of
+    (spec, X), evaluated on demand, without holding the N x N matrix in
+    memory. X is validated here, once: it must be a finite 2-D array (rows
+    are points).
     """
 
-    def __init__(self, spec: KernelSpec | None = None, X=None, matrix=None):
-        if matrix is not None:
-            self._K = as_matrix(matrix)
-            if not np.all(np.isfinite(self._K)):
-                raise ValueError("kernel matrix has non-finite entries")
-            self._X = None
-            self.spec = spec
-            self.n = self._K.shape[0]
-        elif spec is not None and X is not None:
-            X = np.asarray(X, dtype=float)
-            if X.ndim != 2:
-                raise ValueError(f"X must be 2-D (points x features), got "
-                                 f"{X.ndim}-D")
-            if not np.all(np.isfinite(X)):
-                raise ValueError("X has non-finite entries")
-            self._K = None
-            self._X = X
-            self.spec = spec
-            self.n = X.shape[0]
-        else:
-            raise ValueError("provide either matrix= or both spec= and X=")
-
-    @classmethod
-    def from_gram(cls, K) -> "KernelColumns":
-        return cls(matrix=as_matrix(K))
+    def __init__(self, spec: KernelSpec, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D (points x features), got "
+                             f"{X.ndim}-D")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("X has non-finite entries")
+        self._X = X
+        self.spec = spec
+        self.n = X.shape[0]
 
     @classmethod
     def from_data(cls, spec: KernelSpec, X) -> "KernelColumns":
-        return cls(spec=spec, X=X)
+        return cls(spec, X)
 
     def column(self, i: int) -> np.ndarray:
         if not 0 <= i < self.n:
             raise IndexError(f"column index {i} out of range [0, {self.n})")
-        if self._K is not None:
-            return self._K[:, i].copy()
         return cross_gram(self.spec, self._X[i : i + 1], self._X)[0]
 
     def columns(self, idx) -> np.ndarray:
@@ -151,18 +132,11 @@ class KernelColumns:
         idx = np.asarray(idx, dtype=int)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise IndexError("column index out of range")
-        if self._K is not None:
-            return self._K[:, idx].copy()
         return cross_gram(self.spec, self._X[idx], self._X).T
 
     def cross(self, X_new) -> np.ndarray:
         """Kernel columns of new points against the training set (n_new x N)."""
-        if self._X is None:
-            raise ValueError("oracle was built from a matrix; no training data "
-                             "available for out-of-sample evaluation")
         return cross_gram(self.spec, X_new, self._X)
 
     def dense(self) -> np.ndarray:
-        if self._K is not None:
-            return self._K.copy()
         return gram(self.spec, self._X).entries

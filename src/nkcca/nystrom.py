@@ -2,12 +2,22 @@
 
 The incremental solver maintains, per view and in an append-only fashion,
 
-* ``A`` — the centered, weighted landmark columns ``s_j * H k_{i_j}``,
+* ``A`` — the centered, equilibrated landmark columns ``c_j H k_{i_j}``,
 * ``R`` — the upper-triangular Cholesky factor of the regularized target
-  ``G = N lam S^T K S + A^T A``,
+  ``G = N lam C^T K C + A^T A``, with ``C`` the unit sampling matrix of the
+  landmarks scaled by ``c``,
 * ``Q, P`` — a thin orthonormal factorization ``A = Q P``.
 
-Both grow only by blocks of p columns (``chol_append_block``,
+Each column is scaled by ``c_j = 1 / sqrt(d0_j)``, where ``d0_j = ||H k_j||^2
++ N lam K_jj`` is its diagonal in the unscaled target, so every diagonal of
+``G`` is 1 (van der Sluis: within sqrt(m) of the best diagonal scaling). The
+fitted model does not depend on a per-column scaling, so the sampling plan's
+importance weights never enter the solver. With unit diagonals, the
+Schur-complement diagonal of a candidate is the fraction of its mass that
+the landmarks kept before it do not explain. ``_equilibrated_block`` is the
+one place that builds a candidate block.
+
+Both factorizations grow only by blocks of p columns (``chol_append_block``,
 ``qr_append_block``; a single landmark is a block of one). ``R`` gains the
 border ``[W; B]`` with ``W = R_old^-T C`` for the cross terms ``C`` and ``B``
 the factor of the Schur complement, and ``Q, P`` gain columns by two block
@@ -34,22 +44,38 @@ __all__ = [
     "qr_append_block",
 ]
 
-# A landmark must contribute at least this fraction of unexplained mass to
-# the factor target (Schur complement over its diagonal). Columns below it
-# are numerically dependent: keeping them would poison the triangular factor
-# with noise-level pivots while adding nothing to the approximation.
-DEFAULT_NEW_MASS_RTOL = 1e-10
-
-# Cap on the squared ratio between the largest and smallest admitted factor
-# pivots. Without it the factor target's condition number can grow until the
-# cancellation inside the solver's sandwiched solves loses all accuracy
-# (triangular-solve noise scales with the condition number); columns whose
-# pivot would breach the cap carry negligible approximation mass at the
-# factor's scale and are skipped instead.
-DEFAULT_PIVOT_COND_LIMIT = 1e8
+# A landmark is kept only if more than this fraction of its mass in the
+# equilibrated target is new, i.e. not explained by the landmarks kept
+# before it. Below it a column is numerically dependent: keeping it would
+# put a noise-level pivot into the triangular factor while adding nothing
+# to the approximation. This is a floor on each pivot, not a bound on the
+# condition number of the target.
+DEFAULT_NEW_MASS_RTOL = 1e-8
 
 # Residual threshold below which an incoming QR column counts as dependent.
 _QR_DEP_RTOL = 1e-10
+
+
+def _equilibrated_block(columns: np.ndarray, indices: np.ndarray,
+                        lam: float):
+    """Candidate block of the equilibrated target.
+
+    ``columns`` holds the N x p kernel columns of the landmarks ``indices``.
+    Returns the centered columns scaled by ``c = 1 / sqrt(d0)``, the scales
+    ``c`` (0 for a column without mass, which the gate then rejects) and the
+    block's unit-diagonal target ``N lam c_i c_j K_ij + A^T A``.
+    """
+    n, nb = columns.shape
+    H_cols = columns - columns.mean(axis=0)
+    d0 = (np.einsum("ij,ij->j", H_cols, H_cols)
+          + n * lam * columns[indices, np.arange(nb)])
+    c = np.zeros(nb)
+    has_mass = d0 > 0
+    c[has_mass] = 1.0 / np.sqrt(d0[has_mass])
+    A = H_cols * c
+    gram = (columns[indices, :] * c[:, None]) * c[None, :]
+    S = n * lam * 0.5 * (gram + gram.T) + A.T @ A
+    return A, c, 0.5 * (S + S.T)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +87,8 @@ class CholState:
 
     After m appended landmarks, ``R`` is the upper-triangular Cholesky
     factor of ``G_m = N lam * gram + A^T A`` where ``gram[j, l] =
-    s_j s_l K(i_j, i_l)`` and ``A[:, j] = s_j H k_{i_j}``. Appends must be
+    c_j c_l K(i_j, i_l)`` and ``A[:, j] = c_j H k_{i_j}``, with the
+    equilibrating scales ``c`` of ``_equilibrated_block``. Appends must be
     applied sequentially (single writer); reads of a finished state are safe
     from any thread.
     """
@@ -71,10 +98,9 @@ class CholState:
             raise ValueError("lambda must be positive")
         self.n = n
         self.lam = lam
-        self.max_pivot2 = 0.0
         self.m = 0
         self.indices: list[int] = []
-        self._s = np.zeros(capacity)
+        self._c = np.zeros(capacity)
         self._A = np.zeros((n, capacity))
         self._R = np.zeros((capacity, capacity))
 
@@ -86,10 +112,6 @@ class CholState:
     def R(self) -> np.ndarray:
         return self._R[: self.m, : self.m]
 
-    @property
-    def s_weights(self) -> np.ndarray:
-        return self._s[: self.m]
-
     def A_prefix(self, m: int) -> np.ndarray:
         """View of the first m centered columns (append-only, so stable)."""
         return self._A[:, :m]
@@ -99,32 +121,29 @@ class CholState:
         return self._R[:m, :m]
 
     def _grow(self, need: int):
-        cap = self._s.shape[0]
+        cap = self._c.shape[0]
         if need <= cap:
             return
         new_cap = cap
         while new_cap < need:
             new_cap *= 2
-        s = np.zeros(new_cap)
-        s[:cap] = self._s
+        c = np.zeros(new_cap)
+        c[:cap] = self._c
         A = np.zeros((self.n, new_cap))
         A[:, :cap] = self._A
         R = np.zeros((new_cap, new_cap))
         R[:cap, :cap] = self._R
-        self._s, self._A, self._R = s, A, R
+        self._c, self._A, self._R = c, A, R
 
 
-def admit_columns(S: np.ndarray, d: np.ndarray,
-                  max_pivot2: float) -> tuple[list[int], np.ndarray, float]:
+def admit_columns(S: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The landmark-admission gate: a gated progressive Cholesky of ``S``.
 
-    ``S`` is the symmetric target block of the candidate columns (a Schur
-    complement when a factor already exists), ``d`` their full diagonal in
-    the factor target and ``max_pivot2`` the largest squared pivot admitted
-    so far. Column j is kept when its remaining mass exceeds
-    ``DEFAULT_NEW_MASS_RTOL * d[j]`` and ``max_pivot2 /
-    DEFAULT_PIVOT_COND_LIMIT``. Returns the kept positions, the upper factor
-    of ``S[kept][:, kept]`` and the updated ``max_pivot2``.
+    ``S`` is the symmetric equilibrated target block of the candidate
+    columns (a Schur complement when a factor already exists). Column j is
+    kept when its remaining mass exceeds ``DEFAULT_NEW_MASS_RTOL``, a
+    fraction of its unit diagonal. Returns the kept positions and the upper
+    factor of ``S[kept][:, kept]``.
     """
     nb = S.shape[0]
     kept: list[int] = []
@@ -138,18 +157,16 @@ def admit_columns(S: np.ndarray, d: np.ndarray,
             resid -= float(w @ w)
         else:
             w = np.zeros(0)
-        if (resid <= DEFAULT_NEW_MASS_RTOL * d[j] or d[j] <= 0
-                or resid <= max_pivot2 / DEFAULT_PIVOT_COND_LIMIT):
+        if not resid > DEFAULT_NEW_MASS_RTOL:
             continue
         R[:p, p] = w
         R[p, p] = math.sqrt(resid)
-        max_pivot2 = max(max_pivot2, resid)
         kept.append(j)
     p = len(kept)
-    return kept, R[:p, :p], max_pivot2
+    return kept, R[:p, :p]
 
 
-def chol_append_block(state: CholState, indices, scales,
+def chol_append_block(state: CholState, indices,
                       columns: np.ndarray) -> list[int]:
     """Append a block of landmarks via block-bordered Cholesky.
 
@@ -159,44 +176,34 @@ def chol_append_block(state: CholState, indices, scales,
     trace in the state; returns the block-local positions kept.
     """
     indices = np.asarray(indices, dtype=int)
-    scales = np.asarray(scales, dtype=float)
     nb = indices.shape[0]
     if columns.shape != (state.n, nb):
         raise ValueError("column block shape mismatch")
-    if np.any(scales <= 0):
-        raise ValueError("landmark weights must be positive")
-    n, lam, m0 = state.n, state.lam, state.m
+    m0 = state.m
 
-    A_blk = (columns - columns.mean(axis=0)) * scales
-    diag_blk = columns[indices, np.arange(nb)]
-    gram_blk = (columns[indices, :] * scales[:, None]) * scales[None, :]
-    gram_blk = 0.5 * (gram_blk + gram_blk.T)
-    d_full = np.einsum("ij,ij->j", A_blk, A_blk) + n * lam * scales**2 * diag_blk
-
+    A_blk, c, S_blk = _equilibrated_block(columns, indices, state.lam)
     if m0 > 0:
         prev_idx = np.asarray(state.indices, dtype=int)
-        gram_cross = (columns[prev_idx, :] * state.s_weights[:, None]) * scales
-        C_full = state.A.T @ A_blk + n * lam * gram_cross
+        gram_cross = (columns[prev_idx, :] * state._c[:m0, None]) * c
+        C_full = state.A.T @ A_blk + state.n * state.lam * gram_cross
         W = scipy.linalg.solve_triangular(state.R, C_full, trans="T",
                                           lower=False, check_finite=False)
-        S_blk = (n * lam * gram_blk + A_blk.T @ A_blk) - W.T @ W
+        S_blk = S_blk - W.T @ W
+        S_blk = 0.5 * (S_blk + S_blk.T)
     else:
         W = np.zeros((0, nb))
-        S_blk = n * lam * gram_blk + A_blk.T @ A_blk
-    S_blk = 0.5 * (S_blk + S_blk.T)
 
-    kept, R_blk, max_pivot2 = admit_columns(S_blk, d_full, state.max_pivot2)
+    kept, R_blk = admit_columns(S_blk)
     p = len(kept)
     if p == 0:
         return kept
     state._grow(m0 + p)
     sl = slice(m0, m0 + p)
     state._A[:, sl] = A_blk[:, kept]
-    state._s[sl] = scales[kept]
+    state._c[sl] = c[kept]
     state._R[:m0, sl] = W[:, kept]
     state._R[sl, sl] = R_blk
     state.indices += [int(i) for i in indices[kept]]
-    state.max_pivot2 = max_pivot2
     state.m = m0 + p
     return kept
 

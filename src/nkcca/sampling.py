@@ -20,16 +20,12 @@ class SamplingPlan:
     """A with-replacement draw of M kernel columns plus importance weights.
 
     `p_sampled[j]` is the probability the j-th draw had under its
-    distribution; it is the primary record from which both weight
-    conventions derive:
-
-    * ``weights[j] = 1 / sqrt(M * p_sampled[j])`` — the scaled sampling
-      matrix entries. These depend on M, the plan length.
-    * ``scale[j] = 1 / sqrt(p_sampled[j])`` — the M-independent per-column
-      weights used by the incremental factorization, equal to
-      ``weights * sqrt(M)``. A prefix of the plan keeps its entries, which
-      is what makes append-only factor updates valid: the solver's output
-      is invariant to a common rescaling of all column weights.
+    distribution; the scaled sampling matrix has entries ``weights[j] = 1 /
+    sqrt(M * p_sampled[j])``. The dense verifiers in ``diagnostics`` use
+    them. The Nystrom solver reads only ``indices``: at zero shrinkage the
+    approximation ``K S (S^T K S)^+ S^T K`` does not change when S's columns
+    are rescaled, and the solver scales each column to a unit diagonal of its
+    own factor target.
     """
 
     indices: np.ndarray
@@ -56,10 +52,6 @@ class SamplingPlan:
     @property
     def weights(self) -> np.ndarray:
         return 1.0 / np.sqrt(self.m * self.p_sampled)
-
-    @property
-    def scale(self) -> np.ndarray:
-        return 1.0 / np.sqrt(self.p_sampled)
 
 
 def sample(dist: SamplingDistribution, m: int, seed) -> SamplingPlan:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from nkcca.datasets import synthetic_circles
-from nkcca.kernels import KernelSpec, gram
+from nkcca.kernels import KernelSpec, as_matrix, gram
 from nkcca.sampling import SamplingPlan
 
 
@@ -52,3 +52,22 @@ def unit_plan(indices):
 def full_plan(n):
     """All n columns once, unit weights (exact-recovery diagnostic)."""
     return unit_plan(np.arange(n))
+
+
+class ArrayColumns:
+    """A column oracle served from a given kernel matrix: the ``n``,
+    ``column``, ``columns`` and ``dense`` of ``KernelColumns`` for tests
+    that need a hand-made or random PSD kernel rather than one of data."""
+
+    def __init__(self, K):
+        self._K = np.array(as_matrix(K), dtype=float)
+        self.n = self._K.shape[0]
+
+    def column(self, i):
+        return self._K[:, i].copy()
+
+    def columns(self, idx):
+        return self._K[:, np.asarray(idx, dtype=int)]
+
+    def dense(self):
+        return self._K.copy()

@@ -74,15 +74,21 @@ def test_flags_override_file(tmp_path):
     assert cfg.L == 2
 
 
-def test_config_validation_errors():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(strategy="magic").validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(ranks=(50, 20)).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(dataset="csv").validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(lambda1=(0.0,)).validate()
+def test_config_validation_errors(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(strategy="magic"), dict(ranks=(50, 20)),
+                dict(dataset="csv"), dict(lambda1=(0.0,)),
+                dict(ranks=(0,)), dict(n=0), dict(tune_n=-3),
+                dict(test_n=-1), dict(seeds=(-1,)), dict(data_seed=-1),
+                dict(strategy="ridge", sketch=-5),
+                dict(sigma1=(0.5, 1.0), select_n=0), dict(sigma1=(nan,)),
+                dict(lambda1=(nan,)), dict(lambda1=(inf,)),
+                dict(gamma_mult=(inf,))):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad).validate()
+    # an infinite regularizer used to run to exit code 0
+    assert run(["nkcca"] + base_flags(tmp_path, lambda1="inf")) == 2
+    assert not (tmp_path / "nkcca").exists()
 
 
 def test_gamma_mult_grid_is_rejected():

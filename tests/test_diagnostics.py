@@ -322,7 +322,7 @@ def exact_self_copy(exact):
 
     from nkcca.kcca import Landmarks
     n = exact.n
-    lm = Landmarks(indices=np.arange(n), scale=np.ones(n), draws=n)
+    lm = Landmarks(indices=np.arange(n), draws=n)
     clone = dataclasses.replace(exact)
     clone.landmarks1 = lm
     clone.landmarks2 = lm

@@ -12,7 +12,7 @@ from nkcca.kcca import (_nystrom_coefficients, exact_kcca, load_model,
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import SamplingDistribution
 from nkcca.nystrom import chol_solve
-from nkcca.sampling import SamplingPlan, sample
+from nkcca.sampling import sample
 
 
 def two_view_problem(n=24, seed=0, sigma=1.0, noise=0.25):
@@ -175,23 +175,6 @@ def test_nkcca_weyl_consistency():
     T_tilde = dense_t_tilde(K1.entries, K2.entries, p1, p2, lam, lam, 16)
     t_err = np.linalg.norm(T - T_tilde, 2)
     assert abs(exact.rho[0] - entries[0].rho_tilde[0]) <= t_err + 1e-8
-
-
-def test_nkcca_weight_scaling_invariance():
-    # multiplying all of one view's landmark weights by c > 0 leaves the
-    # solution unchanged (up to sign, which the convention fixes)
-    K1, K2, o1, o2, _, _ = two_view_problem(n=20, seed=11)
-    lam = 1e-3
-    dist = SamplingDistribution(p=np.full(20, 0.05))
-    p1 = sample(dist, 9, seed=7)
-    p2 = sample(dist, 9, seed=8)
-    scaled = SamplingPlan(indices=p1.indices, p_sampled=p1.p_sampled / 9.0)
-    np.testing.assert_allclose(scaled.scale, 3.0 * p1.scale)
-    a = nkcca_fit(o1, o2, p1, p2, lam, lam, L=2, checkpoints=[9])[0]
-    b = nkcca_fit(o1, o2, scaled, p2, lam, lam, L=2, checkpoints=[9])[0]
-    np.testing.assert_allclose(a.rho_tilde, b.rho_tilde, atol=1e-9)
-    np.testing.assert_allclose(a.model.alpha_prime, b.model.alpha_prime,
-                               atol=1e-8)
 
 
 def test_nkcca_sign_convention():
@@ -493,6 +476,33 @@ def test_load_model_reads_version_1_records(tmp_path):
     assert model.landmarks1.draws == 3
     assert model.landmarks1.skipped == []
     assert model.landmarks2 is None and model.alpha is None
+
+
+def test_load_model_reads_version_2_records_with_weights(tmp_path):
+    path = tmp_path / "v2.npz"
+    np.savez(path, format_version=np.array(2), kind=np.array("nystrom"),
+             n=np.array(6), lambda1=np.array(0.1), lambda2=np.array(0.2),
+             L=np.array(1), rho=np.array([0.5]),
+             alpha_prime=np.ones((6, 1)), beta_prime=np.ones((6, 1)),
+             landmark_indices1=np.array([0, 3]),
+             landmark_scale1=np.array([2.0, 0.5]),
+             landmark_draws1=np.array(4),
+             landmark_skipped1=np.array([1, 2]))
+    model = load_model(path)
+    lm = model.landmarks1
+    np.testing.assert_array_equal(lm.indices, [0, 3])
+    assert (lm.draws, lm.skipped) == (4, [1, 2])
+
+
+def test_save_model_writes_version_3_without_weights(tmp_path):
+    K1, K2, o1, o2, _, _ = two_view_problem(n=16, seed=4)
+    e = nkcca_fit(o1, o2, unit_plan([1, 5, 9]), unit_plan([2, 3, 8]), 1e-3,
+                  1e-3, L=1, checkpoints=[3])[0]
+    path = tmp_path / "model.npz"
+    save_model(e.model, path)
+    with np.load(path) as z:
+        assert int(z["format_version"]) == 3
+        assert not any(key.startswith("landmark_scale") for key in z.files)
 
 
 # --- implicit operator norm ------------------------------------------------------

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_psd
+from conftest import ArrayColumns, random_psd
 from scipy.stats import spearmanr
 
 from nkcca.datasets import synthetic_circles
-from nkcca.kernels import KernelColumns, KernelSpec, gram
+from nkcca.kernels import KernelSpec, gram
 from nkcca.leverage import (approx_leverage, effective_dimension,
                             exact_leverage, make_distribution)
 
@@ -122,14 +122,14 @@ def test_approx_full_sketch_equals_exact():
     n = 30
     K = random_psd(rng, n, jitter=1e-6)
     gamma = 0.05
-    oracle = KernelColumns.from_gram(K)
+    oracle = ArrayColumns(K)
     approx = approx_leverage(oracle, gamma, sketch_size=n, seed=0)
     exact = exact_leverage(K, gamma)
     np.testing.assert_allclose(approx.scores, exact.scores, atol=1e-6)
 
 
 def test_approx_identity_kernel_symmetric():
-    oracle = KernelColumns.from_gram(np.eye(12))
+    oracle = ArrayColumns(np.eye(12))
     lv = approx_leverage(oracle, gamma=0.1, sketch_size=12, seed=1)
     assert np.ptp(lv.scores) < 1e-6
 
@@ -137,7 +137,7 @@ def test_approx_identity_kernel_symmetric():
 def test_approx_deterministic_for_seed():
     rng = np.random.default_rng(7)
     K = random_psd(rng, 20)
-    oracle = KernelColumns.from_gram(K)
+    oracle = ArrayColumns(K)
     a = approx_leverage(oracle, 0.1, 10, seed=42)
     b = approx_leverage(oracle, 0.1, 10, seed=42)
     np.testing.assert_array_equal(a.scores, b.scores)
@@ -146,7 +146,7 @@ def test_approx_deterministic_for_seed():
 def test_approx_never_exceeds_exact():
     rng = np.random.default_rng(8)
     K = random_psd(rng, 24)
-    oracle = KernelColumns.from_gram(K)
+    oracle = ArrayColumns(K)
     exact = exact_leverage(K, 0.08)
     approx = approx_leverage(oracle, 0.08, sketch_size=10, seed=3)
     assert np.all(approx.scores <= exact.scores + 1e-9)
@@ -155,7 +155,7 @@ def test_approx_never_exceeds_exact():
 def test_approx_rank_correlation_on_ring_data():
     ds = synthetic_circles(500, seed=0)
     K = gram(KernelSpec(sigma=1.0), ds.X)
-    oracle = KernelColumns.from_gram(K)
+    oracle = ArrayColumns(K)
     gamma = 1e-3
     exact = exact_leverage(K, gamma)
     approx = approx_leverage(oracle, gamma, sketch_size=250, seed=0)
@@ -164,7 +164,7 @@ def test_approx_rank_correlation_on_ring_data():
 
 
 def test_approx_sketch_size_validation():
-    oracle = KernelColumns.from_gram(np.eye(5))
+    oracle = ArrayColumns(np.eye(5))
     with pytest.raises(ValueError):
         approx_leverage(oracle, 0.1, sketch_size=0, seed=0)
     with pytest.raises(ValueError):

@@ -1,71 +1,81 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import centering_matrix, random_psd
+from conftest import ArrayColumns, centering_matrix, random_psd
 
 from nkcca.kernels import KernelColumns, KernelSpec
-from nkcca.nystrom import (DEFAULT_NEW_MASS_RTOL, DEFAULT_PIVOT_COND_LIMIT,
-                           CholState, QrState, chol_append_block, chol_solve,
+from nkcca.nystrom import (DEFAULT_NEW_MASS_RTOL, CholState, QrState,
+                           admit_columns, chol_append_block, chol_solve,
                            qr_append_block)
 
 
-def dense_target(K, idx, s, lam):
-    """N lam S^T K S + S^T K H K S for the s-weighted sampling matrix."""
+def dense_target(K, idx, lam):
+    """The equilibrated target D G0 D of landmarks idx, where G0 = N lam
+    S^T K S + S^T K H K S for the unit sampling matrix S and D scales G0 to
+    a unit diagonal."""
     n = K.shape[0]
     H = centering_matrix(n)
     S = np.zeros((n, len(idx)))
-    S[idx, np.arange(len(idx))] = s
-    return n * lam * S.T @ K @ S + S.T @ K @ H @ K @ S
+    S[idx, np.arange(len(idx))] = 1.0
+    G0 = n * lam * S.T @ K @ S + S.T @ K @ H @ K @ S
+    c = 1.0 / np.sqrt(np.diag(G0))
+    return c[:, None] * G0 * c[None, :]
 
 
 # --- incremental Cholesky -----------------------------------------------------
 
-def append(state, oracle, idx, s):
+def append(state, oracle, idx):
     """chol_append_block over the oracle's columns for landmarks idx."""
     idx = np.atleast_1d(np.asarray(idx, dtype=int))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    return chol_append_block(state, idx, s, oracle.columns(idx))
+    return chol_append_block(state, idx, oracle.columns(idx))
 
 
 def test_chol_init_identity_hand_arithmetic():
-    # K = I, N = 2, first landmark 0 with unit weight, lambda = 1:
-    # a1 = [0.5, -0.5], d1 = 0.5 + 2 * 1 * 1 * 1 = 2.5, R1 = sqrt(2.5)
-    oracle = KernelColumns.from_gram(np.eye(2))
+    # K = I, N = 2, first landmark 0, lambda = 1: H k = [0.5, -0.5],
+    # d0 = 0.5 + 2 * 1 * 1 = 2.5, so a1 = H k / sqrt(2.5) and R1 = 1
+    oracle = ArrayColumns(np.eye(2))
     state = CholState(2, lam=1.0)
-    assert append(state, oracle, 0, 1.0) == [0]
-    np.testing.assert_allclose(state.A[:, 0], [0.5, -0.5], atol=1e-15)
-    assert state.R[0, 0] == pytest.approx(np.sqrt(2.5), abs=1e-15)
+    assert append(state, oracle, 0) == [0]
+    np.testing.assert_allclose(state.A[:, 0], np.array([0.5, -0.5])
+                               / np.sqrt(2.5), atol=1e-15)
+    assert state.R[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_chol_init_constant_column():
+    # a constant column has no centered mass: d0 = N lam K_ii = 4 * 0.5 * 0.7
+    # comes from the ridge term alone, which equilibration scales to 1
     K = np.full((4, 4), 0.7)
     state = CholState(4, lam=0.5)
-    append(state, KernelColumns.from_gram(K), 1, 2.0)
+    append(state, ArrayColumns(K), 1)
     np.testing.assert_allclose(state.A[:, 0], np.zeros(4), atol=1e-15)
-    # d1 = 0 + N lam s^2 K_ii = 4 * 0.5 * 4 * 0.7
-    assert state.R[0, 0] ** 2 == pytest.approx(4 * 0.5 * 4.0 * 0.7, rel=1e-12)
+    assert state.R[0, 0] ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_chol_init_matches_dense_scalar():
     rng = np.random.default_rng(5)
     K = random_psd(rng, 6)
-    s, lam = 1.7, 0.2
+    lam = 0.2
     state = CholState(6, lam)
-    append(state, KernelColumns.from_gram(K), 4, s)
-    expected = dense_target(K, [4], [s], lam)[0, 0]
-    assert state.R[0, 0] ** 2 == pytest.approx(expected, rel=1e-12)
+    append(state, ArrayColumns(K), 4)
+    H = centering_matrix(6)
+    d0 = 6 * lam * K[4, 4] + K[:, 4] @ H @ K[:, 4]
+    np.testing.assert_allclose(state.A[:, 0], H @ K[:, 4] / np.sqrt(d0),
+                               atol=1e-14)
+    assert state.R[0, 0] ** 2 == pytest.approx(
+        dense_target(K, [4], lam)[0, 0], rel=1e-12)
 
 
 def test_chol_two_steps_match_dense_target():
     rng = np.random.default_rng(7)
     K = random_psd(rng, 6)
-    oracle = KernelColumns.from_gram(K)
+    oracle = ArrayColumns(K)
     lam = 0.3
-    idx, s = [1, 4], [1.2, 0.8]
+    idx = [1, 4]
     state = CholState(6, lam)
-    append(state, oracle, idx[0], s[0])
-    append(state, oracle, idx[1], s[1])
-    target = dense_target(K, idx, s, lam)
+    append(state, oracle, idx[0])
+    append(state, oracle, idx[1])
+    target = dense_target(K, idx, lam)
+    np.testing.assert_allclose(np.diag(target), 1.0, rtol=1e-14)
     np.testing.assert_allclose(state.R.T @ state.R, target, atol=1e-10)
 
 
@@ -73,18 +83,17 @@ def test_chol_many_steps_match_batch_factorization():
     rng = np.random.default_rng(8)
     n = 15
     K = random_psd(rng, n)
-    oracle = KernelColumns.from_gram(K)
+    oracle = ArrayColumns(K)
     lam = 0.05
     idx = rng.choice(n, size=8, replace=False)
-    s = rng.uniform(0.5, 2.0, size=8)
-    target = dense_target(K, idx, s, lam)
+    target = dense_target(K, idx, lam)
     R_dense = scipy.linalg.cholesky(target)
     B = rng.normal(size=(8, 3))
     stepped = CholState(n, lam)
-    for i, w in zip(idx, s):
-        append(stepped, oracle, i, w)
+    for i in idx:
+        append(stepped, oracle, i)
     block = CholState(n, lam)
-    assert append(block, oracle, idx, s) == list(range(8))
+    assert append(block, oracle, idx) == list(range(8))
     for state in (stepped, block):
         np.testing.assert_allclose(state.R, R_dense,
                                    atol=1e-8 * np.abs(R_dense).max())
@@ -97,13 +106,13 @@ def test_chol_duplicate_landmark_hits_error_path():
     # dense oracle confirms it is not PD, so the append must not keep it
     rng = np.random.default_rng(9)
     K = random_psd(rng, 6, jitter=0.1)
-    oracle = KernelColumns.from_gram(K)
+    oracle = ArrayColumns(K)
     state = CholState(6, lam=0.4)
-    append(state, oracle, 2, 1.0)
+    append(state, oracle, 2)
     R_before = state.R.copy()
-    target = dense_target(K, [2, 2], [1.0, 1.0], 0.4)
+    target = dense_target(K, [2, 2], 0.4)
     assert np.linalg.eigvalsh(target).min() < 1e-10  # singular, not PD
-    assert append(state, oracle, 2, 1.0) == []
+    assert append(state, oracle, 2) == []
     assert state.m == 1 and state.indices == [2]  # state unchanged
     np.testing.assert_array_equal(state.R, R_before)
 
@@ -111,14 +120,14 @@ def test_chol_duplicate_landmark_hits_error_path():
 def test_chol_solve_identity_and_scalar():
     rng = np.random.default_rng(10)
     K = random_psd(rng, 7)
-    oracle = KernelColumns.from_gram(K)
+    oracle = ArrayColumns(K)
     state = CholState(7, lam=0.1)
-    append(state, oracle, 0, 1.0)
-    append(state, oracle, 3, 1.0)
+    append(state, oracle, 0)
+    append(state, oracle, 3)
     G = state.R.T @ state.R
     np.testing.assert_allclose(chol_solve(state.R, G), np.eye(2), atol=1e-8)
     single = CholState(7, lam=0.1)
-    append(single, oracle, 5, 1.0)
+    append(single, oracle, 5)
     b = np.array([2.0])
     assert chol_solve(single.R, b)[0] == pytest.approx(
         2.0 / single.R[0, 0] ** 2, rel=1e-12)
@@ -127,24 +136,20 @@ def test_chol_solve_identity_and_scalar():
 def test_chol_state_diag_positive():
     rng = np.random.default_rng(11)
     K = random_psd(rng, 9)
-    oracle = KernelColumns.from_gram(K)
-    idx, s = [0, 5, 7], [1.0, 2.0, 0.5]
+    oracle = ArrayColumns(K)
     state = CholState(9, 0.2)
-    for i, w in zip(idx, s):
-        append(state, oracle, i, w)
+    for i in (0, 5, 7):
+        append(state, oracle, i)
     assert np.all(np.diag(state.R) > 0)
 
 
-def test_chol_weight_validation():
-    oracle = KernelColumns.from_gram(np.eye(3))
+def test_chol_block_validation():
     state = CholState(3, 0.1)
-    append(state, oracle, 0, 1.0)
-    with pytest.raises(ValueError):
-        append(state, oracle, 1, 0.0)
+    with pytest.raises(ValueError, match="shape"):
+        chol_append_block(state, [0, 1], np.eye(3)[:, :1])
     # a zero kernel gives the first column no mass: it is skipped
-    empty = CholState(3, 0.1)
-    assert append(empty, KernelColumns.from_gram(np.zeros((3, 3))), 0, 1.0) == []
-    assert empty.m == 0
+    assert append(state, ArrayColumns(np.zeros((3, 3))), 0) == []
+    assert state.m == 0
 
 
 # --- the admission gate ---------------------------------------------------------
@@ -152,58 +157,49 @@ def test_chol_weight_validation():
 def test_gate_rejects_duplicate_within_block():
     rng = np.random.default_rng(14)
     K = random_psd(rng, 8, jitter=0.1)
-    oracle = KernelColumns.from_gram(K)
+    oracle = ArrayColumns(K)
     state = CholState(8, 0.2)
-    assert append(state, oracle, [3, 5, 3], [1.0, 1.0, 1.0]) == [0, 1]
+    assert append(state, oracle, [3, 5, 3]) == [0, 1]
     assert state.indices == [3, 5]
     np.testing.assert_allclose(state.R.T @ state.R,
-                               dense_target(K, [3, 5], [1.0, 1.0], 0.2),
-                               atol=1e-10)
+                               dense_target(K, [3, 5], 0.2), atol=1e-10)
 
 
-def test_gate_rejects_pivot_below_condition_cap():
-    # the squared pivot of a second landmark scales with its weight squared,
-    # so weights just around the cap put it on either side of
-    # max_pivot2 / DEFAULT_PIVOT_COND_LIMIT while its relative new mass
-    # stays near 1 (the new-mass gate never fires)
-    K = np.eye(4)
-    oracle = KernelColumns.from_gram(K)
-    G = dense_target(K, [0, 1], [1.0, 1.0], 1.0)
-    resid1 = G[1, 1] - G[0, 1] ** 2 / G[0, 0]
-    cap = G[0, 0] / DEFAULT_PIVOT_COND_LIMIT
-    for ratio, expected in ((0.5, []), (2.0, [0])):
-        state = CholState(4, 1.0)
-        append(state, oracle, 0, 1.0)
-        assert state.max_pivot2 == pytest.approx(G[0, 0], rel=1e-12)
-        s = np.sqrt(ratio * cap / resid1)
-        assert append(state, oracle, 1, s) == expected
-        assert state.m == 1 + len(expected)
+def test_gate_threshold_on_new_mass_fraction():
+    # unit vectors e0, a e0 + sqrt(1 - a^2) e1 and b e0 + sqrt(1 - b^2) e2:
+    # after column 0, columns 1 and 2 carry new-mass fractions 1 - a^2 and
+    # 1 - b^2, just below and just above the threshold 1e-8
+    below, above = 0.5e-8, 2e-8
+    a, b = np.sqrt(1.0 - below), np.sqrt(1.0 - above)
+    S = np.array([[1.0, a, b], [a, 1.0, a * b], [b, a * b, 1.0]])
+    kept, R = admit_columns(S)
+    assert kept == [0, 2]
+    assert R[1, 1] ** 2 == pytest.approx(above, rel=1e-6)
+    np.testing.assert_allclose(R.T @ R, S[np.ix_(kept, kept)], atol=1e-15)
 
 
 def test_gate_rejects_negligible_new_mass():
-    # a heavily weighted near-copy of a kept landmark: its squared pivot is
-    # far above the condition cap, but its unexplained mass is below
-    # DEFAULT_NEW_MASS_RTOL of its diagonal once the points are 1e-6 apart
+    # a near-copy of a kept landmark: its fraction of new mass in the
+    # equilibrated target is below DEFAULT_NEW_MASS_RTOL once the points are
+    # 1e-6 apart, and above it at 1e-3
     for delta, expected in ((1e-6, [0]), (1e-3, [0, 1])):
         X = np.array([[0.0], [delta], [1.0], [2.0], [3.5]])
         oracle = KernelColumns.from_data(KernelSpec(sigma=1.0), X)
-        s = [1.0, 1e3]
-        G = dense_target(oracle.dense(), [0, 1], s, 0.1)
+        G = dense_target(oracle.dense(), [0, 1], 0.1)
         resid = G[1, 1] - G[0, 1] ** 2 / G[0, 0]
-        assert resid > 10 * G[0, 0] / DEFAULT_PIVOT_COND_LIMIT
-        assert (resid < DEFAULT_NEW_MASS_RTOL * G[1, 1]) == (len(expected) == 1)
+        assert (resid < DEFAULT_NEW_MASS_RTOL) == (len(expected) == 1)
         state = CholState(5, 0.1)
-        assert append(state, oracle, [0, 1], s) == expected
+        assert append(state, oracle, [0, 1]) == expected
 
 
 def test_gate_rejects_zero_mass_first_column():
     # column 0 of K is zero: no centered mass and no self-affinity
     K = np.diag([0.0, 1.0, 1.0, 1.0])
     state = CholState(4, 0.1)
-    assert append(state, KernelColumns.from_gram(K), [0, 1], [1.0, 1.0]) == [1]
+    assert append(state, ArrayColumns(K), [0, 1]) == [1]
     assert state.indices == [1]
     assert state.R[0, 0] ** 2 == pytest.approx(
-        dense_target(K, [1], [1.0], 0.1)[0, 0], rel=1e-12)
+        dense_target(K, [1], 0.1)[0, 0], rel=1e-12)
 
 
 # --- incremental QR -----------------------------------------------------------

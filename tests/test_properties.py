@@ -5,6 +5,10 @@
   per-view checkpoints must match a from-scratch ``nkcca_fit_direct`` at the
   same ranks: the same landmarks, rho within 1e-8 and principal angles
   within 1e-6 (criterion 2's tolerances).
+* Importance weights never change the fit: giving every draw of a plan an
+  arbitrary positive probability leaves the kept landmarks, the skipped
+  positions, rho, alpha' and beta' bitwise equal to those of the
+  unit-weight plan, on the incremental path and on the restart.
 * Duplicate draws never change rho: a plan with repeats gives the same
   final landmarks and rho (within 1e-8) as the plan with them removed.
 * save/load round-trips a rank-path model: every field the record holds
@@ -27,6 +31,7 @@ from nkcca.datasets import synthetic_circles
 from nkcca.kcca import (KccaModel, Landmarks, load_model, nkcca_fit,
                         nkcca_fit_direct, project_many, save_model)
 from nkcca.kernels import KernelColumns, KernelSpec
+from nkcca.sampling import SamplingPlan
 
 RHO_TOL = 1e-8
 ANGLE_TOL = 1e-6
@@ -92,6 +97,49 @@ def test_incremental_path_equals_restart(case):
             if k:
                 angle = scipy.linalg.subspace_angles(a[:, :k], b[:, :k]).max()
                 assert angle <= ANGLE_TOL
+
+
+@st.composite
+def weighted_rank_paths(draw):
+    case = draw(rank_paths())
+    positive = st.floats(1e-9, 1e3, allow_nan=False, allow_infinity=False)
+    case["p_sampled"] = [draw(st.lists(positive, min_size=len(p),
+                                       max_size=len(p)))
+                         for p in case["plans"]]
+    return case
+
+
+def _assert_same_fit(a, b):
+    for tag in ("1", "2"):
+        lm_a = getattr(a.model, f"landmarks{tag}")
+        lm_b = getattr(b.model, f"landmarks{tag}")
+        np.testing.assert_array_equal(lm_a.indices, lm_b.indices)
+        assert lm_a.skipped == lm_b.skipped
+    np.testing.assert_array_equal(a.rho_tilde, b.rho_tilde)
+    np.testing.assert_array_equal(a.model.alpha_prime, b.model.alpha_prime)
+    np.testing.assert_array_equal(a.model.beta_prime, b.model.beta_prime)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(weighted_rank_paths())
+def test_importance_weights_never_change_the_fit(case):
+    ds = synthetic_circles(case["n"], case["seed"])
+    spec = KernelSpec(sigma=case["sigma"])
+    o1 = KernelColumns.from_data(spec, ds.X)
+    o2 = KernelColumns.from_data(spec, ds.Y)
+    unit = [unit_plan(p) for p in case["plans"]]
+    weighted = [SamplingPlan(indices=p, p_sampled=q)
+                for p, q in zip(case["plans"], case["p_sampled"])]
+    lam, L, cps = case["lam"], case["L"], case["checkpoints"]
+    for a, b in zip(nkcca_fit(o1, o2, *unit, lam, lam, L, cps),
+                    nkcca_fit(o1, o2, *weighted, lam, lam, L, cps)):
+        _assert_same_fit(a, b)
+    m1, m2 = cps[-1]
+    _assert_same_fit(
+        nkcca_fit_direct(o1, o2, *unit, lam, lam, L, m1=m1, m2=m2),
+        nkcca_fit_direct(o1, o2, *weighted, lam, lam, L, m1=m1, m2=m2))
 
 
 @st.composite
