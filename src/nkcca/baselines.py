@@ -9,6 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .kcca import _top_svd
+
 __all__ = [
     "RffMap",
     "make_rff_map",
@@ -96,7 +98,7 @@ def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel
     isx, rank_x = _inv_sqrt(Xc.T @ Xc / n, lambda1)
     isy, rank_y = _inv_sqrt(Yc.T @ Yc / n, lambda2)
     M = isx @ (Xc.T @ Yc / n) @ isy
-    U, s, Vt = scipy.linalg.svd(M, full_matrices=False)
+    U, s, Vt = _top_svd(M, min(L, *M.shape))
     keep = min(L, rank_x, rank_y, int(np.sum(s > 1e-12)))
     if keep < L:
         warnings.warn(f"rank collapse: only {keep} of {L} canonical "

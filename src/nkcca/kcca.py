@@ -12,8 +12,12 @@ rank checkpoint the canonical system reduces to the SVD of the small r1 x r2
 matrix P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with M = P R^-1 per view and
 Kt = R1^-T core R2^-1. M and Kt are grown by bordering as landmarks are
 appended (their leading blocks never change), so each checkpoint forms the
-matrix with two products and takes its top singular triplets, which lift
-back through Q1, Q2.
+matrix with two products and takes its top L+1 singular triplets, which
+lift back through Q1, Q2.
+
+Every top-k solve (exact, checkpoint and the RFF baseline's linear CCA) goes
+through one policy, _top_svd: ARPACK's Lanczos on the formed matrix once its
+short side exceeds max(100, 6k), a full LAPACK SVD below that.
 """
 
 from __future__ import annotations
@@ -47,9 +51,11 @@ __all__ = [
     "load_model",
 ]
 
-# Above this size the top-L singular triplets are extracted iteratively
-# instead of via a dense SVD.
-_DENSE_SVD_LIMIT = 1200
+# _top_svd runs ARPACK when the short side of the matrix exceeds both
+# _SVDS_MIN_SIDE and _SVDS_SIDE_PER_TRIPLET * k, LAPACK's full SVD otherwise:
+# the crossover measured with one BLAS thread (README, "Numerical notes").
+_SVDS_MIN_SIDE = 100
+_SVDS_SIDE_PER_TRIPLET = 6
 # exact_kcca forms several N x N matrices; it refuses larger problems.
 _EXACT_N_LIMIT = 5000
 
@@ -117,12 +123,19 @@ def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
 
 
 def _top_svd(T: np.ndarray, k: int):
-    """Leading k singular triplets of a dense matrix, descending."""
+    """Leading k <= min(T.shape) singular triplets of a dense matrix,
+    descending: (U, s, Vt) with U m x k, s of length k and Vt k x n."""
     n = min(T.shape)
-    if n <= _DENSE_SVD_LIMIT or k >= n - 1 or k > 32:
+    if n <= max(_SVDS_MIN_SIDE, _SVDS_SIDE_PER_TRIPLET * k):
         U, s, Vt = scipy.linalg.svd(T, full_matrices=False)
         return U[:, :k], s[:k], Vt[:k]
-    v0 = np.ones(n)
+    if not T.any():
+        # ARPACK rejects the zero matrix (its start vector maps to zero);
+        # these are the triplets LAPACK returns for it
+        return np.eye(T.shape[0], k), np.zeros(k), np.eye(k, T.shape[1])
+    # one fixed pseudo-random start: a constant one such as ones can be null,
+    # since the exact T has centered columns on the right (T 1 = 0)
+    v0 = np.random.default_rng(0).standard_normal(n)
     U, s, Vt = svds(T, k=k, v0=v0)
     order = np.argsort(s)[::-1]
     return U[:, order], s[order], Vt[order]

@@ -87,6 +87,43 @@ def test_linear_cca_rank_collapse_warns():
         linear_cca(Zx, Zy, 1e-12, 1e-12, L=3)
 
 
+def test_linear_cca_above_the_arpack_crossover_matches_dense_svd(monkeypatch):
+    import scipy.linalg
+
+    from nkcca import baselines, kcca
+
+    calls = []
+    svds = kcca.svds
+
+    def counted_svds(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svds(*args, **kwargs)
+
+    monkeypatch.setattr(kcca, "svds", counted_svds)
+    ds = synthetic_circles(500, seed=3)
+    # D = 300 features per view: the whitened cross-covariance is 300 x 300,
+    # above the ARPACK crossover of the top-k SVD policy
+    Zx = rff_features(make_rff_map(ds.X.shape[1], 300, 1.0, seed=0), ds.X)
+    Zy = rff_features(make_rff_map(ds.Y.shape[1], 300, 1.0, seed=1), ds.Y)
+    lam, L = 1e-3, 4
+    model = linear_cca(Zx, Zy, lam, lam, L)
+    assert calls == [(300, 300)]
+
+    n = Zx.shape[0]
+    Xc = Zx - Zx.mean(axis=0)
+    Yc = Zy - Zy.mean(axis=0)
+    isx = baselines._inv_sqrt(Xc.T @ Xc / n, lam)[0]
+    isy = baselines._inv_sqrt(Yc.T @ Yc / n, lam)[0]
+    U, s, Vt = scipy.linalg.svd(isx @ (Xc.T @ Yc / n) @ isy)
+    np.testing.assert_allclose(model.correlations, s[:L], rtol=0,
+                               atol=1e-12 * s[0])
+    assert np.all(s[:L] - s[1 : L + 1] > 1e-6 * s[0])
+    for w, ref in ((model.wx, isx @ U[:, :L]), (model.wy, isy @ Vt[:L].T)):
+        for j in range(1, L + 1):
+            angle = scipy.linalg.subspace_angles(w[:, :j], ref[:, :j]).max()
+            assert angle <= 1e-8
+
+
 def test_rcca_pipeline_recovers_shared_signal():
     ds = synthetic_circles(400, seed=0)
     test = synthetic_circles(400, seed=1)

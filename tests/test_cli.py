@@ -217,7 +217,7 @@ def test_check_bounds_command(tmp_path):
     assert all(r[3] == "True" for r in gated)
 
 
-def test_arpack_no_convergence_exit_code(monkeypatch, tmp_path, capsys):
+def _arpack_fails(monkeypatch):
     from scipy.sparse.linalg import ArpackNoConvergence
 
     from nkcca import kcca
@@ -225,11 +225,28 @@ def test_arpack_no_convergence_exit_code(monkeypatch, tmp_path, capsys):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
-    # route the exact solver's top-L extraction through svds
-    monkeypatch.setattr(kcca, "_DENSE_SVD_LIMIT", 0)
     monkeypatch.setattr(kcca, "svds", no_convergence)
-    code = run(["exact"] + base_flags(tmp_path, n="50", **{"tune-n": "50"}))
+
+
+def test_arpack_no_convergence_exit_code(monkeypatch, tmp_path, capsys):
+    _arpack_fails(monkeypatch)
+    # at N = 150 the exact T lies above the ARPACK crossover for L + 1 = 2
+    code = run(["exact"] + base_flags(tmp_path, n="150", **{"tune-n": "50"}))
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "No convergence" in err
+    assert err.count("\n") == 1
+
+
+def test_arpack_no_convergence_exit_code_on_rank_path(monkeypatch, tmp_path,
+                                                      capsys):
+    _arpack_fails(monkeypatch)
+    # at rank 200 of N = 300 (sigma 0.3) the checkpoint T_hat is about
+    # 148 x 139, above the ARPACK crossover for L + 1 = 2
+    code = run(["nkcca"] + base_flags(tmp_path, n="300", sigma1="0.3",
+                                      sigma2="0.3", ranks="200", seeds="0"))
+    assert code == 3
+    assert not (tmp_path / "nkcca").exists()
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "No convergence" in err
     assert err.count("\n") == 1

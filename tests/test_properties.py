@@ -14,6 +14,10 @@
 * save/load round-trips a rank-path model: every field the record holds
   (landmark bookkeeping included) comes back equal, and the reloaded model
   projects new points bitwise like the original.
+* The top-k SVD policy matches a full LAPACK SVD on either side of its
+  ARPACK crossover: singular values within 1e-12 sigma_1, and singular
+  subspaces within 1e-8 wherever the spectrum has a gap, on full-rank,
+  rank-deficient, all-zero and row-centered (T 1 = 0) matrices.
 
 Examples are derandomized, so the suite is reproducible.
 """
@@ -23,10 +27,11 @@ import io
 
 import numpy as np
 import scipy.linalg
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from conftest import unit_plan
 from hypothesis import strategies as st
 
+from nkcca import kcca
 from nkcca.datasets import synthetic_circles
 from nkcca.kcca import (KccaModel, Landmarks, load_model, nkcca_fit,
                         nkcca_fit_direct, project_many, save_model)
@@ -249,3 +254,60 @@ def test_save_load_round_trips_rank_path_models(case):
         for view, X in ((1, test.X), (2, test.Y)):
             np.testing.assert_array_equal(project_many(back, X, view),
                                           project_many(e.model, X, view))
+
+
+def _row_centered(rng, shape):
+    """Small integers with rows summing to exactly zero (T 1 = 0)."""
+    T = rng.integers(-4, 5, size=shape).astype(float)
+    T[:, -1] = -T[:, :-1].sum(axis=1)
+    return T
+
+
+@st.composite
+def top_svd_inputs(draw):
+    k = draw(st.integers(1, 40))
+    crossover = max(kcca._SVDS_MIN_SIDE, kcca._SVDS_SIDE_PER_TRIPLET * k)
+    short = draw(st.one_of(st.integers(k, crossover),
+                           st.integers(crossover + 1, crossover + 40)))
+    shape = [short, short + draw(st.integers(0, 40))]
+    if draw(st.booleans()):
+        shape.reverse()
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["decaying", "rank_deficient", "zero",
+                                 "centered"]))
+    if kind == "decaying":
+        U = np.linalg.qr(rng.normal(size=(shape[0], short)))[0]
+        V = np.linalg.qr(rng.normal(size=(shape[1], short)))[0]
+        rate = draw(st.floats(0.3, 0.99))
+        T = (U * rate ** np.arange(short)) @ V.T
+    elif kind == "rank_deficient":
+        rank = draw(st.integers(1, 2 * k))
+        T = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+    elif kind == "zero":
+        T = np.zeros(shape)
+    else:
+        # like the exact T, whose right factor is centered
+        T = _row_centered(rng, shape)
+    return T, k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(top_svd_inputs())
+# both guards of the ARPACK side, always: the zero matrix, and a tall
+# T with T 1 = 0, where a start vector of ones is exactly null
+@example((np.zeros((150, 130)), 2))
+@example((_row_centered(np.random.default_rng(0), (160, 130)), 3))
+def test_top_svd_matches_full_svd(case):
+    T, k = case
+    U, s, Vt = kcca._top_svd(T, k)
+    assert U.shape == (T.shape[0], k) and Vt.shape == (k, T.shape[1])
+    U_ref, s_ref, Vt_ref = scipy.linalg.svd(T, full_matrices=False)
+    scale = s_ref[0]
+    np.testing.assert_allclose(s, s_ref[:k], rtol=0, atol=1e-12 * scale)
+    for j in range(1, k + 1):
+        below = s_ref[j] if j < s_ref.shape[0] else 0.0
+        if s_ref[j - 1] - below > 1e-6 * scale:
+            for a, b in ((U, U_ref), (Vt.T, Vt_ref.T)):
+                angle = scipy.linalg.subspace_angles(a[:, :j], b[:, :j]).max()
+                assert angle <= 1e-8
