@@ -10,10 +10,12 @@ landmarks, each column scaled to a unit diagonal of G; the solution does not
 depend on that scaling, so the plans' importance weights are not used. At a
 rank checkpoint the canonical system reduces to the SVD of the small r1 x r2
 matrix P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with M = P R^-1 per view and
-Kt = R1^-T core R2^-1. M and Kt are grown by bordering as landmarks are
-appended (their leading blocks never change), so each checkpoint forms the
-matrix with two products and takes its top L+1 singular triplets, which
-lift back through Q1, Q2.
+Kt = R1^-T core R2^-1. M, Kt and the matrix itself are grown by bordering
+as landmarks are appended: the leading blocks of M and Kt never change, so
+the previous checkpoint's matrix, padded with zeros, is the part over the
+old landmarks, and only the products with the new ones are added (O(r^2 p)
+for p new landmarks instead of O(r^3)). Each checkpoint then takes the top
+L+1 singular triplets of that matrix, which lift back through Q1, Q2.
 
 Every top-k solve (exact, checkpoint and the RFF baseline's linear CCA) goes
 through one policy, _top_svd: ARPACK's Lanczos on the formed matrix once its
@@ -122,6 +124,13 @@ def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
             V[:, j] = -V[:, j]
 
 
+def _arpack_start(n: int) -> np.ndarray:
+    """The one ARPACK start vector: fixed and pseudo-random. A constant one
+    such as ones can be null, since the exact T has centered columns on the
+    right (T 1 = 0) and the landmark columns are centered (Q^T 1 = 0)."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _top_svd(T: np.ndarray, k: int):
     """Leading k <= min(T.shape) singular triplets of a dense matrix,
     descending: (U, s, Vt) with U m x k, s of length k and Vt k x n."""
@@ -133,10 +142,7 @@ def _top_svd(T: np.ndarray, k: int):
         # ARPACK rejects the zero matrix (its start vector maps to zero);
         # these are the triplets LAPACK returns for it
         return np.eye(T.shape[0], k), np.zeros(k), np.eye(k, T.shape[1])
-    # one fixed pseudo-random start: a constant one such as ones can be null,
-    # since the exact T has centered columns on the right (T 1 = 0)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    U, s, Vt = svds(T, k=k, v0=v0)
+    U, s, Vt = svds(T, k=k, v0=_arpack_start(n))
     order = np.argsort(s)[::-1]
     return U[:, order], s[order], Vt[order]
 
@@ -234,6 +240,26 @@ def _border_m(M: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
     return out
 
 
+def _border_t_hat(T: np.ndarray, M1: np.ndarray, K: np.ndarray,
+                  M2: np.ndarray, k10: int, k20: int) -> np.ndarray:
+    """Grow T_hat = M1 Kt M2^T to the current M1, Kt and M2, from its value
+    T over the first k10 / k20 landmarks; returns a new array.
+
+    The first k10 columns of M1 are the old M1 over zero rows (likewise for
+    M2), so M1[:, :k10] Kt[:k10, :k20] M2[:, :k20]^T is T padded with zeros.
+    What remains is M1[:, :k10] Kt[:k10, k20:] M2[:, k20:]^T, whose left
+    factor has nonzero rows only where T has rows, plus M1[:, k10:]
+    (Kt[k10:] M2^T): one product over the p1 + p2 new landmarks.
+    """
+    r10, r20 = T.shape
+    head = np.zeros((M1.shape[0], K.shape[1] - k20))
+    head[:r10] = M1[:r10, :k10] @ K[:k10, k20:]
+    out = (np.hstack([head, M1[:, k10:]])
+           @ np.vstack([M2[:, k20:].T, K[k10:] @ M2.T]))
+    out[:r10, :r20] += T
+    return out
+
+
 def _border_k_tilde(K: np.ndarray, core: np.ndarray, R1: np.ndarray,
                     R2: np.ndarray) -> np.ndarray:
     """Grow Kt = R1^-T core R2^-1 to the shape of the grown core.
@@ -325,19 +351,17 @@ class _ViewState:
 
 
 def _checkpoint_solution(f1: _ViewFactors, f2: _ViewFactors,
-                         k_tilde: np.ndarray, L: int):
-    """SVD of T_hat = M1 Kt M2^T (= P1 G1^-1 core G2^-1 P2^T), lifted
-    through Q1/Q2. Returns (rho, alpha', beta', sigma_next, T_hat)."""
-    r1 = f1.M.shape[0]
-    r2 = f2.M.shape[0]
+                         T_hat: np.ndarray, L: int):
+    """SVD of the formed T_hat = M1 Kt M2^T (= P1 G1^-1 core G2^-1 P2^T),
+    lifted through Q1/Q2. Returns (rho, alpha', beta', sigma_next)."""
+    r1, r2 = T_hat.shape
     n = f1.Q.shape[0]
     rho = np.zeros(L)
     ap = np.zeros((n, L))
     bp = np.zeros((n, L))
     if min(r1, r2) == 0:
-        return rho, ap, bp, 0.0, np.zeros((r1, r2))
+        return rho, ap, bp, 0.0
 
-    T_hat = (f1.M @ k_tilde) @ f2.M.T
     U, s, Vt = _top_svd(T_hat, min(L + 1, r1, r2))
     L_eff = min(L, s.shape[0])
     rho[:L_eff] = s[:L_eff]
@@ -345,7 +369,7 @@ def _checkpoint_solution(f1: _ViewFactors, f2: _ViewFactors,
     bp[:, :L_eff] = f2.Q @ Vt[:L_eff].T
     _fix_signs(ap, bp)
     sigma_next = float(s[L]) if s.shape[0] > L else 0.0
-    return rho, ap, bp, sigma_next, T_hat
+    return rho, ap, bp, sigma_next
 
 
 def _nystrom_coefficients(alpha_prime: np.ndarray, A: np.ndarray | None, solve,
@@ -406,6 +430,7 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
     v2 = _ViewState(oracle2, plan2, lambda2)
     core = np.zeros((0, 0))
     k_tilde = np.zeros((0, 0))
+    T_hat = np.zeros((0, 0))
     entries: list[RankPathEntry] = []
 
     for m1, m2 in cps:
@@ -423,10 +448,11 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
             grown[:k1, k2_old:] = v1.chol.A.T @ new2
         core = grown
         k_tilde = _border_k_tilde(k_tilde, core, v1.chol.R, v2.chol.R)
+        T_hat = _border_t_hat(T_hat, v1.M, k_tilde, v2.M, k1_old, k2_old)
 
         f1 = v1.factors()
         f2 = v2.factors()
-        rho, ap, bp, sig_next, T_hat = _checkpoint_solution(f1, f2, k_tilde, L)
+        rho, ap, bp, sig_next = _checkpoint_solution(f1, f2, T_hat, L)
         model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
                           L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
                           sigma_next=sig_next, view1=oracle1, view2=oracle2,
@@ -520,7 +546,8 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
                                             lower=False)
     k_tilde = scipy.linalg.solve_triangular(R2, k_tilde.T, trans="T",
                                             lower=False).T
-    rho, ap, bp, sig_next, T_hat = _checkpoint_solution(f1, f2, k_tilde, L)
+    T_hat = (f1.M @ k_tilde) @ f2.M.T
+    rho, ap, bp, sig_next = _checkpoint_solution(f1, f2, T_hat, L)
     model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
                       L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
                       sigma_next=sig_next, view1=oracle1, view2=oracle2,
@@ -552,7 +579,7 @@ def t_error_norm(T: np.ndarray, f1: _ViewFactors, f2: _ViewFactors,
         return float(np.linalg.norm(T - Y @ Q2.T, 2))
     op = LinearOperator((n, n), matvec=lambda v: T @ v - Y @ (Q2.T @ v),
                         rmatvec=lambda u: T.T @ u - Q2 @ (Y.T @ u))
-    s = svds(op, k=1, v0=np.ones(n), return_singular_vectors=False)
+    s = svds(op, k=1, v0=_arpack_start(n), return_singular_vectors=False)
     return float(s[0])
 
 

@@ -23,6 +23,10 @@ border ``[W; B]`` with ``W = R_old^-T C`` for the cross terms ``C`` and ``B``
 the factor of the Schur complement, and ``Q, P`` gain columns by two block
 projection passes plus Gram-Schmidt within the block. Leading blocks never
 change, so advancing to a larger rank reuses everything already computed.
+``A`` and ``Q`` are stored column-major: appends write them, and the
+projections and the Gram-Schmidt loop read them, one whole column at a
+time, so each column is one contiguous run of memory, and a projection
+pass updates its column-major working block in place.
 ``admit_columns`` is the one landmark-admission gate (shared with the
 from-scratch reference fitter) and ``chol_solve`` the one solve with a
 factor.
@@ -34,6 +38,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
 __all__ = [
     "CholState",
@@ -88,9 +93,9 @@ class CholState:
     After m appended landmarks, ``R`` is the upper-triangular Cholesky
     factor of ``G_m = N lam * gram + A^T A`` where ``gram[j, l] =
     c_j c_l K(i_j, i_l)`` and ``A[:, j] = c_j H k_{i_j}``, with the
-    equilibrating scales ``c`` of ``_equilibrated_block``. Appends must be
-    applied sequentially (single writer); reads of a finished state are safe
-    from any thread.
+    equilibrating scales ``c`` of ``_equilibrated_block``; ``A`` is stored
+    column-major. Appends must be applied sequentially (single writer);
+    reads of a finished state are safe from any thread.
     """
 
     def __init__(self, n: int, lam: float, capacity: int = 16):
@@ -101,7 +106,7 @@ class CholState:
         self.m = 0
         self.indices: list[int] = []
         self._c = np.zeros(capacity)
-        self._A = np.zeros((n, capacity))
+        self._A = np.zeros((n, capacity), order="F")
         self._R = np.zeros((capacity, capacity))
 
     @property
@@ -129,7 +134,7 @@ class CholState:
             new_cap *= 2
         c = np.zeros(new_cap)
         c[:cap] = self._c
-        A = np.zeros((self.n, new_cap))
+        A = np.zeros((self.n, new_cap), order="F")
         A[:, :cap] = self._A
         R = np.zeros((new_cap, new_cap))
         R[:cap, :cap] = self._R
@@ -225,17 +230,20 @@ def chol_solve(R: np.ndarray, B: np.ndarray) -> np.ndarray:
 class QrState:
     """Thin incremental QR of the centered landmark columns.
 
-    ``Q`` keeps only independent directions (r columns after m appends,
-    r <= m); ``P`` is r x m with column j holding the coefficients of input
-    column j in the Q basis, upper triangular in the full-rank case.
-    A dependent column gets coefficients in P but no fabricated direction.
+    Its inputs must be centered (each column sums to zero), and ``Q`` then
+    lies in the centered subspace. ``Q`` keeps only independent directions
+    (r columns after m appends, r <= m); ``P`` is r x m with column j
+    holding the coefficients of input column j in the Q basis, upper
+    triangular in the full-rank case. A dependent column gets coefficients
+    in P but no fabricated direction. ``Q`` is stored column-major, like
+    ``CholState.A``: every access is by column.
     """
 
     def __init__(self, n: int, capacity: int = 16):
         self.n = n
         self.m = 0
         self.r = 0
-        self._Q = np.zeros((n, capacity))
+        self._Q = np.zeros((n, capacity), order="F")
         self._P = np.zeros((capacity, capacity))
 
     @property
@@ -253,7 +261,7 @@ class QrState:
         new_cap = cap
         while new_cap < need:
             new_cap *= 2
-        Q = np.zeros((self.n, new_cap))
+        Q = np.zeros((self.n, new_cap), order="F")
         Q[:, :cap] = self._Q
         P = np.zeros((new_cap, new_cap))
         P[:cap, :cap] = self._P
@@ -261,11 +269,14 @@ class QrState:
 
 
 def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
-    """Append a block of columns: two block projection passes against the
-    existing basis (matrix products), then per-column Gram-Schmidt within
-    the small block. A column whose residual is below 1e-10 times its norm
-    is dependent: its projection coefficients are recorded in P but no Q
-    column is invented."""
+    """Append a block of centered columns: two block projection passes
+    against the existing basis (matrix products), then per-column
+    Gram-Schmidt within the small block. Each new direction is centered
+    before its norm test, so Q stays in the centered subspace: dividing by a
+    small residual norm would otherwise amplify the rounding left in the
+    inputs' means. A column whose residual is below 1e-10 times its norm is
+    dependent: its projection coefficients are recorded in P but no Q column
+    is invented."""
     nb = A_blk.shape[1]
     if A_blk.shape[0] != state.n:
         raise ValueError("column block shape mismatch")
@@ -275,11 +286,13 @@ def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
     m0, r0 = state.m, state.r
     Q = state._Q[:, :r0]
     norms = np.linalg.norm(A_blk, axis=0)
-    V = A_blk.copy()
+    V = np.array(A_blk, order="F")
+    # V -= Q C as one BLAS update of the column-major V, with no N x nb
+    # temporary
     C = Q.T @ V
-    V -= Q @ C
+    V = dgemm(-1.0, Q, C, 1.0, V, overwrite_c=True)
     C2 = Q.T @ V
-    V -= Q @ C2
+    V = dgemm(-1.0, Q, C2, 1.0, V, overwrite_c=True)
     C += C2
     state._P[:r0, m0 : m0 + nb] = C
     for j in range(nb):
@@ -292,6 +305,7 @@ def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
             c2 = Qnew.T @ v
             v -= Qnew @ c2
             state._P[r0:r, m0 + j] = cj + c2
+        v -= v.mean()
         rnorm = float(np.linalg.norm(v))
         if rnorm >= _QR_DEP_RTOL * max(float(norms[j]), np.finfo(float).tiny):
             state._Q[:, r] = v / rnorm

@@ -279,6 +279,29 @@ def test_live_m_factor_matches_factor_solves():
     assert checked == [4, 12, 12, 24]
 
 
+def test_q_stays_in_the_centered_subspace():
+    # the landmark columns are centered, so Q^T 1 = 0; without centering
+    # each new direction it grew to 1e-8 sqrt(N) on this path
+    n = 600
+    ds = synthetic_circles(n, 0)
+    spec = KernelSpec(sigma=0.3)
+    o1 = KernelColumns.from_data(spec, ds.X)
+    o2 = KernelColumns.from_data(spec, ds.Y)
+    dist = SamplingDistribution(p=np.full(n, 1 / n))
+    drift = []
+
+    def hook(entry, f1, f2, core):
+        for f in (f1, f2):
+            drift.append(np.linalg.norm(f.Q.T @ np.ones(n)))
+            np.testing.assert_allclose(f.Q.T @ f.Q, np.eye(f.Q.shape[1]),
+                                       rtol=0, atol=1e-12)
+
+    nkcca_fit(o1, o2, sample(dist, 300, seed=1), sample(dist, 300, seed=2),
+              1e-3, 1e-3, L=1, checkpoints=range(50, 301, 50),
+              compute_coefficients=False, on_checkpoint=hook)
+    assert len(drift) == 12 and max(drift) <= 1e-12 * np.sqrt(n)
+
+
 def test_eager_fit_releases_factor_context():
     K1, K2, o1, o2, _, _ = two_view_problem(n=14, seed=43)
     plan = unit_plan([0, 3, 5, 9])
@@ -548,3 +571,22 @@ def test_t_error_norm_arpack_branch_matches_dense():
     assert len(captured) == 3
     for got, expected in captured:
         assert got == pytest.approx(expected, rel=1e-8)
+
+
+def test_t_error_norm_arpack_start_is_not_null():
+    # T 1 = 0 exactly (integer rows summing to zero) and Q2^T 1 = 0 exactly
+    # (Hadamard columns), so the operator maps a constant start vector to
+    # zero and ARPACK would stop with "starting vector is zero"
+    n, r = 512, 6
+    H = scipy.linalg.hadamard(n) / np.sqrt(n)
+    rng = np.random.default_rng(0)
+    T = rng.integers(-3, 4, size=(n, n)).astype(float)
+    T[:, -1] = -T[:, :-1].sum(axis=1)
+    assert not (T @ np.ones(n)).any()
+    f1, f2 = (kcca._ViewFactors(solve=lambda B: B, P=np.eye(r), Q=Q, A=None,
+                                M=None)
+              for Q in (H[:, 1 : r + 1], H[:, r + 1 : 2 * r + 1]))
+    assert not (f2.Q.T @ np.ones(n)).any()
+    core = rng.normal(size=(r, r))
+    expected = np.linalg.norm(T - f1.Q @ core @ f2.Q.T, 2)
+    assert t_error_norm(T, f1, f2, core) == pytest.approx(expected, rel=1e-10)

@@ -204,17 +204,22 @@ def test_gate_rejects_zero_mass_first_column():
 
 # --- incremental QR -----------------------------------------------------------
 
+# QrState factors centered columns (its solver's inputs): every input here
+# sums to zero
+
 def test_qr_orthogonal_inputs():
+    u = np.column_stack([np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
+                         np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)])
     state = QrState(3)
-    qr_append_block(state, np.array([[1.0], [0.0], [0.0]]))
-    qr_append_block(state, np.array([[0.0], [1.0], [0.0]]))
-    np.testing.assert_allclose(state.Q, np.eye(3)[:, :2], atol=1e-14)
+    qr_append_block(state, u[:, :1])
+    qr_append_block(state, u[:, 1:])
+    np.testing.assert_allclose(state.Q, u, atol=1e-14)
     np.testing.assert_allclose(state.P, np.eye(2), atol=1e-14)
     assert (state.m, state.r) == (2, 2)
 
 
 def test_qr_dependent_column_flagged():
-    a = np.array([1.0, 2.0, 0.0, -1.0])
+    a = np.array([1.0, 2.0, 0.0, -3.0])
     one_by_one = QrState(4)
     qr_append_block(one_by_one, a[:, None])
     qr_append_block(one_by_one, 2.0 * a[:, None])
@@ -232,6 +237,7 @@ def test_qr_random_columns_reconstruct():
     rng = np.random.default_rng(12)
     state = QrState(9)
     A = rng.normal(size=(9, 5))
+    A -= A.mean(axis=0)
     qr_append_block(state, A)
     np.testing.assert_allclose(state.Q.T @ state.Q, np.eye(5), atol=1e-10)
     np.testing.assert_allclose(state.Q @ state.P, A,
@@ -241,6 +247,7 @@ def test_qr_random_columns_reconstruct():
 def test_qr_growth_beyond_initial_capacity():
     rng = np.random.default_rng(13)
     A = rng.normal(size=(40, 20))
+    A -= A.mean(axis=0)
     one_by_one = QrState(40, capacity=4)
     for j in range(20):
         qr_append_block(one_by_one, A[:, j : j + 1])
@@ -256,3 +263,35 @@ def test_qr_dimension_check():
     state = QrState(3)
     with pytest.raises(ValueError):
         qr_append_block(state, np.ones((4, 1)))
+
+
+def test_factor_storage_stays_column_major_through_growth():
+    # both states start at capacity 2 and double several times; the QR
+    # blocks also carry planted dependent columns, within the block and on
+    # earlier blocks
+    rng = np.random.default_rng(21)
+    n = 60
+    oracle = KernelColumns.from_data(KernelSpec(sigma=0.7),
+                                     rng.normal(size=(n, 2)))
+    chol = CholState(n, lam=1e-2, capacity=2)
+    qr = QrState(n, capacity=2)
+    fed = []
+    for idx in (np.arange(0, 3), np.arange(3, 9), np.arange(9, 20),
+                np.arange(20, 34)):
+        m0 = chol.m
+        chol_append_block(chol, idx, oracle.columns(idx))
+        new = chol.A[:, m0:]
+        planted = [new @ rng.normal(size=new.shape[1])]
+        if fed:
+            planted.append(np.column_stack(fed) @ rng.normal(size=len(fed)))
+        block = np.column_stack([new[:, :1], *planted, new[:, 1:]])
+        qr_append_block(qr, block)
+        fed += list(block.T)
+        assert chol.A.flags.f_contiguous and qr.Q.flags.f_contiguous
+    assert chol._c.shape[0] >= 32 and qr._P.shape[0] >= 32
+    A = np.column_stack(fed)
+    assert qr.m == A.shape[1] == chol.m + 7 and qr.r <= chol.m
+    np.testing.assert_allclose(qr.Q.T @ qr.Q, np.eye(qr.r), rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(qr.Q @ qr.P, A, rtol=0,
+                               atol=1e-12 * np.abs(A).max())

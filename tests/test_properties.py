@@ -14,6 +14,11 @@
 * save/load round-trips a rank-path model: every field the record holds
   (landmark bookkeeping included) comes back equal, and the reloaded model
   projects new points bitwise like the original.
+* The bordered checkpoint matrix equals the formed one: at every checkpoint
+  of a random path, ``T_hat`` grown from the previous checkpoint's equals
+  ``(M1 @ Kt) @ M2^T`` within 1e-12 relative, and no ``T_hat`` handed out
+  earlier changes afterwards. Paths grow one view at a time, repeat
+  checkpoints and offer blocks that the gate rejects entirely.
 * The top-k SVD policy matches a full LAPACK SVD on either side of its
   ARPACK crossover: singular values within 1e-12 sigma_1, and singular
   subspaces within 1e-8 wherever the spectrum has a gap, on full-rank,
@@ -24,6 +29,7 @@ Examples are derandomized, so the suite is reproducible.
 
 import dataclasses
 import io
+from unittest import mock
 
 import numpy as np
 import scipy.linalg
@@ -254,6 +260,65 @@ def test_save_load_round_trips_rank_path_models(case):
         for view, X in ((1, test.X), (2, test.Y)):
             np.testing.assert_array_equal(project_many(back, X, view),
                                           project_many(e.model, X, view))
+
+
+@st.composite
+def bordered_paths(draw):
+    # every point appears twice (i and i + half), so a draw of the second
+    # copy after the first is a column the gate rejects
+    half = draw(st.integers(6, 20))
+    m = draw(st.integers(2, 24))
+    plans = [draw(st.lists(st.integers(0, 2 * half - 1), min_size=m,
+                           max_size=m)) for _ in range(2)]
+    count = draw(st.integers(1, 5))
+    ranks = [sorted(draw(st.lists(st.integers(1, m), min_size=count,
+                                  max_size=count))) for _ in range(2)]
+    return dict(half=half, seed=draw(st.integers(0, 10_000)),
+                sigma=draw(st.sampled_from([0.3, 0.5, 1.0])),
+                lam=draw(st.sampled_from([1e-3, 1e-2, 1e-1])), plans=plans,
+                checkpoints=list(zip(*ranks)))
+
+
+def _recording(fn, out):
+    def wrapper(*args):
+        result = fn(*args)
+        out.append(result)
+        return result
+    return wrapper
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bordered_paths())
+# view 2 alone grows, then the same checkpoint again, then view 1 draws the
+# second copies of points 0 and 1, which the gate rejects entirely
+@example(dict(half=10, seed=3, sigma=0.5, lam=1e-3,
+              plans=[[0, 1, 2, 3, 10, 11, 4, 5], [0, 1, 2, 3, 4, 5, 6, 7]],
+              checkpoints=[(4, 2), (4, 6), (4, 6), (6, 6), (8, 8)]))
+def test_bordered_t_hat_equals_formed_product(case):
+    ds = synthetic_circles(case["half"], case["seed"])
+    spec = KernelSpec(sigma=case["sigma"])
+    o1 = KernelColumns.from_data(spec, np.vstack([ds.X, ds.X]))
+    o2 = KernelColumns.from_data(spec, np.vstack([ds.Y, ds.Y]))
+    p1, p2 = (unit_plan(p) for p in case["plans"])
+    k_tildes, t_hats, checked = [], [], []
+
+    def hook(entry, f1, f2, core):
+        T_hat = t_hats[-1]
+        ref = (f1.M @ k_tildes[-1]) @ f2.M.T
+        assert T_hat.shape == ref.shape
+        assert np.linalg.norm(T_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+        checked.append(T_hat.copy())
+
+    with mock.patch.object(kcca, "_border_k_tilde",
+                           _recording(kcca._border_k_tilde, k_tildes)), \
+            mock.patch.object(kcca, "_border_t_hat",
+                              _recording(kcca._border_t_hat, t_hats)):
+        nkcca_fit(o1, o2, p1, p2, case["lam"], case["lam"], 1,
+                  case["checkpoints"], on_checkpoint=hook)
+    assert len(checked) == len(t_hats) == len(case["checkpoints"])
+    for T_hat, copy in zip(t_hats, checked):
+        np.testing.assert_array_equal(T_hat, copy)
 
 
 def _row_centered(rng, shape):
