@@ -382,8 +382,8 @@ def _error_curve_rows(cfg, data, strategies):
         for seed in cfg.seeds:
             t_errs = []
             entries = exp.fit(exp.plans(strategy, seed), on_checkpoint=(
-                lambda e, f1, f2, core: t_errs.append(
-                    t_error_norm(exact.t_matrix, f1, f2, core))))
+                lambda e, Q1, Q2, T_hat: t_errs.append(
+                    t_error_norm(exact.t_matrix, Q1, Q2, T_hat))))
             for e, t_err in zip(entries, t_errs):
                 flip = -1.0 if float(e.model.alpha_prime[:, 0]
                                      @ exact.alpha_prime[:, 0]) < 0 else 1.0

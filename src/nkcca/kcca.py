@@ -4,18 +4,21 @@ The exact solver forms T = (Kc1 + N lam1 I)^-1 Kc1 Kc2 (Kc2 + N lam2 I)^-1
 densely (Kc = centered Gram matrix) and reads the canonical correlations off
 its singular values. The Nystrom solver never touches N x N matrices: per
 view it maintains the incremental Cholesky factor R of
-G = N lam S^T K S + (H K S)^T (H K S) = R^T R and a thin QR of H K S = Q P,
-plus the cross-view core matrix (H K1 S1)^T (H K2 S2). S selects the kept
-landmarks, each column scaled to a unit diagonal of G; the solution does not
-depend on that scaling, so the plans' importance weights are not used. At a
-rank checkpoint the canonical system reduces to the SVD of the small r1 x r2
-matrix P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with M = P R^-1 per view and
-Kt = R1^-T core R2^-1. M, Kt and the matrix itself are grown by bordering
-as landmarks are appended: the leading blocks of M and Kt never change, so
-the previous checkpoint's matrix, padded with zeros, is the part over the
-old landmarks, and only the products with the new ones are added (O(r^2 p)
-for p new landmarks instead of O(r^3)). Each checkpoint then takes the top
-L+1 singular triplets of that matrix, which lift back through Q1, Q2.
+G = N lam S^T K S + (H K S)^T (H K S) = R^T R and a thin QR of H K S = Q P.
+S selects the kept landmarks, each column scaled to a unit diagonal of G;
+the solution does not depend on that scaling, so the plans' importance
+weights are not used. At a rank checkpoint the canonical system reduces to
+the SVD of the small r1 x r2 matrix T_hat = P1 G1^-1 core G2^-1 P2^T =
+M1 Kt M2^T, with core = (H K1 S1)^T (H K2 S2), M = P R^-1 per view and
+Kt = R1^-T core R2^-1, and the approximate T is Q1 T_hat Q2^T. M, Kt and
+T_hat are grown by bordering as landmarks are appended: the leading blocks
+of M and Kt never change, so the previous checkpoint's T_hat, padded with
+zeros, is the part over the old landmarks, and only the products with the
+new ones are added (O(r^2 p) for p new landmarks instead of O(r^3)). The
+core matrix is never kept: bordering Kt needs only its blocks over the new
+landmarks, formed from the landmark columns. Each checkpoint then takes the
+top L+1 singular triplets of T_hat, which lift back through Q1, Q2, and
+hands (Q1, Q2, T_hat) to the caller's hook.
 
 Every top-k solve (exact, checkpoint and the RFF baseline's linear CCA) goes
 through one policy, _top_svd: ARPACK's Lanczos on the formed matrix once its
@@ -27,7 +30,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -77,7 +79,7 @@ class KccaModel:
 
     rho holds the top-L canonical correlations; alpha_prime/beta_prime the
     unit singular vectors; alpha/beta the coefficient vectors used by the
-    out-of-sample mapping (may be filled in lazily for Nystrom models).
+    out-of-sample mapping.
     """
 
     kind: str
@@ -109,7 +111,6 @@ class RankPathEntry:
     model: KccaModel
     wall_time_incremental: float | None = None
     wall_time_restart: float | None = None
-    _coef_ctx: tuple | None = field(default=None, repr=False)
 
 
 def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
@@ -211,17 +212,6 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
 # Nystrom rank-path solver
 # ---------------------------------------------------------------------------
 
-class _ViewFactors:
-    """The pieces of one view needed to solve a checkpoint."""
-
-    def __init__(self, solve, P, Q, A, M):
-        self.solve = solve
-        self.P = P
-        self.Q = Q
-        self.A = A
-        self.M = M
-
-
 def _border_m(M: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Grow M = P R^-1 to the current P and R.
 
@@ -260,27 +250,29 @@ def _border_t_hat(T: np.ndarray, M1: np.ndarray, K: np.ndarray,
     return out
 
 
-def _border_k_tilde(K: np.ndarray, core: np.ndarray, R1: np.ndarray,
-                    R2: np.ndarray) -> np.ndarray:
-    """Grow Kt = R1^-T core R2^-1 to the shape of the grown core.
+def _border_k_tilde(K: np.ndarray, A1: np.ndarray, A2: np.ndarray,
+                    R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
+    """Grow Kt = R1^-T core R2^-1, core = A1^T A2, to the current landmark
+    columns A1, A2 and factors R1, R2.
 
     The old block is unchanged. With Ri = [[Ri0, Wi], [0, Bi]], the new rows
     over the old columns are B1^-T (core[new, old] R20^-1 - W1^T Kt), and
-    the new columns are (R1^-T core[:, new] - Kt[:, old] W2) B2^-1.
+    the new columns are (R1^-T core[:, new] - Kt[:, old] W2) B2^-1. Only
+    these two blocks of core are formed.
     """
     k10, k20 = K.shape
-    k1, k2 = core.shape
+    k1, k2 = A1.shape[1], A2.shape[1]
     out = np.empty((k1, k2))
     out[:k10, :k20] = K
     if k1 > k10:
         t = scipy.linalg.solve_triangular(
-            R2[:k20, :k20], core[k10:, :k20].T, trans="T", lower=False,
-            check_finite=False).T
+            R2[:k20, :k20], (A1[:, k10:].T @ A2[:, :k20]).T, trans="T",
+            lower=False, check_finite=False).T
         t -= R1[:k10, k10:].T @ K
         out[k10:, :k20] = scipy.linalg.solve_triangular(
             R1[k10:, k10:], t, trans="T", lower=False, check_finite=False)
     if k2 > k20:
-        t = scipy.linalg.solve_triangular(R1, core[:, k20:], trans="T",
+        t = scipy.linalg.solve_triangular(R1, A1.T @ A2[:, k20:], trans="T",
                                           lower=False, check_finite=False)
         t -= out[:, :k20] @ R2[:k20, k20:]
         out[:, k20:] = scipy.linalg.solve_triangular(
@@ -302,15 +294,9 @@ class _ViewState:
         self.draws = 0
         self.skipped: list[int] = []
 
-    def advance(self, target_draws: int) -> np.ndarray:
-        """Consume plan draws up to target_draws.
-
-        Returns a view of the newly appended centered columns (N x p); it is
-        only valid until the state grows again. Repeated indices and columns
-        failing the new-mass gate are recorded as skipped.
-        """
-        if target_draws > self.plan.m:
-            raise ValueError("checkpoint exceeds the sampling plan length")
+    def advance(self, target_draws: int) -> None:
+        """Consume plan draws up to target_draws (at most the plan length),
+        recording repeated indices and columns the gate rejects as skipped."""
         idx = self.plan.indices
         pending: list[int] = []
         while self.draws < target_draws:
@@ -322,9 +308,9 @@ class _ViewState:
                 continue
             self.seen.add(i)
             pending.append(pos)
-        m0 = self.chol.m
         if not pending:
-            return self.chol.A[:, m0:m0]
+            return
+        m0 = self.chol.m
         block_idx = idx[pending]
         columns = self.oracle.columns(block_idx)
         kept = chol_append_block(self.chol, block_idx, columns)
@@ -334,28 +320,21 @@ class _ViewState:
                 self.skipped.append(pos)
                 self.seen.discard(int(idx[pos]))
         self.skipped.sort()
-        new_block = self.chol.A[:, m0 : self.chol.m]
-        if new_block.shape[1]:
-            qr_append_block(self.qr, new_block)
+        if kept:
+            qr_append_block(self.qr, self.chol.A[:, m0:])
             self.M = _border_m(self.M, self.qr.P, self.chol.R)
-        return new_block
-
-    def factors(self) -> _ViewFactors:
-        chol = self.chol
-        return _ViewFactors(solve=lambda B: chol_solve(chol.R, B),
-                            P=self.qr.P, Q=self.qr.Q, A=chol.A, M=self.M)
 
     def landmarks(self) -> Landmarks:
         return Landmarks(indices=np.array(self.chol.indices, dtype=int),
                          draws=self.draws, skipped=list(self.skipped))
 
 
-def _checkpoint_solution(f1: _ViewFactors, f2: _ViewFactors,
-                         T_hat: np.ndarray, L: int):
+def _checkpoint_solution(Q1: np.ndarray, Q2: np.ndarray, T_hat: np.ndarray,
+                         L: int):
     """SVD of the formed T_hat = M1 Kt M2^T (= P1 G1^-1 core G2^-1 P2^T),
     lifted through Q1/Q2. Returns (rho, alpha', beta', sigma_next)."""
     r1, r2 = T_hat.shape
-    n = f1.Q.shape[0]
+    n = Q1.shape[0]
     rho = np.zeros(L)
     ap = np.zeros((n, L))
     bp = np.zeros((n, L))
@@ -365,20 +344,20 @@ def _checkpoint_solution(f1: _ViewFactors, f2: _ViewFactors,
     U, s, Vt = _top_svd(T_hat, min(L + 1, r1, r2))
     L_eff = min(L, s.shape[0])
     rho[:L_eff] = s[:L_eff]
-    ap[:, :L_eff] = f1.Q @ U[:, :L_eff]
-    bp[:, :L_eff] = f2.Q @ Vt[:L_eff].T
+    ap[:, :L_eff] = Q1 @ U[:, :L_eff]
+    bp[:, :L_eff] = Q2 @ Vt[:L_eff].T
     _fix_signs(ap, bp)
     sigma_next = float(s[L]) if s.shape[0] > L else 0.0
     return rho, ap, bp, sigma_next
 
 
-def _nystrom_coefficients(alpha_prime: np.ndarray, A: np.ndarray | None, solve,
-                          n: int, lam: float) -> np.ndarray:
+def _nystrom_coefficients(alpha_prime: np.ndarray, A: np.ndarray,
+                          R: np.ndarray, n: int, lam: float) -> np.ndarray:
     """sqrt(N) (Lc + N lam I)^-1 alpha_prime via the factored inverse:
-    (Lc + N lam I)^-1 = (1 / N lam) (I - A G^-1 A^T)."""
-    if A is None or A.shape[1] == 0:
+    (Lc + N lam I)^-1 = (1 / N lam) (I - A G^-1 A^T), with G = R^T R."""
+    if A.shape[1] == 0:
         return alpha_prime / (math.sqrt(n) * lam)
-    t = solve(A.T @ alpha_prime)
+    t = chol_solve(R, A.T @ alpha_prime)
     return (alpha_prime - A @ t) * (math.sqrt(n) / (n * lam))
 
 
@@ -387,113 +366,104 @@ def _normalize_checkpoints(checkpoints) -> list[tuple[int, int]]:
     for c in checkpoints:
         pair = ((int(c[0]), int(c[1])) if isinstance(c, (tuple, list, np.ndarray))
                 else (int(c), int(c)))
-        if pair[0] < 1 or pair[1] < 1:
-            raise ValueError("checkpoint ranks must be positive")
         if out and (pair[0] < out[-1][0] or pair[1] < out[-1][1]):
             raise ValueError("checkpoints must be nondecreasing")
         out.append(pair)
     return out
 
 
-def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
-              plan1: SamplingPlan, plan2: SamplingPlan,
-              lambda1: float, lambda2: float, L: int,
-              checkpoints, compute_coefficients: bool = True,
-              keep_t: bool = False, on_checkpoint=None) -> list[RankPathEntry]:
-    """Incremental Nystrom KCCA along a path of landmark ranks.
-
-    At every checkpoint (m1, m2) the solver emits the model fitted on the
-    first m1 / m2 plan draws per view, reusing all factor state built for
-    earlier checkpoints. Repeated landmark indices (legitimate under
-    with-replacement sampling) add nothing to the rank-0 approximation and
-    would make the factor target singular, so they are skipped and recorded
-    in the landmark bookkeeping; the same rule is applied by the
-    non-incremental reference fitter.
-
-    ``on_checkpoint(entry, f1, f2, core)`` is invoked with the live view
-    factors right after each entry is built (for diagnostics that need the
-    implicit low-rank operator); its run time is excluded from the recorded
-    incremental wall times.
-
-    Returns one RankPathEntry per checkpoint, in order.
-    """
+def _check_fit_args(oracle1: KernelColumns, oracle2: KernelColumns,
+                    plan1: SamplingPlan, plan2: SamplingPlan, lambda1: float,
+                    lambda2: float, L: int, ranks) -> int:
+    """The argument checks both Nystrom fitters share; ``ranks`` holds the
+    (m1, m2) pairs to fit. Returns N."""
     if lambda1 <= 0 or lambda2 <= 0:
         raise ValueError("regularizers must be positive")
-    cps = _normalize_checkpoints(checkpoints)
     n = oracle1.n
     if oracle2.n != n:
         raise ValueError("views have different sample counts")
+    if max(plan1.indices.max(), plan2.indices.max()) >= n:
+        raise ValueError("plan indices exceed the sample count")
+    if not 1 <= L <= n:
+        raise ValueError("L must lie in [1, N]")
+    for m1, m2 in ranks:
+        if not (1 <= m1 <= plan1.m and 1 <= m2 <= plan2.m):
+            raise ValueError(f"ranks ({m1}, {m2}) exceed [1, plan length]")
+    return n
+
+
+def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
+              plan1: SamplingPlan, plan2: SamplingPlan,
+              lambda1: float, lambda2: float, L: int,
+              checkpoints, on_checkpoint=None) -> list[RankPathEntry]:
+    """Incremental Nystrom KCCA along a path of landmark ranks.
+
+    At every checkpoint (m1, m2) the solver emits the model fitted on the
+    first m1 / m2 plan draws per view, coefficients included, reusing all
+    factor state built for earlier checkpoints. Repeated landmark indices
+    (legitimate under with-replacement sampling) add nothing to the rank-0
+    approximation and would make the factor target singular, so they are
+    skipped and recorded in the landmark bookkeeping; the same rule is
+    applied by the non-incremental reference fitter.
+
+    ``on_checkpoint(entry, Q1, Q2, T_hat)`` is invoked after each entry is
+    built with what the checkpoint solved: the N x r1 / N x r2 bases Q1, Q2
+    and the r1 x r2 T_hat whose SVD gave rho, so the approximate T is
+    Q1 T_hat Q2^T (``t_error_norm``). Q columns are append-only and T_hat is
+    new at every checkpoint, so a hook may keep all three. Its run time is
+    excluded from the recorded incremental wall times. No core matrix
+    (H K1 S1)^T (H K2 S2) is kept.
+
+    Returns one RankPathEntry per checkpoint, in order.
+    """
+    cps = _normalize_checkpoints(checkpoints)
+    n = _check_fit_args(oracle1, oracle2, plan1, plan2, lambda1, lambda2, L,
+                        cps)
 
     t0 = time.perf_counter()
     hook_time = 0.0
     v1 = _ViewState(oracle1, plan1, lambda1)
     v2 = _ViewState(oracle2, plan2, lambda2)
-    core = np.zeros((0, 0))
     k_tilde = np.zeros((0, 0))
     T_hat = np.zeros((0, 0))
     entries: list[RankPathEntry] = []
 
     for m1, m2 in cps:
-        new1 = v1.advance(m1)
-        new2 = v2.advance(m2)
-        k1_old = core.shape[0]
-        k2_old = core.shape[1]
-        k1 = v1.chol.m
-        k2 = v2.chol.m
-        grown = np.zeros((k1, k2))
-        grown[:k1_old, :k2_old] = core
-        if new1.shape[1]:
-            grown[k1_old:, :k2_old] = new1.T @ v2.chol.A[:, :k2_old]
-        if new2.shape[1]:
-            grown[:k1, k2_old:] = v1.chol.A.T @ new2
-        core = grown
-        k_tilde = _border_k_tilde(k_tilde, core, v1.chol.R, v2.chol.R)
+        k1_old, k2_old = k_tilde.shape
+        v1.advance(m1)
+        v2.advance(m2)
+        A1, R1, A2, R2 = v1.chol.A, v1.chol.R, v2.chol.A, v2.chol.R
+        k_tilde = _border_k_tilde(k_tilde, A1, A2, R1, R2)
         T_hat = _border_t_hat(T_hat, v1.M, k_tilde, v2.M, k1_old, k2_old)
 
-        f1 = v1.factors()
-        f2 = v2.factors()
-        rho, ap, bp, sig_next = _checkpoint_solution(f1, f2, T_hat, L)
+        Q1, Q2 = v1.qr.Q, v2.qr.Q
+        rho, ap, bp, sig_next = _checkpoint_solution(Q1, Q2, T_hat, L)
         model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
                           L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
                           sigma_next=sig_next, view1=oracle1, view2=oracle2,
                           landmarks1=v1.landmarks(), landmarks2=v2.landmarks())
-        if keep_t:
-            model.t_matrix = f1.Q @ T_hat @ f2.Q.T
-        entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model,
-                              _coef_ctx=(v1.chol, k1, v2.chol, k2))
-        if compute_coefficients:
-            nkcca_coefficients(entry)
-            # the factor states are no longer needed; a kept entry must not
-            # pin them (tens of MB per view at N = 3000)
-            entry._coef_ctx = None
+        nkcca_coefficients(model, A1, R1, A2, R2)
+        entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model)
         entry.wall_time_incremental = time.perf_counter() - t0 - hook_time
         if on_checkpoint is not None:
             h0 = time.perf_counter()
-            on_checkpoint(entry, f1, f2, core)
+            on_checkpoint(entry, Q1, Q2, T_hat)
             hook_time += time.perf_counter() - h0
         entries.append(entry)
     return entries
 
 
-def nkcca_coefficients(entry: RankPathEntry) -> KccaModel:
-    """Fill in the coefficient matrices alpha/beta of a rank-path entry.
-
-    Reuses the factorization held by the entry: the coefficients are
-    alpha = (sqrt(N) / N lam1) (alpha' - H K S G^-1 (H K S)^T alpha'),
-    so no N x N inverse is ever formed.
+def nkcca_coefficients(model: KccaModel, A1: np.ndarray, R1: np.ndarray,
+                       A2: np.ndarray, R2: np.ndarray) -> KccaModel:
+    """Fill in the coefficient matrices alpha/beta of a Nystrom model from
+    each view's centered landmark columns A = H K S and Cholesky factor R of
+    G = R^T R: alpha = (sqrt(N) / N lam1) (alpha' - A G^-1 A^T alpha'), so
+    no N x N inverse is ever formed.
     """
-    model = entry.model
-    if model.alpha is not None and model.beta is not None:
-        return model
-    if entry._coef_ctx is None:
-        raise ValueError("entry carries no factorization context")
-    chol1, k1, chol2, k2 = entry._coef_ctx
-    model.alpha = _nystrom_coefficients(
-        model.alpha_prime, chol1.A_prefix(k1),
-        partial(chol_solve, chol1.R_prefix(k1)), model.n, model.lambda1)
-    model.beta = _nystrom_coefficients(
-        model.beta_prime, chol2.A_prefix(k2),
-        partial(chol_solve, chol2.R_prefix(k2)), model.n, model.lambda2)
+    model.alpha = _nystrom_coefficients(model.alpha_prime, A1, R1, model.n,
+                                        model.lambda1)
+    model.beta = _nystrom_coefficients(model.beta_prime, A2, R2, model.n,
+                                       model.lambda2)
     return model
 
 
@@ -509,18 +479,15 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
     factorizations; used to cross-check the incremental path and to time
     restarts against it.
     """
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise ValueError("regularizers must be positive")
     m1 = plan1.m if m1 is None else m1
     m2 = plan2.m if m2 is None else m2
-    n = oracle1.n
+    n = _check_fit_args(oracle1, oracle2, plan1, plan2, lambda1, lambda2, L,
+                        [(m1, m2)])
     t0 = time.perf_counter()
 
     built = []
     for oracle, plan, m, lam in ((oracle1, plan1, m1, lambda1),
                                  (oracle2, plan2, m2, lambda2)):
-        if m > plan.m:
-            raise ValueError("requested rank exceeds the sampling plan length")
         # first draw of each index, in draw order; repeats are skipped
         cand_pos = np.sort(np.unique(plan.indices[:m], return_index=True)[1])
         idx_all = plan.indices[cand_pos]
@@ -530,51 +497,47 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
         # the same gate as the incremental path, on the whole target at once
         kept, R = admit_columns(G_all)
         skipped = sorted(set(range(m)).difference(cand_pos[kept].tolist()))
-        idx = idx_all[kept]
         A = A_all[:, kept]
         Q, P = scipy.linalg.qr(A, mode="economic")
 
         # M = P R^-1 from scratch: R^T M^T = P^T
         M = scipy.linalg.solve_triangular(R, P.T, trans="T", lower=False).T
-        built.append((_ViewFactors(partial(chol_solve, R), P, Q, A, M),
-                      Landmarks(indices=idx, draws=m, skipped=skipped), R))
+        built.append((A, R, Q, M, Landmarks(indices=idx_all[kept], draws=m,
+                                            skipped=skipped)))
 
-    f1, lm1, R1 = built[0]
-    f2, lm2, R2 = built[1]
+    (A1, R1, Q1, M1, lm1), (A2, R2, Q2, M2, lm2) = built
     # Kt = R1^-T (A1^T A2) R2^-1 from scratch
-    k_tilde = scipy.linalg.solve_triangular(R1, f1.A.T @ f2.A, trans="T",
+    k_tilde = scipy.linalg.solve_triangular(R1, A1.T @ A2, trans="T",
                                             lower=False)
     k_tilde = scipy.linalg.solve_triangular(R2, k_tilde.T, trans="T",
                                             lower=False).T
-    T_hat = (f1.M @ k_tilde) @ f2.M.T
-    rho, ap, bp, sig_next = _checkpoint_solution(f1, f2, T_hat, L)
+    T_hat = (M1 @ k_tilde) @ M2.T
+    rho, ap, bp, sig_next = _checkpoint_solution(Q1, Q2, T_hat, L)
     model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
                       L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
                       sigma_next=sig_next, view1=oracle1, view2=oracle2,
                       landmarks1=lm1, landmarks2=lm2)
     if keep_t:
-        model.t_matrix = f1.Q @ T_hat @ f2.Q.T
+        model.t_matrix = Q1 @ T_hat @ Q2.T
     if compute_coefficients:
-        model.alpha = _nystrom_coefficients(ap, f1.A, f1.solve, n, lambda1)
-        model.beta = _nystrom_coefficients(bp, f2.A, f2.solve, n, lambda2)
+        nkcca_coefficients(model, A1, R1, A2, R2)
     entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model)
     entry.wall_time_restart = time.perf_counter() - t0
     return entry
 
 
-def t_error_norm(T: np.ndarray, f1: _ViewFactors, f2: _ViewFactors,
-                 core: np.ndarray) -> float:
-    """Spectral norm of T minus the implicit low-rank T of a checkpoint.
+def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
+                 T_hat: np.ndarray) -> float:
+    """Spectral norm of T minus the low-rank T = Q1 T_hat Q2^T of a
+    checkpoint (the arguments its ``on_checkpoint`` hook receives).
 
     The low-rank side is applied as Y Q2^T through the N x r2 factor
-    Y = Q1 P1 G1^-1 core G2^-1 P2^T, formed once with two factor solves over
-    many right-hand sides, so only the dense exact T is ever N x N.
+    Y = Q1 T_hat, so only the dense exact T is ever N x N.
     """
     n = T.shape[0]
-    if min(f1.P.shape[0], f2.P.shape[0]) == 0:
+    if min(T_hat.shape) == 0:
         return float(np.linalg.norm(T, 2))
-    Y = f1.Q @ (f1.P @ f1.solve(core @ f2.solve(f2.P.T)))
-    Q2 = f2.Q
+    Y = Q1 @ T_hat
     if n <= 320:
         return float(np.linalg.norm(T - Y @ Q2.T, 2))
     op = LinearOperator((n, n), matvec=lambda v: T @ v - Y @ (Q2.T @ v),

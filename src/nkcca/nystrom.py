@@ -117,14 +117,6 @@ class CholState:
     def R(self) -> np.ndarray:
         return self._R[: self.m, : self.m]
 
-    def A_prefix(self, m: int) -> np.ndarray:
-        """View of the first m centered columns (append-only, so stable)."""
-        return self._A[:, :m]
-
-    def R_prefix(self, m: int) -> np.ndarray:
-        """Leading m x m block of the factor, valid for the first m landmarks."""
-        return self._R[:m, :m]
-
     def _grow(self, need: int):
         cap = self._c.shape[0]
         if need <= cap:
@@ -215,7 +207,7 @@ def chol_append_block(state: CholState, indices,
 
 def chol_solve(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve R^T R X = B for an upper-triangular factor R (e.g.
-    ``CholState.R`` or ``R_prefix(m)``) via two triangular solves."""
+    ``CholState.R``) via two triangular solves."""
     if R.shape[0] == 0:
         raise ValueError("empty factor")
     Y = scipy.linalg.solve_triangular(R, B, trans="T", lower=False,

@@ -38,6 +38,16 @@ def kernel_eval(spec, x, y):
     return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
 
 
+def recording(fn, out):
+    """Wrap fn so that every result it returns is appended to out; patch a
+    solver's internal name with it to read what the solver computed."""
+    def wrapper(*args):
+        result = fn(*args)
+        out.append(result)
+        return result
+    return wrapper
+
+
 def unit_plan(indices):
     """A plan with prescribed indices and unit weights.
 

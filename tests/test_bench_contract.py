@@ -1,14 +1,19 @@
 """The benchmark's library contract: every nkcca name that ``bench/`` reads
-still exists.
+still exists, and the harness's own self-test passes against this library.
 
 ``bench/tracing.py`` wraps the functions and methods listed in its
 ``TARGETS``, and ``bench/workloads.py`` calls the library through ``nk.<name>``
 and ``nk_kcca.<name>``. Both files are only parsed here (never imported), so
-deleting a name they need fails this test instead of a benchmark run.
+deleting a name they need fails this test instead of a benchmark run. Names
+do not cover signatures: ``bench/selftest.py`` runs every workload at tiny
+size in a subprocess, so a changed call, such as the arguments the
+``on_checkpoint`` hook forwards, fails here too.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +21,8 @@ import pytest
 import nkcca
 from nkcca import kcca
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _tracing_targets():
@@ -78,3 +84,11 @@ def test_workload_names_resolve():
                 break
             obj = getattr(obj, attr)
     assert missing == []
+
+
+def test_bench_selftest_passes():
+    # the harness imports nkcca from the checkout's src/ and writes only to
+    # the gitignored bench/out/
+    done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

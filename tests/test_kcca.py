@@ -1,17 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import centering_matrix, full_plan, random_psd, unit_plan
+from conftest import (centering_matrix, full_plan, random_psd, recording,
+                      unit_plan)
 
 from nkcca import kcca
 from nkcca.datasets import synthetic_circles
 from nkcca.kcca import (_nystrom_coefficients, exact_kcca, load_model,
-                        nkcca_coefficients, nkcca_fit, nkcca_fit_direct,
-                        project_many, save_model, t_error_norm,
-                        total_correlation)
+                        nkcca_fit, nkcca_fit_direct, project_many, save_model,
+                        t_error_norm, total_correlation)
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import SamplingDistribution
-from nkcca.nystrom import chol_solve
+from nkcca.nystrom import CholState, chol_append_block, chol_solve
 from nkcca.sampling import sample
 
 
@@ -238,19 +240,61 @@ def _random_upper(rng, m):
     return R
 
 
+# each case: the fitter, then the argument that replaces a valid one
+_BAD_FIT_ARGS = {
+    "negative_rank": ("direct", dict(m1=-3)),
+    "zero_rank": ("direct", dict(m1=0)),
+    "rank_beyond_plan": ("direct", dict(m2=21)),
+    "zero_checkpoint": ("path", dict(checkpoints=[0, 5])),
+    "checkpoint_beyond_plan": ("path", dict(checkpoints=[5, 21])),
+    "zero_L_restart": ("direct", dict(L=0)),
+    "zero_L_path": ("path", dict(L=0)),
+    "L_above_N": ("path", dict(L=13)),
+    "zero_lambda": ("direct", dict(lambda1=0.0)),
+    "negative_lambda": ("path", dict(lambda2=-1.0)),
+    "sample_counts_differ_restart": ("direct", dict(short_view2=True)),
+    "sample_counts_differ_path": ("path", dict(short_view2=True)),
+    "plan_beyond_N_restart": ("direct", dict(wide_plan=True)),
+    "plan_beyond_N_path": ("path", dict(wide_plan=True)),
+}
+
+
+@pytest.mark.parametrize("fitter,bad", _BAD_FIT_ARGS.values(),
+                         ids=list(_BAD_FIT_ARGS))
+def test_fitters_reject_invalid_arguments(fitter, bad):
+    _, _, o1, o2, _, Y = two_view_problem(n=12, seed=44)
+    plan = sample(SamplingDistribution(p=np.full(12, 1 / 12)), 20, seed=44)
+    args = dict(lambda1=1e-3, lambda2=1e-3, L=1)
+    if fitter == "path":
+        fit = nkcca_fit
+        args["checkpoints"] = [5, 20]
+    else:
+        fit = nkcca_fit_direct
+    fit(o1, o2, plan, plan, **args)   # the valid arguments fit
+    bad = dict(bad)
+    if bad.pop("short_view2", False):
+        o2 = KernelColumns.from_data(KernelSpec(sigma=1.0), Y[:11])
+    if bad.pop("wide_plan", False):
+        plan = unit_plan(np.arange(20))
+    with pytest.raises(ValueError):
+        fit(o1, o2, plan, plan, **(args | bad))
+
+
 def test_bordered_m_and_k_tilde_match_scratch_solves():
     from nkcca.kcca import _border_k_tilde, _border_m
 
     rng = np.random.default_rng(40)
     R1, R2 = _random_upper(rng, 11), _random_upper(rng, 9)
     P = np.triu(rng.normal(size=(11, 11)))[:10]   # one dependent column
-    core = rng.normal(size=(11, 9))
+    A1, A2 = rng.normal(size=(20, 11)), rng.normal(size=(20, 9))
+    core = A1.T @ A2
     M = np.zeros((0, 0))
     K = np.zeros((0, 0))
     # grow both views, view 1 only, view 2 only, then both again
     for k1, k2, r in ((3, 4, 3), (6, 4, 6), (6, 7, 6), (11, 9, 10)):
         M = _border_m(M, P[:r, :k1], R1[:k1, :k1])
-        K = _border_k_tilde(K, core[:k1, :k2], R1[:k1, :k1], R2[:k2, :k2])
+        K = _border_k_tilde(K, A1[:, :k1], A2[:, :k2], R1[:k1, :k1],
+                            R2[:k2, :k2])
         M_ref = scipy.linalg.solve_triangular(R1[:k1, :k1], P[:r, :k1].T,
                                               trans="T").T
         K_ref = np.linalg.solve(R1[:k1, :k1].T, core[:k1, :k2]) @ \
@@ -265,17 +309,22 @@ def test_live_m_factor_matches_factor_solves():
     dist = SamplingDistribution(p=np.full(30, 1 / 30))
     p1 = sample(dist, 24, seed=41)
     p2 = sample(dist, 24, seed=42)
-    checked = []
+    states, checked = [], []
 
-    def hook(entry, f1, f2, core):
-        for f in (f1, f2):
-            np.testing.assert_allclose(f.M @ f.M.T, f.P @ f.solve(f.P.T),
+    def hook(entry, Q1, Q2, T_hat):
+        for v in states:
+            P = v.qr.P
+            np.testing.assert_allclose(v.M @ v.M.T,
+                                       P @ chol_solve(v.chol.R, P.T),
                                        atol=1e-9)
         checked.append(entry.m1)
 
-    nkcca_fit(o1, o2, p1, p2, 1e-3, 1e-3, L=1,
-              checkpoints=[(4, 6), (12, 6), (12, 18), (24, 24)],
-              on_checkpoint=hook)
+    with mock.patch.object(kcca, "_ViewState",
+                           recording(kcca._ViewState, states)):
+        nkcca_fit(o1, o2, p1, p2, 1e-3, 1e-3, L=1,
+                  checkpoints=[(4, 6), (12, 6), (12, 18), (24, 24)],
+                  on_checkpoint=hook)
+    assert len(states) == 2
     assert checked == [4, 12, 12, 24]
 
 
@@ -290,26 +339,16 @@ def test_q_stays_in_the_centered_subspace():
     dist = SamplingDistribution(p=np.full(n, 1 / n))
     drift = []
 
-    def hook(entry, f1, f2, core):
-        for f in (f1, f2):
-            drift.append(np.linalg.norm(f.Q.T @ np.ones(n)))
-            np.testing.assert_allclose(f.Q.T @ f.Q, np.eye(f.Q.shape[1]),
+    def hook(entry, Q1, Q2, T_hat):
+        for Q in (Q1, Q2):
+            drift.append(np.linalg.norm(Q.T @ np.ones(n)))
+            np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]),
                                        rtol=0, atol=1e-12)
 
     nkcca_fit(o1, o2, sample(dist, 300, seed=1), sample(dist, 300, seed=2),
               1e-3, 1e-3, L=1, checkpoints=range(50, 301, 50),
-              compute_coefficients=False, on_checkpoint=hook)
+              on_checkpoint=hook)
     assert len(drift) == 12 and max(drift) <= 1e-12 * np.sqrt(n)
-
-
-def test_eager_fit_releases_factor_context():
-    K1, K2, o1, o2, _, _ = two_view_problem(n=14, seed=43)
-    plan = unit_plan([0, 3, 5, 9])
-    eager = nkcca_fit(o1, o2, plan, plan, 1e-3, 1e-3, L=1, checkpoints=[2, 4])
-    lazy = nkcca_fit(o1, o2, plan, plan, 1e-3, 1e-3, L=1, checkpoints=[2, 4],
-                     compute_coefficients=False)
-    assert all(e._coef_ctx is None for e in eager)
-    assert all(e._coef_ctx is not None for e in lazy)
 
 
 # --- coefficients -------------------------------------------------------------
@@ -318,26 +357,23 @@ def test_coefficients_zero_kernel_limit():
     # empty landmark set: (Lc + N lam I)^-1 = I / (N lam)
     rng = np.random.default_rng(15)
     ap = rng.normal(size=(9, 2))
-    out = _nystrom_coefficients(ap, None, None, n=9, lam=0.2)
+    chol = CholState(9, 0.2)
+    out = _nystrom_coefficients(ap, chol.A, chol.R, n=9, lam=0.2)
     np.testing.assert_allclose(out, ap / (np.sqrt(9) * 0.2), atol=1e-14)
 
 
 def test_coefficients_nullspace_probe():
     # alpha' orthogonal to range(A) leaves only the identity term
     K1, K2, o1, o2, _, _ = two_view_problem(n=10, seed=16)
-    plan = unit_plan([1, 6])
-    # the lazy path keeps the factorization context on the entry
-    entries = nkcca_fit(o1, o2, plan, plan, 0.05, 0.05, L=1, checkpoints=[2],
-                        compute_coefficients=False)
-    ctx = entries[0]._coef_ctx
-    chol1 = ctx[0]
+    # the factor state of a fit on landmarks 1 and 6
+    chol1 = CholState(10, 0.05)
+    assert chol_append_block(chol1, [1, 6], o1.columns(np.array([1, 6]))) \
+        == [0, 1]
     A = chol1.A
     probe = np.linalg.qr(np.column_stack([A, np.ones((10, 1)),
                                           np.eye(10)[:, :3]]))[0][:, -1]
     assert np.abs(A.T @ probe).max() < 1e-10
-    out = _nystrom_coefficients(probe[:, None], A,
-                                lambda B: chol_solve(chol1.R_prefix(2), B),
-                                n=10, lam=0.05)
+    out = _nystrom_coefficients(probe[:, None], A, chol1.R, n=10, lam=0.05)
     np.testing.assert_allclose(out[:, 0], probe / (np.sqrt(10) * 0.05),
                                atol=1e-10)
 
@@ -353,21 +389,6 @@ def test_coefficients_full_rank_match_exact_formula():
     expected = np.sqrt(n) * np.linalg.solve(K1c + n * lam * np.eye(n),
                                             e.model.alpha_prime)
     np.testing.assert_allclose(e.model.alpha, expected, atol=1e-7)
-
-
-def test_coefficients_lazy_computation():
-    K1, K2, o1, o2, _, _ = two_view_problem(n=14, seed=18)
-    dist = SamplingDistribution(p=np.full(14, 1 / 14))
-    p1 = sample(dist, 8, seed=13)
-    p2 = sample(dist, 8, seed=14)
-    lazy = nkcca_fit(o1, o2, p1, p2, 1e-3, 1e-3, L=1, checkpoints=[4, 8],
-                     compute_coefficients=False)
-    eager = nkcca_fit(o1, o2, p1, p2, 1e-3, 1e-3, L=1, checkpoints=[4, 8])
-    assert lazy[0].model.alpha is None
-    for le, ee in zip(lazy, eager):
-        nkcca_coefficients(le)
-        np.testing.assert_allclose(le.model.alpha, ee.model.alpha, atol=1e-9)
-        np.testing.assert_allclose(le.model.beta, ee.model.beta, atol=1e-9)
 
 
 # --- projection and correlation ------------------------------------------------
@@ -539,8 +560,8 @@ def test_t_error_norm_matches_dense():
     p2 = sample(dist, 9, seed=16)
     captured = []
     nkcca_fit(o1, o2, p1, p2, lam, lam, L=1, checkpoints=[9],
-              on_checkpoint=lambda e, f1, f2, core:
-              captured.append(t_error_norm(exact.t_matrix, f1, f2, core)))
+              on_checkpoint=lambda e, Q1, Q2, T_hat:
+              captured.append(t_error_norm(exact.t_matrix, Q1, Q2, T_hat)))
     T_tilde = dense_t_tilde(K1.entries, K2.entries, p1, p2, lam, lam, 18)
     expected = np.linalg.norm(exact.t_matrix - T_tilde, 2)
     assert captured[0] == pytest.approx(expected, rel=1e-8)
@@ -561,13 +582,13 @@ def test_t_error_norm_arpack_branch_matches_dense():
     p2 = sample(dist, 90, seed=18)
     captured = []
 
-    def measure(entry, f1, f2, core):
-        captured.append((t_error_norm(exact.t_matrix, f1, f2, core),
-                         np.linalg.norm(exact.t_matrix - entry.model.t_matrix,
+    def measure(entry, Q1, Q2, T_hat):
+        captured.append((t_error_norm(exact.t_matrix, Q1, Q2, T_hat),
+                         np.linalg.norm(exact.t_matrix - Q1 @ T_hat @ Q2.T,
                                         2)))
 
     nkcca_fit(o1, o2, p1, p2, lam, lam, L=1, checkpoints=[30, 60, 90],
-              keep_t=True, on_checkpoint=measure)
+              on_checkpoint=measure)
     assert len(captured) == 3
     for got, expected in captured:
         assert got == pytest.approx(expected, rel=1e-8)
@@ -583,10 +604,8 @@ def test_t_error_norm_arpack_start_is_not_null():
     T = rng.integers(-3, 4, size=(n, n)).astype(float)
     T[:, -1] = -T[:, :-1].sum(axis=1)
     assert not (T @ np.ones(n)).any()
-    f1, f2 = (kcca._ViewFactors(solve=lambda B: B, P=np.eye(r), Q=Q, A=None,
-                                M=None)
-              for Q in (H[:, 1 : r + 1], H[:, r + 1 : 2 * r + 1]))
-    assert not (f2.Q.T @ np.ones(n)).any()
+    Q1, Q2 = H[:, 1 : r + 1], H[:, r + 1 : 2 * r + 1]
+    assert not (Q2.T @ np.ones(n)).any()
     core = rng.normal(size=(r, r))
-    expected = np.linalg.norm(T - f1.Q @ core @ f2.Q.T, 2)
-    assert t_error_norm(T, f1, f2, core) == pytest.approx(expected, rel=1e-10)
+    expected = np.linalg.norm(T - Q1 @ core @ Q2.T, 2)
+    assert t_error_norm(T, Q1, Q2, core) == pytest.approx(expected, rel=1e-10)

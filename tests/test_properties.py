@@ -34,7 +34,7 @@ from unittest import mock
 import numpy as np
 import scipy.linalg
 from hypothesis import HealthCheck, assume, example, given, settings
-from conftest import unit_plan
+from conftest import recording, unit_plan
 from hypothesis import strategies as st
 
 from nkcca import kcca
@@ -279,14 +279,6 @@ def bordered_paths(draw):
                 checkpoints=list(zip(*ranks)))
 
 
-def _recording(fn, out):
-    def wrapper(*args):
-        result = fn(*args)
-        out.append(result)
-        return result
-    return wrapper
-
-
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(bordered_paths())
@@ -301,19 +293,22 @@ def test_bordered_t_hat_equals_formed_product(case):
     o1 = KernelColumns.from_data(spec, np.vstack([ds.X, ds.X]))
     o2 = KernelColumns.from_data(spec, np.vstack([ds.Y, ds.Y]))
     p1, p2 = (unit_plan(p) for p in case["plans"])
-    k_tildes, t_hats, checked = [], [], []
+    states, k_tildes, t_hats, checked = [], [], [], []
 
-    def hook(entry, f1, f2, core):
-        T_hat = t_hats[-1]
-        ref = (f1.M @ k_tildes[-1]) @ f2.M.T
+    def hook(entry, Q1, Q2, T_hat):
+        assert T_hat is t_hats[-1]
+        v1, v2 = states
+        ref = (v1.M @ k_tildes[-1]) @ v2.M.T
         assert T_hat.shape == ref.shape
         assert np.linalg.norm(T_hat - ref) <= 1e-12 * np.linalg.norm(ref)
         checked.append(T_hat.copy())
 
-    with mock.patch.object(kcca, "_border_k_tilde",
-                           _recording(kcca._border_k_tilde, k_tildes)), \
+    with mock.patch.object(kcca, "_ViewState",
+                           recording(kcca._ViewState, states)), \
+            mock.patch.object(kcca, "_border_k_tilde",
+                              recording(kcca._border_k_tilde, k_tildes)), \
             mock.patch.object(kcca, "_border_t_hat",
-                              _recording(kcca._border_t_hat, t_hats)):
+                              recording(kcca._border_t_hat, t_hats)):
         nkcca_fit(o1, o2, p1, p2, case["lam"], case["lam"], 1,
                   case["checkpoints"], on_checkpoint=hook)
     assert len(checked) == len(t_hats) == len(case["checkpoints"])
