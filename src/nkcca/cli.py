@@ -177,8 +177,13 @@ def _make_data(cfg: ExperimentConfig) -> SimpleNamespace:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load the csv dataset: {exc}") from exc
         parts = [ds.subset(name) for name in ("train", "tune", "test")]
-        if min(len(x) for x, _ in parts) == 0:
-            raise ConfigError("every split must be nonempty")
+        if len(parts[0][0]) == 0:
+            raise ConfigError("the training split must be nonempty")
+    for name, (x, _) in zip(("tuning", "test"), parts[1:]):
+        # a correlation needs at least two pairs
+        if len(x) < 2:
+            raise ConfigError(f"the {name} split needs at least 2 pairs, "
+                              f"has {len(x)}")
     (xtr, ytr), (xtu, ytu), (xte, yte) = parts
     return SimpleNamespace(X_train=xtr, Y_train=ytr, X_tune=xtu, Y_tune=ytu,
                            X_test=xte, Y_test=yte)
@@ -207,8 +212,8 @@ def _view_distribution(cfg: ExperimentConfig, oracle: KernelColumns,
 class _Experiment:
     """One command's pipeline: the selected model, the two training oracles
     and the per-strategy sampling distributions, built once for all seeds.
-    A training N above `dense_limit` (the command's dense N x N work) is a
-    configuration error, raised before any of that work."""
+    A training N above `dense_limit` (the command's dense N x N work) or
+    below L is a configuration error, raised before any of that work."""
 
     def __init__(self, cfg: ExperimentConfig, data: SimpleNamespace | None = None,
                  dense_limit: int | None = None):
@@ -218,6 +223,9 @@ class _Experiment:
         if dense_limit is not None and n > dense_limit:
             raise ConfigError(f"the training split has N = {n} points; this "
                               f"command is dense and limited to N <= {dense_limit}")
+        if cfg.L > n:
+            raise ConfigError(f"L = {cfg.L} exceeds the training split's "
+                              f"N = {n}")
         self.s1, self.s2, self.l1, self.l2 = self._select_model()
         self.o1 = KernelColumns.from_data(KernelSpec(sigma=self.s1), data.X_train)
         self.o2 = KernelColumns.from_data(KernelSpec(sigma=self.s2), data.Y_train)
@@ -231,6 +239,9 @@ class _Experiment:
         if all(len(g) == 1 for g in grid):
             return tuple(g[0] for g in grid)
         n_sel = min(cfg.select_n, d.X_train.shape[0])
+        if cfg.L > n_sel:
+            raise ConfigError(f"L = {cfg.L} exceeds the {n_sel} training "
+                              f"points of model selection (select_n)")
         best = None
         for s1, s2 in itertools.product(cfg.sigma1, cfg.sigma2):
             o1 = KernelColumns.from_data(KernelSpec(sigma=s1), d.X_train[:n_sel])

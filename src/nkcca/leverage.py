@@ -22,6 +22,11 @@ __all__ = [
 # 1/sqrt(M p_i) stay finite even for duplicate/degenerate points.
 PROB_FLOOR = 1e-12
 
+# Rows of the whitened sketch per triangular solve in approx_leverage. A solve
+# with all N right-hand sides at once makes OpenBLAS pack a panel that grows
+# with N (about 7 MB at N = 3000) and stays resident for the process.
+_SOLVE_ROWS = 512
+
 
 @dataclass(frozen=True)
 class LeverageScores:
@@ -100,12 +105,17 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
                     seed: int) -> LeverageScores:
     """Sketched leverage-score estimates from a column subsample.
 
-    Draws `sketch_size` distinct columns uniformly, forms the landmark
-    approximation L = C W^+ C^T (C = sampled columns, W = their square
-    submatrix) in factored form, and reports the diagonal of
-    L (L + N gamma I)^-1. Since L is dominated by K in the PSD order, the
-    estimates never exceed the exact scores. With the full sketch, L = K and
-    the estimates are exact.
+    Draws `sketch_size` distinct columns uniformly and reports the diagonal
+    of L (L + N gamma I)^-1 for the landmark approximation L = C W^+ C^T
+    (C = the sampled columns, W = their square submatrix). One symmetric
+    eigendecomposition W = U diag(sig) U^T whitens the sketch: with the
+    directions above the eps-threshold of the pseudo-inverse kept,
+    F = C U+ diag(sig+)^-1/2 gives L = F F^T. By the push-through identity
+    the estimates are the squared column norms of R^-T F^T, where R is the
+    upper Cholesky factor of F^T F + N gamma I; the shift bounds its
+    condition number by 1 + ||F||^2 / (N gamma). Since L is dominated by K
+    in the PSD order, the estimates never exceed the exact scores. With the
+    full sketch, L = K and the estimates are exact.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -117,20 +127,21 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
 
     C = np.column_stack([oracle.column(i) for i in idx])
     W = C[idx, :]
-    W = 0.5 * (W + W.T)
-
-    # L = C W^+ C^T = Q G Q^T with C = Q R and G = R W^+ R^T, so the scores
-    # are squared row norms of Q V diag(theta/(theta + n gamma))^(1/2).
-    Q, R = scipy.linalg.qr(C, mode="economic")
-    sig_w, U_w = _psd_eigh(W)
-    tol = sig_w.max(initial=0.0) * W.shape[0] * np.finfo(float).eps
-    inv_w = np.where(sig_w > tol, 1.0 / np.where(sig_w > tol, sig_w, 1.0), 0.0)
-    G = (R @ U_w) * inv_w @ (R @ U_w).T
-    G = 0.5 * (G + G.T)
-    theta, V = _psd_eigh(G)
-    shrink = theta / (theta + n * gamma)
-    B = Q @ V
-    scores = np.einsum("ij,j,ij->i", B, shrink, B)
+    sig_w, U_w = _psd_eigh(0.5 * (W + W.T))
+    tol = sig_w.max(initial=0.0) * sketch_size * np.finfo(float).eps
+    keep = sig_w > tol
+    F = C @ (U_w[:, keep] / np.sqrt(sig_w[keep]))
+    del C  # at most two N x s arrays are ever live: C and F
+    S = F.T @ F
+    S[np.diag_indices_from(S)] += n * gamma
+    R = scipy.linalg.cholesky(S, lower=False, check_finite=False)
+    scores = np.empty(n)
+    for lo in range(0, n, _SOLVE_ROWS):
+        # F[lo:hi]^T is a column-major view, so the solve runs in place
+        Z = scipy.linalg.solve_triangular(R, F[lo:lo + _SOLVE_ROWS].T,
+                                          trans="T", lower=False,
+                                          overwrite_b=True, check_finite=False)
+        scores[lo:lo + _SOLVE_ROWS] = np.einsum("ij,ij->j", Z, Z)
     np.clip(scores, 0.0, 1.0, out=scores)
     return LeverageScores(scores=scores, gamma=gamma, d_eff=float(scores.sum()))
 

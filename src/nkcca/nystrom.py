@@ -141,26 +141,28 @@ def admit_columns(S: np.ndarray) -> tuple[list[int], np.ndarray]:
     kept when its remaining mass exceeds ``DEFAULT_NEW_MASS_RTOL``, a
     fraction of its unit diagonal. Returns the kept positions and the upper
     factor of ``S[kept][:, kept]``.
+
+    The factorization is right-looking: each kept pivot forms its row of the
+    factor over all later candidates (one matrix-vector product with the
+    rows kept before it) and downdates their remaining masses, so a
+    candidate's test reads its mass directly and needs no triangular solve.
+    A rejected candidate leaves no row.
     """
     nb = S.shape[0]
     kept: list[int] = []
     R = np.zeros((nb, nb))
+    resid = S.diagonal().copy()
     for j in range(nb):
-        p = len(kept)
-        resid = S[j, j]
-        if p > 0:
-            w = scipy.linalg.solve_triangular(R[:p, :p], S[kept, j], trans="T",
-                                              lower=False, check_finite=False)
-            resid -= float(w @ w)
-        else:
-            w = np.zeros(0)
-        if not resid > DEFAULT_NEW_MASS_RTOL:
+        if not resid[j] > DEFAULT_NEW_MASS_RTOL:
             continue
-        R[:p, p] = w
-        R[p, p] = math.sqrt(resid)
+        p = len(kept)
+        pivot = math.sqrt(resid[j])
+        row = (S[j, j + 1:] - R[:p, j] @ R[:p, j + 1:]) / pivot
+        R[p, j] = pivot
+        R[p, j + 1:] = row
+        resid[j + 1:] -= row * row
         kept.append(j)
-    p = len(kept)
-    return kept, R[:p, :p]
+    return kept, R[: len(kept)][:, kept]
 
 
 def chol_append_block(state: CholState, indices,

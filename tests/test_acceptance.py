@@ -291,6 +291,7 @@ def _nonincreasing_with_tolerance(vals, max_violations=1, magnitude=0.10):
         assert rel <= magnitude, violations
 
 
+@pytest.mark.slow
 def test_criterion_7_error_vs_rank_trend(bench_curves):
     with criterion(7, 1800.0, "seed-averaged errors nonincreasing + bound"):
         for strat in ("uniform", RIDGE_STRATEGY):
@@ -303,6 +304,7 @@ def test_criterion_7_error_vs_rank_trend(bench_curves):
                   f"min bound margin {np.min(bound / alpha):.1f}x")
 
 
+@pytest.mark.slow
 def test_criterion_8_strategy_comparison(bench_curves):
     with criterion(8, 1800.0, "ridge vs uniform, NKCCA vs RFF baseline"):
         rho_u = bench_curves["uniform"][0]

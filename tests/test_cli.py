@@ -349,6 +349,27 @@ def test_check_bounds_csv_above_dense_limit_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "check-bounds").exists()
 
 
+@pytest.mark.parametrize("command, over, words", [
+    ("nkcca", {"n": "30", "ranks": "10", "test-n": "1"}, ["test", "2 pairs"]),
+    ("compare", {"n": "30", "ranks": "10", "test-n": "1"}, ["test", "2 pairs"]),
+    ("exact", {"n": "30", "L": "40"}, ["L = 40", "N = 30"]),
+    ("nkcca", {"n": "30", "ranks": "10", "tune-n": "1", "sigma1": "1,2"},
+     ["tuning", "2 pairs"]),
+    ("exact", {"n": "30", "L": "20", "select-n": "10", "sigma1": "1,2"},
+     ["L = 20", "select_n"]),
+], ids=["nkcca-test-n-1", "compare-test-n-1", "exact-L-above-N",
+        "nkcca-tune-n-1-grid", "exact-L-above-select-n"])
+def test_degenerate_split_or_l_is_config_error(tmp_path, capsys, command,
+                                                over, words):
+    code = run([command] + base_flags(tmp_path, **{"tune-n": "0",
+                                                   "test-n": "0", **over}))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert all(w in err for w in words)
+    assert not (tmp_path / command).exists()
+
+
 def test_compare_agrees_with_rank_path_and_rcca(tmp_path):
     """compare, nkcca and rcca share one experiment runner, so at the same
     config compare's columns are exactly the other commands' tables."""

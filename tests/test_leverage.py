@@ -128,6 +128,44 @@ def test_approx_full_sketch_equals_exact():
     np.testing.assert_allclose(approx.scores, exact.scores, atol=1e-6)
 
 
+class RecordingColumns(ArrayColumns):
+    """A column oracle that records which columns were fetched."""
+
+    def __init__(self, K):
+        super().__init__(K)
+        self.fetched = []
+
+    def column(self, i):
+        self.fetched.append(int(i))
+        return super().column(i)
+
+
+@pytest.mark.parametrize("rank", [None, 8], ids=["full-rank", "rank-8"])
+def test_approx_matches_dense_pinv_oracle(rank):
+    # L = C pinv(W) C^T formed densely, with the estimator's eps threshold
+    # on the eigenvalues of W; at rank 8 the 20-column sketch block W is
+    # singular and the threshold drops 12 of its directions
+    rng = np.random.default_rng(10)
+    n, s, gamma = 50, 20, 0.05
+    K = random_psd(rng, n, rank=rank, jitter=0.0 if rank else 1e-3)
+    oracle = RecordingColumns(K)
+    approx = approx_leverage(oracle, gamma, sketch_size=s, seed=4)
+    idx = np.array(oracle.fetched)
+    assert len(set(idx)) == s
+    C = K[:, idx]
+    W = C[idx, :]
+    sig = np.linalg.eigvalsh(W)
+    tol = sig.max() * s * np.finfo(float).eps
+    if rank:
+        assert np.count_nonzero(sig > tol) == rank
+    L = C @ np.linalg.pinv(W, rcond=s * np.finfo(float).eps,
+                           hermitian=True) @ C.T
+    L = 0.5 * (L + L.T)
+    expected = np.diag(np.linalg.solve(L + n * gamma * np.eye(n), L))
+    np.testing.assert_allclose(approx.scores, expected, rtol=0, atol=1e-12)
+    assert approx.d_eff == pytest.approx(expected.sum(), abs=1e-11)
+
+
 def test_approx_identity_kernel_symmetric():
     oracle = ArrayColumns(np.eye(12))
     lv = approx_leverage(oracle, gamma=0.1, sketch_size=12, seed=1)

@@ -202,6 +202,38 @@ def test_gate_rejects_zero_mass_first_column():
         dense_target(K, [1], 0.1)[0, 0], rel=1e-12)
 
 
+def left_looking_gate(S):
+    """Reference gate: column j's remaining mass from one triangular solve
+    against the factor of the columns kept before it."""
+    kept, R = [], np.zeros(S.shape)
+    for j in range(S.shape[0]):
+        p = len(kept)
+        w = scipy.linalg.solve_triangular(R[:p, :p], S[kept, j], trans="T")
+        resid = S[j, j] - w @ w
+        if resid > DEFAULT_NEW_MASS_RTOL:
+            R[:p, p], R[p, p] = w, np.sqrt(resid)
+            kept.append(j)
+    return kept, R[:len(kept), :len(kept)]
+
+
+def test_gate_matches_left_looking_reference():
+    # 60 unit columns spanning 25 dimensions, with exact repeats: the first
+    # 25 independent ones are kept, every later one has no new mass
+    rng = np.random.default_rng(15)
+    B = rng.normal(size=(40, 25))
+    A = B[:, rng.integers(0, 25, 60)]
+    A[:, :25] = B
+    A = A[:, rng.permutation(60)]
+    A /= np.linalg.norm(A, axis=0)
+    S = A.T @ A
+    kept, R = admit_columns(S)
+    kept_ref, R_ref = left_looking_gate(S)
+    assert kept == kept_ref and len(kept) == 25
+    np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(R.T @ R, S[np.ix_(kept, kept)], rtol=0,
+                               atol=1e-14)
+
+
 # --- incremental QR -----------------------------------------------------------
 
 # QrState factors centered columns (its solver's inputs): every input here

@@ -23,6 +23,11 @@
   ARPACK crossover: singular values within 1e-12 sigma_1, and singular
   subspaces within 1e-8 wherever the spectrum has a gap, on full-rank,
   rank-deficient, all-zero and row-centered (T 1 = 0) matrices.
+* Sketched leverage scores are dominated by the exact ones: on ring data
+  with duplicated points (so the sketch block W is often singular and the
+  pseudo-inverse drops directions), ``approx_leverage`` never exceeds
+  ``exact_leverage`` by more than 1e-12, equals it within 1e-10 with the
+  full sketch, and lies in [0, 1].
 
 Examples are derandomized, so the suite is reproducible.
 """
@@ -42,6 +47,7 @@ from nkcca.datasets import synthetic_circles
 from nkcca.kcca import (KccaModel, Landmarks, load_model, nkcca_fit,
                         nkcca_fit_direct, project_many, save_model)
 from nkcca.kernels import KernelColumns, KernelSpec
+from nkcca.leverage import approx_leverage, exact_leverage
 from nkcca.sampling import SamplingPlan
 
 RHO_TOL = 1e-8
@@ -371,3 +377,42 @@ def test_top_svd_matches_full_svd(case):
             for a, b in ((U, U_ref), (Vt.T, Vt_ref.T)):
                 angle = scipy.linalg.subspace_angles(a[:, :j], b[:, :j]).max()
                 assert angle <= 1e-8
+
+
+@st.composite
+def duplicated_ring_data(draw):
+    n = draw(st.integers(2, 60))
+    distinct = draw(st.integers(1, n))
+    # every distinct point once, then repeats of them
+    rows = list(range(distinct)) + draw(st.lists(
+        st.integers(0, distinct - 1), min_size=n - distinct,
+        max_size=n - distinct))
+    order = np.random.default_rng(draw(st.integers(0, 10_000))).permutation(n)
+    X = synthetic_circles(distinct, draw(st.integers(0, 10_000))).X
+    # gamma >= 1e-3: eigen-directions at the pseudo-inverse threshold
+    # (s eps ||W||) carry up to about eps ||K|| / gamma of an exact score,
+    # which passes 1e-10 below that, for this estimator and the old one
+    return dict(X=X[np.asarray(rows)[order]],
+                sigma=10.0 ** draw(st.floats(-1.3, 0.7)),
+                gamma=10.0 ** draw(st.floats(-3.0, 0.0)),
+                sketch=draw(st.integers(1, n)),
+                seed=draw(st.integers(0, 10_000)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(duplicated_ring_data())
+# every point twice and the full sketch: W is singular, always
+@example(dict(X=np.repeat(synthetic_circles(15, 0).X, 2, axis=0), sigma=1.0,
+              gamma=1e-2, sketch=30, seed=0))
+def test_sketched_leverage_is_dominated_by_exact(case):
+    oracle = KernelColumns.from_data(KernelSpec(sigma=case["sigma"]),
+                                     case["X"])
+    n, gamma = oracle.n, case["gamma"]
+    exact = exact_leverage(oracle.dense(), gamma).scores
+    approx = approx_leverage(oracle, gamma, case["sketch"],
+                             case["seed"]).scores
+    assert np.all(approx <= exact + 1e-12)
+    assert np.all((approx >= 0) & (approx <= 1))
+    full = approx_leverage(oracle, gamma, n, case["seed"]).scores
+    np.testing.assert_allclose(full, exact, rtol=0, atol=1e-10)
