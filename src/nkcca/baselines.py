@@ -60,13 +60,10 @@ class LinearCcaModel:
     mean_x: np.ndarray
     mean_y: np.ndarray
 
-    def transform(self, Zx=None, Zy=None):
-        out = []
-        if Zx is not None:
-            out.append((np.asarray(Zx) - self.mean_x) @ self.wx)
-        if Zy is not None:
-            out.append((np.asarray(Zy) - self.mean_y) @ self.wy)
-        return out[0] if len(out) == 1 else tuple(out)
+    def transform(self, Zx, Zy):
+        """Canonical coordinates of paired feature rows of both views."""
+        return ((np.asarray(Zx) - self.mean_x) @ self.wx,
+                (np.asarray(Zy) - self.mean_y) @ self.wy)
 
 
 def _inv_sqrt(C: np.ndarray, lam: float) -> tuple[np.ndarray, int]:

@@ -81,6 +81,18 @@ class ExperimentConfig:
                    + self.lambda2 + self.gamma_mult):
             raise ConfigError("sigma, lambda, and gamma multipliers must be "
                               "finite and positive")
+        for sigma in self.sigma1 + self.sigma2:
+            try:
+                KernelSpec(sigma=sigma)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        for lam in self.lambda1 + self.lambda2:
+            # gamma = gamma_mult * lambda may underflow to 0 or overflow
+            gamma = self.gamma_mult[0] * lam
+            if not (math.isfinite(gamma) and gamma > 0):
+                raise ConfigError(f"gamma = gamma_mult * lambda = "
+                                  f"{self.gamma_mult[0]:g} * {lam:g} is not "
+                                  f"a finite positive double")
         if list(self.ranks) != sorted(set(self.ranks)):
             raise ConfigError("ranks must be strictly increasing")
         if self.ranks[0] < 1:
@@ -92,8 +104,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be nonnegative")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be nonnegative")
-        if self.select_n < 1:
-            raise ConfigError("select_n must be at least 1")
+        if self.select_n < 2:
+            # selection on one point scores every grid point 0
+            raise ConfigError("select_n must be at least 2")
         if self.strategy not in ("uniform", "ridge", "exact"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.L < 1:
@@ -177,9 +190,7 @@ def _make_data(cfg: ExperimentConfig) -> SimpleNamespace:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load the csv dataset: {exc}") from exc
         parts = [ds.subset(name) for name in ("train", "tune", "test")]
-        if len(parts[0][0]) == 0:
-            raise ConfigError("the training split must be nonempty")
-    for name, (x, _) in zip(("tuning", "test"), parts[1:]):
+    for name, (x, _) in zip(("training", "tuning", "test"), parts):
         # a correlation needs at least two pairs
         if len(x) < 2:
             raise ConfigError(f"the {name} split needs at least 2 pairs, "
@@ -206,7 +217,7 @@ def _view_distribution(cfg: ExperimentConfig, oracle: KernelColumns,
         sketch = min(n, cfg.sketch or max(max(cfg.ranks) + 200, 500))
         scores = approx_leverage(oracle, gamma, sketch,
                                  seed=cfg.data_seed + 104729)
-    return make_distribution(scores, mix_uniform=0.0)
+    return make_distribution(scores)
 
 
 class _Experiment:

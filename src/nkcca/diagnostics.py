@@ -16,8 +16,8 @@ import scipy.linalg
 
 from .kernels import as_matrix, center
 from .kcca import KccaModel, project_many
-from .leverage import _psd_eigh
-from .sampling import SamplingPlan, sampling_matrix
+from .leverage import _psd_eigh, _whitened_sketch
+from .sampling import SamplingPlan
 
 __all__ = [
     "BoundReport",
@@ -89,8 +89,9 @@ def ridge_projection(A: np.ndarray, lam: float) -> np.ndarray:
 def low_rank_dense(K, plan: SamplingPlan, gamma: float) -> np.ndarray:
     """Dense column-sampled approximation K S (S^T K S + N gamma I)^+ S^T K.
 
-    S carries the plan's importance weights; with gamma = 0 a singular core
-    falls back to its pseudo-inverse.
+    S carries the plan's importance weights. The result is F F^T for the
+    whitened sketch F of C = K S and W = S^T K S at shift N gamma, so a
+    singular core at gamma = 0 is pseudo-inverted.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -100,14 +101,8 @@ def low_rank_dense(K, plan: SamplingPlan, gamma: float) -> np.ndarray:
     idx, w = plan.indices, plan.weights
     # C-ordered, unlike K[:, idx]: the BLAS rounding below depends on layout
     C = np.take(K, idx, axis=1) * w
-    W = C[idx] * w[:, None]
-    W_reg = 0.5 * (W + W.T) + K.shape[0] * gamma * np.eye(plan.m)
-    try:
-        X = scipy.linalg.cho_solve(scipy.linalg.cho_factor(W_reg), C.T)
-    except scipy.linalg.LinAlgError:
-        X = scipy.linalg.pinvh(W_reg) @ C.T
-    out = C @ X
-    return 0.5 * (out + out.T)
+    F = _whitened_sketch(C, C[idx] * w[:, None], K.shape[0] * gamma)
+    return F @ F.T   # numpy forms F F^T by a rank-k update: exactly symmetric
 
 
 def d_matrix_norm(K, plan: SamplingPlan | None, gamma: float) -> float:
@@ -123,10 +118,10 @@ def d_matrix_norm(K, plan: SamplingPlan | None, gamma: float) -> float:
     _check_dense_feasible(n)
     sig, U = _psd_eigh(K)
     phi = sig / (sig + n * gamma)
-    if plan is None or plan.m == 0:
+    if plan is None:
         return float(phi.max(initial=0.0))
-    S = sampling_matrix(plan, n)
-    B = np.sqrt(phi)[:, None] * (U.T @ S)
+    # U^T S: column j of S is weights[j] at row indices[j]
+    B = np.sqrt(phi)[:, None] * (U[plan.indices].T * plan.weights)
     D = np.diag(phi) - B @ B.T
     return _sym_norm(D)
 
@@ -182,23 +177,18 @@ def projection_error_check(K, plan: SamplingPlan, gamma: float, lam: float,
     applicable = d_norm <= t
     L = low_rank_dense(K, plan, 0.0)
     Lg = low_rank_dense(K, plan, gamma)
-    Kc = center(K).entries
+    P = ridge_projection(K, lam)
+    Pc = ridge_projection(center(K), lam)
     errs = {
-        "uncentered_L": _sym_norm(ridge_projection(K, lam) - ridge_projection(L, lam)),
-        "uncentered_Lgamma": _sym_norm(ridge_projection(K, lam) - ridge_projection(Lg, lam)),
-        "centered_L": _sym_norm(ridge_projection(Kc, lam)
-                                - ridge_projection(center(L).entries, lam)),
-        "centered_Lgamma": _sym_norm(ridge_projection(Kc, lam)
-                                     - ridge_projection(center(Lg).entries, lam)),
+        "uncentered_L": _sym_norm(P - ridge_projection(L, lam)),
+        "uncentered_Lgamma": _sym_norm(P - ridge_projection(Lg, lam)),
+        "centered_L": _sym_norm(Pc - ridge_projection(center(L), lam)),
+        "centered_Lgamma": _sym_norm(Pc - ridge_projection(center(Lg), lam)),
     }
     rhs = (gamma / lam) / (1.0 - t)
     return BoundReport.make("projection-error", lhs=max(errs.values()),
                             rhs=rhs, applicable=applicable, d_norm=d_norm,
                             t=t, **errs)
-
-
-def _dense_t(K1c: np.ndarray, K2c: np.ndarray, lam1: float, lam2: float) -> np.ndarray:
-    return ridge_projection(K1c, lam1) @ ridge_projection(K2c, lam2)
 
 
 def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
@@ -218,18 +208,20 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
     plan1, plan2 = plans
     lam1, lam2 = lambdas
     gam1, gam2 = gammas
-    K1c = center(K1).entries
-    K2c = center(K2).entries
-    L1c = center(low_rank_dense(K1, plan1, 0.0)).entries
-    L2c = center(low_rank_dense(K2, plan2, 0.0)).entries
+    # T = P1 P2 from the views' ridge projections P = Kc (Kc + N lam I)^-1,
+    # and T_tilde likewise from the centered approximations at gamma = 0
+    P1 = ridge_projection(center(K1), lam1)
+    P2 = ridge_projection(center(K2), lam2)
+    Pt1 = ridge_projection(center(low_rank_dense(K1, plan1, 0.0)), lam1)
+    Pt2 = ridge_projection(center(low_rank_dense(K2, plan2, 0.0)), lam2)
 
-    T = _dense_t(K1c, K2c, lam1, lam2)
-    T_tilde = _dense_t(L1c, L2c, lam1, lam2)
+    T = P1 @ P2
+    T_tilde = Pt1 @ Pt2
     rho = float(scipy.linalg.svdvals(T)[0])
     rho_tilde = float(scipy.linalg.svdvals(T_tilde)[0])
     t_err = float(np.linalg.norm(T - T_tilde, 2))
-    view1_term = _sym_norm(ridge_projection(K1c, lam1) - ridge_projection(L1c, lam1))
-    view2_term = _sym_norm(ridge_projection(K2c, lam2) - ridge_projection(L2c, lam2))
+    view1_term = _sym_norm(P1 - Pt1)
+    view2_term = _sym_norm(P2 - Pt2)
 
     d1 = d_matrix_norm(K1, plan1, gam1)
     d2 = d_matrix_norm(K2, plan2, gam2)
@@ -286,10 +278,10 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
     idx1, idx2 = approx.landmarks1.indices, approx.landmarks2.indices
     L1 = low_rank_dense(K1, SamplingPlan(idx1, np.ones(idx1.size)), 0.0)
     L2 = low_rank_dense(K2, SamplingPlan(idx2, np.ones(idx2.size)), 0.0)
-    eps1 = _sym_norm(ridge_projection(center(K1).entries, lam1)
-                     - ridge_projection(center(L1).entries, lam1))
-    eps2 = _sym_norm(ridge_projection(center(K2).entries, exact.lambda2)
-                     - ridge_projection(center(L2).entries, exact.lambda2))
+    eps1 = _sym_norm(ridge_projection(center(K1), lam1)
+                     - ridge_projection(center(L1), lam1))
+    eps2 = _sym_norm(ridge_projection(center(K2), exact.lambda2)
+                     - ridge_projection(center(L2), exact.lambda2))
     eps = 2.0 * max(eps1, eps2)
     coef = 0.5 + 4.0 * math.sqrt(2.0) / r if r > 0 else np.inf
 

@@ -155,7 +155,7 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
 
     Parameters
     ----------
-    K1, K2 : GramMatrix or ndarray
+    K1, K2 : ndarray
         Uncentered kernel matrices of the two views.
     lambda1, lambda2 : float
         Positive scale-free regularizers (multiplied by N internally).
@@ -183,8 +183,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     if not 1 <= L <= n:
         raise ValueError("L must lie in [1, N]")
 
-    K1c = center(K1).entries
-    K2c = center(K2).entries
+    K1c = center(K1)
+    K2c = center(K2)
     fac1 = scipy.linalg.cho_factor(K1c + n * lambda1 * np.eye(n))
     fac2 = scipy.linalg.cho_factor(K2c + n * lambda2 * np.eye(n))
     A1 = scipy.linalg.cho_solve(fac1, K1c)
@@ -538,7 +538,7 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
     if min(T_hat.shape) == 0:
         return float(np.linalg.norm(T, 2))
     Y = Q1 @ T_hat
-    if n <= 320:
+    if n <= _SVDS_MIN_SIDE:
         return float(np.linalg.norm(T - Y @ Q2.T, 2))
     op = LinearOperator((n, n), matvec=lambda v: T @ v - Y @ (Q2.T @ v),
                         rmatvec=lambda u: T.T @ u - Q2 @ (Y.T @ u))

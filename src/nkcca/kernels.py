@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "KernelSpec",
-    "GramMatrix",
     "KernelColumns",
     "gram",
     "center",
@@ -17,37 +18,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus its bandwidth. Only the Gaussian RBF is supported."""
+    """The bandwidth of a Gaussian RBF kernel exp(-||x - y||^2 / (2 sigma^2)).
 
-    family: str = "gaussian_rbf"
+    sigma must be positive with 2 sigma^2 a finite, normal double (about
+    1e-154 <= sigma <= 1e154): outside that range the exponent's divisor
+    overflows or underflows, and the kernel is no longer defined by it.
+    """
+
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.family != "gaussian_rbf":
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Dense symmetric PSD kernel matrix over n training points."""
-
-    entries: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n", entries.shape[0])
+        two_var = 2.0 * self.sigma * self.sigma   # inf or 0 past the range
+        if not (self.sigma > 0 and sys.float_info.min <= two_var < math.inf):
+            raise ValueError(f"sigma = {self.sigma:g} must be positive with "
+                             f"2 sigma^2 a finite, normal double")
 
 
 def as_matrix(K) -> np.ndarray:
-    """Accept a GramMatrix or a plain square array; return the ndarray view."""
-    if isinstance(K, GramMatrix):
-        return K.entries
+    """The one square-matrix check: K as a float ndarray, or ValueError."""
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("expected a square matrix")
@@ -63,7 +51,7 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return d2
 
 
-def gram(spec: KernelSpec, X) -> GramMatrix:
+def gram(spec: KernelSpec, X) -> np.ndarray:
     """Build the uncentered N x N kernel matrix of the rows of X.
 
     Symmetry is enforced by mirroring the upper triangle, and the diagonal
@@ -74,7 +62,7 @@ def gram(spec: KernelSpec, X) -> GramMatrix:
     iu = np.triu_indices(K.shape[0], k=1)
     K[(iu[1], iu[0])] = K[iu]
     np.fill_diagonal(K, 1.0)
-    return GramMatrix(K)
+    return K
 
 
 def cross_gram(spec: KernelSpec, X_new, X_train) -> np.ndarray:
@@ -86,7 +74,7 @@ def cross_gram(spec: KernelSpec, X_new, X_train) -> np.ndarray:
     return np.exp(_sq_dists(X_new, X_train) / (-2.0 * spec.sigma**2))
 
 
-def center(K) -> GramMatrix:
+def center(K) -> np.ndarray:
     """Double-center a Gram matrix: H K H with H = I - (1/N) 11^T.
 
     Computed as K - rowmean - colmean + grandmean; H is never formed.
@@ -96,8 +84,7 @@ def center(K) -> GramMatrix:
     col = K.mean(axis=0, keepdims=True)
     grand = K.mean()
     out = K - row - col + grand
-    out = 0.5 * (out + out.T)
-    return GramMatrix(out)
+    return 0.5 * (out + out.T)
 
 
 class KernelColumns:
@@ -139,4 +126,4 @@ class KernelColumns:
         return cross_gram(self.spec, X_new, self._X)
 
     def dense(self) -> np.ndarray:
-        return gram(self.spec, self._X).entries
+        return gram(self.spec, self._X)

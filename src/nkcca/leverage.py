@@ -73,6 +73,23 @@ def _psd_eigh(K: np.ndarray, eigvals_only: bool = False):
     return np.maximum(sig, 0.0), U
 
 
+def _whitened_sketch(C: np.ndarray, W: np.ndarray, shift: float) -> np.ndarray:
+    """The whitened sketch F = C U+ diag(sig+ + shift)^-1/2, so that
+    F F^T = C (W + shift I)^+ C^T.
+
+    C holds sampled kernel columns (N x s) and W their s x s block, taken
+    as W = U diag(sig) U^T from one symmetric eigendecomposition; U+ and
+    sig+ keep the directions whose sig + shift exceeds the eps-threshold
+    sig_max * s * eps of the pseudo-inverse. Every dense Nystrom
+    approximation of the package comes from this factor: the leverage
+    sketch at shift 0 and ``diagnostics.low_rank_dense`` at shift N gamma.
+    """
+    sig, U = _psd_eigh(0.5 * (W + W.T))
+    tol = sig.max(initial=0.0) * W.shape[0] * np.finfo(float).eps
+    keep = sig + shift > tol
+    return C @ (U[:, keep] / np.sqrt(sig[keep] + shift))
+
+
 def exact_leverage(K, gamma: float) -> LeverageScores:
     """Exact gamma-ridge leverage scores of a PSD matrix.
 
@@ -107,12 +124,11 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
 
     Draws `sketch_size` distinct columns uniformly and reports the diagonal
     of L (L + N gamma I)^-1 for the landmark approximation L = C W^+ C^T
-    (C = the sampled columns, W = their square submatrix). One symmetric
-    eigendecomposition W = U diag(sig) U^T whitens the sketch: with the
-    directions above the eps-threshold of the pseudo-inverse kept,
-    F = C U+ diag(sig+)^-1/2 gives L = F F^T. By the push-through identity
-    the estimates are the squared column norms of R^-T F^T, where R is the
-    upper Cholesky factor of F^T F + N gamma I; the shift bounds its
+    (C = the sampled columns, W = their square submatrix). The whitened
+    sketch F = C U+ diag(sig+)^-1/2 of ``_whitened_sketch`` gives L = F F^T.
+    By the push-through identity the estimates are the squared column norms
+    of R^-T F^T, where R is the upper Cholesky factor of
+    F^T F + N gamma I; the shift bounds its
     condition number by 1 + ||F||^2 / (N gamma). Since L is dominated by K
     in the PSD order, the estimates never exceed the exact scores. With the
     full sketch, L = K and the estimates are exact.
@@ -126,11 +142,7 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     idx = np.sort(rng.choice(n, size=sketch_size, replace=False))
 
     C = np.column_stack([oracle.column(i) for i in idx])
-    W = C[idx, :]
-    sig_w, U_w = _psd_eigh(0.5 * (W + W.T))
-    tol = sig_w.max(initial=0.0) * sketch_size * np.finfo(float).eps
-    keep = sig_w > tol
-    F = C @ (U_w[:, keep] / np.sqrt(sig_w[keep]))
+    F = _whitened_sketch(C, C[idx, :], 0.0)
     del C  # at most two N x s arrays are ever live: C and F
     S = F.T @ F
     S[np.diag_indices_from(S)] += n * gamma
@@ -146,23 +158,14 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     return LeverageScores(scores=scores, gamma=gamma, d_eff=float(scores.sum()))
 
 
-def make_distribution(scores: LeverageScores, mix_uniform: float = 0.0) -> SamplingDistribution:
-    """Blend the leverage distribution l_i / d_eff with the uniform one.
+def make_distribution(scores: LeverageScores) -> SamplingDistribution:
+    """The leverage-score distribution l_i / d_eff.
 
-    mix_uniform = 0 gives pure leverage-score sampling, 1 gives uniform
-    sampling. A floor of PROB_FLOOR / N is applied before the final exact
+    A floor of PROB_FLOOR / N is applied before the final exact
     renormalization.
     """
-    if not 0.0 <= mix_uniform <= 1.0:
-        raise ValueError("mix_uniform must lie in [0, 1]")
+    if scores.d_eff <= 0:
+        raise ValueError("all-zero leverage scores give no distribution")
     l = np.asarray(scores.scores, dtype=float)
-    n = l.shape[0]
-    if mix_uniform < 1.0 and scores.d_eff <= 0:
-        raise ValueError("all-zero leverage scores require mix_uniform = 1")
-    if mix_uniform == 1.0:
-        ridge_part = np.zeros(n)
-    else:
-        ridge_part = l / scores.d_eff
-    p = (1.0 - mix_uniform) * ridge_part + mix_uniform / n
-    p = np.maximum(p, PROB_FLOOR / n)
+    p = np.maximum(l / scores.d_eff, PROB_FLOOR / l.shape[0])
     return SamplingDistribution(p=p / p.sum())

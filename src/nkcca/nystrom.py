@@ -83,6 +83,25 @@ def _equilibrated_block(columns: np.ndarray, indices: np.ndarray,
     return A, c, 0.5 * (S + S.T)
 
 
+def _grow(state, need: int) -> None:
+    """Make a factor state hold ``need`` columns: double its capacity until
+    it does, copying each buffer of ``state._BUFFERS`` (name -> capacity
+    axes, memory order) into the leading block of a new zero buffer."""
+    name, (axes, _) = next(iter(state._BUFFERS.items()))
+    cap = getattr(state, name).shape[axes[0]]
+    if need <= cap:
+        return
+    new_cap = cap
+    while new_cap < need:
+        new_cap *= 2
+    for name, (axes, order) in state._BUFFERS.items():
+        old = getattr(state, name)
+        new = np.zeros([new_cap if ax in axes else size
+                        for ax, size in enumerate(old.shape)], order=order)
+        new[tuple(slice(size) for size in old.shape)] = old
+        setattr(state, name, new)
+
+
 # ---------------------------------------------------------------------------
 # Incremental Cholesky state
 # ---------------------------------------------------------------------------
@@ -97,6 +116,9 @@ class CholState:
     column-major. Appends must be applied sequentially (single writer);
     reads of a finished state are safe from any thread.
     """
+
+    # buffer -> (capacity axes, memory order), for _grow
+    _BUFFERS = {"_c": ((0,), "C"), "_A": ((1,), "F"), "_R": ((0, 1), "C")}
 
     def __init__(self, n: int, lam: float, capacity: int = 16):
         if lam <= 0:
@@ -116,21 +138,6 @@ class CholState:
     @property
     def R(self) -> np.ndarray:
         return self._R[: self.m, : self.m]
-
-    def _grow(self, need: int):
-        cap = self._c.shape[0]
-        if need <= cap:
-            return
-        new_cap = cap
-        while new_cap < need:
-            new_cap *= 2
-        c = np.zeros(new_cap)
-        c[:cap] = self._c
-        A = np.zeros((self.n, new_cap), order="F")
-        A[:, :cap] = self._A
-        R = np.zeros((new_cap, new_cap))
-        R[:cap, :cap] = self._R
-        self._c, self._A, self._R = c, A, R
 
 
 def admit_columns(S: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -196,7 +203,7 @@ def chol_append_block(state: CholState, indices,
     p = len(kept)
     if p == 0:
         return kept
-    state._grow(m0 + p)
+    _grow(state, m0 + p)
     sl = slice(m0, m0 + p)
     state._A[:, sl] = A_blk[:, kept]
     state._c[sl] = c[kept]
@@ -233,6 +240,9 @@ class QrState:
     ``CholState.A``: every access is by column.
     """
 
+    # buffer -> (capacity axes, memory order), for _grow
+    _BUFFERS = {"_Q": ((1,), "F"), "_P": ((0, 1), "C")}
+
     def __init__(self, n: int, capacity: int = 16):
         self.n = n
         self.m = 0
@@ -247,19 +257,6 @@ class QrState:
     @property
     def P(self) -> np.ndarray:
         return self._P[: self.r, : self.m]
-
-    def _grow(self, need: int):
-        cap = self._P.shape[0]
-        if need <= cap:
-            return
-        new_cap = cap
-        while new_cap < need:
-            new_cap *= 2
-        Q = np.zeros((self.n, new_cap), order="F")
-        Q[:, :cap] = self._Q
-        P = np.zeros((new_cap, new_cap))
-        P[:cap, :cap] = self._P
-        self._Q, self._P = Q, P
 
 
 def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
@@ -276,7 +273,7 @@ def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
         raise ValueError("column block shape mismatch")
     if nb == 0:
         return state
-    state._grow(state.m + nb)
+    _grow(state, state.m + nb)
     m0, r0 = state.m, state.r
     Q = state._Q[:, :r0]
     norms = np.linalg.norm(A_blk, axis=0)

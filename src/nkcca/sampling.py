@@ -1,4 +1,4 @@
-"""Column sampling plans and the weighted sampling matrix they imply."""
+"""Column sampling plans: with-replacement draws and their weights."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .leverage import SamplingDistribution
 __all__ = [
     "SamplingPlan",
     "sample",
-    "sampling_matrix",
 ]
 
 
@@ -54,24 +53,13 @@ class SamplingPlan:
         return 1.0 / np.sqrt(self.m * self.p_sampled)
 
 
-def sample(dist: SamplingDistribution, m: int, seed) -> SamplingPlan:
+def sample(dist: SamplingDistribution, m: int, seed: int) -> SamplingPlan:
     """Draw m column indices i.i.d. with replacement from dist.
 
-    `seed` may be an int or a numpy Generator; integer seeds make the draw
-    reproducible across platforms (PCG64).
+    The integer seed makes the draw reproducible across platforms (PCG64).
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    idx = rng.choice(dist.n, size=m, p=dist.p)
+    idx = np.random.default_rng(seed).choice(dist.n, size=m, p=dist.p)
     return SamplingPlan(indices=idx, p_sampled=dist.p[idx])
 
-
-def sampling_matrix(plan: SamplingPlan, n: int) -> np.ndarray:
-    """Dense N x M sampling matrix S with S[i_j, j] = weights[j].
-
-    Intended for small-N diagnostics and tests only.
-    """
-    S = np.zeros((n, plan.m))
-    S[plan.indices, np.arange(plan.m)] = plan.weights
-    return S

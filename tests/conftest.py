@@ -21,7 +21,7 @@ def ring_gram(n, seed, sigma=1.0, view=1):
     """RBF Gram matrix of one view of the synthetic ring data."""
     ds = synthetic_circles(n, seed)
     X = ds.X if view == 1 else ds.Y
-    return gram(KernelSpec(sigma=sigma), X).entries
+    return gram(KernelSpec(sigma=sigma), X)
 
 
 def centering_matrix(n):
@@ -62,6 +62,14 @@ def unit_plan(indices):
 def full_plan(n):
     """All n columns once, unit weights (exact-recovery diagnostic)."""
     return unit_plan(np.arange(n))
+
+
+def sampling_matrix(plan, n):
+    """Dense N x M sampling matrix S with S[i_j, j] = weights[j]: the
+    reference for the weighted sampling the dense verifiers apply."""
+    S = np.zeros((n, plan.m))
+    S[plan.indices, np.arange(plan.m)] = plan.weights
+    return S
 
 
 class ArrayColumns:

@@ -49,8 +49,8 @@ def ring_views(n, data_seed, sigma):
 
 
 def ridge_dists(o1, o2, gamma):
-    d1 = make_distribution(exact_leverage(o1.dense(), gamma), 0.0)
-    d2 = make_distribution(exact_leverage(o2.dense(), gamma), 0.0)
+    d1 = make_distribution(exact_leverage(o1.dense(), gamma))
+    d2 = make_distribution(exact_leverage(o2.dense(), gamma))
     return d1, d2
 
 
@@ -146,14 +146,14 @@ def _random_instance(rng, pool):
                        jitter=10.0 ** rng.uniform(-6, -2))
     else:
         X = pool[rng.choice(pool.shape[0], size=n, replace=False)]
-        K = gram(KernelSpec(sigma=float(rng.uniform(0.3, 1.5))), X).entries
+        K = gram(KernelSpec(sigma=float(rng.uniform(0.3, 1.5))), X)
     gamma = 10.0 ** rng.uniform(-2.5, -0.3)
     lam = 10.0 ** rng.uniform(-2.5, -0.3)
     m = int(rng.integers(1, int(1.2 * n) + 1))
     if rng.random() < 0.5:
         dist = SamplingDistribution(p=np.full(n, 1.0 / n))
     else:
-        dist = make_distribution(exact_leverage(K, gamma), 0.0)
+        dist = make_distribution(exact_leverage(K, gamma))
     plan = sample(dist, m, seed=int(rng.integers(2**31)))
     return K, plan, gamma, lam
 
@@ -195,8 +195,8 @@ def test_criterion_5_weyl_chain():
             else:
                 rows = rng.choice(400, size=n, replace=False)
                 sg = float(rng.uniform(0.4, 1.2))
-                K1 = gram(KernelSpec(sigma=sg), pool_ds.X[rows]).entries
-                K2 = gram(KernelSpec(sigma=sg), pool_ds.Y[rows]).entries
+                K1 = gram(KernelSpec(sigma=sg), pool_ds.X[rows])
+                K2 = gram(KernelSpec(sigma=sg), pool_ds.Y[rows])
             dist = SamplingDistribution(p=np.full(n, 1.0 / n))
             plans = (sample(dist, int(rng.integers(2, n + 1)), seed=trial),
                      sample(dist, int(rng.integers(2, n + 1)), seed=trial + 7))

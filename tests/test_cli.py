@@ -357,8 +357,25 @@ def test_check_bounds_csv_above_dense_limit_is_config_error(tmp_path, capsys):
      ["tuning", "2 pairs"]),
     ("exact", {"n": "30", "L": "20", "select-n": "10", "sigma1": "1,2"},
      ["L = 20", "select_n"]),
+    ("nkcca", {"n": "40", "ranks": "21,28,37", "tune-n": "3",
+               "strategy": "ridge", "sigma1": "1e200"}, ["sigma = 1e+200"]),
+    ("nkcca", {"n": "3", "ranks": "10", "strategy": "ridge", "sketch": "45",
+               "sigma1": "1e-200"}, ["sigma = 1e-200"]),
+    ("check-bounds", {"n": "27", "L": "3", "sigma1": "1e-200",
+                      "lambda1": "1e-3,1e-1"}, ["sigma = 1e-200"]),
+    ("compare", {"n": "40", "ranks": "5,40", "tune-n": "3",
+                 "lambda1": "1e-300", "gamma-mult": "1e-300"},
+     ["gamma", "1e-300 * 1e-300"]),
+    ("nkcca", {"strategy": "ridge", "lambda1": "1e300", "gamma-mult": "1e300"},
+     ["gamma", "1e+300 * 1e+300"]),
+    ("exact", {"n": "20", "sigma1": "0.5,1.0", "select-n": "1"},
+     ["select_n", "at least 2"]),
+    ("rcca", {"n": "1", "tune-n": "2", "test-n": "2"}, ["training", "2 pairs"]),
 ], ids=["nkcca-test-n-1", "compare-test-n-1", "exact-L-above-N",
-        "nkcca-tune-n-1-grid", "exact-L-above-select-n"])
+        "nkcca-tune-n-1-grid", "exact-L-above-select-n", "nkcca-sigma-1e200",
+        "nkcca-sigma-1e-200", "check-bounds-sigma-1e-200",
+        "compare-gamma-underflow", "nkcca-gamma-overflow", "exact-select-n-1",
+        "rcca-n-1"])
 def test_degenerate_split_or_l_is_config_error(tmp_path, capsys, command,
                                                 over, words):
     code = run([command] + base_flags(tmp_path, **{"tune-n": "0",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import full_plan, random_psd, ring_gram, unit_plan
+from conftest import (full_plan, random_psd, ring_gram, sampling_matrix,
+                      unit_plan)
 
 from nkcca.datasets import synthetic_circles
 from nkcca.diagnostics import (BoundReport, d_matrix_norm, low_rank_dense,
@@ -12,7 +13,7 @@ from nkcca.diagnostics import (BoundReport, d_matrix_norm, low_rank_dense,
 from nkcca.kcca import exact_kcca, nkcca_fit_direct
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import SamplingDistribution, exact_leverage, make_distribution
-from nkcca.sampling import sample, sampling_matrix
+from nkcca.sampling import sample
 
 
 def uniform_plan(n, m, seed):
@@ -70,7 +71,7 @@ def test_d_norm_matches_brute_force():
 
 def test_d_norm_matches_mrrr_driver_on_clustered_ring_kernel():
     ds = synthetic_circles(300, 0)
-    K = gram(KernelSpec(sigma=0.2), ds.X).entries
+    K = gram(KernelSpec(sigma=0.2), ds.X)
     gamma = 1e-2
     plan = sample(make_distribution(exact_leverage(K, gamma)), 100, seed=4)
     sig, U = scipy.linalg.eigh(K, driver="evr")
@@ -112,6 +113,26 @@ def test_low_rank_dense_matches_dense_oracle():
     S = sampling_matrix(plan, 8)
     L = K @ S @ np.linalg.pinv(S.T @ K @ S + 8 * gamma * np.eye(4)) @ S.T @ K
     np.testing.assert_allclose(low_rank_dense(K, plan, gamma), L, atol=1e-10)
+
+
+def test_low_rank_dense_duplicated_landmarks_match_solve_oracles():
+    # repeated draws make S^T K S singular: at gamma > 0 the shifted core is
+    # still invertible, and at gamma = 0 the approximation is the one over
+    # the distinct landmarks
+    n, gamma = 80, 1e-3
+    K = ring_gram(n, seed=0)
+    for seed in range(6):
+        plan = uniform_plan(n, 30, seed)
+        S = sampling_matrix(plan, n)
+        core = S.T @ K @ S + n * gamma * np.eye(plan.m)
+        expected = K @ S @ np.linalg.solve(core, S.T @ K)
+        np.testing.assert_allclose(low_rank_dense(K, plan, gamma), expected,
+                                   rtol=0, atol=1e-10)
+        u = np.unique(plan.indices)
+        assert u.size < plan.m
+        expected = K[:, u] @ np.linalg.solve(K[np.ix_(u, u)], K[u])
+        np.testing.assert_allclose(low_rank_dense(K, plan, 0.0), expected,
+                                   rtol=0, atol=1e-10)
 
 
 def test_low_rank_dense_gamma_zero_singular_core_falls_back_to_pinv():
@@ -276,8 +297,8 @@ def test_correlation_error_gated_holds():
     lam = 1e-2
     t = 0.9
     gamma = 0.05
-    d1 = make_distribution(exact_leverage(K1, gamma), 0.0)
-    d2 = make_distribution(exact_leverage(K2, gamma), 0.0)
+    d1 = make_distribution(exact_leverage(K1, gamma))
+    d2 = make_distribution(exact_leverage(K2, gamma))
     held = 0
     for seed in range(10):
         plans = (sample(d1, 24, seed=seed), sample(d2, 24, seed=seed + 50))
@@ -299,8 +320,8 @@ def fit_pair(n=80, m=60, seed=0, lam=1e-2, sigma=1.0):
     K1 = gram(spec, ds.X)
     K2 = gram(spec, ds.Y)
     exact = exact_kcca(K1, K2, lam, lam, L=1, keep_t=True, view1=o1, view2=o2)
-    lv1 = make_distribution(exact_leverage(K1, lam), 0.0)
-    lv2 = make_distribution(exact_leverage(K2, lam), 0.0)
+    lv1 = make_distribution(exact_leverage(K1, lam))
+    lv2 = make_distribution(exact_leverage(K2, lam))
     p1 = sample(lv1, m, seed=seed)
     p2 = sample(lv2, m, seed=seed + 1)
     approx = nkcca_fit_direct(o1, o2, p1, p2, lam, lam, L=1, keep_t=True)

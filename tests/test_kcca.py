@@ -71,7 +71,7 @@ def test_exact_matches_block_eigensystem_oracle():
     K1, K2, *_ = two_view_problem(n=6, seed=3)
     lam1, lam2 = 0.02, 0.07
     model = exact_kcca(K1, K2, lam1, lam2, L=3)
-    T = dense_t(K1.entries, K2.entries, lam1, lam2)
+    T = dense_t(K1, K2, lam1, lam2)
     C = np.block([[np.zeros((6, 6)), T], [T.T, np.zeros((6, 6))]])
     evals, evecs = scipy.linalg.eigh(C)
     np.testing.assert_allclose(model.rho, evals[::-1][:3], atol=1e-10)
@@ -90,7 +90,7 @@ def test_exact_coefficient_relation():
     model = exact_kcca(K1, K2, lam1, lam2, L=2)
     n = 12
     H = centering_matrix(n)
-    K1c = H @ K1.entries @ H
+    K1c = H @ K1 @ H
     expected = np.sqrt(n) * np.linalg.solve(K1c + n * lam1 * np.eye(n),
                                             model.alpha_prime)
     np.testing.assert_allclose(model.alpha, expected, atol=1e-8)
@@ -148,7 +148,7 @@ def test_nkcca_single_landmark_matches_dense_oracle():
     p1 = unit_plan([3])
     p2 = unit_plan([9])
     entries = nkcca_fit(o1, o2, p1, p2, lam1, lam2, L=1, checkpoints=[1])
-    T_tilde = dense_t_tilde(K1.entries, K2.entries, p1, p2, lam1, lam2, 14)
+    T_tilde = dense_t_tilde(K1, K2, p1, p2, lam1, lam2, 14)
     expected = scipy.linalg.svdvals(T_tilde)[0]
     assert entries[0].rho_tilde[0] == pytest.approx(expected, abs=1e-10)
 
@@ -173,8 +173,8 @@ def test_nkcca_weyl_consistency():
     p1 = sample(dist, 8, seed=5)
     p2 = sample(dist, 8, seed=6)
     entries = nkcca_fit(o1, o2, p1, p2, lam, lam, L=1, checkpoints=[8])
-    T = dense_t(K1.entries, K2.entries, lam, lam)
-    T_tilde = dense_t_tilde(K1.entries, K2.entries, p1, p2, lam, lam, 16)
+    T = dense_t(K1, K2, lam, lam)
+    T_tilde = dense_t_tilde(K1, K2, p1, p2, lam, lam, 16)
     t_err = np.linalg.norm(T - T_tilde, 2)
     assert abs(exact.rho[0] - entries[0].rho_tilde[0]) <= t_err + 1e-8
 
@@ -385,7 +385,7 @@ def test_coefficients_full_rank_match_exact_formula():
     e = nkcca_fit(o1, o2, plan, plan, lam, lam, L=2, checkpoints=[16])[0]
     n = 16
     H = centering_matrix(n)
-    K1c = H @ K1.entries @ H
+    K1c = H @ K1 @ H
     expected = np.sqrt(n) * np.linalg.solve(K1c + n * lam * np.eye(n),
                                             e.model.alpha_prime)
     np.testing.assert_allclose(e.model.alpha, expected, atol=1e-7)
@@ -397,7 +397,7 @@ def test_project_training_point_matches_centered_gram_up_to_constant():
     K1, K2, o1, o2, X, Y = two_view_problem(n=12, seed=19)
     model = exact_kcca(K1, K2, 1e-2, 1e-2, L=1, view1=o1, view2=o2)
     H = centering_matrix(12)
-    dense = (H @ K1.entries @ H @ model.alpha)[:, 0]
+    dense = (H @ K1 @ H @ model.alpha)[:, 0]
     proj = project_many(model, X, view=1)[:, 0]
     offsets = proj - dense
     assert np.ptp(offsets) < 1e-8  # shared constant across training points
@@ -562,7 +562,7 @@ def test_t_error_norm_matches_dense():
     nkcca_fit(o1, o2, p1, p2, lam, lam, L=1, checkpoints=[9],
               on_checkpoint=lambda e, Q1, Q2, T_hat:
               captured.append(t_error_norm(exact.t_matrix, Q1, Q2, T_hat)))
-    T_tilde = dense_t_tilde(K1.entries, K2.entries, p1, p2, lam, lam, 18)
+    T_tilde = dense_t_tilde(K1, K2, p1, p2, lam, lam, 18)
     expected = np.linalg.norm(exact.t_matrix - T_tilde, 2)
     assert captured[0] == pytest.approx(expected, rel=1e-8)
 

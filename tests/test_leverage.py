@@ -19,7 +19,7 @@ def test_exact_leverage_matches_mrrr_driver_on_clustered_ring_kernel():
     # the RBF spectrum of ring data at a narrow bandwidth is tightly
     # clustered: the case where the eigensolver drivers differ in speed
     ds = synthetic_circles(300, 0)
-    K = gram(KernelSpec(sigma=0.2), ds.X).entries
+    K = gram(KernelSpec(sigma=0.2), ds.X)
     gamma = 1e-2
     sig, U = scipy.linalg.eigh(K, driver="evr")
     sig = np.maximum(sig, 0.0)
@@ -211,40 +211,21 @@ def test_approx_sketch_size_validation():
 
 # --- sampling distributions -------------------------------------------------
 
-def test_make_distribution_uniform():
-    lv = exact_leverage(np.eye(4), 0.25)
-    dist = make_distribution(lv, mix_uniform=1.0)
-    np.testing.assert_allclose(dist.p, np.full(4, 0.25), atol=1e-15)
-
-
 def test_make_distribution_pure_ridge():
     lv = exact_leverage(np.diag([5.0, 30.0, 5.0]), 0.4)
     # normalization identity: p = l / d_eff
-    dist = make_distribution(lv, mix_uniform=0.0)
+    dist = make_distribution(lv)
     np.testing.assert_allclose(dist.p, lv.scores / lv.d_eff, atol=1e-12)
-
-
-def test_make_distribution_half_mix():
-    # frozen from 0.5 * [0.2, 0.6, 0.2] + 0.5 * (1/3)
-    from nkcca.leverage import LeverageScores
-    lv = LeverageScores(scores=np.array([0.2, 0.6, 0.2]), gamma=0.1,
-                        d_eff=1.0)
-    dist = make_distribution(lv, mix_uniform=0.5)
-    np.testing.assert_allclose(dist.p, [0.26666666666666666,
-                                        0.4666666666666667,
-                                        0.26666666666666666], atol=1e-12)
 
 
 def test_make_distribution_sums_to_one_exactly():
     rng = np.random.default_rng(9)
     K = random_psd(rng, 35)
-    dist = make_distribution(exact_leverage(K, 0.02), mix_uniform=0.25)
+    dist = make_distribution(exact_leverage(K, 0.02))
     assert dist.p.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_make_distribution_zero_scores_error():
     lv = exact_leverage(np.zeros((3, 3)), 0.1)
     with pytest.raises(ValueError):
-        make_distribution(lv, mix_uniform=0.0)
-    dist = make_distribution(lv, mix_uniform=1.0)
-    np.testing.assert_allclose(dist.p, np.full(3, 1 / 3))
+        make_distribution(lv)

@@ -28,12 +28,22 @@
   pseudo-inverse drops directions), ``approx_leverage`` never exceeds
   ``exact_leverage`` by more than 1e-12, equals it within 1e-10 with the
   full sketch, and lies in [0, 1].
+* The dense approximations keep the PSD ordering L_gamma <= L <= K: on
+  ring kernels and plans with repeated draws and arbitrary weights, every
+  violation is at most 1e-12 ||K||.
+* The CLI never ends in a traceback: every command on tiny synthetic data
+  (n 1-40, small splits, random ranks, L, strategy, sketch and select_n,
+  sigma, lambda and gamma_mult up to 1e+-300) exits 0, 2 or 3, and a run
+  that exits 0 leaves its table.
 
 Examples are derandomized, so the suite is reproducible.
 """
 
+import contextlib
 import dataclasses
 import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,10 +53,12 @@ from conftest import recording, unit_plan
 from hypothesis import strategies as st
 
 from nkcca import kcca
+from nkcca.cli import main
 from nkcca.datasets import synthetic_circles
+from nkcca.diagnostics import low_rank_dense
 from nkcca.kcca import (KccaModel, Landmarks, load_model, nkcca_fit,
                         nkcca_fit_direct, project_many, save_model)
-from nkcca.kernels import KernelColumns, KernelSpec
+from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import approx_leverage, exact_leverage
 from nkcca.sampling import SamplingPlan
 
@@ -416,3 +428,124 @@ def test_sketched_leverage_is_dominated_by_exact(case):
     assert np.all((approx >= 0) & (approx <= 1))
     full = approx_leverage(oracle, gamma, n, case["seed"]).scores
     np.testing.assert_allclose(full, exact, rtol=0, atol=1e-10)
+
+
+@st.composite
+def dense_plans_with_repeats(draw):
+    n = draw(st.integers(8, 40))
+    m = draw(st.integers(2, 40))
+    # a pool smaller than the plan forces repeated draws, so S^T K S is
+    # singular at gamma = 0
+    pool = draw(st.integers(1, min(n, m - 1)))
+    return dict(n=n, seed=draw(st.integers(0, 1000)),
+                sigma=draw(st.sampled_from([0.2, 0.5, 1.0])),
+                gamma=draw(st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1])),
+                idx=draw(st.lists(st.integers(0, pool - 1), min_size=m,
+                                  max_size=m)),
+                p=draw(st.lists(st.floats(0.01, 1.0), min_size=m,
+                                max_size=m)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dense_plans_with_repeats())
+# a Cholesky of the singular core with a pseudo-inverse fallback violated
+# K - L >= 0 here by 2e-11 ||K||
+@example(dict(n=33, seed=130, sigma=1.0, gamma=1e-4,
+              idx=[0] * 36 + [1, 3, 7, 9], p=[1.0] * 37 + [0.5, 1.0, 1.0]))
+def test_low_rank_dense_keeps_the_psd_ordering(case):
+    K = gram(KernelSpec(sigma=case["sigma"]),
+             synthetic_circles(case["n"], case["seed"]).X)
+    plan = SamplingPlan(np.array(case["idx"]), np.array(case["p"]))
+    L = low_rank_dense(K, plan, 0.0)
+    Lg = low_rank_dense(K, plan, case["gamma"])
+    tol = 1e-12 * np.linalg.norm(K, 2)
+    assert np.linalg.eigvalsh(K - L)[0] >= -tol
+    assert np.linalg.eigvalsh(L - Lg)[0] >= -tol
+
+
+CLI_COMMANDS = ("gen-data", "exact", "nkcca", "rcca", "error-curve",
+                "speedup", "compare", "check-bounds")
+CLI_TABLES = {"gen-data": "x.csv", "exact": "correlations.csv",
+              "nkcca": "rank_path.csv", "rcca": "rcca.csv",
+              "error-curve": "error_curve.csv", "speedup": "speedup.csv",
+              "compare": "compare.csv", "check-bounds": "bounds.csv"}
+
+
+# usual values of the numeric flags, then extreme ones
+CLI_NUMBERS = {"sigma1": (["0.5", "1.0", "2.0"],
+                          ["1e-200", "1e-155", "1e155", "1e200"]),
+               "lambda1": (["1e-3", "0.1"], ["1e-300", "1e300"]),
+               "gamma-mult": (["1.0", "10"], ["1e-300", "1e300"])}
+CLI_NUMBERS["sigma2"] = CLI_NUMBERS["sigma1"]
+CLI_NUMBERS["lambda2"] = CLI_NUMBERS["lambda1"]
+
+
+@st.composite
+def cli_argvs(draw):
+    ranks = sorted(draw(st.sets(st.integers(1, 50), min_size=1, max_size=3)))
+    seeds = sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=2)))
+    argv = [draw(st.sampled_from(CLI_COMMANDS)),
+            "--n", str(draw(st.integers(1, 40))),
+            "--tune-n", str(draw(st.integers(0, 3))),
+            "--test-n", str(draw(st.integers(0, 3))),
+            "--ranks", ",".join(map(str, ranks)),
+            "--L", str(draw(st.integers(1, 4))),
+            "--strategy", draw(st.sampled_from(["uniform", "ridge", "exact"])),
+            "--sketch", str(draw(st.integers(0, 50))),
+            "--select-n", draw(st.sampled_from(["600", "2", "5", "1"])),
+            "--seeds", ",".join(map(str, seeds))]
+    # a few flags take extreme values, so most runs get past the boundary
+    extreme = draw(st.sets(st.sampled_from(list(CLI_NUMBERS)), max_size=2))
+    for flag, (usual, extremes) in CLI_NUMBERS.items():
+        pool = usual + extremes if flag in extreme else usual
+        size = 1 if flag == "gamma-mult" else 2
+        argv += [f"--{flag}", ",".join(draw(st.lists(
+            st.sampled_from(pool), min_size=1, max_size=size, unique=True)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argvs())
+# sigma^2 overflows on every command that builds a kernel
+@example(("nkcca --n 40 --ranks 21,28,37 --tune-n 3 --strategy ridge "
+                "--sigma1 1e200").split())
+@example(("error-curve --n 40 --ranks 21,28,37 --tune-n 3 "
+                "--strategy ridge --sigma1 1e200").split())
+@example(("speedup --n 40 --ranks 21,28,37 --tune-n 3 "
+                "--strategy ridge --sigma1 1e200").split())
+@example(("compare --n 40 --ranks 21,28,37 --tune-n 3 "
+                "--strategy ridge --sigma1 1e200").split())
+@example(("check-bounds --n 40 --ranks 21,28,37 --tune-n 3 "
+                "--strategy ridge --sigma1 1e200").split())
+# sigma^2 underflows to 0: the kernel divides 0 by -0
+@example(("nkcca --n 3 --test-n 0 --strategy ridge --sketch 45 "
+                "--sigma1 1e-200").split())
+# every landmark column is NaN, so the gate rejects them all
+@example(("check-bounds --n 27 --L 3 --sigma1 1e-200 "
+                "--lambda1 1e-3,1e-1 --seeds 0,1").split())
+# gamma = gamma_mult * lambda underflows to 0
+@example(("compare --n 40 --ranks 5,40 --tune-n 3 --lambda1 1e-300 "
+                "--gamma-mult 1e-300").split())
+# gamma overflows, so every leverage score is 0
+@example(("nkcca --n 10 --tune-n 2 --test-n 2 --ranks 3 --lambda1 1e300 "
+                "--gamma-mult 1e300 --strategy ridge").split())
+# model selection, or the RFF baseline, on one training point
+@example("exact --n 20 --sigma1 0.5,1.0 --select-n 1".split())
+@example("compare --n 1 --tune-n 2 --test-n 2 --ranks 1".split())
+def test_cli_exits_cleanly_on_any_small_config(argv):
+    """Every command on tiny data with extreme numbers exits 0, 2 or 3,
+    never with a traceback, and a run that exits 0 leaves its table."""
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv + ["--out", out])
+            except SystemExit as exc:   # argparse rejects a flag
+                code = exc.code
+        assert code in (0, 2, 3), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert (Path(out) / argv[0] / CLI_TABLES[argv[0]]).is_file()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import full_plan, unit_plan
+from conftest import full_plan, sampling_matrix, unit_plan
 
 from nkcca.leverage import SamplingDistribution
-from nkcca.sampling import SamplingPlan, sample, sampling_matrix
+from nkcca.sampling import SamplingPlan, sample
 
 
 def point_mass(n, i):
