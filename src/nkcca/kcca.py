@@ -22,18 +22,22 @@ hands (Q1, Q2, T_hat) to the caller's hook.
 
 Every top-k solve (exact, checkpoint and the RFF baseline's linear CCA) goes
 through one policy, _top_svd: ARPACK's Lanczos on the formed matrix once its
-short side exceeds max(100, 6k), a full LAPACK SVD below that.
+short side exceeds max(100, 6k), a full LAPACK SVD below that. The error
+norm of a checkpoint against the dense exact T (t_error_norm) comes from a
+Golub-Kahan-Lanczos bidiagonalization instead: it needs one singular value
+of an operator, not triplets of a formed matrix.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, svds
+from scipy.sparse.linalg import svds
 
 from .kernels import KernelColumns, as_matrix, center
 from .nystrom import (CholState, QrState, _equilibrated_block, admit_columns,
@@ -62,6 +66,13 @@ _SVDS_MIN_SIDE = 100
 _SVDS_SIDE_PER_TRIPLET = 6
 # exact_kcca forms several N x N matrices; it refuses larger problems.
 _EXACT_N_LIMIT = 5000
+# t_error_norm's bidiagonalization stops once the residual of its top
+# singular triplet is at most _GKL_RTOL times the singular value, and grows
+# its two Lanczos bases _GKL_BLOCK rows at a time.
+_GKL_RTOL = 1e-10
+_GKL_BLOCK = 32
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -126,8 +137,9 @@ def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
 
 
 def _arpack_start(n: int) -> np.ndarray:
-    """The one ARPACK start vector: fixed and pseudo-random. A constant one
-    such as ones can be null, since the exact T has centered columns on the
+    """The one Krylov start vector, fixed and pseudo-random: ARPACK's v0 in
+    _top_svd and t_error_norm's first right vector. A constant one such as
+    ones can be null, since the exact T has centered columns on the
     right (T 1 = 0) and the landmark columns are centered (Q^T 1 = 0)."""
     return np.random.default_rng(0).standard_normal(n)
 
@@ -146,6 +158,17 @@ def _top_svd(T: np.ndarray, k: int):
     U, s, Vt = svds(T, k=k, v0=_arpack_start(n))
     order = np.argsort(s)[::-1]
     return U[:, order], s[order], Vt[order]
+
+
+def _ridge_solve(Kc: np.ndarray, shift: float):
+    """Cholesky factor of Kc + shift I and (Kc + shift I)^-1 Kc, for a
+    symmetric Kc that the solve overwrites. Returns (cho_factor result,
+    solution); the factor is taken in a column-major copy, and Kc.T, the
+    same matrix, is column-major, so LAPACK works in place on both."""
+    S = np.array(Kc, order="F")
+    S[np.diag_indices_from(S)] += shift
+    fac = scipy.linalg.cho_factor(S, overwrite_a=True)
+    return fac, scipy.linalg.cho_solve(fac, Kc.T, overwrite_b=True)
 
 
 def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
@@ -183,14 +206,10 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     if not 1 <= L <= n:
         raise ValueError("L must lie in [1, N]")
 
-    K1c = center(K1)
-    K2c = center(K2)
-    fac1 = scipy.linalg.cho_factor(K1c + n * lambda1 * np.eye(n))
-    fac2 = scipy.linalg.cho_factor(K2c + n * lambda2 * np.eye(n))
-    A1 = scipy.linalg.cho_solve(fac1, K1c)
-    A2 = scipy.linalg.cho_solve(fac2, K2c)
+    fac1, A1 = _ridge_solve(center(K1), n * lambda1)
+    fac2, A2 = _ridge_solve(center(K2), n * lambda2)
     T = A1 @ A2
-    del A1, A2, K1c, K2c
+    del A1, A2
 
     U, s, Vt = _top_svd(T, min(L + 1, n))
     rho = s[:L].copy()
@@ -526,13 +545,29 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
     return entry
 
 
+def _cgs2(w: np.ndarray, B: np.ndarray) -> None:
+    """Orthogonalize w against the orthonormal rows of B in place, with two
+    classical Gram-Schmidt passes."""
+    for _ in range(2):
+        w -= B.T @ (B @ w)
+
+
 def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
                  T_hat: np.ndarray) -> float:
-    """Spectral norm of T minus the low-rank T = Q1 T_hat Q2^T of a
-    checkpoint (the arguments its ``on_checkpoint`` hook receives).
+    """Spectral norm of E = T - Q1 T_hat Q2^T, the exact T minus the
+    low-rank T of a checkpoint (the arguments its ``on_checkpoint`` hook
+    receives).
 
-    The low-rank side is applied as Y Q2^T through the N x r2 factor
-    Y = Q1 T_hat, so only the dense exact T is ever N x N.
+    E is applied as T v - Y (Q2^T v) through the N x r2 factor
+    Y = Q1 T_hat, so only the dense exact T is ever N x N. Above the dense
+    cut-off the norm comes from Golub-Kahan-Lanczos bidiagonalization,
+    E V_k = U_k B_k with B_k upper bidiagonal, from the seeded start vector,
+    both bases fully reorthogonalized (CGS2) and grown _GKL_BLOCK rows at a
+    time. After step k the top singular triplet (sigma, x, y) of B_k leaves
+    the residual ||E^T U_k x - sigma V_k y|| = beta_k |x_k|. The iteration
+    stops once that is at most _GKL_RTOL sigma, when alpha_k or beta_k
+    falls to rounding level (N eps ||T v_1|| <= N eps ||T||: the Krylov
+    space is numerically invariant), or after N steps.
     """
     n = T.shape[0]
     if min(T_hat.shape) == 0:
@@ -540,10 +575,42 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
     Y = Q1 @ T_hat
     if n <= _SVDS_MIN_SIDE:
         return float(np.linalg.norm(T - Y @ Q2.T, 2))
-    op = LinearOperator((n, n), matvec=lambda v: T @ v - Y @ (Q2.T @ v),
-                        rmatvec=lambda u: T.T @ u - Q2 @ (Y.T @ u))
-    s = svds(op, k=1, v0=_arpack_start(n), return_singular_vectors=False)
-    return float(s[0])
+    V = np.empty((_GKL_BLOCK, n))
+    U = np.empty((_GKL_BLOCK, n))
+    B = np.zeros((_GKL_BLOCK, _GKL_BLOCK))   # B_k is its leading k x k block
+    v = _arpack_start(n)
+    V[0] = v / np.linalg.norm(v)
+    p = T @ V[0]
+    tiny = n * np.finfo(float).eps * np.linalg.norm(p)
+    p -= Y @ (Q2.T @ V[0])
+    for k in range(1, n + 1):
+        # p = E v_k - beta_{k-1} u_{k-1}
+        _cgs2(p, U[:k - 1])
+        alpha = np.linalg.norm(p)
+        B[k - 1, k - 1] = alpha
+        if alpha <= tiny:
+            # E v_k lies in span(U_{k-1}): what B_k leaves out is alpha_k
+            sigma, residual = np.linalg.norm(B[:k, :k], 2), alpha
+            break
+        U[k - 1] = p / alpha
+        q = T.T @ U[k - 1] - Q2 @ (Y.T @ U[k - 1]) - alpha * V[k - 1]
+        _cgs2(q, V[:k])
+        beta = np.linalg.norm(q)
+        x, s, _ = np.linalg.svd(B[:k, :k])
+        sigma, residual = s[0], beta * abs(x[-1, 0])
+        if residual <= _GKL_RTOL * sigma or beta <= tiny or k == n:
+            break
+        if k == V.shape[0]:
+            grow = min(_GKL_BLOCK, n - k)
+            V = np.vstack([V, np.empty((grow, n))])
+            U = np.vstack([U, np.empty((grow, n))])
+            B = np.pad(B, ((0, grow), (0, grow)))
+        B[k - 1, k] = beta
+        V[k] = q / beta
+        p = T @ V[k] - Y @ (Q2.T @ V[k]) - beta * U[k - 1]
+    _log.debug("t_error_norm: %d Lanczos steps, residual %.3e (sigma %.6e)",
+               k, residual, sigma)
+    return float(sigma)
 
 
 # ---------------------------------------------------------------------------

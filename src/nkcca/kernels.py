@@ -77,14 +77,19 @@ def cross_gram(spec: KernelSpec, X_new, X_train) -> np.ndarray:
 def center(K) -> np.ndarray:
     """Double-center a Gram matrix: H K H with H = I - (1/N) 11^T.
 
-    Computed as K - rowmean - colmean + grandmean; H is never formed.
+    Computed as K - rowmean - colmean + grandmean, symmetrized, in one
+    N x N buffer; H is never formed.
     """
     K = as_matrix(K)
     row = K.mean(axis=1, keepdims=True)
     col = K.mean(axis=0, keepdims=True)
     grand = K.mean()
-    out = K - row - col + grand
-    return 0.5 * (out + out.T)
+    out = K - row
+    out -= col
+    out += grand
+    out += out.T   # numpy buffers the overlapping operand
+    out *= 0.5
+    return out
 
 
 class KernelColumns:

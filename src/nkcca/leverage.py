@@ -93,19 +93,37 @@ def _whitened_sketch(C: np.ndarray, W: np.ndarray, shift: float) -> np.ndarray:
 def exact_leverage(K, gamma: float) -> LeverageScores:
     """Exact gamma-ridge leverage scores of a PSD matrix.
 
-    Computed from the symmetric eigendecomposition K = U diag(sig) U^T as
-    l_i = sum_j sig_j / (sig_j + N gamma) * U_ij^2, which are the diagonal
-    entries of K (K + N gamma I)^-1.
+    The scores are the diagonal entries of K (K + N gamma I)^-1
+    = I - N gamma (K + N gamma I)^-1. With the Cholesky factor
+    R^T R = K + N gamma I, the inverse is R^-1 R^-T, so
+    l_i = 1 - N gamma ||(R^-1)_{i,:}||^2 and
+    d_eff = N - N gamma ||R^-1||_F^2, taken before the scores are clipped
+    to [0, 1]. Raises ValueError on a non-finite K and LinAlgError when
+    K + N gamma I is not numerically positive definite.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     K = as_matrix(K)
     n = K.shape[0]
-    sig, U = _psd_eigh(K)
-    shrink = sig / (sig + n * gamma)
-    scores = np.einsum("ij,j,ij->i", U, shrink, U)
+    shift = n * gamma
+    # the factor reads the upper triangle of K^T, i.e. K's lower one: the
+    # triangle that effective_dimension's eigh reads
+    S = np.array(K.T, order="F")
+    S[np.diag_indices_from(S)] += shift
+    try:
+        R = scipy.linalg.cholesky(S, lower=False, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"K + N gamma I is not numerically positive definite at gamma = "
+            f"{gamma:g} ({exc})") from None
+    # R has a positive diagonal, so the in-place inverse cannot fail
+    Rinv, _ = scipy.linalg.lapack.dtrtri(R, lower=0, overwrite_c=1)
+    shrunk = np.einsum("ij,ij->i", Rinv, Rinv)
+    shrunk *= shift
+    scores = 1.0 - shrunk
+    d_eff = float(n - shrunk.sum())
     np.clip(scores, 0.0, 1.0, out=scores)
-    return LeverageScores(scores=scores, gamma=gamma, d_eff=float(shrink.sum()))
+    return LeverageScores(scores=scores, gamma=gamma, d_eff=d_eff)
 
 
 def effective_dimension(K, gamma: float) -> float:

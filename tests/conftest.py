@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import scipy.linalg
 
 from nkcca.datasets import synthetic_circles
 from nkcca.kernels import KernelSpec, as_matrix, gram
@@ -89,3 +90,15 @@ class ArrayColumns:
 
     def dense(self):
         return self._K.copy()
+
+
+def eigen_leverage(K, gamma, driver=None):
+    """The eigen formula for exact ridge leverage scores: with
+    K = U diag(sig) U^T (negative eigenvalues clipped to 0),
+    l_i = sum_j sig_j / (sig_j + N gamma) U_ij^2 and d_eff = the sum of the
+    shrink factors. Returns (scores, d_eff)."""
+    n = K.shape[0]
+    sig, U = scipy.linalg.eigh(K, driver=driver)
+    sig = np.maximum(sig, 0.0)
+    shrink = sig / (sig + n * gamma)
+    return np.einsum("ij,j,ij->i", U, shrink, U), float(shrink.sum())

@@ -1,3 +1,4 @@
+import logging
 from unittest import mock
 
 import numpy as np
@@ -567,9 +568,10 @@ def test_t_error_norm_matches_dense():
     assert captured[0] == pytest.approx(expected, rel=1e-8)
 
 
-def test_t_error_norm_arpack_branch_matches_dense():
-    # n above the dense cut-off, so the norm comes from ARPACK over the
-    # factored operator; the oracle is the stored T of the same checkpoint
+def test_t_error_norm_lanczos_branch_matches_dense():
+    # n above the dense cut-off, so the norm comes from the bidiagonalization
+    # of the factored operator; the oracle is the stored T of the same
+    # checkpoint
     n = 400
     ds = synthetic_circles(n, 0)
     spec = KernelSpec(sigma=0.2)
@@ -591,7 +593,7 @@ def test_t_error_norm_arpack_branch_matches_dense():
               on_checkpoint=measure)
     assert len(captured) == 3
     for got, expected in captured:
-        assert got == pytest.approx(expected, rel=1e-8)
+        assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_t_error_norm_arpack_start_is_not_null():
@@ -609,3 +611,51 @@ def test_t_error_norm_arpack_start_is_not_null():
     core = rng.normal(size=(r, r))
     expected = np.linalg.norm(T - Q1 @ core @ Q2.T, 2)
     assert t_error_norm(T, Q1, Q2, core) == pytest.approx(expected, rel=1e-10)
+
+
+def _orthonormal(rng, n, r):
+    return np.linalg.qr(rng.normal(size=(n, r)))[0]
+
+
+def test_t_error_norm_of_a_threefold_top_singular_value():
+    # E = T - Q1 T_hat Q2^T has singular values 2, 2, 2, then 1.5 down to 0:
+    # one start vector sees one copy of the top value, which is still the norm
+    n, r = 300, 8
+    rng = np.random.default_rng(5)
+    s = np.concatenate([[2.0, 2.0, 2.0], np.linspace(1.5, 0.0, n - 3)])
+    E = (_orthonormal(rng, n, n) * s) @ _orthonormal(rng, n, n).T
+    Q1, Q2 = _orthonormal(rng, n, r), _orthonormal(rng, n, r)
+    T_hat = rng.normal(size=(r, r))
+    T = E + Q1 @ T_hat @ Q2.T
+    assert t_error_norm(T, Q1, Q2, T_hat) == pytest.approx(2.0, rel=1e-10)
+
+
+def test_t_error_norm_stops_early_when_the_error_is_rounding(caplog):
+    # T is the low-rank T itself, so E is rounding: the bidiagonalization
+    # must stop at the breakdown test rather than run N steps on noise
+    n, r = 300, 10
+    rng = np.random.default_rng(6)
+    Q1, Q2 = _orthonormal(rng, n, r), _orthonormal(rng, n, r)
+    T_hat = rng.normal(size=(r, r))
+    T = Q1 @ T_hat @ Q2.T
+    with caplog.at_level(logging.DEBUG, logger="nkcca.kcca"):
+        got = t_error_norm(T, Q1, Q2, T_hat)
+    assert got <= 1e-13 * np.linalg.norm(T, 2)
+    steps = [int(rec.getMessage().split()[1]) for rec in caplog.records
+             if rec.getMessage().startswith("t_error_norm:")]
+    assert len(steps) == 1 and steps[0] < n
+
+
+def test_t_error_norm_logs_its_steps_and_residual(caplog):
+    K1, K2, _, _, _, _ = two_view_problem(n=150, seed=7)
+    T = exact_kcca(K1, K2, 1e-3, 1e-3, keep_t=True).t_matrix
+    rng = np.random.default_rng(7)
+    Q1, Q2 = _orthonormal(rng, 150, 5), _orthonormal(rng, 150, 5)
+    with caplog.at_level(logging.DEBUG, logger="nkcca.kcca"):
+        sigma = t_error_norm(T, Q1, Q2, rng.normal(size=(5, 5)))
+    (rec,) = [r for r in caplog.records if r.name == "nkcca.kcca"]
+    assert rec.levelno == logging.DEBUG
+    words = rec.getMessage().split()
+    residual = float(words[words.index("residual") + 1])
+    assert 1 <= int(words[1]) <= 150
+    assert residual <= 1e-10 * sigma * (1 + 1e-3)   # printed to 4 digits

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import ArrayColumns, random_psd
+from conftest import ArrayColumns, eigen_leverage, random_psd
 from scipy.stats import spearmanr
 
 from nkcca.datasets import synthetic_circles
@@ -21,15 +21,11 @@ def test_exact_leverage_matches_mrrr_driver_on_clustered_ring_kernel():
     ds = synthetic_circles(300, 0)
     K = gram(KernelSpec(sigma=0.2), ds.X)
     gamma = 1e-2
-    sig, U = scipy.linalg.eigh(K, driver="evr")
-    sig = np.maximum(sig, 0.0)
-    shrink = sig / (sig + 300 * gamma)
+    scores, d_eff = eigen_leverage(K, gamma, driver="evr")
     lv = exact_leverage(K, gamma)
-    np.testing.assert_allclose(lv.scores, np.einsum("ij,j,ij->i", U, shrink, U),
-                               rtol=0, atol=1e-10)
-    assert lv.d_eff == pytest.approx(shrink.sum(), abs=1e-10)
-    assert effective_dimension(K, gamma) == pytest.approx(shrink.sum(),
-                                                          abs=1e-10)
+    np.testing.assert_allclose(lv.scores, scores, rtol=0, atol=1e-10)
+    assert lv.d_eff == pytest.approx(d_eff, abs=1e-10)
+    assert effective_dimension(K, gamma) == pytest.approx(d_eff, abs=1e-10)
 
 
 def test_exact_identity_kernel():
@@ -63,6 +59,19 @@ def test_exact_scores_are_squared_row_norms():
         B = U * np.sqrt(sig / (sig + n * gamma))
         lv = exact_leverage(K, gamma)
         np.testing.assert_allclose(lv.scores, np.sum(B * B, axis=1), atol=1e-10)
+
+
+def test_exact_rejects_a_shift_that_leaves_k_indefinite():
+    # K = -I with N gamma = 0.4 < 1: K + N gamma I = -0.6 I
+    with pytest.raises(np.linalg.LinAlgError, match="gamma = 0.1"):
+        exact_leverage(-np.eye(4), gamma=0.1)
+
+
+def test_exact_rejects_non_finite_kernel():
+    K = np.eye(3)
+    K[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        exact_leverage(K, gamma=0.1)
 
 
 def test_exact_requires_positive_gamma():

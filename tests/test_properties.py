@@ -28,6 +28,9 @@
   pseudo-inverse drops directions), ``approx_leverage`` never exceeds
   ``exact_leverage`` by more than 1e-12, equals it within 1e-10 with the
   full sketch, and lies in [0, 1].
+* Exact leverage from one Cholesky matches the eigen formula: on the same
+  duplicated ring data (K singular), the scores agree within 1e-11 and
+  d_eff within 1e-10 relative of ``effective_dimension``.
 * The dense approximations keep the PSD ordering L_gamma <= L <= K: on
   ring kernels and plans with repeated draws and arbitrary weights, every
   violation is at most 1e-12 ||K||.
@@ -49,7 +52,7 @@ from unittest import mock
 import numpy as np
 import scipy.linalg
 from hypothesis import HealthCheck, assume, example, given, settings
-from conftest import recording, unit_plan
+from conftest import eigen_leverage, recording, unit_plan
 from hypothesis import strategies as st
 
 from nkcca import kcca
@@ -59,7 +62,8 @@ from nkcca.diagnostics import low_rank_dense
 from nkcca.kcca import (KccaModel, Landmarks, load_model, nkcca_fit,
                         nkcca_fit_direct, project_many, save_model)
 from nkcca.kernels import KernelColumns, KernelSpec, gram
-from nkcca.leverage import approx_leverage, exact_leverage
+from nkcca.leverage import (approx_leverage, effective_dimension,
+                            exact_leverage)
 from nkcca.sampling import SamplingPlan
 
 RHO_TOL = 1e-8
@@ -430,6 +434,22 @@ def test_sketched_leverage_is_dominated_by_exact(case):
     np.testing.assert_allclose(full, exact, rtol=0, atol=1e-10)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(duplicated_ring_data())
+# every point twice: K is singular, always
+@example(dict(X=np.repeat(synthetic_circles(15, 0).X, 2, axis=0), sigma=1.0,
+              gamma=1e-3, sketch=30, seed=0))
+def test_exact_leverage_matches_the_eigen_formula(case):
+    K = gram(KernelSpec(sigma=case["sigma"]), case["X"])
+    gamma = case["gamma"]
+    scores, _ = eigen_leverage(K, gamma)
+    lv = exact_leverage(K, gamma)
+    np.testing.assert_allclose(lv.scores, scores, rtol=0, atol=1e-11)
+    ref = effective_dimension(K, gamma)
+    assert abs(lv.d_eff - ref) <= 1e-10 * ref
+
+
 @st.composite
 def dense_plans_with_repeats(draw):
     n = draw(st.integers(8, 40))
@@ -534,6 +554,12 @@ def cli_argvs(draw):
 # model selection, or the RFF baseline, on one training point
 @example("exact --n 20 --sigma1 0.5,1.0 --select-n 1".split())
 @example("compare --n 1 --tune-n 2 --test-n 2 --ranks 1".split())
+# above the dense cut-off of t_error_norm, so its bidiagonalization runs
+@example("error-curve --n 130 --ranks 20,60 --tune-n 3 --test-n 3".split())
+# exact leverage with N gamma = 4e-299: the Cholesky of K + N gamma I has
+# next to no shift
+@example(("nkcca --n 40 --ranks 5,40 --tune-n 3 --strategy exact "
+          "--sigma1 2.0 --lambda1 1e-300 --gamma-mult 1.0").split())
 def test_cli_exits_cleanly_on_any_small_config(argv):
     """Every command on tiny data with extreme numbers exits 0, 2 or 3,
     never with a traceback, and a run that exits 0 leaves its table."""
