@@ -31,7 +31,7 @@ from .diagnostics import (correlation_error_check, projection_error_check,
                           tail_bound_check, write_reports)
 from .kcca import (_EXACT_N_LIMIT, exact_kcca, nkcca_fit, nkcca_fit_direct,
                    project_many, save_model, t_error_norm, total_correlation)
-from .kernels import KernelColumns, KernelSpec
+from .kernels import KernelColumns, KernelSpec, as_points
 from .leverage import (SamplingDistribution, approx_leverage, exact_leverage,
                        make_distribution)
 from .sampling import sample
@@ -58,7 +58,7 @@ class ExperimentConfig:
     lambda1: tuple = (1e-3,)
     lambda2: tuple = (1e-3,)
     strategy: str = "uniform"           # uniform | ridge | exact
-    gamma_mult: tuple = (1.0,)          # a single value: gamma = mult * lambda
+    gamma_mult: float = 1.0             # gamma = gamma_mult * lambda
     ranks: tuple = tuple(range(100, 1001, 100))
     L: int = 1
     seeds: tuple = (0,)
@@ -74,11 +74,9 @@ class ExperimentConfig:
         for key in _TUPLE_KEYS:
             if len(getattr(self, key)) == 0:
                 raise ConfigError(f"{key} grid must be nonempty")
-        if len(self.gamma_mult) > 1:
-            raise ConfigError(f"gamma_mult takes one value, got {self.gamma_mult}")
         if not all(math.isfinite(v) and v > 0
                    for v in self.sigma1 + self.sigma2 + self.lambda1
-                   + self.lambda2 + self.gamma_mult):
+                   + self.lambda2 + (self.gamma_mult,)):
             raise ConfigError("sigma, lambda, and gamma multipliers must be "
                               "finite and positive")
         for sigma in self.sigma1 + self.sigma2:
@@ -88,10 +86,10 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from exc
         for lam in self.lambda1 + self.lambda2:
             # gamma = gamma_mult * lambda may underflow to 0 or overflow
-            gamma = self.gamma_mult[0] * lam
+            gamma = self.gamma_mult * lam
             if not (math.isfinite(gamma) and gamma > 0):
                 raise ConfigError(f"gamma = gamma_mult * lambda = "
-                                  f"{self.gamma_mult[0]:g} * {lam:g} is not "
+                                  f"{self.gamma_mult:g} * {lam:g} is not "
                                   f"a finite positive double")
         if list(self.ranks) != sorted(set(self.ranks)):
             raise ConfigError("ranks must be strictly increasing")
@@ -113,9 +111,9 @@ class ExperimentConfig:
             raise ConfigError("L must be at least 1")
 
 
-_TUPLE_KEYS = ("sigma1", "sigma2", "lambda1", "lambda2", "gamma_mult",
-               "ranks", "seeds")
-_INT_KEYS = {"n", "tune_n", "test_n", "data_seed", "L", "sketch", "select_n"}
+_TUPLE_KEYS = ("sigma1", "sigma2", "lambda1", "lambda2", "ranks", "seeds")
+_NUMBER_KEYS = {"n": int, "tune_n": int, "test_n": int, "data_seed": int,
+                "L": int, "sketch": int, "select_n": int, "gamma_mult": float}
 
 
 def _parse_scalar_list(raw: str, as_int: bool) -> tuple:
@@ -141,8 +139,11 @@ def _coerce(key: str, raw) -> object:
     raw = str(raw)
     if key in _TUPLE_KEYS:
         return _parse_scalar_list(raw, as_int=key in ("ranks", "seeds"))
-    if key in _INT_KEYS:
-        return int(raw)
+    if key in _NUMBER_KEYS:
+        try:
+            return _NUMBER_KEYS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key} takes one number, got {raw!r}") from exc
     return raw
 
 
@@ -187,6 +188,7 @@ def _make_data(cfg: ExperimentConfig) -> SimpleNamespace:
     else:
         try:
             ds = load_paired_csv(cfg.csv_x, cfg.csv_y, cfg.split, cfg.data_seed)
+            as_points(ds.X), as_points(ds.Y)   # the kernels' input check
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load the csv dataset: {exc}") from exc
         parts = [ds.subset(name) for name in ("train", "tune", "test")]
@@ -201,8 +203,8 @@ def _make_data(cfg: ExperimentConfig) -> SimpleNamespace:
 
 
 def _view_distribution(cfg: ExperimentConfig, oracle: KernelColumns,
-                       lam: float, gamma_mult: float,
-                       strategy: str | None = None) -> SamplingDistribution:
+                       lam: float, strategy: str | None = None
+                       ) -> SamplingDistribution:
     """Sampling distribution for one view. Leverage scores are part of the
     method (deterministic given the data), so the sketch seed derives from
     the data seed, not from the per-run sampling seeds."""
@@ -210,7 +212,7 @@ def _view_distribution(cfg: ExperimentConfig, oracle: KernelColumns,
     n = oracle.n
     if strategy == "uniform":
         return SamplingDistribution(p=np.full(n, 1.0 / n))
-    gamma = gamma_mult * lam
+    gamma = cfg.gamma_mult * lam
     if strategy == "exact":
         scores = exact_leverage(oracle.dense(), gamma)
     else:
@@ -268,7 +270,7 @@ class _Experiment:
     def distributions(self, strategy):
         if strategy not in self._dists:
             self._dists[strategy] = tuple(
-                _view_distribution(self.cfg, o, lam, self.cfg.gamma_mult[0], strategy)
+                _view_distribution(self.cfg, o, lam, strategy)
                 for o, lam in ((self.o1, self.l1), (self.o2, self.l2)))
         return self._dists[strategy]
 
@@ -499,7 +501,7 @@ def cmd_check_bounds(args) -> int:
     o1, o2, l1, l2 = exp.o1, exp.o2, exp.l1, exp.l2
     K1, K2 = o1.dense(), o2.dense()
     exact = exp.exact((K1, K2), keep_t=True)
-    gamma1, gamma2 = cfg.gamma_mult[0] * l1, cfg.gamma_mult[0] * l2
+    gamma1, gamma2 = cfg.gamma_mult * l1, cfg.gamma_mult * l2
     t_gate = 0.9
     reports = []
     for seed in cfg.seeds:

@@ -41,7 +41,8 @@ from scipy.sparse.linalg import svds
 
 from .kernels import KernelColumns, as_matrix, center
 from .nystrom import (CholState, QrState, _equilibrated_block, admit_columns,
-                      chol_append_block, chol_solve, qr_append_block)
+                      chol_append_block, chol_solve, qr_append_block,
+                      solve_upper)
 from .sampling import SamplingPlan
 
 __all__ = [
@@ -244,8 +245,7 @@ def _border_m(M: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
     out[:r0, :m0] = M
     rhs = P[:, m0:].copy()
     rhs[:r0] -= M @ R[:m0, m0:]
-    out[:, m0:] = scipy.linalg.solve_triangular(
-        R[m0:, m0:], rhs.T, trans="T", lower=False, check_finite=False).T
+    out[:, m0:] = solve_upper(R[m0:, m0:], rhs.T, trans=True).T
     return out
 
 
@@ -284,68 +284,62 @@ def _border_k_tilde(K: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     out = np.empty((k1, k2))
     out[:k10, :k20] = K
     if k1 > k10:
-        t = scipy.linalg.solve_triangular(
-            R2[:k20, :k20], (A1[:, k10:].T @ A2[:, :k20]).T, trans="T",
-            lower=False, check_finite=False).T
+        t = solve_upper(R2[:k20, :k20], (A1[:, k10:].T @ A2[:, :k20]).T,
+                        trans=True).T
         t -= R1[:k10, k10:].T @ K
-        out[k10:, :k20] = scipy.linalg.solve_triangular(
-            R1[k10:, k10:], t, trans="T", lower=False, check_finite=False)
+        out[k10:, :k20] = solve_upper(R1[k10:, k10:], t, trans=True)
     if k2 > k20:
-        t = scipy.linalg.solve_triangular(R1, A1.T @ A2[:, k20:], trans="T",
-                                          lower=False, check_finite=False)
+        t = solve_upper(R1, A1.T @ A2[:, k20:], trans=True)
         t -= out[:, :k20] @ R2[:k20, k20:]
-        out[:, k20:] = scipy.linalg.solve_triangular(
-            R2[k20:, k20:], t.T, trans="T", lower=False,
-            check_finite=False).T
+        out[:, k20:] = solve_upper(R2[k20:, k20:], t.T, trans=True).T
     return out
 
 
-class _ViewState:
-    """Mutable per-view sweep state for the incremental fitter."""
+def _candidates(indices: np.ndarray, m: int) -> np.ndarray:
+    """Positions of the first draw of each index among the first m, in draw
+    order: the only draws offered to the gate. A candidate's Schur
+    complement only shrinks as landmarks are added, so a redraw of an index
+    the gate rejected could not pass it either."""
+    return np.sort(np.unique(indices[:m], return_index=True)[1])
 
-    def __init__(self, oracle: KernelColumns, plan: SamplingPlan, lam: float):
+
+def _landmarks(plan: SamplingPlan, kept, draws: int) -> Landmarks:
+    """Bookkeeping of a view that kept the plan positions ``kept`` of its
+    first ``draws`` draws; every other position is skipped."""
+    return Landmarks(indices=plan.indices[kept], draws=draws,
+                     skipped=np.setdiff1d(np.arange(draws), kept).tolist())
+
+
+class _ViewState:
+    """Mutable per-view sweep state for the incremental fitter, sized for
+    the candidates up to the view's ``last`` checkpoint."""
+
+    def __init__(self, oracle: KernelColumns, plan: SamplingPlan, lam: float,
+                 last: int):
         self.oracle = oracle
         self.plan = plan
-        self.chol = CholState(oracle.n, lam)
-        self.qr = QrState(oracle.n)
+        self.candidates = _candidates(plan.indices, last)
+        self.chol = CholState(oracle.n, lam, len(self.candidates))
+        self.qr = QrState(oracle.n, len(self.candidates))
         self.M = np.zeros((0, 0))
-        self.seen: set[int] = set()
-        self.draws = 0
-        self.skipped: list[int] = []
+        self.offered = 0           # candidates offered to the gate so far
+        self.kept: list[int] = []  # their plan positions the gate kept
 
-    def advance(self, target_draws: int) -> None:
-        """Consume plan draws up to target_draws (at most the plan length),
-        recording repeated indices and columns the gate rejects as skipped."""
-        idx = self.plan.indices
-        pending: list[int] = []
-        while self.draws < target_draws:
-            pos = self.draws
-            self.draws += 1
-            i = int(idx[pos])
-            if i in self.seen:
-                self.skipped.append(pos)
-                continue
-            self.seen.add(i)
-            pending.append(pos)
-        if not pending:
+    def advance(self, draws: int) -> None:
+        """Offer the candidates among the first ``draws`` plan draws that
+        were not offered yet to the gate, as one block."""
+        stop = int(np.searchsorted(self.candidates, draws))
+        block = self.candidates[self.offered:stop]
+        self.offered = stop
+        if block.size == 0:
             return
         m0 = self.chol.m
-        block_idx = idx[pending]
-        columns = self.oracle.columns(block_idx)
-        kept = chol_append_block(self.chol, block_idx, columns)
-        kept_set = set(kept)
-        for j, pos in enumerate(pending):
-            if j not in kept_set:
-                self.skipped.append(pos)
-                self.seen.discard(int(idx[pos]))
-        self.skipped.sort()
+        idx = self.plan.indices[block]
+        kept = chol_append_block(self.chol, idx, self.oracle.columns(idx))
         if kept:
+            self.kept += block[kept].tolist()
             qr_append_block(self.qr, self.chol.A[:, m0:])
             self.M = _border_m(self.M, self.qr.P, self.chol.R)
-
-    def landmarks(self) -> Landmarks:
-        return Landmarks(indices=np.array(self.chol.indices, dtype=int),
-                         draws=self.draws, skipped=list(self.skipped))
 
 
 def _checkpoint_solution(Q1: np.ndarray, Q2: np.ndarray, T_hat: np.ndarray,
@@ -419,11 +413,13 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
 
     At every checkpoint (m1, m2) the solver emits the model fitted on the
     first m1 / m2 plan draws per view, coefficients included, reusing all
-    factor state built for earlier checkpoints. Repeated landmark indices
-    (legitimate under with-replacement sampling) add nothing to the rank-0
-    approximation and would make the factor target singular, so they are
-    skipped and recorded in the landmark bookkeeping; the same rule is
-    applied by the non-incremental reference fitter.
+    factor state built for earlier checkpoints. Only the first draw of an
+    index is a candidate landmark: repeats (legitimate under
+    with-replacement sampling) add nothing to the rank-0 approximation and
+    would make the factor target singular, so they are skipped and recorded
+    in the landmark bookkeeping, as in the non-incremental reference fitter.
+    The plan's candidates up to each view's last checkpoint size its factor
+    storage once.
 
     ``on_checkpoint(entry, Q1, Q2, T_hat)`` is invoked after each entry is
     built with what the checkpoint solved: the N x r1 / N x r2 bases Q1, Q2
@@ -441,8 +437,9 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
 
     t0 = time.perf_counter()
     hook_time = 0.0
-    v1 = _ViewState(oracle1, plan1, lambda1)
-    v2 = _ViewState(oracle2, plan2, lambda2)
+    last1, last2 = cps[-1] if cps else (0, 0)
+    v1 = _ViewState(oracle1, plan1, lambda1, last1)
+    v2 = _ViewState(oracle2, plan2, lambda2, last2)
     k_tilde = np.zeros((0, 0))
     T_hat = np.zeros((0, 0))
     entries: list[RankPathEntry] = []
@@ -460,7 +457,8 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
         model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
                           L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
                           sigma_next=sig_next, view1=oracle1, view2=oracle2,
-                          landmarks1=v1.landmarks(), landmarks2=v2.landmarks())
+                          landmarks1=_landmarks(plan1, v1.kept, m1),
+                          landmarks2=_landmarks(plan2, v2.kept, m2))
         nkcca_coefficients(model, A1, R1, A2, R2)
         entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model)
         entry.wall_time_incremental = time.perf_counter() - t0 - hook_time
@@ -507,29 +505,24 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
     built = []
     for oracle, plan, m, lam in ((oracle1, plan1, m1, lambda1),
                                  (oracle2, plan2, m2, lambda2)):
-        # first draw of each index, in draw order; repeats are skipped
-        cand_pos = np.sort(np.unique(plan.indices[:m], return_index=True)[1])
-        idx_all = plan.indices[cand_pos]
+        cand = _candidates(plan.indices, m)
+        idx_all = plan.indices[cand]
         A_all, _, G_all = _equilibrated_block(oracle.columns(idx_all), idx_all,
                                               lam)
 
         # the same gate as the incremental path, on the whole target at once
         kept, R = admit_columns(G_all)
-        skipped = sorted(set(range(m)).difference(cand_pos[kept].tolist()))
         A = A_all[:, kept]
         Q, P = scipy.linalg.qr(A, mode="economic")
 
         # M = P R^-1 from scratch: R^T M^T = P^T
-        M = scipy.linalg.solve_triangular(R, P.T, trans="T", lower=False).T
-        built.append((A, R, Q, M, Landmarks(indices=idx_all[kept], draws=m,
-                                            skipped=skipped)))
+        M = solve_upper(R, P.T, trans=True).T
+        built.append((A, R, Q, M, _landmarks(plan, cand[kept], m)))
 
     (A1, R1, Q1, M1, lm1), (A2, R2, Q2, M2, lm2) = built
     # Kt = R1^-T (A1^T A2) R2^-1 from scratch
-    k_tilde = scipy.linalg.solve_triangular(R1, A1.T @ A2, trans="T",
-                                            lower=False)
-    k_tilde = scipy.linalg.solve_triangular(R2, k_tilde.T, trans="T",
-                                            lower=False).T
+    k_tilde = solve_upper(R1, A1.T @ A2, trans=True)
+    k_tilde = solve_upper(R2, k_tilde.T, trans=True).T
     T_hat = (M1 @ k_tilde) @ M2.T
     rho, ap, bp, sig_next = _checkpoint_solution(Q1, Q2, T_hat, L)
     model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
@@ -634,7 +627,7 @@ def project_many(model: KccaModel, X_new, view: int) -> np.ndarray:
     if coeffs is None:
         raise ValueError("model has no coefficients for this view; call "
                          "nkcca_coefficients first")
-    K_new = oracle.cross(np.atleast_2d(np.asarray(X_new, dtype=float)))
+    K_new = oracle.cross(X_new)
     K_new = K_new - K_new.mean(axis=1, keepdims=True)
     return K_new @ coeffs
 

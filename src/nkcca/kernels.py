@@ -42,6 +42,22 @@ def as_matrix(K) -> np.ndarray:
     return K
 
 
+def as_points(X) -> np.ndarray:
+    """The one point-set check: X as a 2-D float array (rows are points)
+    with 4 d max |x_ij|^2 finite for its d columns, or ValueError. That
+    bound is finite only if every entry is, and it is at least 4 max
+    ||x||^2, which bounds every term of the squared distances."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D (points x features), got "
+                         f"{X.ndim}-D")
+    top = float(np.abs(X).max(initial=0.0))   # NaN if any entry is
+    if not math.isfinite(4.0 * X.shape[1] * top * top):
+        raise ValueError("X has non-finite entries, or squared distances "
+                         "that overflow a double")
+    return X
+
+
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise squared distances, clipped at 0 against rounding."""
     xx = np.einsum("ij,ij->i", X, X)
@@ -66,9 +82,7 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
 
 
 def cross_gram(spec: KernelSpec, X_new, X_train) -> np.ndarray:
-    """Kernel affinities of new points against training points (rows x cols)."""
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
+    """Kernel affinities of the rows of two 2-D arrays (rows x rows)."""
     if X_new.shape[1] != X_train.shape[1]:
         raise ValueError("dimension mismatch between new and training points")
     return np.exp(_sq_dists(X_new, X_train) / (-2.0 * spec.sigma**2))
@@ -95,20 +109,14 @@ def center(K) -> np.ndarray:
 class KernelColumns:
     """Column oracle for a kernel matrix: serves columns of the kernel of
     (spec, X), evaluated on demand, without holding the N x N matrix in
-    memory. X is validated here, once: it must be a finite 2-D array (rows
-    are points).
+    memory. X is validated here, once, by ``as_points``; so are the new
+    points of ``cross``.
     """
 
     def __init__(self, spec: KernelSpec, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D (points x features), got "
-                             f"{X.ndim}-D")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("X has non-finite entries")
-        self._X = X
+        self._X = as_points(X)
         self.spec = spec
-        self.n = X.shape[0]
+        self.n = self._X.shape[0]
 
     @classmethod
     def from_data(cls, spec: KernelSpec, X) -> "KernelColumns":
@@ -128,7 +136,7 @@ class KernelColumns:
 
     def cross(self, X_new) -> np.ndarray:
         """Kernel columns of new points against the training set (n_new x N)."""
-        return cross_gram(self.spec, X_new, self._X)
+        return cross_gram(self.spec, as_points(np.atleast_2d(X_new)), self._X)
 
     def dense(self) -> np.ndarray:
         return gram(self.spec, self._X)

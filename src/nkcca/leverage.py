@@ -48,9 +48,11 @@ class SamplingDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
+        if p.ndim != 1:
+            raise ValueError("probabilities must be a 1-D array")
         if np.any(p < 0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:   # a NaN sum fails it too
             raise ValueError("probabilities must sum to 1")
         object.__setattr__(self, "p", p)
 

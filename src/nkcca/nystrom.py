@@ -23,13 +23,15 @@ border ``[W; B]`` with ``W = R_old^-T C`` for the cross terms ``C`` and ``B``
 the factor of the Schur complement, and ``Q, P`` gain columns by two block
 projection passes plus Gram-Schmidt within the block. Leading blocks never
 change, so advancing to a larger rank reuses everything already computed.
-``A`` and ``Q`` are stored column-major: appends write them, and the
-projections and the Gram-Schmidt loop read them, one whole column at a
-time, so each column is one contiguous run of memory, and a projection
-pass updates its column-major working block in place.
+Each state is sized once, by a capacity fixed when it is made (a sampling
+plan bounds the landmarks of a rank path in advance), and an append past it
+raises ``ValueError``. Every buffer is column-major: appends write whole
+columns, the projections and the Gram-Schmidt loop read them, and a
+leading block of ``R`` reaches LAPACK without a transposing copy
+(``solve_upper``).
 ``admit_columns`` is the one landmark-admission gate (shared with the
-from-scratch reference fitter) and ``chol_solve`` the one solve with a
-factor.
+from-scratch reference fitter), ``solve_upper`` the one triangular solve
+with a factor and ``chol_solve`` the solve with its target.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "chol_solve",
     "QrState",
     "qr_append_block",
+    "solve_upper",
 ]
 
 # A landmark is kept only if more than this fraction of its mass in the
@@ -83,23 +86,12 @@ def _equilibrated_block(columns: np.ndarray, indices: np.ndarray,
     return A, c, 0.5 * (S + S.T)
 
 
-def _grow(state, need: int) -> None:
-    """Make a factor state hold ``need`` columns: double its capacity until
-    it does, copying each buffer of ``state._BUFFERS`` (name -> capacity
-    axes, memory order) into the leading block of a new zero buffer."""
-    name, (axes, _) = next(iter(state._BUFFERS.items()))
-    cap = getattr(state, name).shape[axes[0]]
-    if need <= cap:
-        return
-    new_cap = cap
-    while new_cap < need:
-        new_cap *= 2
-    for name, (axes, order) in state._BUFFERS.items():
-        old = getattr(state, name)
-        new = np.zeros([new_cap if ax in axes else size
-                        for ax, size in enumerate(old.shape)], order=order)
-        new[tuple(slice(size) for size in old.shape)] = old
-        setattr(state, name, new)
+def solve_upper(R: np.ndarray, B: np.ndarray, trans: bool = False):
+    """Solve R X = B, or R^T X = B with ``trans``, for an upper-triangular R.
+    Passed as the lower triangle of R^T, a column-major R (or a block of a
+    factor buffer) reaches LAPACK without a transposing copy."""
+    return scipy.linalg.solve_triangular(R.T, B, trans="N" if trans else "T",
+                                         lower=True, check_finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -112,24 +104,22 @@ class CholState:
     After m appended landmarks, ``R`` is the upper-triangular Cholesky
     factor of ``G_m = N lam * gram + A^T A`` where ``gram[j, l] =
     c_j c_l K(i_j, i_l)`` and ``A[:, j] = c_j H k_{i_j}``, with the
-    equilibrating scales ``c`` of ``_equilibrated_block``; ``A`` is stored
-    column-major. Appends must be applied sequentially (single writer);
-    reads of a finished state are safe from any thread.
+    equilibrating scales ``c`` of ``_equilibrated_block``. Appends must be
+    applied sequentially (single writer); reads of a finished state are
+    safe from any thread. ``capacity`` bounds the landmarks it can keep.
     """
 
-    # buffer -> (capacity axes, memory order), for _grow
-    _BUFFERS = {"_c": ((0,), "C"), "_A": ((1,), "F"), "_R": ((0, 1), "C")}
-
-    def __init__(self, n: int, lam: float, capacity: int = 16):
+    def __init__(self, n: int, lam: float, capacity: int):
         if lam <= 0:
             raise ValueError("lambda must be positive")
         self.n = n
         self.lam = lam
+        self.capacity = capacity
         self.m = 0
         self.indices: list[int] = []
-        self._c = np.zeros(capacity)
+        self._c = np.zeros(capacity, order="F")
         self._A = np.zeros((n, capacity), order="F")
-        self._R = np.zeros((capacity, capacity))
+        self._R = np.zeros((capacity, capacity), order="F")
 
     @property
     def A(self) -> np.ndarray:
@@ -179,7 +169,8 @@ def chol_append_block(state: CholState, indices,
     The grown factor's leading block is unchanged, the border is R_old^-T
     applied to the cross terms, and the trailing block factors the Schur
     complement. Columns failing ``admit_columns`` are skipped and leave no
-    trace in the state; returns the block-local positions kept.
+    trace in the state; returns the block-local positions kept. Keeping
+    more landmarks than the state's capacity raises ``ValueError``.
     """
     indices = np.asarray(indices, dtype=int)
     nb = indices.shape[0]
@@ -192,8 +183,7 @@ def chol_append_block(state: CholState, indices,
         prev_idx = np.asarray(state.indices, dtype=int)
         gram_cross = (columns[prev_idx, :] * state._c[:m0, None]) * c
         C_full = state.A.T @ A_blk + state.n * state.lam * gram_cross
-        W = scipy.linalg.solve_triangular(state.R, C_full, trans="T",
-                                          lower=False, check_finite=False)
+        W = solve_upper(state.R, C_full, trans=True)
         S_blk = S_blk - W.T @ W
         S_blk = 0.5 * (S_blk + S_blk.T)
     else:
@@ -203,7 +193,8 @@ def chol_append_block(state: CholState, indices,
     p = len(kept)
     if p == 0:
         return kept
-    _grow(state, m0 + p)
+    if m0 + p > state.capacity:
+        raise ValueError(f"keeping {m0 + p} landmarks exceeds the capacity")
     sl = slice(m0, m0 + p)
     state._A[:, sl] = A_blk[:, kept]
     state._c[sl] = c[kept]
@@ -219,9 +210,7 @@ def chol_solve(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     ``CholState.R``) via two triangular solves."""
     if R.shape[0] == 0:
         raise ValueError("empty factor")
-    Y = scipy.linalg.solve_triangular(R, B, trans="T", lower=False,
-                                      check_finite=False)
-    return scipy.linalg.solve_triangular(R, Y, lower=False, check_finite=False)
+    return solve_upper(R, solve_upper(R, B, trans=True))
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +225,16 @@ class QrState:
     (r columns after m appends, r <= m); ``P`` is r x m with column j
     holding the coefficients of input column j in the Q basis, upper
     triangular in the full-rank case. A dependent column gets coefficients
-    in P but no fabricated direction. ``Q`` is stored column-major, like
-    ``CholState.A``: every access is by column.
+    in P but no fabricated direction. ``capacity`` bounds m.
     """
 
-    # buffer -> (capacity axes, memory order), for _grow
-    _BUFFERS = {"_Q": ((1,), "F"), "_P": ((0, 1), "C")}
-
-    def __init__(self, n: int, capacity: int = 16):
+    def __init__(self, n: int, capacity: int):
         self.n = n
+        self.capacity = capacity
         self.m = 0
         self.r = 0
         self._Q = np.zeros((n, capacity), order="F")
-        self._P = np.zeros((capacity, capacity))
+        self._P = np.zeros((capacity, capacity), order="F")
 
     @property
     def Q(self) -> np.ndarray:
@@ -267,13 +253,15 @@ def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
     small residual norm would otherwise amplify the rounding left in the
     inputs' means. A column whose residual is below 1e-10 times its norm is
     dependent: its projection coefficients are recorded in P but no Q column
-    is invented."""
+    is invented. Appending past the state's capacity raises ``ValueError``.
+    """
     nb = A_blk.shape[1]
     if A_blk.shape[0] != state.n:
         raise ValueError("column block shape mismatch")
     if nb == 0:
         return state
-    _grow(state, state.m + nb)
+    if state.m + nb > state.capacity:
+        raise ValueError(f"{state.m + nb} columns exceed the capacity")
     m0, r0 = state.m, state.r
     Q = state._Q[:, :r0]
     norms = np.linalg.norm(A_blk, axis=0)

@@ -31,17 +31,21 @@ class SamplingPlan:
     p_sampled: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(self.indices)
         p = np.asarray(self.p_sampled, dtype=float)
         if idx.ndim != 1 or idx.shape != p.shape:
             raise ValueError("indices and p_sampled must be 1-D and aligned")
         if idx.size < 1:
             raise ValueError("a plan needs at least one column")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"column indices must be integers, got "
+                             f"{idx.dtype}")
         if np.any(idx < 0):
             raise ValueError("column indices must be nonnegative")
-        if np.any(p <= 0):
-            raise ValueError("sampled probabilities must be positive")
-        object.__setattr__(self, "indices", idx)
+        if not np.all((p > 0) & np.isfinite(p)):
+            raise ValueError("sampled probabilities must be positive and "
+                             "finite")
+        object.__setattr__(self, "indices", idx.astype(int))
         object.__setattr__(self, "p_sampled", p)
 
     @property

@@ -262,7 +262,7 @@ def bench_curves():
     cfg = ExperimentConfig(n=3000, tune_n=500, test_n=500,
                            sigma1=(BENCH_SIGMA,), sigma2=(BENCH_SIGMA,),
                            lambda1=(BENCH_LAMBDA,), lambda2=(BENCH_LAMBDA,),
-                           gamma_mult=(BENCH_GAMMA_MULT,),
+                           gamma_mult=BENCH_GAMMA_MULT,
                            ranks=BENCH_RANKS, L=1, seeds=BENCH_SEEDS,
                            data_seed=0)
     data = _make_data(cfg)

@@ -83,18 +83,22 @@ def test_config_validation_errors(tmp_path):
                 dict(strategy="ridge", sketch=-5),
                 dict(sigma1=(0.5, 1.0), select_n=0), dict(sigma1=(nan,)),
                 dict(lambda1=(nan,)), dict(lambda1=(inf,)),
-                dict(gamma_mult=(inf,))):
+                dict(gamma_mult=inf)):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad).validate()
     # an infinite regularizer used to run to exit code 0
     assert run(["nkcca"] + base_flags(tmp_path, lambda1="inf")) == 2
+    # an integer key that does not parse used to end in a traceback
+    assert run(["nkcca"] + base_flags(tmp_path, n="6o")) == 2
     assert not (tmp_path / "nkcca").exists()
 
 
-def test_gamma_mult_grid_is_rejected():
-    ExperimentConfig(gamma_mult=(10.0,)).validate()
+def test_gamma_mult_grid_is_rejected(tmp_path):
+    ExperimentConfig(gamma_mult=10.0).validate()
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("gamma_mult = 1.0,10.0\n")
     with pytest.raises(ConfigError, match="gamma_mult"):
-        ExperimentConfig(gamma_mult=(1.0, 10.0)).validate()
+        load_config_file(cfg_file)
 
 
 def test_gamma_mult_grid_exit_code(tmp_path, capsys):
@@ -290,6 +294,25 @@ def test_bad_csv_cell_is_config_error(tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert f"{x}: " in err and "line 5" in err
+
+
+def test_csv_whose_squared_distances_overflow_is_config_error(tmp_path,
+                                                              capsys):
+    # one coordinate of 1e200 made the kernel's squared distances NaN, and
+    # compare ended in an eigh traceback
+    rng = np.random.default_rng(0)
+    X, Y = rng.normal(size=(40, 2)), rng.normal(size=(40, 2))
+    X[0, 0] = 1e200
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, X, delimiter=",")
+    np.savetxt(y, Y, delimiter=",")
+    code = run(["compare", "--dataset", "csv", "--csv-x", str(x),
+                "--csv-y", str(y), "--ranks", "5,10",
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "overflow" in err
+    assert not (tmp_path / "out" / "compare").exists()
 
 
 def test_bad_csv_first_row_is_config_error(tmp_path, capsys):

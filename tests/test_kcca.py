@@ -358,7 +358,7 @@ def test_coefficients_zero_kernel_limit():
     # empty landmark set: (Lc + N lam I)^-1 = I / (N lam)
     rng = np.random.default_rng(15)
     ap = rng.normal(size=(9, 2))
-    chol = CholState(9, 0.2)
+    chol = CholState(9, 0.2, capacity=0)
     out = _nystrom_coefficients(ap, chol.A, chol.R, n=9, lam=0.2)
     np.testing.assert_allclose(out, ap / (np.sqrt(9) * 0.2), atol=1e-14)
 
@@ -367,7 +367,7 @@ def test_coefficients_nullspace_probe():
     # alpha' orthogonal to range(A) leaves only the identity term
     K1, K2, o1, o2, _, _ = two_view_problem(n=10, seed=16)
     # the factor state of a fit on landmarks 1 and 6
-    chol1 = CholState(10, 0.05)
+    chol1 = CholState(10, 0.05, capacity=2)
     assert chol_append_block(chol1, [1, 6], o1.columns(np.array([1, 6]))) \
         == [0, 1]
     A = chol1.A

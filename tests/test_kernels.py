@@ -43,6 +43,25 @@ def test_kernel_spec_validation():
         assert KernelSpec(sigma=sigma).sigma == sigma
 
 
+def test_points_whose_squared_distances_overflow_are_rejected():
+    # at 1e200, ||x||^2 + ||y||^2 - 2 x.y is inf - inf = NaN; at 1e150,
+    # the bound 4 d max |x_ij|^2 = 8e300 still fits in a double
+    spec = KernelSpec(sigma=1.0)
+    X = np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 1.0]])
+    big = X.copy()
+    big[1, 0] = 1e200
+    with pytest.raises(ValueError, match="overflow"):
+        KernelColumns(spec, big)
+    oracle = KernelColumns(spec, X)
+    with pytest.raises(ValueError, match="overflow"):
+        oracle.cross(big)
+    with pytest.raises(ValueError, match="non-finite"):
+        oracle.cross([[np.nan, 0.0]])
+    X[1, 0] = 1e150
+    cols = KernelColumns(spec, X).columns([0, 1, 2])
+    assert np.isfinite(cols).all() and cols[1, 1] == 1.0
+
+
 def test_gram_single_point():
     K = gram(KernelSpec(), np.array([[2.0, 3.0]]))
     np.testing.assert_array_equal(K, [[1.0]])

@@ -6,8 +6,9 @@ from scipy.stats import spearmanr
 
 from nkcca.datasets import synthetic_circles
 from nkcca.kernels import KernelSpec, gram
-from nkcca.leverage import (approx_leverage, effective_dimension,
-                            exact_leverage, make_distribution)
+from nkcca.leverage import (SamplingDistribution, approx_leverage,
+                            effective_dimension, exact_leverage,
+                            make_distribution)
 
 
 def dense_inverse_scores(K, gamma):
@@ -238,3 +239,13 @@ def test_make_distribution_zero_scores_error():
     lv = exact_leverage(np.zeros((3, 3)), 0.1)
     with pytest.raises(ValueError):
         make_distribution(lv)
+
+
+@pytest.mark.parametrize("p", [[np.nan, 1.0], [0.5, np.nan, 0.5],
+                               [[0.5, 0.5]], [[0.25, 0.25], [0.25, 0.25]]],
+                         ids=["nan", "nan_inside", "row", "matrix"])
+def test_distribution_rejects_malformed_probabilities(p):
+    # a NaN sum passed the old |sum - 1| > 1e-12 test, and 2-D arrays
+    # summing to 1 were accepted
+    with pytest.raises(ValueError):
+        SamplingDistribution(p=np.array(p))

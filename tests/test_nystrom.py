@@ -34,7 +34,7 @@ def test_chol_init_identity_hand_arithmetic():
     # K = I, N = 2, first landmark 0, lambda = 1: H k = [0.5, -0.5],
     # d0 = 0.5 + 2 * 1 * 1 = 2.5, so a1 = H k / sqrt(2.5) and R1 = 1
     oracle = ArrayColumns(np.eye(2))
-    state = CholState(2, lam=1.0)
+    state = CholState(2, lam=1.0, capacity=1)
     assert append(state, oracle, 0) == [0]
     np.testing.assert_allclose(state.A[:, 0], np.array([0.5, -0.5])
                                / np.sqrt(2.5), atol=1e-15)
@@ -45,7 +45,7 @@ def test_chol_init_constant_column():
     # a constant column has no centered mass: d0 = N lam K_ii = 4 * 0.5 * 0.7
     # comes from the ridge term alone, which equilibration scales to 1
     K = np.full((4, 4), 0.7)
-    state = CholState(4, lam=0.5)
+    state = CholState(4, lam=0.5, capacity=1)
     append(state, ArrayColumns(K), 1)
     np.testing.assert_allclose(state.A[:, 0], np.zeros(4), atol=1e-15)
     assert state.R[0, 0] ** 2 == pytest.approx(1.0, rel=1e-12)
@@ -55,7 +55,7 @@ def test_chol_init_matches_dense_scalar():
     rng = np.random.default_rng(5)
     K = random_psd(rng, 6)
     lam = 0.2
-    state = CholState(6, lam)
+    state = CholState(6, lam, capacity=1)
     append(state, ArrayColumns(K), 4)
     H = centering_matrix(6)
     d0 = 6 * lam * K[4, 4] + K[:, 4] @ H @ K[:, 4]
@@ -71,7 +71,7 @@ def test_chol_two_steps_match_dense_target():
     oracle = ArrayColumns(K)
     lam = 0.3
     idx = [1, 4]
-    state = CholState(6, lam)
+    state = CholState(6, lam, capacity=2)
     append(state, oracle, idx[0])
     append(state, oracle, idx[1])
     target = dense_target(K, idx, lam)
@@ -89,10 +89,10 @@ def test_chol_many_steps_match_batch_factorization():
     target = dense_target(K, idx, lam)
     R_dense = scipy.linalg.cholesky(target)
     B = rng.normal(size=(8, 3))
-    stepped = CholState(n, lam)
+    stepped = CholState(n, lam, capacity=8)
     for i in idx:
         append(stepped, oracle, i)
-    block = CholState(n, lam)
+    block = CholState(n, lam, capacity=8)
     assert append(block, oracle, idx) == list(range(8))
     for state in (stepped, block):
         np.testing.assert_allclose(state.R, R_dense,
@@ -107,7 +107,7 @@ def test_chol_duplicate_landmark_hits_error_path():
     rng = np.random.default_rng(9)
     K = random_psd(rng, 6, jitter=0.1)
     oracle = ArrayColumns(K)
-    state = CholState(6, lam=0.4)
+    state = CholState(6, lam=0.4, capacity=1)
     append(state, oracle, 2)
     R_before = state.R.copy()
     target = dense_target(K, [2, 2], 0.4)
@@ -121,12 +121,12 @@ def test_chol_solve_identity_and_scalar():
     rng = np.random.default_rng(10)
     K = random_psd(rng, 7)
     oracle = ArrayColumns(K)
-    state = CholState(7, lam=0.1)
+    state = CholState(7, lam=0.1, capacity=2)
     append(state, oracle, 0)
     append(state, oracle, 3)
     G = state.R.T @ state.R
     np.testing.assert_allclose(chol_solve(state.R, G), np.eye(2), atol=1e-8)
-    single = CholState(7, lam=0.1)
+    single = CholState(7, lam=0.1, capacity=1)
     append(single, oracle, 5)
     b = np.array([2.0])
     assert chol_solve(single.R, b)[0] == pytest.approx(
@@ -137,14 +137,14 @@ def test_chol_state_diag_positive():
     rng = np.random.default_rng(11)
     K = random_psd(rng, 9)
     oracle = ArrayColumns(K)
-    state = CholState(9, 0.2)
+    state = CholState(9, 0.2, capacity=3)
     for i in (0, 5, 7):
         append(state, oracle, i)
     assert np.all(np.diag(state.R) > 0)
 
 
 def test_chol_block_validation():
-    state = CholState(3, 0.1)
+    state = CholState(3, 0.1, capacity=1)
     with pytest.raises(ValueError, match="shape"):
         chol_append_block(state, [0, 1], np.eye(3)[:, :1])
     # a zero kernel gives the first column no mass: it is skipped
@@ -158,7 +158,7 @@ def test_gate_rejects_duplicate_within_block():
     rng = np.random.default_rng(14)
     K = random_psd(rng, 8, jitter=0.1)
     oracle = ArrayColumns(K)
-    state = CholState(8, 0.2)
+    state = CholState(8, 0.2, capacity=2)
     assert append(state, oracle, [3, 5, 3]) == [0, 1]
     assert state.indices == [3, 5]
     np.testing.assert_allclose(state.R.T @ state.R,
@@ -188,14 +188,14 @@ def test_gate_rejects_negligible_new_mass():
         G = dense_target(oracle.dense(), [0, 1], 0.1)
         resid = G[1, 1] - G[0, 1] ** 2 / G[0, 0]
         assert (resid < DEFAULT_NEW_MASS_RTOL) == (len(expected) == 1)
-        state = CholState(5, 0.1)
+        state = CholState(5, 0.1, capacity=2)
         assert append(state, oracle, [0, 1]) == expected
 
 
 def test_gate_rejects_zero_mass_first_column():
     # column 0 of K is zero: no centered mass and no self-affinity
     K = np.diag([0.0, 1.0, 1.0, 1.0])
-    state = CholState(4, 0.1)
+    state = CholState(4, 0.1, capacity=1)
     assert append(state, ArrayColumns(K), [0, 1]) == [1]
     assert state.indices == [1]
     assert state.R[0, 0] ** 2 == pytest.approx(
@@ -242,7 +242,7 @@ def test_gate_matches_left_looking_reference():
 def test_qr_orthogonal_inputs():
     u = np.column_stack([np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
                          np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)])
-    state = QrState(3)
+    state = QrState(3, capacity=2)
     qr_append_block(state, u[:, :1])
     qr_append_block(state, u[:, 1:])
     np.testing.assert_allclose(state.Q, u, atol=1e-14)
@@ -252,10 +252,10 @@ def test_qr_orthogonal_inputs():
 
 def test_qr_dependent_column_flagged():
     a = np.array([1.0, 2.0, 0.0, -3.0])
-    one_by_one = QrState(4)
+    one_by_one = QrState(4, capacity=2)
     qr_append_block(one_by_one, a[:, None])
     qr_append_block(one_by_one, 2.0 * a[:, None])
-    block = QrState(4)
+    block = QrState(4, capacity=2)
     qr_append_block(block, np.column_stack([a, 2.0 * a]))
     for state in (one_by_one, block):
         assert (state.m, state.r) == (2, 1)
@@ -267,7 +267,7 @@ def test_qr_dependent_column_flagged():
 
 def test_qr_random_columns_reconstruct():
     rng = np.random.default_rng(12)
-    state = QrState(9)
+    state = QrState(9, capacity=5)
     A = rng.normal(size=(9, 5))
     A -= A.mean(axis=0)
     qr_append_block(state, A)
@@ -276,37 +276,49 @@ def test_qr_random_columns_reconstruct():
                                atol=1e-10 * np.abs(A).max())
 
 
-def test_qr_growth_beyond_initial_capacity():
+def test_append_past_capacity_raises():
+    # the capacity bounds what a state keeps: an append that would store
+    # more columns raises and leaves the state as it was
     rng = np.random.default_rng(13)
-    A = rng.normal(size=(40, 20))
+    A = rng.normal(size=(40, 6))
     A -= A.mean(axis=0)
-    one_by_one = QrState(40, capacity=4)
-    for j in range(20):
-        qr_append_block(one_by_one, A[:, j : j + 1])
-    blocks = QrState(40, capacity=4)
-    for j in range(0, 20, 7):
-        qr_append_block(blocks, A[:, j : j + 7])
-    for state in (one_by_one, blocks):
-        np.testing.assert_allclose(state.Q.T @ state.Q, np.eye(20), atol=1e-9)
-        np.testing.assert_allclose(state.Q @ state.P, A, atol=1e-9)
+    qr = QrState(40, capacity=4)
+    qr_append_block(qr, A[:, :3])
+    with pytest.raises(ValueError, match="capacity"):
+        qr_append_block(qr, A[:, 3:5])
+    assert (qr.m, qr.r) == (3, 3)
+    qr_append_block(qr, A[:, 3:4])
+    np.testing.assert_allclose(qr.Q @ qr.P, A[:, :4], atol=1e-12)
+    oracle = ArrayColumns(random_psd(rng, 40))
+    chol = CholState(40, 0.1, capacity=2)
+    append(chol, oracle, [0, 1])
+    R_before = chol.R.copy()
+    with pytest.raises(ValueError, match="capacity"):
+        append(chol, oracle, 2)
+    assert chol.m == 2 and chol.indices == [0, 1]
+    np.testing.assert_array_equal(chol.R, R_before)
+    # a block whose rejected columns would not fit is still appended
+    assert append(CholState(40, 0.1, capacity=1), oracle, [3, 3]) == [0]
 
 
 def test_qr_dimension_check():
-    state = QrState(3)
+    state = QrState(3, capacity=1)
     with pytest.raises(ValueError):
         qr_append_block(state, np.ones((4, 1)))
 
 
-def test_factor_storage_stays_column_major_through_growth():
-    # both states start at capacity 2 and double several times; the QR
-    # blocks also carry planted dependent columns, within the block and on
-    # earlier blocks
+def test_factor_storage_is_column_major():
+    # both states are sized once, for all 34 landmarks and the 7 planted
+    # QR columns (dependent ones, within the block and on earlier blocks),
+    # and every buffer is column-major and never reallocated
     rng = np.random.default_rng(21)
     n = 60
     oracle = KernelColumns.from_data(KernelSpec(sigma=0.7),
                                      rng.normal(size=(n, 2)))
-    chol = CholState(n, lam=1e-2, capacity=2)
-    qr = QrState(n, capacity=2)
+    chol = CholState(n, lam=1e-2, capacity=34)
+    qr = QrState(n, capacity=41)
+    buffers = [chol._c, chol._A, chol._R, qr._Q, qr._P]
+    assert all(buf.flags.f_contiguous for buf in buffers)
     fed = []
     for idx in (np.arange(0, 3), np.arange(3, 9), np.arange(9, 20),
                 np.arange(20, 34)):
@@ -320,7 +332,8 @@ def test_factor_storage_stays_column_major_through_growth():
         qr_append_block(qr, block)
         fed += list(block.T)
         assert chol.A.flags.f_contiguous and qr.Q.flags.f_contiguous
-    assert chol._c.shape[0] >= 32 and qr._P.shape[0] >= 32
+    assert all(now is buf for now, buf in
+               zip([chol._c, chol._A, chol._R, qr._Q, qr._P], buffers))
     A = np.column_stack(fed)
     assert qr.m == A.shape[1] == chol.m + 7 and qr.r <= chol.m
     np.testing.assert_allclose(qr.Q.T @ qr.Q, np.eye(qr.r), rtol=0,

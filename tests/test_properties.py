@@ -4,7 +4,8 @@
   a random plan (with repeated draws) and a random nondecreasing sequence of
   per-view checkpoints must match a from-scratch ``nkcca_fit_direct`` at the
   same ranks: the same landmarks, rho within 1e-8 and principal angles
-  within 1e-6 (criterion 2's tolerances).
+  within 1e-6 (criterion 2's tolerances). This includes a gate-rejected
+  index drawn again after a checkpoint.
 * Importance weights never change the fit: giving every draw of a plan an
   arbitrary positive probability leaves the kept landmarks, the skipped
   positions, rho, alpha' and beta' bitwise equal to those of the
@@ -37,7 +38,9 @@
 * The CLI never ends in a traceback: every command on tiny synthetic data
   (n 1-40, small splits, random ranks, L, strategy, sketch and select_n,
   sigma, lambda and gamma_mult up to 1e+-300) exits 0, 2 or 3, and a run
-  that exits 0 leaves its table.
+  that exits 0 leaves its table. So does every command that reads data on
+  small CSV files (1-40 rows, 1-3 columns per view, an optional header,
+  magnitudes up to 1e+-200, splits as counts or fractions).
 
 Examples are derandomized, so the suite is reproducible.
 """
@@ -86,7 +89,7 @@ def rank_paths(draw):
                                   max_size=count))) for _ in range(2)]
     checkpoints = list(zip(*ranks))
     assume(any(a != b for a, b in checkpoints))
-    return dict(n=n, seed=draw(st.integers(0, 10_000)),
+    return dict(n=n, copies=1, seed=draw(st.integers(0, 10_000)),
                 sigma=draw(st.sampled_from([0.3, 0.5, 1.0])),
                 lam=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
                 L=draw(st.integers(1, 2)), plans=plans,
@@ -106,11 +109,17 @@ def _checked_columns(direct, L):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
 @given(rank_paths())
+# every point appears twice (i and i + 10): the gate rejects the second
+# copies 10 and 13 before the first checkpoint, and both are drawn again
+# after it
+@example(dict(n=10, copies=2, seed=5, sigma=0.5, lam=1e-3, L=1,
+              plans=[[0, 1, 2, 10, 3, 10, 4, 5], [3, 4, 13, 5, 6, 13, 7, 1]],
+              checkpoints=[(4, 3), (8, 8)]))
 def test_incremental_path_equals_restart(case):
     ds = synthetic_circles(case["n"], case["seed"])
     spec = KernelSpec(sigma=case["sigma"])
-    o1 = KernelColumns.from_data(spec, ds.X)
-    o2 = KernelColumns.from_data(spec, ds.Y)
+    o1 = KernelColumns.from_data(spec, np.vstack([ds.X] * case["copies"]))
+    o2 = KernelColumns.from_data(spec, np.vstack([ds.Y] * case["copies"]))
     p1, p2 = (unit_plan(p) for p in case["plans"])
     lam, L = case["lam"], case["L"]
     entries = nkcca_fit(o1, o2, p1, p2, lam, lam, L, case["checkpoints"])
@@ -575,3 +584,68 @@ def test_cli_exits_cleanly_on_any_small_config(argv):
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert (Path(out) / argv[0] / CLI_TABLES[argv[0]]).is_file()
+
+
+@st.composite
+def csv_cases(draw):
+    rows = draw(st.integers(1, 40))
+    # coordinates are mantissas times 10^e with |e| up to a per-file cap,
+    # so most files get past the boundary check and some do not
+    cap = draw(st.sampled_from([0, 3, 150, 200]))
+    values = st.builds(lambda mant, exp: mant * 10.0 ** exp,
+                       st.floats(-9.99, 9.99), st.integers(-cap, cap))
+    views = []
+    for _ in range(2):
+        cols = draw(st.integers(1, 3))
+        views.append(draw(st.lists(st.lists(values, min_size=cols,
+                                            max_size=cols),
+                                   min_size=rows, max_size=rows)))
+    if draw(st.booleans()):
+        train = draw(st.integers(0, rows))
+        tune = draw(st.integers(0, rows - train))
+        split = f"{train}:{tune}:{rows - train - tune}"
+    else:
+        split = ":".join(f"{v:.3g}" for v in draw(st.lists(
+            st.floats(0.05, 1.0), min_size=3, max_size=3)))
+    ranks = sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=2)))
+    argv = [draw(st.sampled_from(CLI_COMMANDS[1:])), "--split", split,
+            "--ranks", ",".join(map(str, ranks)),
+            "--L", str(draw(st.integers(1, 2))),
+            "--strategy", draw(st.sampled_from(["uniform", "ridge"]))]
+    return dict(argv=argv, x=views[0], y=views[1],
+                header=draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(csv_cases())
+# a coordinate of 1e200 made the squared distances inf - inf = NaN, and
+# compare ended in an eigh traceback
+@example(dict(argv="compare --split 0.6:0.2:0.2 --ranks 5,10".split(),
+              x=[[1e200, 0.0]] + [[i % 7, i % 5] for i in range(1, 40)],
+              y=[[i % 3, i % 11] for i in range(40)], header=False))
+def test_cli_exits_cleanly_on_any_small_csv(case):
+    """Every command that reads data, on small CSV files with or without a
+    header, magnitudes up to 1e+-200 and splits given as counts or
+    fractions, exits 0, 2 or 3, never with a traceback, and a run that
+    exits 0 leaves its table."""
+    with tempfile.TemporaryDirectory() as out:
+        paths = []
+        for tag in ("x", "y"):
+            path = Path(out) / f"{tag}.csv"
+            lines = ["a,b"] if case["header"] else []
+            lines += [",".join(map(repr, row)) for row in case[tag]]
+            path.write_text("\n".join(lines) + "\n")
+            paths.append(str(path))
+        argv = case["argv"] + ["--dataset", "csv", "--csv-x", paths[0],
+                               "--csv-y", paths[1], "--seeds", "0",
+                               "--out", out]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert (Path(out) / argv[0] / CLI_TABLES[argv[0]]).is_file()
+

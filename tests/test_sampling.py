@@ -92,3 +92,16 @@ def test_plan_validation():
     # a negative index would silently wrap to a column from the end
     with pytest.raises(ValueError, match="nonnegative"):
         SamplingPlan(indices=np.array([2, -1]), p_sampled=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("indices, p_sampled", [
+    ([0.5, 1.7], [0.5, 0.5]),
+    (np.array([0.0, 1.0]), [0.5, 0.5]),
+    ([0, 1], [np.nan, 0.5]),
+    ([0, 1], [0.5, np.inf]),
+], ids=["fractional_indices", "float_indices", "nan_p", "inf_p"])
+def test_plan_rejects_malformed_draws(indices, p_sampled):
+    # float indices used to be truncated ([0.5, 1.7] became [0, 1]), and a
+    # NaN or infinite probability made its weight NaN or 0
+    with pytest.raises(ValueError):
+        SamplingPlan(indices=indices, p_sampled=np.array(p_sampled))
