@@ -6,7 +6,7 @@ from .kernels import KernelSpec, KernelColumns, gram, center
 from .leverage import (LeverageScores, SamplingDistribution, exact_leverage,
                        approx_leverage, effective_dimension, make_distribution)
 from .sampling import SamplingPlan, sample
-from .nystrom import (CholState, chol_append_block, chol_solve, QrState,
+from .nystrom import (FactorState, chol_append_block, chol_solve,
                       qr_append_block)
 from .kcca import (KccaModel, RankPathEntry, exact_kcca, nkcca_fit,
                    nkcca_fit_direct, nkcca_coefficients, project_many,

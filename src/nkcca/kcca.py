@@ -3,22 +3,23 @@
 The exact solver forms T = (Kc1 + N lam1 I)^-1 Kc1 Kc2 (Kc2 + N lam2 I)^-1
 densely (Kc = centered Gram matrix) and reads the canonical correlations off
 its singular values. The Nystrom solver never touches N x N matrices: per
-view it maintains the incremental Cholesky factor R of
-G = N lam S^T K S + (H K S)^T (H K S) = R^T R and a thin QR of H K S = Q P.
-S selects the kept landmarks, each column scaled to a unit diagonal of G;
-the solution does not depend on that scaling, so the plans' importance
-weights are not used. At a rank checkpoint the canonical system reduces to
-the SVD of the small r1 x r2 matrix T_hat = P1 G1^-1 core G2^-1 P2^T =
-M1 Kt M2^T, with core = (H K1 S1)^T (H K2 S2), M = P R^-1 per view and
-Kt = R1^-T core R2^-1, and the approximate T is Q1 T_hat Q2^T. M, Kt and
-T_hat are grown by bordering as landmarks are appended: the leading blocks
-of M and Kt never change, so the previous checkpoint's T_hat, padded with
-zeros, is the part over the old landmarks, and only the products with the
-new ones are added (O(r^2 p) for p new landmarks instead of O(r^3)). The
-core matrix is never kept: bordering Kt needs only its blocks over the new
-landmarks, formed from the landmark columns. Each checkpoint then takes the
-top L+1 singular triplets of T_hat, which lift back through Q1, Q2, and
-hands (Q1, Q2, T_hat) to the caller's hook.
+view it maintains one factor state (nystrom.FactorState): the incremental
+Cholesky factor R of G = N lam S^T K S + (H K S)^T (H K S) = R^T R and a thin
+QR of H K S = Q P; the landmark columns H K S themselves are not kept. S
+selects the kept landmarks, each column scaled to a unit diagonal of G; the
+solution does not depend on that scaling, so the plans' importance weights
+are not used. At a rank checkpoint the canonical system reduces to the SVD
+of the small r1 x r2 matrix T_hat = P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T,
+with core = (H K1 S1)^T (H K2 S2) = P1^T X P2, X = Q1^T Q2, M = P R^-1 per
+view and Kt = R1^-T core R2^-1 = M1^T X M2, and the approximate T is
+Q1 T_hat Q2^T. M, X, Kt and T_hat are grown by bordering as landmarks are
+appended: their leading blocks never change, so the previous checkpoint's
+T_hat, padded with zeros, is the part over the old landmarks, and only the
+products with the new ones are added (O(r^2 p) for p new landmarks instead
+of O(r^3)). Only X's new blocks take products over N, with the new Q
+columns. Each checkpoint then takes the top L+1 singular triplets of T_hat,
+which lift back through Q1, Q2, and hands (Q1, Q2, T_hat) to the caller's
+hook.
 
 Every top-k solve (exact, checkpoint and the RFF baseline's linear CCA) goes
 through one policy, _top_svd: ARPACK's Lanczos on the formed matrix once its
@@ -40,9 +41,8 @@ import scipy.linalg
 from scipy.sparse.linalg import svds
 
 from .kernels import KernelColumns, as_matrix, center
-from .nystrom import (CholState, QrState, _equilibrated_block, admit_columns,
-                      chol_append_block, chol_solve, qr_append_block,
-                      solve_upper)
+from .nystrom import (FactorState, _equilibrated_block, admit_columns,
+                      chol_append_block, solve_upper)
 from .sampling import SamplingPlan
 
 __all__ = [
@@ -72,6 +72,10 @@ _EXACT_N_LIMIT = 5000
 # its two Lanczos bases _GKL_BLOCK rows at a time.
 _GKL_RTOL = 1e-10
 _GKL_BLOCK = 32
+# project_many evaluates the cross-Gram of new points in row chunks of at
+# most this many entries (8 MB), so it never holds an n_new x N block: that
+# block and its centered copy set the peak memory of a scoring run.
+_PROJECT_CHUNK_ENTRIES = 1 << 20
 
 _log = logging.getLogger(__name__)
 
@@ -269,29 +273,31 @@ def _border_t_hat(T: np.ndarray, M1: np.ndarray, K: np.ndarray,
     return out
 
 
-def _border_k_tilde(K: np.ndarray, A1: np.ndarray, A2: np.ndarray,
-                    R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
-    """Grow Kt = R1^-T core R2^-1, core = A1^T A2, to the current landmark
-    columns A1, A2 and factors R1, R2.
+def _border_x(X: np.ndarray, Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
+    """Grow X = Q1^T Q2 to the current bases from its value over their first
+    r10 / r20 columns: only the products with the new columns are formed."""
+    r10, r20 = X.shape
+    out = np.empty((Q1.shape[1], Q2.shape[1]))
+    out[:r10, :r20] = X
+    out[r10:] = Q1[:, r10:].T @ Q2
+    out[:r10, r20:] = Q1[:, :r10].T @ Q2[:, r20:]
+    return out
 
-    The old block is unchanged. With Ri = [[Ri0, Wi], [0, Bi]], the new rows
-    over the old columns are B1^-T (core[new, old] R20^-1 - W1^T Kt), and
-    the new columns are (R1^-T core[:, new] - Kt[:, old] W2) B2^-1. Only
-    these two blocks of core are formed.
+
+def _border_k_tilde(K: np.ndarray, M1: np.ndarray, X: np.ndarray,
+                    M2: np.ndarray) -> np.ndarray:
+    """Grow Kt = M1^T X M2 (= R1^-T A1^T A2 R2^-1, since A = Q P and
+    M = P R^-1) to the current M1, X and M2.
+
+    The first k10 columns of M1 are the old M1 over zero rows (likewise for
+    M2), so the old block is unchanged; only the new rows M1[:, k10:]^T X M2
+    and the new columns over the old rows are formed, all r-sized products.
     """
     k10, k20 = K.shape
-    k1, k2 = A1.shape[1], A2.shape[1]
-    out = np.empty((k1, k2))
+    out = np.empty((M1.shape[1], M2.shape[1]))
     out[:k10, :k20] = K
-    if k1 > k10:
-        t = solve_upper(R2[:k20, :k20], (A1[:, k10:].T @ A2[:, :k20]).T,
-                        trans=True).T
-        t -= R1[:k10, k10:].T @ K
-        out[k10:, :k20] = solve_upper(R1[k10:, k10:], t, trans=True)
-    if k2 > k20:
-        t = solve_upper(R1, A1.T @ A2[:, k20:], trans=True)
-        t -= out[:, :k20] @ R2[:k20, k20:]
-        out[:, k20:] = solve_upper(R2[k20:, k20:], t.T, trans=True).T
+    out[k10:] = (M1[:, k10:].T @ X) @ M2
+    out[:k10, k20:] = M1[:, :k10].T @ (X @ M2[:, k20:])
     return out
 
 
@@ -319,8 +325,7 @@ class _ViewState:
         self.oracle = oracle
         self.plan = plan
         self.candidates = _candidates(plan.indices, last)
-        self.chol = CholState(oracle.n, lam, len(self.candidates))
-        self.qr = QrState(oracle.n, len(self.candidates))
+        self.factor = FactorState(oracle.n, lam, len(self.candidates))
         self.M = np.zeros((0, 0))
         self.offered = 0           # candidates offered to the gate so far
         self.kept: list[int] = []  # their plan positions the gate kept
@@ -333,13 +338,11 @@ class _ViewState:
         self.offered = stop
         if block.size == 0:
             return
-        m0 = self.chol.m
         idx = self.plan.indices[block]
-        kept = chol_append_block(self.chol, idx, self.oracle.columns(idx))
+        kept = chol_append_block(self.factor, idx, self.oracle.columns(idx))
         if kept:
             self.kept += block[kept].tolist()
-            qr_append_block(self.qr, self.chol.A[:, m0:])
-            self.M = _border_m(self.M, self.qr.P, self.chol.R)
+            self.M = _border_m(self.M, self.factor.P, self.factor.R)
 
 
 def _checkpoint_solution(Q1: np.ndarray, Q2: np.ndarray, T_hat: np.ndarray,
@@ -364,14 +367,14 @@ def _checkpoint_solution(Q1: np.ndarray, Q2: np.ndarray, T_hat: np.ndarray,
     return rho, ap, bp, sigma_next
 
 
-def _nystrom_coefficients(alpha_prime: np.ndarray, A: np.ndarray,
-                          R: np.ndarray, n: int, lam: float) -> np.ndarray:
+def _nystrom_coefficients(alpha_prime: np.ndarray, Q: np.ndarray,
+                          M: np.ndarray, n: int, lam: float) -> np.ndarray:
     """sqrt(N) (Lc + N lam I)^-1 alpha_prime via the factored inverse:
-    (Lc + N lam I)^-1 = (1 / N lam) (I - A G^-1 A^T), with G = R^T R."""
-    if A.shape[1] == 0:
-        return alpha_prime / (math.sqrt(n) * lam)
-    t = chol_solve(R, A.T @ alpha_prime)
-    return (alpha_prime - A @ t) * (math.sqrt(n) / (n * lam))
+    (Lc + N lam I)^-1 = (1 / N lam) (I - A G^-1 A^T), with G = R^T R and
+    A G^-1 A^T = Q M M^T Q^T for A = Q P and M = P R^-1. Without landmarks
+    (r = 0) the second term vanishes."""
+    t = M @ (M.T @ (Q.T @ alpha_prime))
+    return (alpha_prime - Q @ t) * (math.sqrt(n) / (n * lam))
 
 
 def _normalize_checkpoints(checkpoints) -> list[tuple[int, int]]:
@@ -440,6 +443,7 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
     last1, last2 = cps[-1] if cps else (0, 0)
     v1 = _ViewState(oracle1, plan1, lambda1, last1)
     v2 = _ViewState(oracle2, plan2, lambda2, last2)
+    x_cross = np.zeros((0, 0))
     k_tilde = np.zeros((0, 0))
     T_hat = np.zeros((0, 0))
     entries: list[RankPathEntry] = []
@@ -448,18 +452,18 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
         k1_old, k2_old = k_tilde.shape
         v1.advance(m1)
         v2.advance(m2)
-        A1, R1, A2, R2 = v1.chol.A, v1.chol.R, v2.chol.A, v2.chol.R
-        k_tilde = _border_k_tilde(k_tilde, A1, A2, R1, R2)
+        Q1, Q2 = v1.factor.Q, v2.factor.Q
+        x_cross = _border_x(x_cross, Q1, Q2)
+        k_tilde = _border_k_tilde(k_tilde, v1.M, x_cross, v2.M)
         T_hat = _border_t_hat(T_hat, v1.M, k_tilde, v2.M, k1_old, k2_old)
 
-        Q1, Q2 = v1.qr.Q, v2.qr.Q
         rho, ap, bp, sig_next = _checkpoint_solution(Q1, Q2, T_hat, L)
         model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
                           L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
                           sigma_next=sig_next, view1=oracle1, view2=oracle2,
                           landmarks1=_landmarks(plan1, v1.kept, m1),
                           landmarks2=_landmarks(plan2, v2.kept, m2))
-        nkcca_coefficients(model, A1, R1, A2, R2)
+        nkcca_coefficients(model, Q1, v1.M, Q2, v2.M)
         entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model)
         entry.wall_time_incremental = time.perf_counter() - t0 - hook_time
         if on_checkpoint is not None:
@@ -470,16 +474,17 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
     return entries
 
 
-def nkcca_coefficients(model: KccaModel, A1: np.ndarray, R1: np.ndarray,
-                       A2: np.ndarray, R2: np.ndarray) -> KccaModel:
+def nkcca_coefficients(model: KccaModel, Q1: np.ndarray, M1: np.ndarray,
+                       Q2: np.ndarray, M2: np.ndarray) -> KccaModel:
     """Fill in the coefficient matrices alpha/beta of a Nystrom model from
-    each view's centered landmark columns A = H K S and Cholesky factor R of
-    G = R^T R: alpha = (sqrt(N) / N lam1) (alpha' - A G^-1 A^T alpha'), so
-    no N x N inverse is ever formed.
+    each view's orthonormal basis Q and M = P R^-1, where A = Q P are the
+    centered landmark columns H K S and G = R^T R:
+    alpha = (sqrt(N) / N lam1) (alpha' - Q1 M1 M1^T Q1^T alpha'), since
+    A G^-1 A^T = Q M M^T Q^T, so no N x N inverse is ever formed.
     """
-    model.alpha = _nystrom_coefficients(model.alpha_prime, A1, R1, model.n,
+    model.alpha = _nystrom_coefficients(model.alpha_prime, Q1, M1, model.n,
                                         model.lambda1)
-    model.beta = _nystrom_coefficients(model.beta_prime, A2, R2, model.n,
+    model.beta = _nystrom_coefficients(model.beta_prime, Q2, M2, model.n,
                                        model.lambda2)
     return model
 
@@ -532,7 +537,7 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
     if keep_t:
         model.t_matrix = Q1 @ T_hat @ Q2.T
     if compute_coefficients:
-        nkcca_coefficients(model, A1, R1, A2, R2)
+        nkcca_coefficients(model, Q1, M1, Q2, M2)
     entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model)
     entry.wall_time_restart = time.perf_counter() - t0
     return entry
@@ -613,10 +618,11 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
 def project_many(model: KccaModel, X_new, view: int) -> np.ndarray:
     """Project rows of X_new into the L canonical dimensions of one view.
 
-    Evaluates exact kernel affinities against all training points and
-    applies the centered combination k^T H coeffs; the additive constant of
-    the mapping is dropped, so projections are defined up to a per-dimension
-    shift (all downstream correlation metrics are shift-invariant).
+    Evaluates exact kernel affinities against all training points, a chunk
+    of rows at a time, and applies the centered combination k^T H coeffs;
+    the additive constant of the mapping is dropped, so projections are
+    defined up to a per-dimension shift (all downstream correlation metrics
+    are shift-invariant).
     """
     if view not in (1, 2):
         raise ValueError("view must be 1 or 2")
@@ -627,9 +633,14 @@ def project_many(model: KccaModel, X_new, view: int) -> np.ndarray:
     if coeffs is None:
         raise ValueError("model has no coefficients for this view; call "
                          "nkcca_coefficients first")
-    K_new = oracle.cross(X_new)
-    K_new = K_new - K_new.mean(axis=1, keepdims=True)
-    return K_new @ coeffs
+    X_new = np.atleast_2d(X_new)
+    rows = max(1, _PROJECT_CHUNK_ENTRIES // oracle.n)
+    out = np.empty((X_new.shape[0], coeffs.shape[1]))
+    for lo in range(0, X_new.shape[0], rows):
+        K_new = oracle.cross(X_new[lo:lo + rows])
+        K_new -= K_new.mean(axis=1, keepdims=True)
+        out[lo:lo + rows] = K_new @ coeffs
+    return out
 
 
 def total_correlation(proj_x: np.ndarray, proj_y: np.ndarray) -> float:

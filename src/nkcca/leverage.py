@@ -161,9 +161,9 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=sketch_size, replace=False))
 
-    C = np.column_stack([oracle.column(i) for i in idx])
+    C = oracle.columns(idx)
     F = _whitened_sketch(C, C[idx, :], 0.0)
-    del C  # at most two N x s arrays are ever live: C and F
+    del C  # C and F are the only N x s arrays live at once
     S = F.T @ F
     S[np.diag_indices_from(S)] += n * gamma
     R = scipy.linalg.cholesky(S, lower=False, check_finite=False)

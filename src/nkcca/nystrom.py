@@ -1,12 +1,14 @@
-"""The incremental Cholesky / QR state machines of the Nystrom solver.
+"""The incremental factor state of the Nystrom solver.
 
 The incremental solver maintains, per view and in an append-only fashion,
+one ``FactorState`` of its landmarks. With ``A`` the centered, equilibrated
+landmark columns ``c_j H k_{i_j}`` (never stored), it holds
 
-* ``A`` — the centered, equilibrated landmark columns ``c_j H k_{i_j}``,
 * ``R`` — the upper-triangular Cholesky factor of the regularized target
   ``G = N lam C^T K C + A^T A``, with ``C`` the unit sampling matrix of the
   landmarks scaled by ``c``,
-* ``Q, P`` — a thin orthonormal factorization ``A = Q P``.
+* ``Q, P`` — a thin orthonormal factorization ``A = Q P``, so every product
+  with ``A`` goes through ``Q`` and ``P``.
 
 Each column is scaled by ``c_j = 1 / sqrt(d0_j)``, where ``d0_j = ||H k_j||^2
 + N lam K_jj`` is its diagonal in the unscaled target, so every diagonal of
@@ -17,18 +19,20 @@ Schur-complement diagonal of a candidate is the fraction of its mass that
 the landmarks kept before it do not explain. ``_equilibrated_block`` is the
 one place that builds a candidate block.
 
-Both factorizations grow only by blocks of p columns (``chol_append_block``,
-``qr_append_block``; a single landmark is a block of one). ``R`` gains the
-border ``[W; B]`` with ``W = R_old^-T C`` for the cross terms ``C`` and ``B``
-the factor of the Schur complement, and ``Q, P`` gain columns by two block
-projection passes plus Gram-Schmidt within the block. Leading blocks never
-change, so advancing to a larger rank reuses everything already computed.
-Each state is sized once, by a capacity fixed when it is made (a sampling
-plan bounds the landmarks of a rank path in advance), and an append past it
-raises ``ValueError``. Every buffer is column-major: appends write whole
-columns, the projections and the Gram-Schmidt loop read them, and a
-leading block of ``R`` reaches LAPACK without a transposing copy
-(``solve_upper``).
+The state grows only by blocks of p columns through ``chol_append_block``
+(a single landmark is a block of one). The block's projection
+``C = Q^T A_blk`` is formed once: ``R`` gains the border ``[W; B]`` with
+``W = R_old^-T (P^T C + N lam gram_cross)`` and ``B`` the factor of the
+Schur complement, and ``qr_append_block`` reuses ``C`` over the kept
+columns as its first projection pass, then runs a second pass and
+Gram-Schmidt within the block. Leading blocks never change, so advancing to
+a larger rank reuses everything already computed. A state is sized once, by
+a capacity fixed when it is made (a sampling plan bounds the landmarks of a
+rank path in advance), and an append past it raises ``ValueError``. Every
+buffer is column-major: appends write whole columns, the projections and
+the Gram-Schmidt loop read them, and a leading block of ``R`` reaches
+LAPACK without a transposing copy (``solve_upper``). ``Q`` is the only
+buffer with N rows.
 ``admit_columns`` is the one landmark-admission gate (shared with the
 from-scratch reference fitter), ``solve_upper`` the one triangular solve
 with a factor and ``chol_solve`` the solve with its target.
@@ -43,11 +47,10 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm
 
 __all__ = [
-    "CholState",
+    "FactorState",
     "admit_columns",
     "chol_append_block",
     "chol_solve",
-    "QrState",
     "qr_append_block",
     "solve_upper",
 ]
@@ -94,19 +97,18 @@ def solve_upper(R: np.ndarray, B: np.ndarray, trans: bool = False):
                                          lower=True, check_finite=False)
 
 
-# ---------------------------------------------------------------------------
-# Incremental Cholesky state
-# ---------------------------------------------------------------------------
+class FactorState:
+    """Append-only factor state of one view's landmarks.
 
-class CholState:
-    """Append-only factorization state for one view.
-
-    After m appended landmarks, ``R`` is the upper-triangular Cholesky
-    factor of ``G_m = N lam * gram + A^T A`` where ``gram[j, l] =
-    c_j c_l K(i_j, i_l)`` and ``A[:, j] = c_j H k_{i_j}``, with the
-    equilibrating scales ``c`` of ``_equilibrated_block``. Appends must be
-    applied sequentially (single writer); reads of a finished state are
-    safe from any thread. ``capacity`` bounds the landmarks it can keep.
+    After m appended landmarks with equilibrated columns ``A[:, j] = c_j H
+    k_{i_j}`` (the scales ``c`` of ``_equilibrated_block``), ``R`` is the
+    upper-triangular Cholesky factor of ``G_m = N lam * gram + A^T A``, where
+    ``gram[j, l] = c_j c_l K(i_j, i_l)``, and ``A = Q P``. ``Q`` keeps only
+    independent directions (r columns, r <= m) and lies in the centered
+    subspace; ``P`` is r x m with column j holding the coefficients of
+    column j in the Q basis, upper triangular in the full-rank case. Appends
+    must be applied sequentially (single writer); reads of a finished state
+    are safe from any thread. ``capacity`` bounds m.
     """
 
     def __init__(self, n: int, lam: float, capacity: int):
@@ -116,18 +118,24 @@ class CholState:
         self.lam = lam
         self.capacity = capacity
         self.m = 0
+        self.r = 0
         self.indices: list[int] = []
         self._c = np.zeros(capacity, order="F")
-        self._A = np.zeros((n, capacity), order="F")
         self._R = np.zeros((capacity, capacity), order="F")
-
-    @property
-    def A(self) -> np.ndarray:
-        return self._A[:, : self.m]
+        self._Q = np.zeros((n, capacity), order="F")
+        self._P = np.zeros((capacity, capacity), order="F")
 
     @property
     def R(self) -> np.ndarray:
         return self._R[: self.m, : self.m]
+
+    @property
+    def Q(self) -> np.ndarray:
+        return self._Q[:, : self.r]
+
+    @property
+    def P(self) -> np.ndarray:
+        return self._P[: self.r, : self.m]
 
 
 def admit_columns(S: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -162,15 +170,18 @@ def admit_columns(S: np.ndarray) -> tuple[list[int], np.ndarray]:
     return kept, R[: len(kept)][:, kept]
 
 
-def chol_append_block(state: CholState, indices,
+def chol_append_block(state: FactorState, indices,
                       columns: np.ndarray) -> list[int]:
-    """Append a block of landmarks via block-bordered Cholesky.
+    """Append a block of landmarks: block-bordered Cholesky, then QR.
 
-    The grown factor's leading block is unchanged, the border is R_old^-T
+    The cross terms with the kept landmarks are ``A^T A_blk = P^T C`` plus
+    the ridge term, with ``C = Q^T A_blk`` formed once over the block. The
+    grown factor's leading block is unchanged, the border is R_old^-T
     applied to the cross terms, and the trailing block factors the Schur
     complement. Columns failing ``admit_columns`` are skipped and leave no
-    trace in the state; returns the block-local positions kept. Keeping
-    more landmarks than the state's capacity raises ``ValueError``.
+    trace in the state; the kept ones go to ``qr_append_block`` with their
+    columns of ``C``. Returns the block-local positions kept. Keeping more
+    landmarks than the state's capacity raises ``ValueError``.
     """
     indices = np.asarray(indices, dtype=int)
     nb = indices.shape[0]
@@ -179,101 +190,67 @@ def chol_append_block(state: CholState, indices,
     m0 = state.m
 
     A_blk, c, S_blk = _equilibrated_block(columns, indices, state.lam)
+    C = state.Q.T @ A_blk
     if m0 > 0:
         prev_idx = np.asarray(state.indices, dtype=int)
         gram_cross = (columns[prev_idx, :] * state._c[:m0, None]) * c
-        C_full = state.A.T @ A_blk + state.n * state.lam * gram_cross
-        W = solve_upper(state.R, C_full, trans=True)
+        W = solve_upper(state.R, state.P.T @ C
+                        + state.n * state.lam * gram_cross, trans=True)
         S_blk = S_blk - W.T @ W
         S_blk = 0.5 * (S_blk + S_blk.T)
     else:
         W = np.zeros((0, nb))
 
     kept, R_blk = admit_columns(S_blk)
-    p = len(kept)
-    if p == 0:
+    if not kept:
         return kept
-    if m0 + p > state.capacity:
-        raise ValueError(f"keeping {m0 + p} landmarks exceeds the capacity")
-    sl = slice(m0, m0 + p)
-    state._A[:, sl] = A_blk[:, kept]
+    qr_append_block(state, A_blk[:, kept], C[:, kept])
+    sl = slice(m0, state.m)
     state._c[sl] = c[kept]
     state._R[:m0, sl] = W[:, kept]
     state._R[sl, sl] = R_blk
     state.indices += [int(i) for i in indices[kept]]
-    state.m = m0 + p
     return kept
 
 
 def chol_solve(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve R^T R X = B for an upper-triangular factor R (e.g.
-    ``CholState.R``) via two triangular solves."""
+    ``FactorState.R``) via two triangular solves."""
     if R.shape[0] == 0:
         raise ValueError("empty factor")
     return solve_upper(R, solve_upper(R, B, trans=True))
 
 
-# ---------------------------------------------------------------------------
-# Incremental QR via Gram-Schmidt with reorthogonalization
-# ---------------------------------------------------------------------------
+def qr_append_block(state: FactorState, A_blk: np.ndarray,
+                    C: np.ndarray) -> FactorState:
+    """Append a block of centered columns to ``Q, P`` and advance ``m``.
 
-class QrState:
-    """Thin incremental QR of the centered landmark columns.
-
-    Its inputs must be centered (each column sums to zero), and ``Q`` then
-    lies in the centered subspace. ``Q`` keeps only independent directions
-    (r columns after m appends, r <= m); ``P`` is r x m with column j
-    holding the coefficients of input column j in the Q basis, upper
-    triangular in the full-rank case. A dependent column gets coefficients
-    in P but no fabricated direction. ``capacity`` bounds m.
-    """
-
-    def __init__(self, n: int, capacity: int):
-        self.n = n
-        self.capacity = capacity
-        self.m = 0
-        self.r = 0
-        self._Q = np.zeros((n, capacity), order="F")
-        self._P = np.zeros((capacity, capacity), order="F")
-
-    @property
-    def Q(self) -> np.ndarray:
-        return self._Q[:, : self.r]
-
-    @property
-    def P(self) -> np.ndarray:
-        return self._P[: self.r, : self.m]
-
-
-def qr_append_block(state: QrState, A_blk: np.ndarray) -> QrState:
-    """Append a block of centered columns: two block projection passes
-    against the existing basis (matrix products), then per-column
-    Gram-Schmidt within the small block. Each new direction is centered
-    before its norm test, so Q stays in the centered subspace: dividing by a
-    small residual norm would otherwise amplify the rounding left in the
-    inputs' means. A column whose residual is below 1e-10 times its norm is
-    dependent: its projection coefficients are recorded in P but no Q column
-    is invented. Appending past the state's capacity raises ``ValueError``.
+    ``C = Q^T A_blk`` is the first block projection pass against the
+    existing basis; a second pass follows, then per-column Gram-Schmidt
+    within the small block. Each new direction is centered before its norm
+    test, so Q stays in the centered subspace: dividing by a small residual
+    norm would otherwise amplify the rounding left in the inputs' means. A
+    column whose residual is below 1e-10 times its norm is dependent: its
+    projection coefficients are recorded in P but no Q column is invented.
+    Appending past the state's capacity raises ``ValueError`` and leaves the
+    state as it was.
     """
     nb = A_blk.shape[1]
-    if A_blk.shape[0] != state.n:
+    m0, r0 = state.m, state.r
+    if A_blk.shape[0] != state.n or C.shape != (r0, nb):
         raise ValueError("column block shape mismatch")
     if nb == 0:
         return state
-    if state.m + nb > state.capacity:
-        raise ValueError(f"{state.m + nb} columns exceed the capacity")
-    m0, r0 = state.m, state.r
+    if m0 + nb > state.capacity:
+        raise ValueError(f"{m0 + nb} columns exceed the capacity")
     Q = state._Q[:, :r0]
     norms = np.linalg.norm(A_blk, axis=0)
-    V = np.array(A_blk, order="F")
-    # V -= Q C as one BLAS update of the column-major V, with no N x nb
-    # temporary
-    C = Q.T @ V
-    V = dgemm(-1.0, Q, C, 1.0, V, overwrite_c=True)
+    # V = A_blk - Q C, then V -= Q C2, as BLAS updates of a column-major V
+    # with no further N x nb temporary
+    V = dgemm(-1.0, Q, C, 1.0, A_blk)
     C2 = Q.T @ V
     V = dgemm(-1.0, Q, C2, 1.0, V, overwrite_c=True)
-    C += C2
-    state._P[:r0, m0 : m0 + nb] = C
+    state._P[:r0, m0 : m0 + nb] = C + C2
     for j in range(nb):
         r = state.r
         Qnew = state._Q[:, r0:r]

@@ -14,7 +14,8 @@ from nkcca.kcca import (_nystrom_coefficients, exact_kcca, load_model,
                         t_error_norm, total_correlation)
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import SamplingDistribution
-from nkcca.nystrom import CholState, chol_append_block, chol_solve
+from nkcca.nystrom import (FactorState, chol_append_block, chol_solve,
+                           solve_upper)
 from nkcca.sampling import sample
 
 
@@ -282,20 +283,24 @@ def test_fitters_reject_invalid_arguments(fitter, bad):
 
 
 def test_bordered_m_and_k_tilde_match_scratch_solves():
-    from nkcca.kcca import _border_k_tilde, _border_m
+    from nkcca.kcca import _border_k_tilde, _border_m, _border_x
 
     rng = np.random.default_rng(40)
     R1, R2 = _random_upper(rng, 11), _random_upper(rng, 9)
     P = np.triu(rng.normal(size=(11, 11)))[:10]   # one dependent column
-    A1, A2 = rng.normal(size=(20, 11)), rng.normal(size=(20, 9))
+    P2 = np.triu(rng.normal(size=(9, 9)))
+    Q1 = np.linalg.qr(rng.normal(size=(20, 10)))[0]
+    Q2 = np.linalg.qr(rng.normal(size=(20, 9)))[0]
+    # the landmark columns the factors describe: A = Q P per view
+    A1, A2 = Q1 @ P, Q2 @ P2
     core = A1.T @ A2
-    M = np.zeros((0, 0))
-    K = np.zeros((0, 0))
+    M = M2 = X = K = np.zeros((0, 0))
     # grow both views, view 1 only, view 2 only, then both again
     for k1, k2, r in ((3, 4, 3), (6, 4, 6), (6, 7, 6), (11, 9, 10)):
         M = _border_m(M, P[:r, :k1], R1[:k1, :k1])
-        K = _border_k_tilde(K, A1[:, :k1], A2[:, :k2], R1[:k1, :k1],
-                            R2[:k2, :k2])
+        M2 = _border_m(M2, P2[:k2, :k2], R2[:k2, :k2])
+        X = _border_x(X, Q1[:, :r], Q2[:, :k2])
+        K = _border_k_tilde(K, M, X, M2)
         M_ref = scipy.linalg.solve_triangular(R1[:k1, :k1], P[:r, :k1].T,
                                               trans="T").T
         K_ref = np.linalg.solve(R1[:k1, :k1].T, core[:k1, :k2]) @ \
@@ -314,9 +319,9 @@ def test_live_m_factor_matches_factor_solves():
 
     def hook(entry, Q1, Q2, T_hat):
         for v in states:
-            P = v.qr.P
+            P = v.factor.P
             np.testing.assert_allclose(v.M @ v.M.T,
-                                       P @ chol_solve(v.chol.R, P.T),
+                                       P @ chol_solve(v.factor.R, P.T),
                                        atol=1e-9)
         checked.append(entry.m1)
 
@@ -358,8 +363,8 @@ def test_coefficients_zero_kernel_limit():
     # empty landmark set: (Lc + N lam I)^-1 = I / (N lam)
     rng = np.random.default_rng(15)
     ap = rng.normal(size=(9, 2))
-    chol = CholState(9, 0.2, capacity=0)
-    out = _nystrom_coefficients(ap, chol.A, chol.R, n=9, lam=0.2)
+    state = FactorState(9, 0.2, capacity=0)
+    out = _nystrom_coefficients(ap, state.Q, np.zeros((0, 0)), n=9, lam=0.2)
     np.testing.assert_allclose(out, ap / (np.sqrt(9) * 0.2), atol=1e-14)
 
 
@@ -367,14 +372,15 @@ def test_coefficients_nullspace_probe():
     # alpha' orthogonal to range(A) leaves only the identity term
     K1, K2, o1, o2, _, _ = two_view_problem(n=10, seed=16)
     # the factor state of a fit on landmarks 1 and 6
-    chol1 = CholState(10, 0.05, capacity=2)
+    chol1 = FactorState(10, 0.05, capacity=2)
     assert chol_append_block(chol1, [1, 6], o1.columns(np.array([1, 6]))) \
         == [0, 1]
-    A = chol1.A
+    A = chol1.Q @ chol1.P
     probe = np.linalg.qr(np.column_stack([A, np.ones((10, 1)),
                                           np.eye(10)[:, :3]]))[0][:, -1]
     assert np.abs(A.T @ probe).max() < 1e-10
-    out = _nystrom_coefficients(probe[:, None], A, chol1.R, n=10, lam=0.05)
+    M = solve_upper(chol1.R, chol1.P.T, trans=True).T
+    out = _nystrom_coefficients(probe[:, None], chol1.Q, M, n=10, lam=0.05)
     np.testing.assert_allclose(out[:, 0], probe / (np.sqrt(10) * 0.05),
                                atol=1e-10)
 
@@ -402,6 +408,19 @@ def test_project_training_point_matches_centered_gram_up_to_constant():
     proj = project_many(model, X, view=1)[:, 0]
     offsets = proj - dense
     assert np.ptp(offsets) < 1e-8  # shared constant across training points
+
+
+def test_project_in_row_chunks_matches_one_block():
+    # a budget of 5 x N entries splits 12 new points into chunks of 5, 5, 2
+    K1, K2, o1, o2, X, _ = two_view_problem(n=12, seed=19)
+    model = exact_kcca(K1, K2, 1e-2, 1e-2, L=2, view1=o1, view2=o2)
+    X_new = np.random.default_rng(1).normal(size=(12, 2))
+    K_new = o1.cross(X_new)
+    dense = (K_new - K_new.mean(axis=1, keepdims=True)) @ model.alpha
+    with mock.patch.object(kcca, "_PROJECT_CHUNK_ENTRIES", 5 * 12):
+        proj = project_many(model, X_new, view=1)
+    np.testing.assert_allclose(proj, dense, rtol=0,
+                               atol=1e-13 * np.abs(dense).max())
 
 
 def test_project_zero_coefficients():

@@ -145,9 +145,9 @@ class RecordingColumns(ArrayColumns):
         super().__init__(K)
         self.fetched = []
 
-    def column(self, i):
-        self.fetched.append(int(i))
-        return super().column(i)
+    def columns(self, idx):
+        self.fetched += [int(i) for i in idx]
+        return super().columns(idx)
 
 
 @pytest.mark.parametrize("rank", [None, 8], ids=["full-rank", "rank-8"])

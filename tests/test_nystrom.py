@@ -4,9 +4,9 @@ import scipy.linalg
 from conftest import ArrayColumns, centering_matrix, random_psd
 
 from nkcca.kernels import KernelColumns, KernelSpec
-from nkcca.nystrom import (DEFAULT_NEW_MASS_RTOL, CholState, QrState,
-                           admit_columns, chol_append_block, chol_solve,
-                           qr_append_block)
+from nkcca.nystrom import (DEFAULT_NEW_MASS_RTOL, FactorState,
+                           _equilibrated_block, admit_columns,
+                           chol_append_block, chol_solve, qr_append_block)
 
 
 def dense_target(K, idx, lam):
@@ -30,14 +30,20 @@ def append(state, oracle, idx):
     return chol_append_block(state, idx, oracle.columns(idx))
 
 
+def landmark_columns(state):
+    """The equilibrated landmark columns A = Q P that a state factors."""
+    return state.Q @ state.P
+
+
 def test_chol_init_identity_hand_arithmetic():
     # K = I, N = 2, first landmark 0, lambda = 1: H k = [0.5, -0.5],
     # d0 = 0.5 + 2 * 1 * 1 = 2.5, so a1 = H k / sqrt(2.5) and R1 = 1
     oracle = ArrayColumns(np.eye(2))
-    state = CholState(2, lam=1.0, capacity=1)
+    state = FactorState(2, lam=1.0, capacity=1)
     assert append(state, oracle, 0) == [0]
-    np.testing.assert_allclose(state.A[:, 0], np.array([0.5, -0.5])
-                               / np.sqrt(2.5), atol=1e-15)
+    np.testing.assert_allclose(landmark_columns(state)[:, 0],
+                               np.array([0.5, -0.5]) / np.sqrt(2.5),
+                               atol=1e-15)
     assert state.R[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -45,9 +51,10 @@ def test_chol_init_constant_column():
     # a constant column has no centered mass: d0 = N lam K_ii = 4 * 0.5 * 0.7
     # comes from the ridge term alone, which equilibration scales to 1
     K = np.full((4, 4), 0.7)
-    state = CholState(4, lam=0.5, capacity=1)
+    state = FactorState(4, lam=0.5, capacity=1)
     append(state, ArrayColumns(K), 1)
-    np.testing.assert_allclose(state.A[:, 0], np.zeros(4), atol=1e-15)
+    np.testing.assert_allclose(landmark_columns(state)[:, 0], np.zeros(4),
+                               atol=1e-15)
     assert state.R[0, 0] ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
@@ -55,12 +62,12 @@ def test_chol_init_matches_dense_scalar():
     rng = np.random.default_rng(5)
     K = random_psd(rng, 6)
     lam = 0.2
-    state = CholState(6, lam, capacity=1)
+    state = FactorState(6, lam, capacity=1)
     append(state, ArrayColumns(K), 4)
     H = centering_matrix(6)
     d0 = 6 * lam * K[4, 4] + K[:, 4] @ H @ K[:, 4]
-    np.testing.assert_allclose(state.A[:, 0], H @ K[:, 4] / np.sqrt(d0),
-                               atol=1e-14)
+    np.testing.assert_allclose(landmark_columns(state)[:, 0],
+                               H @ K[:, 4] / np.sqrt(d0), atol=1e-14)
     assert state.R[0, 0] ** 2 == pytest.approx(
         dense_target(K, [4], lam)[0, 0], rel=1e-12)
 
@@ -71,7 +78,7 @@ def test_chol_two_steps_match_dense_target():
     oracle = ArrayColumns(K)
     lam = 0.3
     idx = [1, 4]
-    state = CholState(6, lam, capacity=2)
+    state = FactorState(6, lam, capacity=2)
     append(state, oracle, idx[0])
     append(state, oracle, idx[1])
     target = dense_target(K, idx, lam)
@@ -89,10 +96,10 @@ def test_chol_many_steps_match_batch_factorization():
     target = dense_target(K, idx, lam)
     R_dense = scipy.linalg.cholesky(target)
     B = rng.normal(size=(8, 3))
-    stepped = CholState(n, lam, capacity=8)
+    stepped = FactorState(n, lam, capacity=8)
     for i in idx:
         append(stepped, oracle, i)
-    block = CholState(n, lam, capacity=8)
+    block = FactorState(n, lam, capacity=8)
     assert append(block, oracle, idx) == list(range(8))
     for state in (stepped, block):
         np.testing.assert_allclose(state.R, R_dense,
@@ -107,7 +114,7 @@ def test_chol_duplicate_landmark_hits_error_path():
     rng = np.random.default_rng(9)
     K = random_psd(rng, 6, jitter=0.1)
     oracle = ArrayColumns(K)
-    state = CholState(6, lam=0.4, capacity=1)
+    state = FactorState(6, lam=0.4, capacity=1)
     append(state, oracle, 2)
     R_before = state.R.copy()
     target = dense_target(K, [2, 2], 0.4)
@@ -121,12 +128,12 @@ def test_chol_solve_identity_and_scalar():
     rng = np.random.default_rng(10)
     K = random_psd(rng, 7)
     oracle = ArrayColumns(K)
-    state = CholState(7, lam=0.1, capacity=2)
+    state = FactorState(7, lam=0.1, capacity=2)
     append(state, oracle, 0)
     append(state, oracle, 3)
     G = state.R.T @ state.R
     np.testing.assert_allclose(chol_solve(state.R, G), np.eye(2), atol=1e-8)
-    single = CholState(7, lam=0.1, capacity=1)
+    single = FactorState(7, lam=0.1, capacity=1)
     append(single, oracle, 5)
     b = np.array([2.0])
     assert chol_solve(single.R, b)[0] == pytest.approx(
@@ -137,14 +144,14 @@ def test_chol_state_diag_positive():
     rng = np.random.default_rng(11)
     K = random_psd(rng, 9)
     oracle = ArrayColumns(K)
-    state = CholState(9, 0.2, capacity=3)
+    state = FactorState(9, 0.2, capacity=3)
     for i in (0, 5, 7):
         append(state, oracle, i)
     assert np.all(np.diag(state.R) > 0)
 
 
 def test_chol_block_validation():
-    state = CholState(3, 0.1, capacity=1)
+    state = FactorState(3, 0.1, capacity=1)
     with pytest.raises(ValueError, match="shape"):
         chol_append_block(state, [0, 1], np.eye(3)[:, :1])
     # a zero kernel gives the first column no mass: it is skipped
@@ -158,7 +165,7 @@ def test_gate_rejects_duplicate_within_block():
     rng = np.random.default_rng(14)
     K = random_psd(rng, 8, jitter=0.1)
     oracle = ArrayColumns(K)
-    state = CholState(8, 0.2, capacity=2)
+    state = FactorState(8, 0.2, capacity=2)
     assert append(state, oracle, [3, 5, 3]) == [0, 1]
     assert state.indices == [3, 5]
     np.testing.assert_allclose(state.R.T @ state.R,
@@ -188,14 +195,14 @@ def test_gate_rejects_negligible_new_mass():
         G = dense_target(oracle.dense(), [0, 1], 0.1)
         resid = G[1, 1] - G[0, 1] ** 2 / G[0, 0]
         assert (resid < DEFAULT_NEW_MASS_RTOL) == (len(expected) == 1)
-        state = CholState(5, 0.1, capacity=2)
+        state = FactorState(5, 0.1, capacity=2)
         assert append(state, oracle, [0, 1]) == expected
 
 
 def test_gate_rejects_zero_mass_first_column():
     # column 0 of K is zero: no centered mass and no self-affinity
     K = np.diag([0.0, 1.0, 1.0, 1.0])
-    state = CholState(4, 0.1, capacity=1)
+    state = FactorState(4, 0.1, capacity=1)
     assert append(state, ArrayColumns(K), [0, 1]) == [1]
     assert state.indices == [1]
     assert state.R[0, 0] ** 2 == pytest.approx(
@@ -236,15 +243,21 @@ def test_gate_matches_left_looking_reference():
 
 # --- incremental QR -----------------------------------------------------------
 
-# QrState factors centered columns (its solver's inputs): every input here
-# sums to zero
+# The QR half of a FactorState factors centered columns (its solver's
+# inputs): every input here sums to zero
+
+
+def qr_append(state, block):
+    """qr_append_block with its first projection pass formed here."""
+    return qr_append_block(state, block, state.Q.T @ block)
+
 
 def test_qr_orthogonal_inputs():
     u = np.column_stack([np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
                          np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)])
-    state = QrState(3, capacity=2)
-    qr_append_block(state, u[:, :1])
-    qr_append_block(state, u[:, 1:])
+    state = FactorState(3, 1.0, capacity=2)
+    qr_append(state, u[:, :1])
+    qr_append(state, u[:, 1:])
     np.testing.assert_allclose(state.Q, u, atol=1e-14)
     np.testing.assert_allclose(state.P, np.eye(2), atol=1e-14)
     assert (state.m, state.r) == (2, 2)
@@ -252,11 +265,11 @@ def test_qr_orthogonal_inputs():
 
 def test_qr_dependent_column_flagged():
     a = np.array([1.0, 2.0, 0.0, -3.0])
-    one_by_one = QrState(4, capacity=2)
-    qr_append_block(one_by_one, a[:, None])
-    qr_append_block(one_by_one, 2.0 * a[:, None])
-    block = QrState(4, capacity=2)
-    qr_append_block(block, np.column_stack([a, 2.0 * a]))
+    one_by_one = FactorState(4, 1.0, capacity=2)
+    qr_append(one_by_one, a[:, None])
+    qr_append(one_by_one, 2.0 * a[:, None])
+    block = FactorState(4, 1.0, capacity=2)
+    qr_append(block, np.column_stack([a, 2.0 * a]))
     for state in (one_by_one, block):
         assert (state.m, state.r) == (2, 1)
         assert state.Q.shape == (4, 1)
@@ -267,10 +280,10 @@ def test_qr_dependent_column_flagged():
 
 def test_qr_random_columns_reconstruct():
     rng = np.random.default_rng(12)
-    state = QrState(9, capacity=5)
+    state = FactorState(9, 1.0, capacity=5)
     A = rng.normal(size=(9, 5))
     A -= A.mean(axis=0)
-    qr_append_block(state, A)
+    qr_append(state, A)
     np.testing.assert_allclose(state.Q.T @ state.Q, np.eye(5), atol=1e-10)
     np.testing.assert_allclose(state.Q @ state.P, A,
                                atol=1e-10 * np.abs(A).max())
@@ -282,15 +295,15 @@ def test_append_past_capacity_raises():
     rng = np.random.default_rng(13)
     A = rng.normal(size=(40, 6))
     A -= A.mean(axis=0)
-    qr = QrState(40, capacity=4)
-    qr_append_block(qr, A[:, :3])
+    qr = FactorState(40, 1.0, capacity=4)
+    qr_append(qr, A[:, :3])
     with pytest.raises(ValueError, match="capacity"):
-        qr_append_block(qr, A[:, 3:5])
+        qr_append(qr, A[:, 3:5])
     assert (qr.m, qr.r) == (3, 3)
-    qr_append_block(qr, A[:, 3:4])
+    qr_append(qr, A[:, 3:4])
     np.testing.assert_allclose(qr.Q @ qr.P, A[:, :4], atol=1e-12)
     oracle = ArrayColumns(random_psd(rng, 40))
-    chol = CholState(40, 0.1, capacity=2)
+    chol = FactorState(40, 0.1, capacity=2)
     append(chol, oracle, [0, 1])
     R_before = chol.R.copy()
     with pytest.raises(ValueError, match="capacity"):
@@ -298,42 +311,47 @@ def test_append_past_capacity_raises():
     assert chol.m == 2 and chol.indices == [0, 1]
     np.testing.assert_array_equal(chol.R, R_before)
     # a block whose rejected columns would not fit is still appended
-    assert append(CholState(40, 0.1, capacity=1), oracle, [3, 3]) == [0]
+    assert append(FactorState(40, 0.1, capacity=1), oracle, [3, 3]) == [0]
 
 
 def test_qr_dimension_check():
-    state = QrState(3, capacity=1)
+    state = FactorState(3, 1.0, capacity=1)
     with pytest.raises(ValueError):
-        qr_append_block(state, np.ones((4, 1)))
+        qr_append_block(state, np.ones((4, 1)), np.zeros((0, 1)))
 
 
 def test_factor_storage_is_column_major():
     # both states are sized once, for all 34 landmarks and the 7 planted
     # QR columns (dependent ones, within the block and on earlier blocks),
-    # and every buffer is column-major and never reallocated
+    # every buffer is column-major and never reallocated, and Q is the only
+    # one with N rows: the landmark columns are not stored
     rng = np.random.default_rng(21)
     n = 60
     oracle = KernelColumns.from_data(KernelSpec(sigma=0.7),
                                      rng.normal(size=(n, 2)))
-    chol = CholState(n, lam=1e-2, capacity=34)
-    qr = QrState(n, capacity=41)
-    buffers = [chol._c, chol._A, chol._R, qr._Q, qr._P]
+    chol = FactorState(n, lam=1e-2, capacity=34)
+    qr = FactorState(n, lam=1e-2, capacity=41)
+    buffers = [chol._c, chol._R, chol._Q, chol._P, qr._Q, qr._P]
     assert all(buf.flags.f_contiguous for buf in buffers)
     fed = []
     for idx in (np.arange(0, 3), np.arange(3, 9), np.arange(9, 20),
                 np.arange(20, 34)):
         m0 = chol.m
         chol_append_block(chol, idx, oracle.columns(idx))
-        new = chol.A[:, m0:]
+        kept = np.array(chol.indices[m0:])
+        new = _equilibrated_block(oracle.columns(kept), kept, 1e-2)[0]
         planted = [new @ rng.normal(size=new.shape[1])]
         if fed:
             planted.append(np.column_stack(fed) @ rng.normal(size=len(fed)))
         block = np.column_stack([new[:, :1], *planted, new[:, 1:]])
-        qr_append_block(qr, block)
+        qr_append(qr, block)
         fed += list(block.T)
-        assert chol.A.flags.f_contiguous and qr.Q.flags.f_contiguous
+        assert chol.Q.flags.f_contiguous and qr.Q.flags.f_contiguous
     assert all(now is buf for now, buf in
-               zip([chol._c, chol._A, chol._R, qr._Q, qr._P], buffers))
+               zip([chol._c, chol._R, chol._Q, chol._P, qr._Q, qr._P],
+                   buffers))
+    assert [name for name, buf in vars(chol).items()
+            if isinstance(buf, np.ndarray) and buf.shape[0] == n] == ["_Q"]
     A = np.column_stack(fed)
     assert qr.m == A.shape[1] == chol.m + 7 and qr.r <= chol.m
     np.testing.assert_allclose(qr.Q.T @ qr.Q, np.eye(qr.r), rtol=0,

@@ -20,6 +20,12 @@
   ``(M1 @ Kt) @ M2^T`` within 1e-12 relative, and no ``T_hat`` handed out
   earlier changes afterwards. Paths grow one view at a time, repeat
   checkpoints and offer blocks that the gate rejects entirely.
+* One factor state per view holds its invariants after every append: over
+  random splits of distinct candidates into blocks, ``Q^T Q = I`` within
+  1e-12, ``||Q^T 1|| <= 1e-12 sqrt(N)``, ``||A - Q P|| <= 1e-12 ||A||``
+  against the equilibrated columns rebuilt from scratch,
+  ``R^T R = N lam gram + P^T P`` within 1e-12, and the kept landmarks are
+  those of ``admit_columns`` on the whole target (the restart's gate).
 * The top-k SVD policy matches a full LAPACK SVD on either side of its
   ARPACK crossover: singular values within 1e-12 sigma_1, and singular
   subspaces within 1e-8 wherever the spectrum has a gap, on full-rank,
@@ -67,6 +73,8 @@ from nkcca.kcca import (KccaModel, Landmarks, load_model, nkcca_fit,
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import (approx_leverage, effective_dimension,
                             exact_leverage)
+from nkcca.nystrom import (FactorState, _equilibrated_block, admit_columns,
+                           chol_append_block)
 from nkcca.sampling import SamplingPlan
 
 RHO_TOL = 1e-8
@@ -345,6 +353,48 @@ def test_bordered_t_hat_equals_formed_product(case):
     assert len(checked) == len(t_hats) == len(case["checkpoints"])
     for T_hat, copy in zip(t_hats, checked):
         np.testing.assert_array_equal(T_hat, copy)
+
+
+@st.composite
+def factor_appends(draw):
+    n = draw(st.integers(8, 60))
+    m = draw(st.integers(1, n))
+    cuts = draw(st.lists(st.integers(1, max(m - 1, 1)), max_size=6,
+                         unique=True)) if m > 1 else []
+    return dict(n=n, seed=draw(st.integers(0, 10_000)),
+                sigma=draw(st.sampled_from([0.3, 0.5, 1.0])),
+                lam=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+                candidates=draw(st.permutations(range(n)))[:m],
+                cuts=sorted(cuts))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(factor_appends())
+def test_factor_state_invariants_after_every_append(case):
+    n, lam = case["n"], case["lam"]
+    ds = synthetic_circles(n, case["seed"])
+    oracle = KernelColumns.from_data(KernelSpec(sigma=case["sigma"]), ds.X)
+    cand = np.array(case["candidates"])
+    # the restart's target over every candidate, built from scratch
+    A_all, _, G_all = _equilibrated_block(oracle.columns(cand), cand, lam)
+    state = FactorState(n, lam, capacity=len(cand))
+    ones = np.ones(n)
+    for lo, hi in zip([0, *case["cuts"]], [*case["cuts"], len(cand)]):
+        chol_append_block(state, cand[lo:hi], oracle.columns(cand[lo:hi]))
+        kept, _ = admit_columns(G_all[:hi, :hi])
+        assert state.indices == cand[kept].tolist()
+        Q, P, R = state.Q, state.P, state.R
+        np.testing.assert_allclose(Q.T @ Q, np.eye(state.r), rtol=0,
+                                   atol=1e-12)
+        assert np.linalg.norm(Q.T @ ones) <= 1e-12 * np.sqrt(n)
+        A = A_all[:, kept]
+        assert np.linalg.norm(A - Q @ P) <= 1e-12 * np.linalg.norm(A)
+        c = state._c[:state.m]
+        idx = cand[kept]
+        gram_kept = c[:, None] * oracle.columns(idx)[idx] * c[None, :]
+        np.testing.assert_allclose(R.T @ R, n * lam * gram_kept + P.T @ P,
+                                   rtol=0, atol=1e-12)
 
 
 def _row_centered(rng, shape):
