@@ -93,8 +93,8 @@ def low_rank_dense(K, plan: SamplingPlan, gamma: float) -> np.ndarray:
     whitened sketch F of C = K S and W = S^T K S at shift N gamma, so a
     singular core at gamma = 0 is pseudo-inverted.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < math.inf:
+        raise ValueError("gamma must be nonnegative and finite")
     K = as_matrix(K)
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel matrix has non-finite entries")
@@ -111,8 +111,8 @@ def d_matrix_norm(K, plan: SamplingPlan | None, gamma: float) -> float:
     Phi = Sig (Sig + N gamma I)^-1 from the eigendecomposition K = U Sig U^T
     and S is the weighted sampling matrix. An empty plan gives ||Phi||.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     K = as_matrix(K)
     n = K.shape[0]
     _check_dense_feasible(n)
@@ -167,8 +167,8 @@ def projection_error_check(K, plan: SamplingPlan, gamma: float, lam: float,
     {L, L_gamma} of ||A (A + N lam I)^-1 - B (B + N lam I)^-1||; the report
     is not applicable unless the measured ||D|| is at most t.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     if not 0 < t < 1:
         raise ValueError("t must lie in (0, 1)")
     K = as_matrix(K)

@@ -4,22 +4,23 @@ The exact solver forms T = (Kc1 + N lam1 I)^-1 Kc1 Kc2 (Kc2 + N lam2 I)^-1
 densely (Kc = centered Gram matrix) and reads the canonical correlations off
 its singular values. The Nystrom solver never touches N x N matrices: per
 view it maintains one factor state (nystrom.FactorState): the incremental
-Cholesky factor R of G = N lam S^T K S + (H K S)^T (H K S) = R^T R and a thin
-QR of H K S = Q P; the landmark columns H K S themselves are not kept. S
-selects the kept landmarks, each column scaled to a unit diagonal of G; the
-solution does not depend on that scaling, so the plans' importance weights
-are not used. At a rank checkpoint the canonical system reduces to the SVD
-of the small r1 x r2 matrix T_hat = P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T,
-with core = (H K1 S1)^T (H K2 S2) = P1^T X P2, X = Q1^T Q2, M = P R^-1 per
-view and Kt = R1^-T core R2^-1 = M1^T X M2, and the approximate T is
-Q1 T_hat Q2^T. M, X, Kt and T_hat are grown by bordering as landmarks are
-appended: their leading blocks never change, so the previous checkpoint's
-T_hat, padded with zeros, is the part over the old landmarks, and only the
-products with the new ones are added (O(r^2 p) for p new landmarks instead
-of O(r^3)). Only X's new blocks take products over N, with the new Q
-columns. Each checkpoint then takes the top L+1 singular triplets of T_hat,
-which lift back through Q1, Q2, and hands (Q1, Q2, T_hat) to the caller's
-hook.
+Cholesky factor R of G = N lam S^T K S + (H K S)^T (H K S) = R^T R, a thin
+QR of H K S = Q P and M = P R^-1, all grown by bordering; the landmark
+columns H K S themselves are not kept. S selects the kept landmarks, each
+column scaled to a unit diagonal of G; the solution does not depend on that
+scaling, so the plans' importance weights are not used. At a rank
+checkpoint the canonical system reduces to the SVD of the small r1 x r2
+matrix T_hat = P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with core =
+(H K1 S1)^T (H K2 S2) = P1^T X P2, X = Q1^T Q2 and Kt = R1^-T core R2^-1 =
+M1^T X M2, and the approximate T is Q1 T_hat Q2^T. X and T_hat are grown by
+bordering here: the leading blocks of M, X and Kt never change, so the
+previous checkpoint's T_hat, padded with zeros, is the part over the old
+landmarks, and only the products with the new ones are added (O(r^2 p) for
+p new landmarks instead of O(r^3)); the blocks of Kt they need are formed
+on the way and not kept. Only X's new blocks take products over N, with the
+new Q columns. Each checkpoint then takes the top L+1 singular triplets of
+T_hat, which lift back through Q1, Q2, and hands (Q1, Q2, T_hat) to the
+caller's hook.
 
 Every top-k solve (exact, checkpoint and the RFF baseline's linear CCA) goes
 through one policy, _top_svd: ARPACK's Lanczos on the formed matrix once its
@@ -40,7 +41,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import svds
 
-from .kernels import KernelColumns, as_matrix, center
+from .kernels import KernelColumns, KernelSpec, as_matrix, center
 from .nystrom import (FactorState, _equilibrated_block, admit_columns,
                       chol_append_block, solve_upper)
 from .sampling import SamplingPlan
@@ -199,8 +200,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     alpha_prime/beta_prime, and coefficients alpha = sqrt(N)
     (Kc1 + N lam1 I)^-1 alpha_prime (beta analogously).
     """
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise ValueError("regularizers must be positive")
+    if not (0 < lambda1 < math.inf and 0 < lambda2 < math.inf):
+        raise ValueError("regularizers must be positive and finite")
     K1 = as_matrix(K1)
     K2 = as_matrix(K2)
     n = K1.shape[0]
@@ -236,39 +237,25 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
 # Nystrom rank-path solver
 # ---------------------------------------------------------------------------
 
-def _border_m(M: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Grow M = P R^-1 to the current P and R.
-
-    With R = [[R0, W], [0, B]] the leading columns stay P[:, :m0] R0^-1 = M
-    (the rows of new Q directions are zero there), and the appended ones are
-    (P[:, m0:] - M W) B^-1.
-    """
-    r0, m0 = M.shape
-    r, m = P.shape
-    out = np.zeros((r, m))
-    out[:r0, :m0] = M
-    rhs = P[:, m0:].copy()
-    rhs[:r0] -= M @ R[:m0, m0:]
-    out[:, m0:] = solve_upper(R[m0:, m0:], rhs.T, trans=True).T
-    return out
-
-
-def _border_t_hat(T: np.ndarray, M1: np.ndarray, K: np.ndarray,
+def _border_t_hat(T: np.ndarray, M1: np.ndarray, X: np.ndarray,
                   M2: np.ndarray, k10: int, k20: int) -> np.ndarray:
-    """Grow T_hat = M1 Kt M2^T to the current M1, Kt and M2, from its value
-    T over the first k10 / k20 landmarks; returns a new array.
+    """Grow T_hat = M1 Kt M2^T, with Kt = M1^T X M2, to the current M1, X
+    and M2, from its value T over the first k10 / k20 landmarks; returns a
+    new array.
 
     The first k10 columns of M1 are the old M1 over zero rows (likewise for
     M2), so M1[:, :k10] Kt[:k10, :k20] M2[:, :k20]^T is T padded with zeros.
     What remains is M1[:, :k10] Kt[:k10, k20:] M2[:, k20:]^T, whose left
     factor has nonzero rows only where T has rows, plus M1[:, k10:]
-    (Kt[k10:] M2^T): one product over the p1 + p2 new landmarks.
+    (Kt[k10:] M2^T): one product over the p1 + p2 new landmarks. Only those
+    two blocks of Kt are formed, and neither is kept.
     """
     r10, r20 = T.shape
-    head = np.zeros((M1.shape[0], K.shape[1] - k20))
-    head[:r10] = M1[:r10, :k10] @ K[:k10, k20:]
+    head = np.zeros((M1.shape[0], M2.shape[1] - k20))
+    head[:r10] = M1[:r10, :k10] @ (M1[:, :k10].T @ (X @ M2[:, k20:]))
+    k_new = (M1[:, k10:].T @ X) @ M2
     out = (np.hstack([head, M1[:, k10:]])
-           @ np.vstack([M2[:, k20:].T, K[k10:] @ M2.T]))
+           @ np.vstack([M2[:, k20:].T, k_new @ M2.T]))
     out[:r10, :r20] += T
     return out
 
@@ -281,23 +268,6 @@ def _border_x(X: np.ndarray, Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
     out[:r10, :r20] = X
     out[r10:] = Q1[:, r10:].T @ Q2
     out[:r10, r20:] = Q1[:, :r10].T @ Q2[:, r20:]
-    return out
-
-
-def _border_k_tilde(K: np.ndarray, M1: np.ndarray, X: np.ndarray,
-                    M2: np.ndarray) -> np.ndarray:
-    """Grow Kt = M1^T X M2 (= R1^-T A1^T A2 R2^-1, since A = Q P and
-    M = P R^-1) to the current M1, X and M2.
-
-    The first k10 columns of M1 are the old M1 over zero rows (likewise for
-    M2), so the old block is unchanged; only the new rows M1[:, k10:]^T X M2
-    and the new columns over the old rows are formed, all r-sized products.
-    """
-    k10, k20 = K.shape
-    out = np.empty((M1.shape[1], M2.shape[1]))
-    out[:k10, :k20] = K
-    out[k10:] = (M1[:, k10:].T @ X) @ M2
-    out[:k10, k20:] = M1[:, :k10].T @ (X @ M2[:, k20:])
     return out
 
 
@@ -326,7 +296,6 @@ class _ViewState:
         self.plan = plan
         self.candidates = _candidates(plan.indices, last)
         self.factor = FactorState(oracle.n, lam, len(self.candidates))
-        self.M = np.zeros((0, 0))
         self.offered = 0           # candidates offered to the gate so far
         self.kept: list[int] = []  # their plan positions the gate kept
 
@@ -340,9 +309,7 @@ class _ViewState:
             return
         idx = self.plan.indices[block]
         kept = chol_append_block(self.factor, idx, self.oracle.columns(idx))
-        if kept:
-            self.kept += block[kept].tolist()
-            self.M = _border_m(self.M, self.factor.P, self.factor.R)
+        self.kept += block[kept].tolist()
 
 
 def _checkpoint_solution(Q1: np.ndarray, Q2: np.ndarray, T_hat: np.ndarray,
@@ -393,8 +360,8 @@ def _check_fit_args(oracle1: KernelColumns, oracle2: KernelColumns,
                     lambda2: float, L: int, ranks) -> int:
     """The argument checks both Nystrom fitters share; ``ranks`` holds the
     (m1, m2) pairs to fit. Returns N."""
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise ValueError("regularizers must be positive")
+    if not (0 < lambda1 < math.inf and 0 < lambda2 < math.inf):
+        raise ValueError("regularizers must be positive and finite")
     n = oracle1.n
     if oracle2.n != n:
         raise ValueError("views have different sample counts")
@@ -429,8 +396,9 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
     and the r1 x r2 T_hat whose SVD gave rho, so the approximate T is
     Q1 T_hat Q2^T (``t_error_norm``). Q columns are append-only and T_hat is
     new at every checkpoint, so a hook may keep all three. Its run time is
-    excluded from the recorded incremental wall times. No core matrix
-    (H K1 S1)^T (H K2 S2) is kept.
+    excluded from the recorded incremental wall times. Neither the core
+    matrix (H K1 S1)^T (H K2 S2) nor Kt = R1^-T core R2^-1 is kept: T_hat is
+    bordered from X = Q1^T Q2 and each view's M = P R^-1.
 
     Returns one RankPathEntry per checkpoint, in order.
     """
@@ -443,19 +411,18 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
     last1, last2 = cps[-1] if cps else (0, 0)
     v1 = _ViewState(oracle1, plan1, lambda1, last1)
     v2 = _ViewState(oracle2, plan2, lambda2, last2)
+    f1, f2 = v1.factor, v2.factor
     x_cross = np.zeros((0, 0))
-    k_tilde = np.zeros((0, 0))
     T_hat = np.zeros((0, 0))
     entries: list[RankPathEntry] = []
 
     for m1, m2 in cps:
-        k1_old, k2_old = k_tilde.shape
+        k10, k20 = f1.m, f2.m
         v1.advance(m1)
         v2.advance(m2)
-        Q1, Q2 = v1.factor.Q, v2.factor.Q
+        Q1, Q2, M1, M2 = f1.Q, f2.Q, f1.M, f2.M
         x_cross = _border_x(x_cross, Q1, Q2)
-        k_tilde = _border_k_tilde(k_tilde, v1.M, x_cross, v2.M)
-        T_hat = _border_t_hat(T_hat, v1.M, k_tilde, v2.M, k1_old, k2_old)
+        T_hat = _border_t_hat(T_hat, M1, x_cross, M2, k10, k20)
 
         rho, ap, bp, sig_next = _checkpoint_solution(Q1, Q2, T_hat, L)
         model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
@@ -463,7 +430,7 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
                           sigma_next=sig_next, view1=oracle1, view2=oracle2,
                           landmarks1=_landmarks(plan1, v1.kept, m1),
                           landmarks2=_landmarks(plan2, v2.kept, m2))
-        nkcca_coefficients(model, Q1, v1.M, Q2, v2.M)
+        nkcca_coefficients(model, Q1, M1, Q2, M2)
         entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model)
         entry.wall_time_incremental = time.perf_counter() - t0 - hook_time
         if on_checkpoint is not None:
@@ -711,8 +678,6 @@ def load_model(path, X1=None, X2=None) -> KccaModel:
     store them; the landmark weights of version-1 and version-2 records are
     ignored.
     """
-    from .kernels import KernelSpec
-
     with np.load(path, allow_pickle=False) as z:
         if int(z["format_version"]) not in (1, 2, _FORMAT_VERSION):
             raise ValueError("unknown model format version")

@@ -8,7 +8,8 @@ landmark columns ``c_j H k_{i_j}`` (never stored), it holds
   ``G = N lam C^T K C + A^T A``, with ``C`` the unit sampling matrix of the
   landmarks scaled by ``c``,
 * ``Q, P`` — a thin orthonormal factorization ``A = Q P``, so every product
-  with ``A`` goes through ``Q`` and ``P``.
+  with ``A`` goes through ``Q`` and ``P``,
+* ``M = P R^-1`` — the factor the solver reads: ``A G^-1 A^T = Q M M^T Q^T``.
 
 Each column is scaled by ``c_j = 1 / sqrt(d0_j)``, where ``d0_j = ||H k_j||^2
 + N lam K_jj`` is its diagonal in the unscaled target, so every diagonal of
@@ -25,14 +26,16 @@ The state grows only by blocks of p columns through ``chol_append_block``
 ``W = R_old^-T (P^T C + N lam gram_cross)`` and ``B`` the factor of the
 Schur complement, and ``qr_append_block`` reuses ``C`` over the kept
 columns as its first projection pass, then runs a second pass and
-Gram-Schmidt within the block. Leading blocks never change, so advancing to
-a larger rank reuses everything already computed. A state is sized once, by
-a capacity fixed when it is made (a sampling plan bounds the landmarks of a
-rank path in advance), and an append past it raises ``ValueError``. Every
-buffer is column-major: appends write whole columns, the projections and
-the Gram-Schmidt loop read them, and a leading block of ``R`` reaches
-LAPACK without a transposing copy (``solve_upper``). ``Q`` is the only
-buffer with N rows.
+Gram-Schmidt within the block. ``M`` is bordered last, from ``W`` and
+``B``: its new columns are ``(P_new - M_old W) B^-1``, and its old columns
+are zero in the rows of the new Q directions. Leading blocks never change,
+so advancing to a larger rank reuses everything already computed. A state
+is sized once, by a capacity fixed when it is made (a sampling plan bounds
+the landmarks of a rank path in advance), and an append past it raises
+``ValueError``. Every buffer is column-major: appends write whole columns,
+the projections and the Gram-Schmidt loop read them, and a leading block
+of ``R`` reaches LAPACK without a transposing copy (``solve_upper``). ``Q``
+is the only buffer with N rows.
 ``admit_columns`` is the one landmark-admission gate (shared with the
 from-scratch reference fitter), ``solve_upper`` the one triangular solve
 with a factor and ``chol_solve`` the solve with its target.
@@ -106,14 +109,15 @@ class FactorState:
     ``gram[j, l] = c_j c_l K(i_j, i_l)``, and ``A = Q P``. ``Q`` keeps only
     independent directions (r columns, r <= m) and lies in the centered
     subspace; ``P`` is r x m with column j holding the coefficients of
-    column j in the Q basis, upper triangular in the full-rank case. Appends
+    column j in the Q basis, upper triangular in the full-rank case.
+    ``M = P R^-1`` is r x m, so ``A G_m^-1 A^T = Q M M^T Q^T``. Appends
     must be applied sequentially (single writer); reads of a finished state
     are safe from any thread. ``capacity`` bounds m.
     """
 
     def __init__(self, n: int, lam: float, capacity: int):
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         self.n = n
         self.lam = lam
         self.capacity = capacity
@@ -124,6 +128,7 @@ class FactorState:
         self._R = np.zeros((capacity, capacity), order="F")
         self._Q = np.zeros((n, capacity), order="F")
         self._P = np.zeros((capacity, capacity), order="F")
+        self._M = np.zeros((capacity, capacity), order="F")
 
     @property
     def R(self) -> np.ndarray:
@@ -136,6 +141,10 @@ class FactorState:
     @property
     def P(self) -> np.ndarray:
         return self._P[: self.r, : self.m]
+
+    @property
+    def M(self) -> np.ndarray:
+        return self._M[: self.r, : self.m]
 
 
 def admit_columns(S: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -172,7 +181,7 @@ def admit_columns(S: np.ndarray) -> tuple[list[int], np.ndarray]:
 
 def chol_append_block(state: FactorState, indices,
                       columns: np.ndarray) -> list[int]:
-    """Append a block of landmarks: block-bordered Cholesky, then QR.
+    """Append a block of landmarks: block-bordered Cholesky, QR, then M.
 
     The cross terms with the kept landmarks are ``A^T A_blk = P^T C`` plus
     the ridge term, with ``C = Q^T A_blk`` formed once over the block. The
@@ -180,8 +189,10 @@ def chol_append_block(state: FactorState, indices,
     applied to the cross terms, and the trailing block factors the Schur
     complement. Columns failing ``admit_columns`` are skipped and leave no
     trace in the state; the kept ones go to ``qr_append_block`` with their
-    columns of ``C``. Returns the block-local positions kept. Keeping more
-    landmarks than the state's capacity raises ``ValueError``.
+    columns of ``C``. With ``R = [[R_old, W], [0, B]]``, ``M = P R^-1``
+    keeps its leading columns (zero in the new Q rows) and gains
+    ``(P[:, m0:] - M_old W) B^-1``. Returns the block-local positions kept.
+    Keeping more landmarks than the state's capacity raises ``ValueError``.
     """
     indices = np.asarray(indices, dtype=int)
     nb = indices.shape[0]
@@ -204,11 +215,16 @@ def chol_append_block(state: FactorState, indices,
     kept, R_blk = admit_columns(S_blk)
     if not kept:
         return kept
+    r0 = state.r
     qr_append_block(state, A_blk[:, kept], C[:, kept])
     sl = slice(m0, state.m)
+    W = W[:, kept]
     state._c[sl] = c[kept]
-    state._R[:m0, sl] = W[:, kept]
+    state._R[:m0, sl] = W
     state._R[sl, sl] = R_blk
+    rhs = state._P[: state.r, sl].copy()
+    rhs[:r0] -= state._M[:r0, :m0] @ W
+    state._M[: state.r, sl] = solve_upper(R_blk, rhs.T, trans=True).T
     state.indices += [int(i) for i in indices[kept]]
     return kept
 

@@ -83,8 +83,10 @@ def test_d_norm_matches_mrrr_driver_on_clustered_ring_kernel():
 
 
 def test_d_norm_requires_positive_gamma():
-    with pytest.raises(ValueError):
-        d_matrix_norm(np.eye(4), None, 0.0)
+    # gamma = inf gave ||D|| = 0
+    for gamma in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            d_matrix_norm(np.eye(4), None, gamma)
 
 
 # --- dense column-sampled approximation --------------------------------------
@@ -160,11 +162,25 @@ def test_low_rank_dense_psd_ordering_small_instances():
 
 def test_low_rank_dense_rejects_bad_input():
     K = np.eye(4)
-    with pytest.raises(ValueError, match="nonnegative"):
-        low_rank_dense(K, unit_plan([0, 2]), -0.1)
+    for gamma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            low_rank_dense(K, unit_plan([0, 2]), gamma)
     K[1, 3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         low_rank_dense(K, unit_plan([0, 2]), 0.1)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf], ids=["nan", "inf"])
+def test_bound_checks_reject_non_finite_gamma(gamma):
+    # at gamma = inf the PSD-ordering and tail checks reported a held bound
+    K = random_psd(np.random.default_rng(3), 6)
+    plan = unit_plan([0, 2, 4])
+    for check in (lambda: psd_ordering_check(K, plan, gamma),
+                  lambda: tail_bound_check(K, plan, gamma, t=0.5),
+                  lambda: projection_error_check(K, plan, gamma, lam=0.1,
+                                                 t=0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            check()
 
 
 # --- PSD ordering / tail ---------------------------------------------------------

@@ -14,8 +14,7 @@ from nkcca.kcca import (_nystrom_coefficients, exact_kcca, load_model,
                         t_error_norm, total_correlation)
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import SamplingDistribution
-from nkcca.nystrom import (FactorState, chol_append_block, chol_solve,
-                           solve_upper)
+from nkcca.nystrom import FactorState, chol_append_block, chol_solve
 from nkcca.sampling import sample
 
 
@@ -254,6 +253,11 @@ _BAD_FIT_ARGS = {
     "L_above_N": ("path", dict(L=13)),
     "zero_lambda": ("direct", dict(lambda1=0.0)),
     "negative_lambda": ("path", dict(lambda2=-1.0)),
+    # a NaN or infinite regularizer rejected every landmark and gave rho = 0
+    "nan_lambda_path": ("path", dict(lambda1=float("nan"))),
+    "inf_lambda_path": ("path", dict(lambda2=float("inf"))),
+    "nan_lambda_direct": ("direct", dict(lambda2=float("nan"))),
+    "inf_lambda_direct": ("direct", dict(lambda1=float("inf"))),
     "sample_counts_differ_restart": ("direct", dict(short_view2=True)),
     "sample_counts_differ_path": ("path", dict(short_view2=True)),
     "plan_beyond_N_restart": ("direct", dict(wide_plan=True)),
@@ -282,8 +286,8 @@ def test_fitters_reject_invalid_arguments(fitter, bad):
         fit(o1, o2, plan, plan, **(args | bad))
 
 
-def test_bordered_m_and_k_tilde_match_scratch_solves():
-    from nkcca.kcca import _border_k_tilde, _border_m, _border_x
+def test_bordered_t_hat_matches_scratch_solves():
+    from nkcca.kcca import _border_t_hat, _border_x
 
     rng = np.random.default_rng(40)
     R1, R2 = _random_upper(rng, 11), _random_upper(rng, 9)
@@ -294,19 +298,21 @@ def test_bordered_m_and_k_tilde_match_scratch_solves():
     # the landmark columns the factors describe: A = Q P per view
     A1, A2 = Q1 @ P, Q2 @ P2
     core = A1.T @ A2
-    M = M2 = X = K = np.zeros((0, 0))
+    X = T = np.zeros((0, 0))
+    k10 = k20 = 0
     # grow both views, view 1 only, view 2 only, then both again
     for k1, k2, r in ((3, 4, 3), (6, 4, 6), (6, 7, 6), (11, 9, 10)):
-        M = _border_m(M, P[:r, :k1], R1[:k1, :k1])
-        M2 = _border_m(M2, P2[:k2, :k2], R2[:k2, :k2])
+        # M = P R^-1 per view from scratch: R^T M^T = P^T
+        M1 = scipy.linalg.solve_triangular(R1[:k1, :k1], P[:r, :k1].T,
+                                           trans="T").T
+        M2 = scipy.linalg.solve_triangular(R2[:k2, :k2], P2[:k2, :k2].T,
+                                           trans="T").T
         X = _border_x(X, Q1[:, :r], Q2[:, :k2])
-        K = _border_k_tilde(K, M, X, M2)
-        M_ref = scipy.linalg.solve_triangular(R1[:k1, :k1], P[:r, :k1].T,
-                                              trans="T").T
+        T = _border_t_hat(T, M1, X, M2, k10, k20)
         K_ref = np.linalg.solve(R1[:k1, :k1].T, core[:k1, :k2]) @ \
             np.linalg.inv(R2[:k2, :k2])
-        np.testing.assert_allclose(M, M_ref, atol=1e-10)
-        np.testing.assert_allclose(K, K_ref, atol=1e-10)
+        np.testing.assert_allclose(T, M1 @ K_ref @ M2.T, atol=1e-10)
+        k10, k20 = k1, k2
 
 
 def test_live_m_factor_matches_factor_solves():
@@ -320,7 +326,8 @@ def test_live_m_factor_matches_factor_solves():
     def hook(entry, Q1, Q2, T_hat):
         for v in states:
             P = v.factor.P
-            np.testing.assert_allclose(v.M @ v.M.T,
+            M = v.factor.M
+            np.testing.assert_allclose(M @ M.T,
                                        P @ chol_solve(v.factor.R, P.T),
                                        atol=1e-9)
         checked.append(entry.m1)
@@ -364,7 +371,7 @@ def test_coefficients_zero_kernel_limit():
     rng = np.random.default_rng(15)
     ap = rng.normal(size=(9, 2))
     state = FactorState(9, 0.2, capacity=0)
-    out = _nystrom_coefficients(ap, state.Q, np.zeros((0, 0)), n=9, lam=0.2)
+    out = _nystrom_coefficients(ap, state.Q, state.M, n=9, lam=0.2)
     np.testing.assert_allclose(out, ap / (np.sqrt(9) * 0.2), atol=1e-14)
 
 
@@ -379,8 +386,8 @@ def test_coefficients_nullspace_probe():
     probe = np.linalg.qr(np.column_stack([A, np.ones((10, 1)),
                                           np.eye(10)[:, :3]]))[0][:, -1]
     assert np.abs(A.T @ probe).max() < 1e-10
-    M = solve_upper(chol1.R, chol1.P.T, trans=True).T
-    out = _nystrom_coefficients(probe[:, None], chol1.Q, M, n=10, lam=0.05)
+    out = _nystrom_coefficients(probe[:, None], chol1.Q, chol1.M, n=10,
+                                lam=0.05)
     np.testing.assert_allclose(out[:, 0], probe / (np.sqrt(10) * 0.05),
                                atol=1e-10)
 

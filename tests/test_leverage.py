@@ -80,6 +80,16 @@ def test_exact_requires_positive_gamma():
         exact_leverage(np.eye(3), gamma=0.0)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf], ids=["nan", "inf"])
+def test_leverage_rejects_non_finite_gamma(gamma):
+    # NaN gave NaN estimates and inf all-zero ones, with no error
+    K = np.eye(5)
+    with pytest.raises(ValueError, match="finite"):
+        approx_leverage(ArrayColumns(K), gamma, sketch_size=3, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        effective_dimension(K, gamma)
+
+
 def test_effective_dimension_identity():
     assert effective_dimension(np.eye(3), gamma=1.0 / 3.0) == pytest.approx(1.5)
 

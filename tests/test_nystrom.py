@@ -314,6 +314,12 @@ def test_append_past_capacity_raises():
     assert append(FactorState(40, 0.1, capacity=1), oracle, [3, 3]) == [0]
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf], ids=["nan", "inf"])
+def test_factor_state_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="finite"):
+        FactorState(5, lam, capacity=2)
+
+
 def test_qr_dimension_check():
     state = FactorState(3, 1.0, capacity=1)
     with pytest.raises(ValueError):
@@ -331,7 +337,7 @@ def test_factor_storage_is_column_major():
                                      rng.normal(size=(n, 2)))
     chol = FactorState(n, lam=1e-2, capacity=34)
     qr = FactorState(n, lam=1e-2, capacity=41)
-    buffers = [chol._c, chol._R, chol._Q, chol._P, qr._Q, qr._P]
+    buffers = [chol._c, chol._R, chol._Q, chol._P, chol._M, qr._Q, qr._P]
     assert all(buf.flags.f_contiguous for buf in buffers)
     fed = []
     for idx in (np.arange(0, 3), np.arange(3, 9), np.arange(9, 20),
@@ -348,8 +354,8 @@ def test_factor_storage_is_column_major():
         fed += list(block.T)
         assert chol.Q.flags.f_contiguous and qr.Q.flags.f_contiguous
     assert all(now is buf for now, buf in
-               zip([chol._c, chol._R, chol._Q, chol._P, qr._Q, qr._P],
-                   buffers))
+               zip([chol._c, chol._R, chol._Q, chol._P, chol._M, qr._Q,
+                    qr._P], buffers))
     assert [name for name, buf in vars(chol).items()
             if isinstance(buf, np.ndarray) and buf.shape[0] == n] == ["_Q"]
     A = np.column_stack(fed)

@@ -332,20 +332,20 @@ def test_bordered_t_hat_equals_formed_product(case):
     o1 = KernelColumns.from_data(spec, np.vstack([ds.X, ds.X]))
     o2 = KernelColumns.from_data(spec, np.vstack([ds.Y, ds.Y]))
     p1, p2 = (unit_plan(p) for p in case["plans"])
-    states, k_tildes, t_hats, checked = [], [], [], []
+    states, xs, t_hats, checked = [], [], [], []
 
     def hook(entry, Q1, Q2, T_hat):
         assert T_hat is t_hats[-1]
-        v1, v2 = states
-        ref = (v1.M @ k_tildes[-1]) @ v2.M.T
+        M1, M2 = (v.factor.M for v in states)
+        ref = (M1 @ (M1.T @ xs[-1] @ M2)) @ M2.T
         assert T_hat.shape == ref.shape
         assert np.linalg.norm(T_hat - ref) <= 1e-12 * np.linalg.norm(ref)
         checked.append(T_hat.copy())
 
     with mock.patch.object(kcca, "_ViewState",
                            recording(kcca._ViewState, states)), \
-            mock.patch.object(kcca, "_border_k_tilde",
-                              recording(kcca._border_k_tilde, k_tildes)), \
+            mock.patch.object(kcca, "_border_x",
+                              recording(kcca._border_x, xs)), \
             mock.patch.object(kcca, "_border_t_hat",
                               recording(kcca._border_t_hat, t_hats)):
         nkcca_fit(o1, o2, p1, p2, case["lam"], case["lam"], 1,
@@ -384,7 +384,7 @@ def test_factor_state_invariants_after_every_append(case):
         chol_append_block(state, cand[lo:hi], oracle.columns(cand[lo:hi]))
         kept, _ = admit_columns(G_all[:hi, :hi])
         assert state.indices == cand[kept].tolist()
-        Q, P, R = state.Q, state.P, state.R
+        Q, P, R, M = state.Q, state.P, state.R, state.M
         np.testing.assert_allclose(Q.T @ Q, np.eye(state.r), rtol=0,
                                    atol=1e-12)
         assert np.linalg.norm(Q.T @ ones) <= 1e-12 * np.sqrt(n)
@@ -395,6 +395,9 @@ def test_factor_state_invariants_after_every_append(case):
         gram_kept = c[:, None] * oracle.columns(idx)[idx] * c[None, :]
         np.testing.assert_allclose(R.T @ R, n * lam * gram_kept + P.T @ P,
                                    rtol=0, atol=1e-12)
+        assert M.shape == (state.r, state.m)
+        assert (np.linalg.norm(M @ R - P)
+                <= 1e-12 * np.linalg.norm(M) * np.linalg.norm(R))
 
 
 def _row_centered(rng, shape):
