@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import as_matrix, center
-from .kcca import KccaModel, project_many
+from .kcca import KccaModel, _ridge_inverse, project_many
 from .leverage import _psd_eigh, _whitened_sketch
 from .sampling import SamplingPlan
 
@@ -80,10 +80,12 @@ def _sym_norm(A: np.ndarray) -> float:
 
 
 def ridge_projection(A: np.ndarray, lam: float) -> np.ndarray:
-    """A (A + N lam I)^-1 for symmetric PSD A (dense)."""
-    n = A.shape[0]
-    out = scipy.linalg.solve(A + n * lam * np.eye(n), A, assume_a="pos")
-    return 0.5 * (out + out.T)
+    """A (A + N lam I)^-1 for symmetric PSD A (dense), exactly symmetric.
+
+    Formed as I - N lam (A + N lam I)^-1 from one inverted Cholesky factor
+    (kcca._ridge_inverse), in a copy: A is left as it was.
+    """
+    return _ridge_inverse(A.copy(), A.shape[0] * lam)[1]
 
 
 def low_rank_dense(K, plan: SamplingPlan, gamma: float) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 The exact solver forms T = (Kc1 + N lam1 I)^-1 Kc1 Kc2 (Kc2 + N lam2 I)^-1
 densely (Kc = centered Gram matrix) and reads the canonical correlations off
-its singular values. The Nystrom solver never touches N x N matrices: per
+its singular values. Each view's factor, the ridge projection
+Kc (Kc + N lam I)^-1 = I - N lam (Kc + N lam I)^-1, and its coefficients
+come from one inverted Cholesky factor (_ridge_inverse), which the dense
+bound checks share. The Nystrom solver never touches N x N matrices: per
 view it maintains one factor state (nystrom.FactorState): the incremental
 Cholesky factor R of G = N lam S^T K S + (H K S)^T (H K S) = R^T R, a thin
 QR of H K S = Q P and M = P R^-1, all grown by bordering; the landmark
@@ -27,7 +30,8 @@ through one policy, _top_svd: ARPACK's Lanczos on the formed matrix once its
 short side exceeds max(100, 6k), a full LAPACK SVD below that. The error
 norm of a checkpoint against the dense exact T (t_error_norm) comes from a
 Golub-Kahan-Lanczos bidiagonalization instead: it needs one singular value
-of an operator, not triplets of a formed matrix.
+of an operator, not triplets of a formed matrix, and it stops on the
+estimated error of that value rather than on its residual.
 """
 
 from __future__ import annotations
@@ -68,11 +72,17 @@ _SVDS_MIN_SIDE = 100
 _SVDS_SIDE_PER_TRIPLET = 6
 # exact_kcca forms several N x N matrices; it refuses larger problems.
 _EXACT_N_LIMIT = 5000
-# t_error_norm's bidiagonalization stops once the residual of its top
-# singular triplet is at most _GKL_RTOL times the singular value, and grows
-# its two Lanczos bases _GKL_BLOCK rows at a time.
+# t_error_norm's bidiagonalization stops once the gap-based estimate of its
+# value's relative error is at most _GKL_RTOL; while the second singular
+# value s_2 of its bidiagonal is within rounding of the top one sigma
+# (sigma^2 - s_2^2 <= _GKL_GAP_RTOL sigma^2) it needs the top triplet's
+# residual to be at most _GKL_RTOL sigma instead. It grows its two Lanczos
+# bases _GKL_BLOCK rows at a time.
 _GKL_RTOL = 1e-10
+_GKL_GAP_RTOL = 1e-8
 _GKL_BLOCK = 32
+# _ridge_inverse mirrors its triangle this many columns at a time.
+_MIRROR_BLOCK = 128
 # project_many evaluates the cross-Gram of new points in row chunks of at
 # most this many entries (8 MB), so it never holds an n_new x N block: that
 # block and its centered copy set the peak memory of a scoring run.
@@ -166,15 +176,31 @@ def _top_svd(T: np.ndarray, k: int):
     return U[:, order], s[order], Vt[order]
 
 
-def _ridge_solve(Kc: np.ndarray, shift: float):
-    """Cholesky factor of Kc + shift I and (Kc + shift I)^-1 Kc, for a
-    symmetric Kc that the solve overwrites. Returns (cho_factor result,
-    solution); the factor is taken in a column-major copy, and Kc.T, the
-    same matrix, is column-major, so LAPACK works in place on both."""
-    S = np.array(Kc, order="F")
-    S[np.diag_indices_from(S)] += shift
-    fac = scipy.linalg.cho_factor(S, overwrite_a=True)
-    return fac, scipy.linalg.cho_solve(fac, Kc.T, overwrite_b=True)
+def _ridge_inverse(Kc: np.ndarray, shift: float):
+    """(Kc + shift I)^-1 and the ridge projection Kc (Kc + shift I)^-1 =
+    I - shift (Kc + shift I)^-1 of a symmetric Kc, from one Cholesky factor
+    inverted in place (LAPACK dpotri): about N^3 flops, against 7N^3 / 3
+    for a solve with N right-hand sides. The projection overwrites Kc's
+    buffer, so pass a copy of a matrix the caller keeps. Returns (inverse,
+    projection), both exactly symmetric."""
+    # Kc is symmetric, so a C-ordered buffer read as its transpose is the
+    # same matrix in the column-major layout of the inverse
+    Kc = Kc.T if Kc.flags.c_contiguous else Kc
+    inv = np.array(Kc, order="F")
+    inv[np.diag_indices_from(inv)] += shift
+    inv = scipy.linalg.cholesky(inv, overwrite_a=True)
+    inv, _ = scipy.linalg.lapack.dpotri(inv, overwrite_c=1)
+    # dpotri leaves the factor's zero lower triangle; mirror the upper one
+    # a column block at a time, with no N x N temporary
+    n = inv.shape[0]
+    for j0 in range(0, n, _MIRROR_BLOCK):
+        j1 = min(j0 + _MIRROR_BLOCK, n)
+        diag = inv[j0:j1, j0:j1]
+        diag += np.triu(diag, 1).T
+        inv[j1:, j0:j1] = inv[j0:j1, j1:].T
+    np.multiply(inv, -shift, out=Kc)
+    Kc[np.diag_indices_from(Kc)] += 1.0
+    return inv, Kc
 
 
 def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
@@ -212,10 +238,10 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     if not 1 <= L <= n:
         raise ValueError("L must lie in [1, N]")
 
-    fac1, A1 = _ridge_solve(center(K1), n * lambda1)
-    fac2, A2 = _ridge_solve(center(K2), n * lambda2)
-    T = A1 @ A2
-    del A1, A2
+    inv1, P1 = _ridge_inverse(center(K1), n * lambda1)
+    inv2, P2 = _ridge_inverse(center(K2), n * lambda2)
+    T = P1 @ P2
+    del P1, P2
 
     U, s, Vt = _top_svd(T, min(L + 1, n))
     rho = s[:L].copy()
@@ -224,8 +250,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     _fix_signs(ap, bp)
     sigma_next = float(s[L]) if s.shape[0] > L else 0.0
 
-    alpha = math.sqrt(n) * scipy.linalg.cho_solve(fac1, ap)
-    beta = math.sqrt(n) * scipy.linalg.cho_solve(fac2, bp)
+    alpha = math.sqrt(n) * (inv1 @ ap)
+    beta = math.sqrt(n) * (inv2 @ bp)
 
     return KccaModel(kind="exact", n=n, lambda1=lambda1, lambda2=lambda2, L=L,
                      rho=rho, alpha_prime=ap, beta_prime=bp, alpha=alpha,
@@ -517,6 +543,26 @@ def _cgs2(w: np.ndarray, B: np.ndarray) -> None:
         w -= B.T @ (B @ w)
 
 
+def _gkl_estimate(s: np.ndarray, residual: float) -> float:
+    """Relative error estimate of the top singular value s[0] of B_k, whose
+    triplet leaves ``residual``: the gap-based (Kato-Temple) estimate
+    residual^2 / (2 (s[0]^2 - s[1]^2)), or the residual's own bound
+    residual / s[0] at k = 1 and while s[1] is within rounding of s[0]."""
+    gap = s[0] ** 2 - s[1] ** 2 if s.size > 1 else 0.0
+    if gap > _GKL_GAP_RTOL * s[0] ** 2:
+        return residual ** 2 / (2.0 * gap)
+    return residual / s[0]
+
+
+def _non_finite(**arrays) -> ValueError:
+    """The error for an operator that came out non-finite, naming the
+    first argument with a non-finite entry."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            return ValueError(f"{name} has non-finite entries")
+    return ValueError("T - Q1 T_hat Q2^T overflows")
+
+
 def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
                  T_hat: np.ndarray) -> float:
     """Spectral norm of E = T - Q1 T_hat Q2^T, the exact T minus the
@@ -529,17 +575,38 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
     E V_k = U_k B_k with B_k upper bidiagonal, from the seeded start vector,
     both bases fully reorthogonalized (CGS2) and grown _GKL_BLOCK rows at a
     time. After step k the top singular triplet (sigma, x, y) of B_k leaves
-    the residual ||E^T U_k x - sigma V_k y|| = beta_k |x_k|. The iteration
-    stops once that is at most _GKL_RTOL sigma, when alpha_k or beta_k
-    falls to rounding level (N eps ||T v_1|| <= N eps ||T||: the Krylov
-    space is numerically invariant), or after N steps.
+    the residual rho_k = ||E^T U_k x - sigma V_k y|| = beta_k |x_k|, and
+    sigma^2 is then within sigma^2 rho_k^2 / gap of an eigenvalue of E^T E
+    (Kato-Temple), gap being the distance to the next one. The iteration
+    stops once the estimate rho_k^2 / (2 (sigma^2 - s_2^2)) of sigma's
+    relative error is at most _GKL_RTOL, with s_2 the second singular
+    value of B_k standing in for E's (or, at k = 1 and while s_2 is within
+    rounding of sigma, once rho_k <= _GKL_RTOL sigma); when alpha_k or
+    beta_k falls to rounding level (N eps ||T v_1|| <= N eps ||T||: the
+    Krylov space is numerically invariant); or after N steps.
+
+    Raises ValueError naming the argument when T is not square, Q1 or Q2
+    does not have T's rows, T_hat is not Q1's by Q2's column count, or the
+    operator has non-finite entries. The entries are checked on the first
+    products (T v_1 and Y), not by a pass over T.
     """
+    T, Q1, Q2, T_hat = (np.asarray(a, dtype=float) for a in (T, Q1, Q2, T_hat))
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        raise ValueError("T must be a square matrix")
     n = T.shape[0]
-    if min(T_hat.shape) == 0:
-        return float(np.linalg.norm(T, 2))
+    for name, Q in (("Q1", Q1), ("Q2", Q2)):
+        if Q.ndim != 2 or Q.shape[0] != n:
+            raise ValueError(f"{name} must have T's {n} rows")
+    if T_hat.shape != (Q1.shape[1], Q2.shape[1]):
+        raise ValueError(f"T_hat must be {Q1.shape[1]} x {Q2.shape[1]}, "
+                         "the column counts of Q1 and Q2")
+    args = dict(T=T, Q1=Q1, Q2=Q2, T_hat=T_hat)
     Y = Q1 @ T_hat
-    if n <= _SVDS_MIN_SIDE:
-        return float(np.linalg.norm(T - Y @ Q2.T, 2))
+    if n <= _SVDS_MIN_SIDE or min(T_hat.shape) == 0:
+        E = T - Y @ Q2.T
+        if not np.isfinite(E).all():
+            raise _non_finite(**args)
+        return float(np.linalg.norm(E, 2))
     V = np.empty((_GKL_BLOCK, n))
     U = np.empty((_GKL_BLOCK, n))
     B = np.zeros((_GKL_BLOCK, _GKL_BLOCK))   # B_k is its leading k x k block
@@ -548,14 +615,20 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
     p = T @ V[0]
     tiny = n * np.finfo(float).eps * np.linalg.norm(p)
     p -= Y @ (Q2.T @ V[0])
+    # v_1 has no zero entry, so a non-finite entry of T, Y (from Q1 or
+    # T_hat) or Q2 reaches p
+    if not np.isfinite(p).all():
+        raise _non_finite(**args)
     for k in range(1, n + 1):
         # p = E v_k - beta_{k-1} u_{k-1}
         _cgs2(p, U[:k - 1])
         alpha = np.linalg.norm(p)
         B[k - 1, k - 1] = alpha
         if alpha <= tiny:
-            # E v_k lies in span(U_{k-1}): what B_k leaves out is alpha_k
+            # E v_k lies in span(U_{k-1}): what B_k leaves out is alpha_k,
+            # and no estimate is formed
             sigma, residual = np.linalg.norm(B[:k, :k], 2), alpha
+            estimate = math.nan
             break
         U[k - 1] = p / alpha
         q = T.T @ U[k - 1] - Q2 @ (Y.T @ U[k - 1]) - alpha * V[k - 1]
@@ -563,7 +636,8 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
         beta = np.linalg.norm(q)
         x, s, _ = np.linalg.svd(B[:k, :k])
         sigma, residual = s[0], beta * abs(x[-1, 0])
-        if residual <= _GKL_RTOL * sigma or beta <= tiny or k == n:
+        estimate = _gkl_estimate(s, residual)
+        if estimate <= _GKL_RTOL or beta <= tiny or k == n:
             break
         if k == V.shape[0]:
             grow = min(_GKL_BLOCK, n - k)
@@ -573,8 +647,8 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
         B[k - 1, k] = beta
         V[k] = q / beta
         p = T @ V[k] - Y @ (Q2.T @ V[k]) - beta * U[k - 1]
-    _log.debug("t_error_norm: %d Lanczos steps, residual %.3e (sigma %.6e)",
-               k, residual, sigma)
+    _log.debug("t_error_norm: %d Lanczos steps, residual %.3e (sigma %.6e), "
+               "estimate %.3e", k, residual, sigma, estimate)
     return float(sigma)
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "admit_columns",
     "chol_append_block",
     "chol_solve",
-    "qr_append_block",
     "solve_upper",
 ]
 
@@ -239,7 +238,10 @@ def chol_solve(R: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def qr_append_block(state: FactorState, A_blk: np.ndarray,
                     C: np.ndarray) -> FactorState:
-    """Append a block of centered columns to ``Q, P`` and advance ``m``.
+    """Append a block of centered columns to ``Q, P`` and advance ``m``: the
+    QR step of ``chol_append_block``, which writes the rest of the state (R,
+    M, the scales and ``indices``) around it. It is not public, since a
+    state it advanced alone has zero R and M columns.
 
     ``C = Q^T A_blk`` is the first block projection pass against the
     existing basis; a second pass follows, then per-column Gram-Schmidt

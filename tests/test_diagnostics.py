@@ -392,3 +392,44 @@ def test_stability_requires_dense_t():
     exact.t_matrix = None
     with pytest.raises(ValueError):
         stability_check(exact, approx, X_test)
+
+
+# --- inputs -------------------------------------------------------------------------
+
+def _arrays(*objects):
+    """Every array argument among objects, and every array field of the
+    models and plans among them."""
+    out = []
+    for obj in objects:
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        else:
+            out += [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_operators_leave_their_inputs_unchanged(seed):
+    # the ridge operators are formed in place in their own buffers
+    # (kcca._ridge_inverse); none of those may be a caller's matrix, in
+    # either memory layout
+    n, lam, gamma, t = 40 + 10 * seed, 1e-2, 1e-2, 0.5
+    K1 = ring_gram(n, seed, view=1)
+    K2 = np.asfortranarray(ring_gram(n, seed, view=2))
+    p1, p2 = uniform_plan(n, n // 2, seed), uniform_plan(n, n // 3, seed + 7)
+    exact, approx, X_test = fit_pair(n=n, m=n // 2, seed=seed)
+    watched = _arrays(K1, K2, p1, p2, exact, approx, X_test)
+    before = [a.copy() for a in watched]
+
+    exact_kcca(K1, K2, lam, lam, L=1, keep_t=True)
+    ridge_projection(K1, lam)
+    ridge_projection(K2, lam)
+    psd_ordering_check(K1, p1, gamma)
+    tail_bound_check(K2, p2, gamma, t)
+    projection_error_check(K1, p1, gamma, lam, t)
+    projection_error_check(K2, p2, gamma, lam, t)
+    correlation_error_check(K1, K2, (p1, p2), (lam, lam), (gamma, gamma), t, t)
+    stability_check(exact, approx, X_test)
+
+    for a, b in zip(watched, before):
+        assert a.tobytes() == b.tobytes()

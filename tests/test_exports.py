@@ -33,3 +33,12 @@ def test_package_reexports_are_public_names():
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def test_qr_append_block_is_not_exported():
+    # it is a step of chol_append_block: alone it advances a state's m but
+    # leaves R, M, the scales and the indices of the new columns unwritten
+    from nkcca import nystrom
+
+    assert "qr_append_block" not in nystrom.__all__
+    assert not hasattr(nkcca, "qr_append_block")

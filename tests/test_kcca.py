@@ -118,6 +118,23 @@ def test_exact_validation(monkeypatch):
         exact_kcca(K1, K2, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_ridge_inverse_spans_its_mirror_blocks(order):
+    # n = 300 spans three column blocks of the triangle's mirroring, the
+    # last one partial; the projection is written into the argument
+    n, shift = 300, 0.3
+    K = np.array(random_psd(np.random.default_rng(12), n, rank=40),
+                 order=order)
+    expected = np.linalg.inv(K + shift * np.eye(n))
+    buf = K.copy(order="K")
+    inv, proj = kcca._ridge_inverse(buf, shift)
+    np.testing.assert_array_equal(inv, inv.T)
+    np.testing.assert_allclose(inv, expected, rtol=0, atol=1e-13 * n)
+    np.testing.assert_array_equal(proj, np.eye(n) - shift * inv)
+    assert np.shares_memory(proj, buf)
+    np.testing.assert_allclose(proj, K @ expected, rtol=0, atol=1e-12 * n)
+
+
 # --- Nystrom solver -----------------------------------------------------------
 
 def test_nkcca_full_sampling_equals_exact():
@@ -677,11 +694,76 @@ def test_t_error_norm_logs_its_steps_and_residual(caplog):
     T = exact_kcca(K1, K2, 1e-3, 1e-3, keep_t=True).t_matrix
     rng = np.random.default_rng(7)
     Q1, Q2 = _orthonormal(rng, 150, 5), _orthonormal(rng, 150, 5)
+    T_hat = rng.normal(size=(5, 5))
     with caplog.at_level(logging.DEBUG, logger="nkcca.kcca"):
-        sigma = t_error_norm(T, Q1, Q2, rng.normal(size=(5, 5)))
+        sigma = t_error_norm(T, Q1, Q2, T_hat)
     (rec,) = [r for r in caplog.records if r.name == "nkcca.kcca"]
     assert rec.levelno == logging.DEBUG
     words = rec.getMessage().split()
     residual = float(words[words.index("residual") + 1])
+    estimate = float(words[words.index("estimate") + 1])
     assert 1 <= int(words[1]) <= 150
-    assert residual <= 1e-10 * sigma * (1 + 1e-3)   # printed to 4 digits
+    # it stopped on the gap-based estimate of sigma's relative error, or on
+    # the residual test that stands in for it (printed to 4 digits)
+    assert (estimate <= 1e-10 * (1 + 1e-3)
+            or residual <= 1e-10 * sigma * (1 + 1e-3))
+    assert sigma == pytest.approx(np.linalg.norm(T - Q1 @ T_hat @ Q2.T, 2),
+                                  rel=1e-10)
+
+
+def _lanczos_steps(caplog, *args):
+    """t_error_norm's value and the Lanczos steps its DEBUG record gives."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="nkcca.kcca"):
+        value = t_error_norm(*args)
+    (msg,) = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("t_error_norm:")]
+    return value, int(msg.split()[1])
+
+
+def test_t_error_norm_stops_on_its_value_before_its_residual(caplog,
+                                                             monkeypatch):
+    # a well-separated top singular value (2 against 1.5 and below): its
+    # error is about residual^2 / gap, so the value is accurate long before
+    # the residual is at 1e-10 sigma
+    n, r = 300, 8
+    rng = np.random.default_rng(9)
+    s = np.concatenate([[2.0], np.linspace(1.5, 0.0, n - 1)])
+    E = (_orthonormal(rng, n, n) * s) @ _orthonormal(rng, n, n).T
+    Q1, Q2 = _orthonormal(rng, n, r), _orthonormal(rng, n, r)
+    T_hat = rng.normal(size=(r, r))
+    T = E + Q1 @ T_hat @ Q2.T
+    value, steps = _lanczos_steps(caplog, T, Q1, Q2, T_hat)
+    assert value == pytest.approx(np.linalg.norm(E, 2), rel=1e-10)
+    # the residual rule alone: the estimate is the residual's own bound
+    monkeypatch.setattr(kcca, "_gkl_estimate",
+                        lambda s, residual: residual / s[0])
+    by_residual, residual_steps = _lanczos_steps(caplog, T, Q1, Q2, T_hat)
+    assert by_residual == pytest.approx(value, rel=1e-10)
+    assert steps < residual_steps
+
+
+# an infinite entry makes numpy warn in the products that detect it
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n", [60, 400], ids=["dense", "lanczos"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("arg", ["T", "Q1", "Q2", "T_hat"])
+def test_t_error_norm_names_a_non_finite_argument(arg, bad, n):
+    rng = np.random.default_rng(10)
+    args = dict(T=rng.normal(size=(n, n)), Q1=_orthonormal(rng, n, 5),
+                Q2=_orthonormal(rng, n, 4), T_hat=rng.normal(size=(5, 4)))
+    args[arg][3, 2] = bad
+    with pytest.raises(ValueError, match=f"^{arg} has non-finite entries"):
+        t_error_norm(**args)
+
+
+@pytest.mark.parametrize("arg, shape", [
+    ("T", (40, 41)), ("T", (40,)), ("Q1", (39, 5)), ("Q2", (40,)),
+    ("T_hat", (4, 5)), ("T_hat", (5,))])
+def test_t_error_norm_rejects_mismatched_shapes(arg, shape):
+    rng = np.random.default_rng(11)
+    args = dict(T=rng.normal(size=(40, 40)), Q1=_orthonormal(rng, 40, 5),
+                Q2=_orthonormal(rng, 40, 4), T_hat=rng.normal(size=(5, 4)))
+    args[arg] = np.ones(shape)
+    with pytest.raises(ValueError, match=f"^{arg} must"):
+        t_error_norm(**args)
