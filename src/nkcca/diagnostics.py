@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import as_matrix, center
-from .kcca import KccaModel, _ridge_inverse, project_many
+from .kcca import KccaModel, _ridge_projection, project_many
 from .leverage import _psd_eigh, _whitened_sketch
 from .sampling import SamplingPlan
 
@@ -75,6 +75,22 @@ def _check_dense_feasible(n: int) -> None:
                          f"{_DENSE_N_LIMIT}; got N = {n}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _check_t(name: str, t: float) -> None:
+    if not 0 < t < 1:
+        raise ValueError(f"{name} must lie in (0, 1)")
+
+
+def _check_plan(name: str, plan: SamplingPlan, n: int) -> None:
+    # SamplingPlan rejects negative indices; K fixes the upper end
+    if plan.indices.max(initial=-1) >= n:
+        raise ValueError(f"{name} has indices outside [0, {n})")
+
+
 def _sym_norm(A: np.ndarray) -> float:
     return float(np.max(np.abs(scipy.linalg.eigvalsh(A))))
 
@@ -83,9 +99,9 @@ def ridge_projection(A: np.ndarray, lam: float) -> np.ndarray:
     """A (A + N lam I)^-1 for symmetric PSD A (dense), exactly symmetric.
 
     Formed as I - N lam (A + N lam I)^-1 from one inverted Cholesky factor
-    (kcca._ridge_inverse), in a copy: A is left as it was.
+    (kcca._ridge_projection), in a new array: A is only read.
     """
-    return _ridge_inverse(A.copy(), A.shape[0] * lam)[1]
+    return _ridge_projection(A, A.shape[0] * lam)
 
 
 def low_rank_dense(K, plan: SamplingPlan, gamma: float) -> np.ndarray:
@@ -113,8 +129,7 @@ def d_matrix_norm(K, plan: SamplingPlan | None, gamma: float) -> float:
     Phi = Sig (Sig + N gamma I)^-1 from the eigendecomposition K = U Sig U^T
     and S is the weighted sampling matrix. An empty plan gives ||Phi||.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    _check_positive("gamma", gamma)
     K = as_matrix(K)
     n = K.shape[0]
     _check_dense_feasible(n)
@@ -136,6 +151,7 @@ def psd_ordering_check(K, plan: SamplingPlan, gamma: float) -> BoundReport:
     """
     K = as_matrix(K)
     _check_dense_feasible(K.shape[0])
+    _check_plan("plan", plan, K.shape[0])
     L = low_rank_dense(K, plan, 0.0)
     Lg = low_rank_dense(K, plan, gamma)
     mins = [float(scipy.linalg.eigvalsh(M)[0])
@@ -150,8 +166,8 @@ def tail_bound_check(K, plan: SamplingPlan, gamma: float, t: float) -> BoundRepo
     K = as_matrix(K)
     n = K.shape[0]
     _check_dense_feasible(n)
-    if not 0 < t < 1:
-        raise ValueError("t must lie in (0, 1)")
+    _check_plan("plan", plan, n)
+    _check_t("t", t)
     d_norm = d_matrix_norm(K, plan, gamma)
     applicable = d_norm <= t
     Lg = low_rank_dense(K, plan, gamma)
@@ -169,12 +185,11 @@ def projection_error_check(K, plan: SamplingPlan, gamma: float, lam: float,
     {L, L_gamma} of ||A (A + N lam I)^-1 - B (B + N lam I)^-1||; the report
     is not applicable unless the measured ||D|| is at most t.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError("lambda must be positive and finite")
-    if not 0 < t < 1:
-        raise ValueError("t must lie in (0, 1)")
+    _check_positive("lambda", lam)
+    _check_t("t", t)
     K = as_matrix(K)
     _check_dense_feasible(K.shape[0])
+    _check_plan("plan", plan, K.shape[0])
     d_norm = d_matrix_norm(K, plan, gamma)
     applicable = d_norm <= t
     L = low_rank_dense(K, plan, 0.0)
@@ -201,15 +216,27 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
     i.e. eps_view = 2 gamma / (lam (1 - t)), taking the max over views. The
     intermediate quantities of the triangle-inequality chain (||T - T_tilde||
     and both per-view terms) are reported in extras; the report is gated on
-    the measured ||D|| of both views.
+    the measured ||D|| of both views. Every argument is checked before any
+    N x N work: a K2 of another shape than K1, a plan index outside [0, N),
+    a regularizer or shrinkage that is not positive and finite, or a t
+    outside (0, 1) raises ValueError naming it.
     """
     K1 = as_matrix(K1)
     K2 = as_matrix(K2)
     n = K1.shape[0]
+    if K2.shape != K1.shape:
+        raise ValueError(f"K2 must be {n} x {n}, like K1")
     _check_dense_feasible(n)
     plan1, plan2 = plans
     lam1, lam2 = lambdas
     gam1, gam2 = gammas
+    for i, plan in enumerate(plans):
+        _check_plan(f"plans[{i}]", plan, n)
+    for name, values in (("lambdas", lambdas), ("gammas", gammas)):
+        for i, value in enumerate(values):
+            _check_positive(f"{name}[{i}]", value)
+    _check_t("t1", t1)
+    _check_t("t2", t2)
     # T = P1 P2 from the views' ridge projections P = Kc (Kc + N lam I)^-1,
     # and T_tilde likewise from the centered approximations at gamma = 0
     P1 = ridge_projection(center(K1), lam1)

@@ -2,10 +2,11 @@
 
 The exact solver forms T = (Kc1 + N lam1 I)^-1 Kc1 Kc2 (Kc2 + N lam2 I)^-1
 densely (Kc = centered Gram matrix) and reads the canonical correlations off
-its singular values. Each view's factor, the ridge projection
-Kc (Kc + N lam I)^-1 = I - N lam (Kc + N lam I)^-1, and its coefficients
-come from one inverted Cholesky factor (_ridge_inverse), which the dense
-bound checks share. The Nystrom solver never touches N x N matrices: per
+its singular values. Each view's ridge projection
+P = Kc (Kc + N lam I)^-1 = I - N lam (Kc + N lam I)^-1 comes from one
+inverted Cholesky factor (_ridge_projection, which the dense bound checks
+share), and so do its coefficients, since (Kc + N lam I)^-1 =
+(I - P) / (N lam). The Nystrom solver never touches N x N matrices: per
 view it maintains one factor state (nystrom.FactorState): the incremental
 Cholesky factor R of G = N lam S^T K S + (H K S)^T (H K S) = R^T R, a thin
 QR of H K S = Q P and M = P R^-1, all grown by bordering; the landmark
@@ -81,7 +82,7 @@ _EXACT_N_LIMIT = 5000
 _GKL_RTOL = 1e-10
 _GKL_GAP_RTOL = 1e-8
 _GKL_BLOCK = 32
-# _ridge_inverse mirrors its triangle this many columns at a time.
+# _ridge_projection mirrors its triangle this many columns at a time.
 _MIRROR_BLOCK = 128
 # project_many evaluates the cross-Gram of new points in row chunks of at
 # most this many entries (8 MB), so it never holds an n_new x N block: that
@@ -176,31 +177,30 @@ def _top_svd(T: np.ndarray, k: int):
     return U[:, order], s[order], Vt[order]
 
 
-def _ridge_inverse(Kc: np.ndarray, shift: float):
-    """(Kc + shift I)^-1 and the ridge projection Kc (Kc + shift I)^-1 =
-    I - shift (Kc + shift I)^-1 of a symmetric Kc, from one Cholesky factor
-    inverted in place (LAPACK dpotri): about N^3 flops, against 7N^3 / 3
-    for a solve with N right-hand sides. The projection overwrites Kc's
-    buffer, so pass a copy of a matrix the caller keeps. Returns (inverse,
-    projection), both exactly symmetric."""
+def _ridge_projection(Kc: np.ndarray, shift: float) -> np.ndarray:
+    """The ridge projection Kc (Kc + shift I)^-1 = I - shift (Kc + shift I)^-1
+    of a symmetric Kc, from one Cholesky factor inverted in place (LAPACK
+    dpotri): about N^3 flops, against 7N^3 / 3 for a solve with N
+    right-hand sides. Kc is only read; the result is a new column-major
+    array, exactly symmetric."""
     # Kc is symmetric, so a C-ordered buffer read as its transpose is the
-    # same matrix in the column-major layout of the inverse
+    # same matrix in the column-major layout of the result
     Kc = Kc.T if Kc.flags.c_contiguous else Kc
-    inv = np.array(Kc, order="F")
-    inv[np.diag_indices_from(inv)] += shift
-    inv = scipy.linalg.cholesky(inv, overwrite_a=True)
-    inv, _ = scipy.linalg.lapack.dpotri(inv, overwrite_c=1)
+    P = np.array(Kc, order="F")
+    P[np.diag_indices_from(P)] += shift
+    P = scipy.linalg.cholesky(P, overwrite_a=True)
+    P, _ = scipy.linalg.lapack.dpotri(P, overwrite_c=1)
     # dpotri leaves the factor's zero lower triangle; mirror the upper one
     # a column block at a time, with no N x N temporary
-    n = inv.shape[0]
+    n = P.shape[0]
     for j0 in range(0, n, _MIRROR_BLOCK):
         j1 = min(j0 + _MIRROR_BLOCK, n)
-        diag = inv[j0:j1, j0:j1]
+        diag = P[j0:j1, j0:j1]
         diag += np.triu(diag, 1).T
-        inv[j1:, j0:j1] = inv[j0:j1, j1:].T
-    np.multiply(inv, -shift, out=Kc)
-    Kc[np.diag_indices_from(Kc)] += 1.0
-    return inv, Kc
+        P[j1:, j0:j1] = P[j0:j1, j1:].T
+    P *= -shift
+    P[np.diag_indices_from(P)] += 1.0
+    return P
 
 
 def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
@@ -224,7 +224,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
 
     Returns a model with canonical correlations rho, unit singular vectors
     alpha_prime/beta_prime, and coefficients alpha = sqrt(N)
-    (Kc1 + N lam1 I)^-1 alpha_prime (beta analogously).
+    (Kc1 + N lam1 I)^-1 alpha_prime = sqrt(N) (alpha_prime - P1 alpha_prime)
+    / (N lam1), P1 being the view's ridge projection (beta analogously).
     """
     if not (0 < lambda1 < math.inf and 0 < lambda2 < math.inf):
         raise ValueError("regularizers must be positive and finite")
@@ -238,10 +239,9 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     if not 1 <= L <= n:
         raise ValueError("L must lie in [1, N]")
 
-    inv1, P1 = _ridge_inverse(center(K1), n * lambda1)
-    inv2, P2 = _ridge_inverse(center(K2), n * lambda2)
+    P1 = _ridge_projection(center(K1), n * lambda1)
+    P2 = _ridge_projection(center(K2), n * lambda2)
     T = P1 @ P2
-    del P1, P2
 
     U, s, Vt = _top_svd(T, min(L + 1, n))
     rho = s[:L].copy()
@@ -250,8 +250,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     _fix_signs(ap, bp)
     sigma_next = float(s[L]) if s.shape[0] > L else 0.0
 
-    alpha = math.sqrt(n) * (inv1 @ ap)
-    beta = math.sqrt(n) * (inv2 @ bp)
+    alpha = (ap - P1 @ ap) * (math.sqrt(n) / (n * lambda1))
+    beta = (bp - P2 @ bp) * (math.sqrt(n) / (n * lambda2))
 
     return KccaModel(kind="exact", n=n, lambda1=lambda1, lambda2=lambda2, L=L,
                      rho=rho, alpha_prime=ap, beta_prime=bp, alpha=alpha,
@@ -570,10 +570,10 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
     receives).
 
     E is applied as T v - Y (Q2^T v) through the N x r2 factor
-    Y = Q1 T_hat, so only the dense exact T is ever N x N. Above the dense
-    cut-off the norm comes from Golub-Kahan-Lanczos bidiagonalization,
-    E V_k = U_k B_k with B_k upper bidiagonal, from the seeded start vector,
-    both bases fully reorthogonalized (CGS2) and grown _GKL_BLOCK rows at a
+    Y = Q1 T_hat, so only the dense exact T is ever N x N. The norm comes
+    from Golub-Kahan-Lanczos bidiagonalization at every size, E V_k =
+    U_k B_k with B_k upper bidiagonal, from the seeded start vector, both
+    bases fully reorthogonalized (CGS2) and grown _GKL_BLOCK rows at a
     time. After step k the top singular triplet (sigma, x, y) of B_k leaves
     the residual rho_k = ||E^T U_k x - sigma V_k y|| = beta_k |x_k|, and
     sigma^2 is then within sigma^2 rho_k^2 / gap of an eigenvalue of E^T E
@@ -602,11 +602,6 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
                          "the column counts of Q1 and Q2")
     args = dict(T=T, Q1=Q1, Q2=Q2, T_hat=T_hat)
     Y = Q1 @ T_hat
-    if n <= _SVDS_MIN_SIDE or min(T_hat.shape) == 0:
-        E = T - Y @ Q2.T
-        if not np.isfinite(E).all():
-            raise _non_finite(**args)
-        return float(np.linalg.norm(E, 2))
     V = np.empty((_GKL_BLOCK, n))
     U = np.empty((_GKL_BLOCK, n))
     B = np.zeros((_GKL_BLOCK, _GKL_BLOCK))   # B_k is its leading k x k block
@@ -672,8 +667,8 @@ def project_many(model: KccaModel, X_new, view: int) -> np.ndarray:
     if oracle is None:
         raise ValueError("model has no training-data oracle for this view")
     if coeffs is None:
-        raise ValueError("model has no coefficients for this view; call "
-                         "nkcca_coefficients first")
+        raise ValueError("model has no coefficients for this view; fit "
+                         "with compute_coefficients=True")
     X_new = np.atleast_2d(X_new)
     rows = max(1, _PROJECT_CHUNK_ENTRIES // oracle.n)
     out = np.empty((X_new.shape[0], coeffs.shape[1]))

@@ -70,13 +70,13 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def gram(spec: KernelSpec, X) -> np.ndarray:
     """Build the uncentered N x N kernel matrix of the rows of X.
 
-    Symmetry is enforced by mirroring the upper triangle, and the diagonal
-    is set to k(x, x) exactly (1 for the RBF).
+    It is ``cross_gram`` of X with itself, with the diagonal set to
+    k(x, x) = 1 exactly. X is taken C-contiguous, so numpy forms X X^T of
+    one buffer by a rank-k update (syrk) and the matrix is exactly
+    symmetric with no mirroring pass.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    K = np.exp(_sq_dists(X, X) / (-2.0 * spec.sigma**2))
-    iu = np.triu_indices(K.shape[0], k=1)
-    K[(iu[1], iu[0])] = K[iu]
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
+    K = cross_gram(spec, X, X)
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -123,9 +123,8 @@ class KernelColumns:
         return cls(spec, X)
 
     def column(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n:
-            raise IndexError(f"column index {i} out of range [0, {self.n})")
-        return cross_gram(self.spec, self._X[i : i + 1], self._X)[0]
+        """Kernel column i (length N)."""
+        return self.columns([i])[:, 0]
 
     def columns(self, idx) -> np.ndarray:
         """Batched fetch: the N x len(idx) block of kernel columns."""

@@ -37,8 +37,10 @@ the projections and the Gram-Schmidt loop read them, and a leading block
 of ``R`` reaches LAPACK without a transposing copy (``solve_upper``). ``Q``
 is the only buffer with N rows.
 ``admit_columns`` is the one landmark-admission gate (shared with the
-from-scratch reference fitter), ``solve_upper`` the one triangular solve
-with a factor and ``chol_solve`` the solve with its target.
+from-scratch reference fitter) and ``solve_upper`` the one triangular solve
+with a factor. ``chol_solve``, the solve with the target, has no caller in
+the solver and is not exported; it stays a module attribute because
+``bench/tracing.py`` wraps it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "FactorState",
     "admit_columns",
     "chol_append_block",
-    "chol_solve",
     "solve_upper",
 ]
 

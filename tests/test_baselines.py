@@ -90,7 +90,7 @@ def test_linear_cca_rank_collapse_warns():
 def test_linear_cca_above_the_arpack_crossover_matches_dense_svd(monkeypatch):
     import scipy.linalg
 
-    from nkcca import baselines, kcca
+    from nkcca import kcca
 
     calls = []
     svds = kcca.svds
@@ -109,11 +109,16 @@ def test_linear_cca_above_the_arpack_crossover_matches_dense_svd(monkeypatch):
     model = linear_cca(Zx, Zy, lam, lam, L)
     assert calls == [(300, 300)]
 
+    def inv_sqrt(C):
+        # the symmetric whitening (C + lam I)^(-1/2) from an eigensolve
+        e, V = scipy.linalg.eigh(C)
+        return (V / np.sqrt(np.maximum(e, 0.0) + lam)) @ V.T
+
     n = Zx.shape[0]
     Xc = Zx - Zx.mean(axis=0)
     Yc = Zy - Zy.mean(axis=0)
-    isx = baselines._inv_sqrt(Xc.T @ Xc / n, lam)[0]
-    isy = baselines._inv_sqrt(Yc.T @ Yc / n, lam)[0]
+    isx = inv_sqrt(Xc.T @ Xc / n)
+    isy = inv_sqrt(Yc.T @ Yc / n)
     U, s, Vt = scipy.linalg.svd(isx @ (Xc.T @ Yc / n) @ isy)
     np.testing.assert_allclose(model.correlations, s[:L], rtol=0,
                                atol=1e-12 * s[0])
@@ -122,6 +127,46 @@ def test_linear_cca_above_the_arpack_crossover_matches_dense_svd(monkeypatch):
         for j in range(1, L + 1):
             angle = scipy.linalg.subspace_angles(w[:, :j], ref[:, :j]).max()
             assert angle <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.0, -1e-3, np.inf, np.nan])
+@pytest.mark.parametrize("view", [1, 2])
+def test_linear_cca_rejects_a_bad_regularizer(view, lam):
+    rng = np.random.default_rng(7)
+    Z = rng.normal(size=(30, 3))
+    lams = (lam, 1e-3) if view == 1 else (1e-3, lam)
+    with pytest.raises(ValueError, match=f"^lambda{view} = .* must be "
+                                         "positive and finite"):
+        linear_cca(Z, Z, *lams, L=1)
+
+
+def test_linear_cca_names_a_regularizer_below_rounding():
+    # D = 40 features of 20 points: Z^T Z / N has rank 19, and a shift of
+    # 1e-300 leaves it singular in double precision
+    rng = np.random.default_rng(8)
+    Zx, Zy = rng.normal(size=(20, 40)), rng.normal(size=(20, 3))
+    with pytest.raises(np.linalg.LinAlgError, match="lambda1 = 1e-300"):
+        linear_cca(Zx, Zy, 1e-300, 1e-3, L=1)
+
+
+@pytest.mark.parametrize("arg, value, match", [
+    pytest.param("lambda1", 0.0, "^lambda1 = ", id="lambda1-zero"),
+    pytest.param("lambda2", np.inf, "^lambda2 = ", id="lambda2-inf"),
+    pytest.param("n_features", 0, "^n_features = 0 must be at least 1",
+                 id="n_features-zero"),
+    pytest.param("n_features", -3, "^n_features = -3 must be at least 1",
+                 id="n_features-negative"),
+    pytest.param("sigma1", np.inf, "^sigma = inf", id="sigma1-inf"),
+    pytest.param("sigma2", 0.0, "^sigma = 0", id="sigma2-zero"),
+    pytest.param("sigma1", 1e-160, "^sigma = 1e-160", id="sigma1-underflow"),
+])
+def test_rcca_fit_rejects_bad_arguments(arg, value, match):
+    ds = synthetic_circles(40, seed=0)
+    kwargs = dict(sigma1=1.0, sigma2=1.0, n_features=20, lambda1=1e-3,
+                  lambda2=1e-3, L=1, seed=0)
+    kwargs[arg] = value
+    with pytest.raises(ValueError, match=match):
+        rcca_fit(ds.X, ds.Y, **kwargs)
 
 
 def test_rcca_pipeline_recovers_shared_signal():

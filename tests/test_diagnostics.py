@@ -4,15 +4,17 @@ import scipy.linalg
 from conftest import (full_plan, random_psd, ring_gram, sampling_matrix,
                       unit_plan)
 
+from nkcca.baselines import linear_cca
 from nkcca.datasets import synthetic_circles
 from nkcca.diagnostics import (BoundReport, d_matrix_norm, low_rank_dense,
                                projection_error_check, psd_ordering_check,
                                ridge_projection, stability_check,
                                tail_bound_check, correlation_error_check,
                                write_reports)
-from nkcca.kcca import exact_kcca, nkcca_fit_direct
-from nkcca.kernels import KernelColumns, KernelSpec, gram
-from nkcca.leverage import SamplingDistribution, exact_leverage, make_distribution
+from nkcca.kcca import exact_kcca, nkcca_fit_direct, t_error_norm
+from nkcca.kernels import KernelColumns, KernelSpec, center, gram
+from nkcca.leverage import (SamplingDistribution, effective_dimension,
+                            exact_leverage, make_distribution)
 from nkcca.sampling import sample
 
 
@@ -180,6 +182,18 @@ def test_bound_checks_reject_non_finite_gamma(gamma):
                   lambda: projection_error_check(K, plan, gamma, lam=0.1,
                                                  t=0.5)):
         with pytest.raises(ValueError, match="finite"):
+            check()
+
+
+def test_bound_checks_reject_a_plan_index_outside_n():
+    K = random_psd(np.random.default_rng(3), 6)
+    plan = unit_plan([0, 6])
+    for check in (lambda: psd_ordering_check(K, plan, 0.1),
+                  lambda: tail_bound_check(K, plan, 0.1, t=0.5),
+                  lambda: projection_error_check(K, plan, 0.1, lam=0.1,
+                                                 t=0.5)):
+        with pytest.raises(ValueError,
+                           match=r"^plan has indices outside \[0, 6\)"):
             check()
 
 
@@ -410,18 +424,39 @@ def _arrays(*objects):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dense_operators_leave_their_inputs_unchanged(seed):
-    # the ridge operators are formed in place in their own buffers
-    # (kcca._ridge_inverse); none of those may be a caller's matrix, in
-    # either memory layout
+    # every dense operator only reads its arguments, in either memory
+    # layout; the ridge projections (kcca._ridge_projection) and the
+    # in-place factorizations work in buffers of their own
     n, lam, gamma, t = 40 + 10 * seed, 1e-2, 1e-2, 0.5
     K1 = ring_gram(n, seed, view=1)
     K2 = np.asfortranarray(ring_gram(n, seed, view=2))
     p1, p2 = uniform_plan(n, n // 2, seed), uniform_plan(n, n // 3, seed + 7)
     exact, approx, X_test = fit_pair(n=n, m=n // 2, seed=seed)
-    watched = _arrays(K1, K2, p1, p2, exact, approx, X_test)
+    rng = np.random.default_rng(seed)
+    Q1 = np.linalg.qr(rng.normal(size=(n, 4)))[0]
+    Q2 = np.asfortranarray(np.linalg.qr(rng.normal(size=(n, 3)))[0])
+    T_hat = rng.normal(size=(4, 3))
+    Zx = rng.normal(size=(n, 5))
+    Zy = np.asfortranarray(rng.normal(size=(n, 4)))
+    watched = _arrays(K1, K2, p1, p2, exact, approx, X_test, Q1, Q2, T_hat,
+                      Zx, Zy)
     before = [a.copy() for a in watched]
 
+    gram(KernelSpec(sigma=1.0), X_test)
+    gram(KernelSpec(sigma=1.0), np.asfortranarray(X_test))
+    center(K1)
+    center(K2)
     exact_kcca(K1, K2, lam, lam, L=1, keep_t=True)
+    exact_leverage(K1, gamma)
+    exact_leverage(K2, gamma)
+    effective_dimension(K1, gamma)
+    effective_dimension(K2, gamma)
+    d_matrix_norm(K1, p1, gamma)
+    d_matrix_norm(K2, p2, gamma)
+    low_rank_dense(K1, p1, gamma)
+    low_rank_dense(K2, p2, 0.0)
+    t_error_norm(exact.t_matrix, Q1, Q2, T_hat)
+    linear_cca(Zx, Zy, lam, lam, L=2)
     ridge_projection(K1, lam)
     ridge_projection(K2, lam)
     psd_ordering_check(K1, p1, gamma)
@@ -433,3 +468,38 @@ def test_dense_operators_leave_their_inputs_unchanged(seed):
 
     for a, b in zip(watched, before):
         assert a.tobytes() == b.tobytes()
+
+
+def _correlation_args():
+    rng = np.random.default_rng(14)
+    n = 12
+    return dict(K1=random_psd(rng, n), K2=random_psd(rng, n),
+                plans=(uniform_plan(n, 6, seed=0), uniform_plan(n, 7, seed=1)),
+                lambdas=(0.02, 0.05), gammas=(0.01, 0.02), t1=0.4, t2=0.6)
+
+
+@pytest.mark.parametrize("arg, value, match", [
+    pytest.param("t1", 1.5, "^t1 must lie in", id="t1-above-1"),
+    pytest.param("t1", -0.2, "^t1 must lie in", id="t1-negative"),
+    pytest.param("t2", 1.0, "^t2 must lie in", id="t2-one"),
+    pytest.param("t2", np.nan, "^t2 must lie in", id="t2-nan"),
+    pytest.param("lambdas", (-0.01, 0.05),
+                 r"^lambdas\[0\] must be positive", id="lambda1-negative"),
+    pytest.param("lambdas", (0.02, np.inf),
+                 r"^lambdas\[1\] must be positive", id="lambda2-inf"),
+    pytest.param("gammas", (0.0, 0.02),
+                 r"^gammas\[0\] must be positive", id="gamma1-zero"),
+    pytest.param("gammas", (0.01, np.nan),
+                 r"^gammas\[1\] must be positive", id="gamma2-nan"),
+    pytest.param("K2", np.eye(10), "^K2 must be 12 x 12", id="K2-shape"),
+    pytest.param("plans", (unit_plan([0, 12]), unit_plan([1])),
+                 r"^plans\[0\] has indices outside \[0, 12\)",
+                 id="plan1-index"),
+    pytest.param("plans", (unit_plan([0]), unit_plan([30])),
+                 r"^plans\[1\] has indices outside", id="plan2-index"),
+])
+def test_correlation_error_check_rejects_bad_arguments(arg, value, match):
+    args = _correlation_args()
+    args[arg] = value
+    with pytest.raises(ValueError, match=match):
+        correlation_error_check(**args)

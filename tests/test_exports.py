@@ -42,3 +42,12 @@ def test_qr_append_block_is_not_exported():
 
     assert "qr_append_block" not in nystrom.__all__
     assert not hasattr(nkcca, "qr_append_block")
+
+
+def test_chol_solve_is_a_module_attribute_only():
+    # no solver path calls it; bench/tracing.py still wraps the attribute
+    from nkcca import nystrom
+
+    assert "chol_solve" not in nystrom.__all__
+    assert not hasattr(nkcca, "chol_solve")
+    assert callable(nystrom.chol_solve)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import (centering_matrix, full_plan, random_psd, recording,
-                      unit_plan)
+                      ring_gram, unit_plan)
 
 from nkcca import kcca
 from nkcca.datasets import synthetic_circles
@@ -119,20 +119,41 @@ def test_exact_validation(monkeypatch):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_ridge_inverse_spans_its_mirror_blocks(order):
+def test_ridge_projection_spans_its_mirror_blocks(order):
     # n = 300 spans three column blocks of the triangle's mirroring, the
-    # last one partial; the projection is written into the argument
+    # last one partial; the argument is only read
     n, shift = 300, 0.3
     K = np.array(random_psd(np.random.default_rng(12), n, rank=40),
                  order=order)
     expected = np.linalg.inv(K + shift * np.eye(n))
     buf = K.copy(order="K")
-    inv, proj = kcca._ridge_inverse(buf, shift)
-    np.testing.assert_array_equal(inv, inv.T)
-    np.testing.assert_allclose(inv, expected, rtol=0, atol=1e-13 * n)
-    np.testing.assert_array_equal(proj, np.eye(n) - shift * inv)
-    assert np.shares_memory(proj, buf)
+    proj = kcca._ridge_projection(buf, shift)
+    np.testing.assert_array_equal(buf, K)
+    assert not np.shares_memory(proj, buf)
+    assert proj.flags.f_contiguous
+    np.testing.assert_array_equal(proj, proj.T)
+    np.testing.assert_allclose(np.eye(n) - proj, shift * expected, rtol=0,
+                               atol=1e-13 * n * shift)
     np.testing.assert_allclose(proj, K @ expected, rtol=0, atol=1e-12 * n)
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e-5])
+def test_exact_coefficients_match_a_cholesky_solve(lam):
+    # alpha = sqrt(N) (alpha' - P1 alpha') / (N lam1) against
+    # sqrt(N) (Kc1 + N lam1 I)^-1 alpha' from an independent solve, on the
+    # benchmark's ring data
+    K1, K2 = ring_gram(300, 0, sigma=0.2), ring_gram(300, 0, sigma=0.2, view=2)
+    model = exact_kcca(K1, K2, lam, 2 * lam, L=3)
+    n = K1.shape[0]
+    H = centering_matrix(n)
+    for K, lam_v, prime, coef in ((K1, lam, model.alpha_prime, model.alpha),
+                                  (K2, 2 * lam, model.beta_prime,
+                                   model.beta)):
+        A = H @ K @ H + n * lam_v * np.eye(n)
+        expected = np.sqrt(n) * scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(A), prime)
+        err = np.linalg.norm(coef - expected) / np.linalg.norm(expected)
+        assert err <= 1e-12
 
 
 # --- Nystrom solver -----------------------------------------------------------
@@ -474,6 +495,15 @@ def test_project_requires_coefficients_and_oracle():
         project_many(model, X[:1], view=1)
 
 
+def test_project_without_coefficients_names_the_fit_option():
+    _, _, o1, o2, X, _ = two_view_problem(n=12, seed=22)
+    plan = full_plan(12)
+    entry = nkcca_fit_direct(o1, o2, plan, plan, 1e-2, 1e-2, L=1,
+                             compute_coefficients=False)
+    with pytest.raises(ValueError, match="compute_coefficients=True"):
+        project_many(entry.model, X[:2], view=2)
+
+
 def test_total_correlation_identical_projections():
     rng = np.random.default_rng(23)
     P = rng.normal(size=(50, 3))
@@ -612,9 +642,8 @@ def test_t_error_norm_matches_dense():
 
 
 def test_t_error_norm_lanczos_branch_matches_dense():
-    # n above the dense cut-off, so the norm comes from the bidiagonalization
-    # of the factored operator; the oracle is the stored T of the same
-    # checkpoint
+    # the norm comes from the bidiagonalization of the factored operator;
+    # the oracle is the dense T - Q1 T_hat Q2^T of the same checkpoint
     n = 400
     ds = synthetic_circles(n, 0)
     spec = KernelSpec(sigma=0.2)
@@ -745,6 +774,8 @@ def test_t_error_norm_stops_on_its_value_before_its_residual(caplog,
 
 # an infinite entry makes numpy warn in the products that detect it
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# both sizes run the bidiagonalization; the ids name the small (n = 60) and
+# the large case
 @pytest.mark.parametrize("n", [60, 400], ids=["dense", "lanczos"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("arg", ["T", "Q1", "Q2", "T_hat"])

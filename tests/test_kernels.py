@@ -93,6 +93,33 @@ def test_gram_symmetric_and_unit_diagonal():
     np.testing.assert_array_equal(np.diag(K), np.ones(17))
 
 
+def _gram_inputs():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 3))
+    return {
+        "C": X,
+        "F": np.asfortranarray(X),
+        "strided": rng.normal(size=(80, 6))[::2, ::2],
+        "integer": rng.integers(-3, 4, size=(30, 2)),
+        "d1": rng.normal(size=(25, 1)),
+        "n1": rng.normal(size=(1, 4)),
+    }
+
+
+@pytest.mark.parametrize("layout", list(_gram_inputs()))
+def test_gram_is_exactly_symmetric_in_every_layout(layout):
+    X = _gram_inputs()[layout]
+    spec = KernelSpec(sigma=1.3)
+    K = gram(spec, X)
+    n = X.shape[0]
+    assert K.shape == (n, n)
+    np.testing.assert_array_equal(K, K.T)
+    np.testing.assert_array_equal(np.diag(K), np.ones(n))
+    for i, j in ((0, n - 1), (n // 2, n // 3)):
+        assert K[i, j] == pytest.approx(kernel_eval(spec, X[i], X[j]),
+                                        rel=0, abs=1e-12)
+
+
 def test_gram_psd_on_random_instances():
     rng = np.random.default_rng(5)
     for _ in range(5):

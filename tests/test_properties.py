@@ -616,7 +616,7 @@ def cli_argvs(draw):
 # model selection, or the RFF baseline, on one training point
 @example("exact --n 20 --sigma1 0.5,1.0 --select-n 1".split())
 @example("compare --n 1 --tune-n 2 --test-n 2 --ranks 1".split())
-# above the dense cut-off of t_error_norm, so its bidiagonalization runs
+# error-curve runs t_error_norm's bidiagonalization
 @example("error-curve --n 130 --ranks 20,60 --tune-n 3 --test-n 3".split())
 # exact leverage with N gamma = 4e-299: the Cholesky of K + N gamma I has
 # next to no shift
