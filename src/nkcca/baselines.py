@@ -3,7 +3,6 @@ followed by regularized linear CCA."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -11,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from .kcca import _top_svd
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _check_positive
 from .nystrom import solve_upper
 
 __all__ = [
@@ -102,8 +101,7 @@ def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel
     numerically positive definite (LinAlgError).
     """
     for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not 0 < lam < math.inf:
-            raise ValueError(f"{name} = {lam} must be positive and finite")
+        _check_positive(f"{name} = {lam}", lam)
     Zx = np.atleast_2d(np.asarray(Zx, dtype=float))
     Zy = np.atleast_2d(np.asarray(Zy, dtype=float))
     n = Zx.shape[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .kernels import as_matrix, center
+from .kernels import _check_positive, as_matrix, center
 from .kcca import KccaModel, _ridge_projection, project_many
 from .leverage import _psd_eigh, _whitened_sketch
 from .sampling import SamplingPlan
@@ -75,11 +75,6 @@ def _check_dense_feasible(n: int) -> None:
                          f"{_DENSE_N_LIMIT}; got N = {n}")
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite")
-
-
 def _check_t(name: str, t: float) -> None:
     if not 0 < t < 1:
         raise ValueError(f"{name} must lie in (0, 1)")
@@ -111,8 +106,7 @@ def low_rank_dense(K, plan: SamplingPlan, gamma: float) -> np.ndarray:
     whitened sketch F of C = K S and W = S^T K S at shift N gamma, so a
     singular core at gamma = 0 is pseudo-inverted.
     """
-    if not 0 <= gamma < math.inf:
-        raise ValueError("gamma must be nonnegative and finite")
+    _check_positive("gamma", gamma, zero_ok=True)
     K = as_matrix(K)
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel matrix has non-finite entries")

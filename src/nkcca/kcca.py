@@ -46,7 +46,8 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import svds
 
-from .kernels import KernelColumns, KernelSpec, as_matrix, center
+from .kernels import (KernelColumns, KernelSpec, _check_positive, as_matrix,
+                      center)
 from .nystrom import (FactorState, _equilibrated_block, admit_columns,
                       chol_append_block, solve_upper)
 from .sampling import SamplingPlan
@@ -227,8 +228,7 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     (Kc1 + N lam1 I)^-1 alpha_prime = sqrt(N) (alpha_prime - P1 alpha_prime)
     / (N lam1), P1 being the view's ridge projection (beta analogously).
     """
-    if not (0 < lambda1 < math.inf and 0 < lambda2 < math.inf):
-        raise ValueError("regularizers must be positive and finite")
+    _check_positive("regularizers", lambda1, lambda2)
     K1 = as_matrix(K1)
     K2 = as_matrix(K2)
     n = K1.shape[0]
@@ -386,8 +386,7 @@ def _check_fit_args(oracle1: KernelColumns, oracle2: KernelColumns,
                     lambda2: float, L: int, ranks) -> int:
     """The argument checks both Nystrom fitters share; ``ranks`` holds the
     (m1, m2) pairs to fit. Returns N."""
-    if not (0 < lambda1 < math.inf and 0 < lambda2 < math.inf):
-        raise ValueError("regularizers must be positive and finite")
+    _check_positive("regularizers", lambda1, lambda2)
     n = oracle1.n
     if oracle2.n != n:
         raise ValueError("views have different sample counts")

@@ -34,6 +34,16 @@ class KernelSpec:
                              f"2 sigma^2 a finite, normal double")
 
 
+def _check_positive(name: str, *values: float, zero_ok: bool = False) -> None:
+    """The one range check of a regularizer or shrinkage: ValueError naming
+    ``name`` unless every value is positive (or zero, with ``zero_ok``) and
+    finite. NaN fails."""
+    for value in values:
+        if not (0 < value < math.inf or (zero_ok and value == 0)):
+            lower = "nonnegative" if zero_ok else "positive"
+            raise ValueError(f"{name} must be {lower} and finite")
+
+
 def as_matrix(K) -> np.ndarray:
     """The one square-matrix check: K as a float ndarray, or ValueError."""
     K = np.asarray(K, dtype=float)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .kernels import KernelColumns, as_matrix
+from .kernels import KernelColumns, _check_positive, as_matrix
 
 __all__ = [
     "LeverageScores",
@@ -104,8 +103,7 @@ def exact_leverage(K, gamma: float) -> LeverageScores:
     to [0, 1]. Raises ValueError on a non-finite K and LinAlgError when
     K + N gamma I is not numerically positive definite.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    _check_positive("gamma", gamma)
     K = as_matrix(K)
     n = K.shape[0]
     shift = n * gamma
@@ -131,8 +129,7 @@ def exact_leverage(K, gamma: float) -> LeverageScores:
 
 def effective_dimension(K, gamma: float) -> float:
     """trace(K (K + N gamma I)^-1) = sum of the gamma-ridge leverage scores."""
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    _check_positive("gamma", gamma)
     K = as_matrix(K)
     n = K.shape[0]
     sig = _psd_eigh(K, eigvals_only=True)
@@ -154,8 +151,7 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     in the PSD order, the estimates never exceed the exact scores. With the
     full sketch, L = K and the estimates are exact.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    _check_positive("gamma", gamma)
     n = oracle.n
     if not 1 <= sketch_size <= n:
         raise ValueError(f"sketch_size must be in [1, {n}]")

@@ -25,11 +25,12 @@ The state grows only by blocks of p columns through ``chol_append_block``
 ``C = Q^T A_blk`` is formed once: ``R`` gains the border ``[W; B]`` with
 ``W = R_old^-T (P^T C + N lam gram_cross)`` and ``B`` the factor of the
 Schur complement, and ``qr_append_block`` reuses ``C`` over the kept
-columns as its first projection pass, then runs a second pass and
-Gram-Schmidt within the block. ``M`` is bordered last, from ``W`` and
-``B``: its new columns are ``(P_new - M_old W) B^-1``, and its old columns
-are zero in the rows of the new Q directions. Leading blocks never change,
-so advancing to a larger rank reuses everything already computed. A state
+columns as its first projection pass, runs a second one and then
+orthogonalizes within the block, ``_QR_SUB`` columns at a time. ``M`` is
+bordered last, from ``W`` and ``B``: its new columns are
+``(P_new - M_old W) B^-1``, and its old columns are zero in the rows of
+the new Q directions. Leading blocks never change, so advancing to a
+larger rank reuses everything already computed. A state
 is sized once, by a capacity fixed when it is made (a sampling plan bounds
 the landmarks of a rank path in advance), and an append past it raises
 ``ValueError``. Every buffer is column-major: appends write whole columns,
@@ -40,7 +41,8 @@ is the only buffer with N rows.
 from-scratch reference fitter) and ``solve_upper`` the one triangular solve
 with a factor. ``chol_solve``, the solve with the target, has no caller in
 the solver and is not exported; it stays a module attribute because
-``bench/tracing.py`` wraps it.
+``bench/tracing.py`` wraps it. For the same reason ``chol_append_block``
+calls ``qr_append_block`` through the module global.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ import math
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm
+
+from .kernels import _check_positive
 
 __all__ = [
     "FactorState",
@@ -68,6 +72,11 @@ DEFAULT_NEW_MASS_RTOL = 1e-8
 
 # Residual threshold below which an incoming QR column counts as dependent.
 _QR_DEP_RTOL = 1e-10
+
+# Columns per sub-block of the in-block Gram-Schmidt in ``qr_append_block``.
+# On one BLAS thread 16 to 64 time alike and 8 is slower (README, numerical
+# notes).
+_QR_SUB = 32
 
 
 def _equilibrated_block(columns: np.ndarray, indices: np.ndarray,
@@ -116,8 +125,7 @@ class FactorState:
     """
 
     def __init__(self, n: int, lam: float, capacity: int):
-        if not 0 < lam < math.inf:
-            raise ValueError("lambda must be positive and finite")
+        _check_positive("lambda", lam)
         self.n = n
         self.lam = lam
         self.capacity = capacity
@@ -245,14 +253,18 @@ def qr_append_block(state: FactorState, A_blk: np.ndarray,
     state it advanced alone has zero R and M columns.
 
     ``C = Q^T A_blk`` is the first block projection pass against the
-    existing basis; a second pass follows, then per-column Gram-Schmidt
-    within the small block. Each new direction is centered before its norm
-    test, so Q stays in the centered subspace: dividing by a small residual
-    norm would otherwise amplify the rounding left in the inputs' means. A
-    column whose residual is below 1e-10 times its norm is dependent: its
-    projection coefficients are recorded in P but no Q column is invented.
-    Appending past the state's capacity raises ``ValueError`` and leaves the
-    state as it was.
+    existing basis; a second pass follows. The residual is then
+    orthogonalized in sub-blocks of ``_QR_SUB`` columns (block classical
+    Gram-Schmidt with reorthogonalization): each sub-block takes two GEMM
+    passes against the Q columns that the block's earlier sub-blocks
+    created, then the per-column CGS2 loop runs against only the
+    sub-block's own new columns. Each new direction is centered before its
+    norm test, so Q stays in the centered subspace: dividing by a small
+    residual norm would otherwise amplify the rounding left in the inputs'
+    means. A column whose residual is below 1e-10 times its norm is
+    dependent: its projection coefficients are recorded in P but no Q
+    column is invented. Appending past the state's capacity raises
+    ``ValueError`` and leaves the state as it was.
     """
     nb = A_blk.shape[1]
     m0, r0 = state.m, state.r
@@ -270,21 +282,34 @@ def qr_append_block(state: FactorState, A_blk: np.ndarray,
     C2 = Q.T @ V
     V = dgemm(-1.0, Q, C2, 1.0, V, overwrite_c=True)
     state._P[:r0, m0 : m0 + nb] = C + C2
-    for j in range(nb):
-        r = state.r
-        Qnew = state._Q[:, r0:r]
-        v = V[:, j]
-        if r > r0:
-            cj = Qnew.T @ v
-            v = v - Qnew @ cj
-            c2 = Qnew.T @ v
-            v -= Qnew @ c2
-            state._P[r0:r, m0 + j] = cj + c2
-        v -= v.mean()
-        rnorm = float(np.linalg.norm(v))
-        if rnorm >= _QR_DEP_RTOL * max(float(norms[j]), np.finfo(float).tiny):
-            state._Q[:, r] = v / rnorm
-            state._P[r, m0 + j] = rnorm
-            state.r = r + 1
-        state.m += 1
+    for s0 in range(0, nb, _QR_SUB):
+        s1 = min(s0 + _QR_SUB, nb)
+        rs = state.r
+        Vs = V[:, s0:s1]
+        if rs > r0:
+            # two GEMM passes against the block's earlier sub-blocks
+            Qn = state._Q[:, r0:rs]
+            D = Qn.T @ Vs
+            Vs = dgemm(-1.0, Qn, D, 1.0, Vs, overwrite_c=True)
+            D2 = Qn.T @ Vs
+            Vs = dgemm(-1.0, Qn, D2, 1.0, Vs, overwrite_c=True)
+            state._P[r0:rs, m0 + s0 : m0 + s1] = D + D2
+        for j in range(s0, s1):
+            r = state.r
+            Qnew = state._Q[:, rs:r]
+            v = Vs[:, j - s0]
+            if r > rs:
+                cj = Qnew.T @ v
+                v = v - Qnew @ cj
+                c2 = Qnew.T @ v
+                v -= Qnew @ c2
+                state._P[rs:r, m0 + j] = cj + c2
+            v -= v.mean()
+            rnorm = float(np.linalg.norm(v))
+            if rnorm >= _QR_DEP_RTOL * max(float(norms[j]),
+                                           np.finfo(float).tiny):
+                state._Q[:, r] = v / rnorm
+                state._P[r, m0 + j] = rnorm
+                state.r = r + 1
+            state.m += 1
     return state

@@ -368,9 +368,14 @@ def factor_appends(draw):
                 cuts=sorted(cuts))
 
 
+# The strategy's N <= 60 never offers a block wider than two QR sub-blocks
+# (2 * _QR_SUB = 64 columns); the example appends 75 kept columns between
+# blocks of 20 and 15.
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(factor_appends())
+@example(dict(n=120, seed=3, sigma=0.3, lam=1e-3,
+              candidates=list(range(110)), cuts=[20, 95]))
 def test_factor_state_invariants_after_every_append(case):
     n, lam = case["n"], case["lam"]
     ds = synthetic_circles(n, case["seed"])
