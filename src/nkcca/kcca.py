@@ -28,11 +28,13 @@ caller's hook.
 
 Every top-k solve (exact, checkpoint and the RFF baseline's linear CCA) goes
 through one policy, _top_svd: ARPACK's Lanczos on the formed matrix once its
-short side exceeds max(100, 6k), a full LAPACK SVD below that. The error
-norm of a checkpoint against the dense exact T (t_error_norm) comes from a
-Golub-Kahan-Lanczos bidiagonalization instead: it needs one singular value
-of an operator, not triplets of a formed matrix, and it stops on the
-estimated error of that value rather than on its residual.
+short side exceeds max(100, 6k), a full LAPACK SVD below that. A spectral
+norm alone comes from one Golub-Kahan-Lanczos routine instead (_gkl_norm):
+it needs one singular value of an operator given by its two products, not
+triplets of a formed matrix, and it stops on the estimated error of that
+value rather than on its residual. The error norm of a checkpoint against
+the dense exact T (t_error_norm) is its public wrapper, and the dense
+bound checks (diagnostics) call it directly.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ _SVDS_MIN_SIDE = 100
 _SVDS_SIDE_PER_TRIPLET = 6
 # exact_kcca forms several N x N matrices; it refuses larger problems.
 _EXACT_N_LIMIT = 5000
-# t_error_norm's bidiagonalization stops once the gap-based estimate of its
+# _gkl_norm's bidiagonalization stops once the gap-based estimate of its
 # value's relative error is at most _GKL_RTOL; while the second singular
 # value s_2 of its bidiagonal is within rounding of the top one sigma
 # (sigma^2 - s_2^2 <= _GKL_GAP_RTOL sigma^2) it needs the top triplet's
@@ -87,7 +89,7 @@ _GKL_BLOCK = 32
 _MIRROR_BLOCK = 128
 # project_many evaluates the cross-Gram of new points in row chunks of at
 # most this many entries (8 MB), so it never holds an n_new x N block: that
-# block and its centered copy set the peak memory of a scoring run.
+# block sets the peak memory of a scoring run.
 _PROJECT_CHUNK_ENTRIES = 1 << 20
 
 _log = logging.getLogger(__name__)
@@ -156,7 +158,7 @@ def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
 
 def _arpack_start(n: int) -> np.ndarray:
     """The one Krylov start vector, fixed and pseudo-random: ARPACK's v0 in
-    _top_svd and t_error_norm's first right vector. A constant one such as
+    _top_svd and _gkl_norm's first right vector. A constant one such as
     ones can be null, since the exact T has centered columns on the
     right (T 1 = 0) and the landmark columns are centered (Q^T 1 = 0)."""
     return np.random.default_rng(0).standard_normal(n)
@@ -559,7 +561,71 @@ def _non_finite(**arrays) -> ValueError:
     for name, a in arrays.items():
         if not np.isfinite(a).all():
             return ValueError(f"{name} has non-finite entries")
-    return ValueError("T - Q1 T_hat Q2^T overflows")
+    return ValueError("the operator's products are not finite")
+
+
+def _gkl_norm(matvec, rmatvec, n: int, scale: float = 0.0,
+              operands: dict | None = None):
+    """Spectral norm of an n x n operator E given by its two products,
+    matvec(v) = E v and rmatvec(u) = E^T u: the one Lanczos routine behind
+    t_error_norm and every spectral norm of the dense bound checks.
+
+    Golub-Kahan-Lanczos bidiagonalization E V_k = U_k B_k, with B_k upper
+    bidiagonal, from the seeded start vector, both bases fully
+    reorthogonalized (CGS2) and grown _GKL_BLOCK rows at a time. After step
+    k the top singular triplet (sigma, x, y) of B_k leaves the residual
+    rho_k = ||E^T U_k x - sigma V_k y|| = beta_k |x_k|, and sigma^2 is then
+    within sigma^2 rho_k^2 / gap of an eigenvalue of E^T E (Kato-Temple),
+    gap being the distance to the next one. The iteration stops once the
+    estimate rho_k^2 / (2 (sigma^2 - s_2^2)) of sigma's relative error is
+    at most _GKL_RTOL, with s_2 the second singular value of B_k standing
+    in for E's (or, at k = 1 and while s_2 is within rounding of sigma,
+    once rho_k <= _GKL_RTOL sigma); when alpha_k or beta_k is at most
+    n eps max(scale, ||E v_1||), the Krylov space being numerically
+    invariant (``scale`` is the size of the terms E is a difference of,
+    for an E that may be rounding); or after n steps. The zero operator
+    gives exactly 0.0.
+
+    Returns (sigma, steps, residual, estimate); the estimate is nan at a
+    breakdown, where none is formed. Raises the ValueError of
+    _non_finite(**operands) when E v_1 has a non-finite entry: v_1 has no
+    zero entry, so a non-finite entry of any operand reaches it.
+    """
+    V = np.empty((_GKL_BLOCK, n))
+    U = np.empty((_GKL_BLOCK, n))
+    B = np.zeros((_GKL_BLOCK, _GKL_BLOCK))   # B_k is its leading k x k block
+    v = _arpack_start(n)
+    V[0] = v / np.linalg.norm(v)
+    p = matvec(V[0])
+    if not np.isfinite(p).all():
+        raise _non_finite(**(operands or {}))
+    tiny = n * np.finfo(float).eps * max(scale, np.linalg.norm(p))
+    for k in range(1, n + 1):
+        # p = E v_k - beta_{k-1} u_{k-1}
+        _cgs2(p, U[:k - 1])
+        alpha = np.linalg.norm(p)
+        B[k - 1, k - 1] = alpha
+        if alpha <= tiny:
+            # E v_k lies in span(U_{k-1}): what B_k leaves out is alpha_k,
+            # and no estimate is formed
+            return np.linalg.norm(B[:k, :k], 2), k, alpha, math.nan
+        U[k - 1] = p / alpha
+        q = rmatvec(U[k - 1]) - alpha * V[k - 1]
+        _cgs2(q, V[:k])
+        beta = np.linalg.norm(q)
+        x, s, _ = np.linalg.svd(B[:k, :k])
+        residual = beta * abs(x[-1, 0])
+        estimate = _gkl_estimate(s, residual)
+        if estimate <= _GKL_RTOL or beta <= tiny or k == n:
+            return s[0], k, residual, estimate
+        if k == V.shape[0]:
+            grow = min(_GKL_BLOCK, n - k)
+            V = np.vstack([V, np.empty((grow, n))])
+            U = np.vstack([U, np.empty((grow, n))])
+            B = np.pad(B, ((0, grow), (0, grow)))
+        B[k - 1, k] = beta
+        V[k] = q / beta
+        p = matvec(V[k]) - beta * U[k - 1]
 
 
 def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
@@ -568,26 +634,17 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
     low-rank T of a checkpoint (the arguments its ``on_checkpoint`` hook
     receives).
 
-    E is applied as T v - Y (Q2^T v) through the N x r2 factor
-    Y = Q1 T_hat, so only the dense exact T is ever N x N. The norm comes
-    from Golub-Kahan-Lanczos bidiagonalization at every size, E V_k =
-    U_k B_k with B_k upper bidiagonal, from the seeded start vector, both
-    bases fully reorthogonalized (CGS2) and grown _GKL_BLOCK rows at a
-    time. After step k the top singular triplet (sigma, x, y) of B_k leaves
-    the residual rho_k = ||E^T U_k x - sigma V_k y|| = beta_k |x_k|, and
-    sigma^2 is then within sigma^2 rho_k^2 / gap of an eigenvalue of E^T E
-    (Kato-Temple), gap being the distance to the next one. The iteration
-    stops once the estimate rho_k^2 / (2 (sigma^2 - s_2^2)) of sigma's
-    relative error is at most _GKL_RTOL, with s_2 the second singular
-    value of B_k standing in for E's (or, at k = 1 and while s_2 is within
-    rounding of sigma, once rho_k <= _GKL_RTOL sigma); when alpha_k or
-    beta_k falls to rounding level (N eps ||T v_1|| <= N eps ||T||: the
-    Krylov space is numerically invariant); or after N steps.
+    E is applied as T v - Q1 (T_hat (Q2^T v)) and E^T likewise, so only
+    the dense exact T is ever N x N and no N x r product is formed. The
+    norm comes from _gkl_norm's Golub-Kahan-Lanczos bidiagonalization,
+    which stops on the estimated relative error of its value (_GKL_RTOL);
+    a Lanczos coefficient counts as rounding below N eps ||T_hat||_F, a
+    bound of the low-rank term's norm.
 
     Raises ValueError naming the argument when T is not square, Q1 or Q2
     does not have T's rows, T_hat is not Q1's by Q2's column count, or the
     operator has non-finite entries. The entries are checked on the first
-    products (T v_1 and Y), not by a pass over T.
+    product E v_1, not by a pass over T.
     """
     T, Q1, Q2, T_hat = (np.asarray(a, dtype=float) for a in (T, Q1, Q2, T_hat))
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -599,48 +656,11 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
     if T_hat.shape != (Q1.shape[1], Q2.shape[1]):
         raise ValueError(f"T_hat must be {Q1.shape[1]} x {Q2.shape[1]}, "
                          "the column counts of Q1 and Q2")
-    args = dict(T=T, Q1=Q1, Q2=Q2, T_hat=T_hat)
-    Y = Q1 @ T_hat
-    V = np.empty((_GKL_BLOCK, n))
-    U = np.empty((_GKL_BLOCK, n))
-    B = np.zeros((_GKL_BLOCK, _GKL_BLOCK))   # B_k is its leading k x k block
-    v = _arpack_start(n)
-    V[0] = v / np.linalg.norm(v)
-    p = T @ V[0]
-    tiny = n * np.finfo(float).eps * np.linalg.norm(p)
-    p -= Y @ (Q2.T @ V[0])
-    # v_1 has no zero entry, so a non-finite entry of T, Y (from Q1 or
-    # T_hat) or Q2 reaches p
-    if not np.isfinite(p).all():
-        raise _non_finite(**args)
-    for k in range(1, n + 1):
-        # p = E v_k - beta_{k-1} u_{k-1}
-        _cgs2(p, U[:k - 1])
-        alpha = np.linalg.norm(p)
-        B[k - 1, k - 1] = alpha
-        if alpha <= tiny:
-            # E v_k lies in span(U_{k-1}): what B_k leaves out is alpha_k,
-            # and no estimate is formed
-            sigma, residual = np.linalg.norm(B[:k, :k], 2), alpha
-            estimate = math.nan
-            break
-        U[k - 1] = p / alpha
-        q = T.T @ U[k - 1] - Q2 @ (Y.T @ U[k - 1]) - alpha * V[k - 1]
-        _cgs2(q, V[:k])
-        beta = np.linalg.norm(q)
-        x, s, _ = np.linalg.svd(B[:k, :k])
-        sigma, residual = s[0], beta * abs(x[-1, 0])
-        estimate = _gkl_estimate(s, residual)
-        if estimate <= _GKL_RTOL or beta <= tiny or k == n:
-            break
-        if k == V.shape[0]:
-            grow = min(_GKL_BLOCK, n - k)
-            V = np.vstack([V, np.empty((grow, n))])
-            U = np.vstack([U, np.empty((grow, n))])
-            B = np.pad(B, ((0, grow), (0, grow)))
-        B[k - 1, k] = beta
-        V[k] = q / beta
-        p = T @ V[k] - Y @ (Q2.T @ V[k]) - beta * U[k - 1]
+    sigma, k, residual, estimate = _gkl_norm(
+        lambda v: T @ v - Q1 @ (T_hat @ (Q2.T @ v)),
+        lambda u: T.T @ u - Q2 @ (T_hat.T @ (Q1.T @ u)),
+        n, scale=np.linalg.norm(T_hat),
+        operands=dict(T=T, Q1=Q1, Q2=Q2, T_hat=T_hat))
     _log.debug("t_error_norm: %d Lanczos steps, residual %.3e (sigma %.6e), "
                "estimate %.3e", k, residual, sigma, estimate)
     return float(sigma)
@@ -653,11 +673,13 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
 def project_many(model: KccaModel, X_new, view: int) -> np.ndarray:
     """Project rows of X_new into the L canonical dimensions of one view.
 
-    Evaluates exact kernel affinities against all training points, a chunk
-    of rows at a time, and applies the centered combination k^T H coeffs;
-    the additive constant of the mapping is dropped, so projections are
-    defined up to a per-dimension shift (all downstream correlation metrics
-    are shift-invariant).
+    Evaluates exact kernel affinities k against all training points, a
+    chunk of rows at a time, and applies the centered combination
+    k^T H coeffs as k^T (H coeffs): the coefficients are centered once, over
+    the training points, and the affinities are not. The additive constant
+    of the mapping is dropped, so projections are defined up to a
+    per-dimension shift (all downstream correlation metrics are
+    shift-invariant).
     """
     if view not in (1, 2):
         raise ValueError("view must be 1 or 2")
@@ -669,12 +691,11 @@ def project_many(model: KccaModel, X_new, view: int) -> np.ndarray:
         raise ValueError("model has no coefficients for this view; fit "
                          "with compute_coefficients=True")
     X_new = np.atleast_2d(X_new)
+    centered = coeffs - coeffs.mean(axis=0)
     rows = max(1, _PROJECT_CHUNK_ENTRIES // oracle.n)
     out = np.empty((X_new.shape[0], coeffs.shape[1]))
     for lo in range(0, X_new.shape[0], rows):
-        K_new = oracle.cross(X_new[lo:lo + rows])
-        K_new -= K_new.mean(axis=1, keepdims=True)
-        out[lo:lo + rows] = K_new @ coeffs
+        out[lo:lo + rows] = oracle.cross(X_new[lo:lo + rows]) @ centered
     return out
 
 

@@ -75,19 +75,27 @@ def _psd_eigh(K: np.ndarray, eigvals_only: bool = False):
     return np.maximum(sig, 0.0), U
 
 
-def _whitened_sketch(C: np.ndarray, W: np.ndarray, shift: float) -> np.ndarray:
+def _sketch_eigh(W: np.ndarray):
+    """The eigendecomposition (sig, U) of a sketch block W, symmetrized and
+    with tiny negative eigenvalues clipped: what _whitened_sketch factors
+    at any shift."""
+    return _psd_eigh(0.5 * (W + W.T))
+
+
+def _whitened_sketch(C: np.ndarray, eig, shift: float) -> np.ndarray:
     """The whitened sketch F = C U+ diag(sig+ + shift)^-1/2, so that
     F F^T = C (W + shift I)^+ C^T.
 
-    C holds sampled kernel columns (N x s) and W their s x s block, taken
-    as W = U diag(sig) U^T from one symmetric eigendecomposition; U+ and
-    sig+ keep the directions whose sig + shift exceeds the eps-threshold
-    sig_max * s * eps of the pseudo-inverse. Every dense Nystrom
-    approximation of the package comes from this factor: the leverage
-    sketch at shift 0 and ``diagnostics.low_rank_dense`` at shift N gamma.
+    C holds sampled kernel columns (N x s) and ``eig`` = _sketch_eigh(W)
+    is W = U diag(sig) U^T for their s x s block W, so one
+    eigendecomposition serves every shift; U+ and sig+ keep the directions
+    whose sig + shift exceeds the eps-threshold sig_max * s * eps of the
+    pseudo-inverse. Every dense Nystrom approximation of the package comes
+    from this factor: the leverage sketch at shift 0 and
+    ``diagnostics.low_rank_dense`` at shift N gamma.
     """
-    sig, U = _psd_eigh(0.5 * (W + W.T))
-    tol = sig.max(initial=0.0) * W.shape[0] * np.finfo(float).eps
+    sig, U = eig
+    tol = sig.max(initial=0.0) * sig.shape[0] * np.finfo(float).eps
     keep = sig + shift > tol
     return C @ (U[:, keep] / np.sqrt(sig[keep] + shift))
 
@@ -159,7 +167,7 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     idx = np.sort(rng.choice(n, size=sketch_size, replace=False))
 
     C = oracle.columns(idx)
-    F = _whitened_sketch(C, C[idx, :], 0.0)
+    F = _whitened_sketch(C, _sketch_eigh(C[idx, :]), 0.0)
     del C  # C and F are the only N x s arrays live at once
     S = F.T @ F
     S[np.diag_indices_from(S)] += n * gamma

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import (full_plan, random_psd, ring_gram, sampling_matrix,
-                      unit_plan)
+from conftest import (full_plan, random_psd, recording, ring_gram,
+                      sampling_matrix, unit_plan)
 
+from nkcca import diagnostics, kcca
 from nkcca.baselines import linear_cca
 from nkcca.datasets import synthetic_circles
 from nkcca.diagnostics import (BoundReport, d_matrix_norm, low_rank_dense,
@@ -160,6 +163,31 @@ def test_low_rank_dense_psd_ordering_small_instances():
         assert np.linalg.eigvalsh(K - L).min() >= -1e-8 * norm
         assert np.linalg.eigvalsh(L - Lg).min() >= -1e-8 * norm
         assert np.linalg.eigvalsh(K - Lg).min() >= -1e-8 * norm
+
+
+def test_low_rank_pair_shares_one_sketch_eigendecomposition(monkeypatch):
+    # L and L_gamma of one plan come from one eigh of the sketch block and
+    # are bitwise those of two low_rank_dense calls
+    K = ring_gram(60, 3)
+    plan = uniform_plan(60, 25, seed=4)
+    expected = [low_rank_dense(K, plan, 0.0), low_rank_dense(K, plan, 0.05)]
+    calls = []
+    monkeypatch.setattr(diagnostics, "_sketch_eigh",
+                        recording(diagnostics._sketch_eigh, calls))
+    got = diagnostics._low_rank(K, plan, (0.0, 0.05))
+    assert len(calls) == 1
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_low_rank_dense_and_d_norm_reject_a_plan_index_outside_n():
+    # a raw IndexError before
+    K = random_psd(np.random.default_rng(3), 6)
+    message = r"^plan has indices outside \[0, 6\)"
+    with pytest.raises(ValueError, match=message):
+        low_rank_dense(K, unit_plan([0, 6]), 0.1)
+    with pytest.raises(ValueError, match=message):
+        d_matrix_norm(K, unit_plan([7, 1]), 0.1)
 
 
 def test_low_rank_dense_rejects_bad_input():
@@ -468,6 +496,29 @@ def test_dense_operators_leave_their_inputs_unchanged(seed):
 
     for a, b in zip(watched, before):
         assert a.tobytes() == b.tobytes()
+
+
+def test_bound_checks_never_call_the_public_error_norm(monkeypatch):
+    # a span tracer wraps t_error_norm in every nkcca namespace that names
+    # it, so a check that called it would be timed as the checkpoint error
+    # norm; the checks share its Lanczos routine (_gkl_norm) instead
+    def forbidden(*args, **kwargs):
+        raise AssertionError("t_error_norm called by a bound check")
+
+    public = kcca.t_error_norm
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "nkcca"
+                and getattr(module, "t_error_norm", None) is public):
+            monkeypatch.setattr(module, "t_error_norm", forbidden)
+    n, lam, gamma, t = 60, 1e-2, 1e-2, 0.5
+    K1, K2 = ring_gram(n, 0, view=1), ring_gram(n, 0, view=2)
+    p1, p2 = uniform_plan(n, 30, seed=1), uniform_plan(n, 20, seed=2)
+    exact, approx, X_test = fit_pair(n=n, m=30)
+    psd_ordering_check(K1, p1, gamma)
+    tail_bound_check(K1, p1, gamma, t)
+    projection_error_check(K1, p1, gamma, lam, t)
+    correlation_error_check(K1, K2, (p1, p2), (lam, lam), (gamma, gamma), t, t)
+    stability_check(exact, approx, X_test)
 
 
 def _correlation_args():

@@ -798,3 +798,51 @@ def test_t_error_norm_rejects_mismatched_shapes(arg, shape):
     args[arg] = np.ones(shape)
     with pytest.raises(ValueError, match=f"^{arg} must"):
         t_error_norm(**args)
+
+
+def _dense_operator_norm(A):
+    sigma, steps, _, _ = kcca._gkl_norm(lambda v: A @ v, lambda u: A.T @ u,
+                                        A.shape[0])
+    assert 1 <= steps <= A.shape[0]
+    return sigma
+
+
+def _symmetric_pm_pair(rng, n):
+    # eigenvalues +3 and -3 on top, so the norm is a singular value of
+    # multiplicity two that no single eigenvalue end of A shows alone
+    lam = np.concatenate([[3.0, -3.0], rng.uniform(-2.0, 2.0, n - 2)])
+    U = _orthonormal(rng, n, n)
+    return (U * lam) @ U.T
+
+
+def _rank_deficient_psd(rng, n):
+    return random_psd(rng, n, rank=n // 4)
+
+
+def _t_like(rng, n):
+    # a product of two ridge projections of random PSD matrices, like the
+    # exact T: nonsymmetric, with singular values in [0, 1)
+    P = [np.linalg.solve(K + 0.05 * n * np.eye(n), K)
+         for K in (random_psd(rng, n), random_psd(rng, n, rank=n // 2))]
+    return P[0] @ P[1]
+
+
+@pytest.mark.parametrize("make", [_symmetric_pm_pair, _rank_deficient_psd,
+                                  _t_like],
+                         ids=["symmetric-pm", "rank-deficient-psd", "t-like"])
+@pytest.mark.parametrize("n", [40, 300])
+def test_gkl_norm_matches_the_dense_spectral_norm(make, n):
+    A = make(np.random.default_rng(n), n)
+    assert _dense_operator_norm(A) == pytest.approx(np.linalg.norm(A, 2),
+                                                    rel=1e-10)
+
+
+def test_gkl_norm_of_the_zero_operator_is_exactly_zero():
+    assert _dense_operator_norm(np.zeros((50, 50))) == 0.0
+
+
+def test_gkl_norm_rejects_a_non_finite_operator():
+    A = np.eye(6)
+    A[2, 4] = np.nan
+    with pytest.raises(ValueError, match="^the operator's products are not"):
+        _dense_operator_norm(A)
