@@ -514,7 +514,7 @@ def cmd_check_bounds(args) -> int:
         approx = nkcca_fit_direct(o1, o2, plan1, plan2, l1, l2, L=1,
                                   keep_t=True)
         reports += stability_check(exact, approx.model, exp.data.X_test[:200],
-                                   c=1.0)
+                                   c=1.0, grams=(K1, K2))
     outdir = _write_run(cfg, "check-bounds", "bounds.csv", [
         ("context", "which inequality"), ("lhs / rhs", "both sides"),
         ("holds", "lhs <= rhs + 1e-8 max(1, rhs)"),

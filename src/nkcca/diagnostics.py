@@ -7,7 +7,10 @@ still computable. They are gated to modest N by default.
 Every spectral norm, and the top eigenvalue of K - L_gamma (PSD, so its
 norm), comes from kcca's Golub-Kahan-Lanczos routine (_gkl_norm), called
 directly rather than through the public t_error_norm, which span tracers
-time as the checkpoint error norm. Two decompositions stay full: the
+time as the checkpoint error norm. It applies products and differences
+factor by factor (_norm), so T = P1 P2 and T - T_tilde are never formed.
+Every ridge projection, centered or not, is kcca's one in-place primitive
+(_ridge_projection). Two decompositions stay full: the
 minimum eigenvalues of the PSD ordering, which Lanczos cannot certify
 inside a cluster at zero, and d_matrix_norm's eigh, whose eigenvectors
 form D. L and L_gamma of one plan share one sketch eigendecomposition.
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .kernels import _check_positive, as_matrix, center
+from .kernels import _check_positive, as_matrix
 from .kcca import KccaModel, _gkl_norm, _ridge_projection, project_many
 from .leverage import _psd_eigh, _sketch_eigh, _whitened_sketch
 from .sampling import SamplingPlan
@@ -94,19 +97,38 @@ def _check_plan(name: str, plan: SamplingPlan, n: int) -> None:
         raise ValueError(f"{name} has indices outside [0, {n})")
 
 
-def _norm(A: np.ndarray) -> float:
-    """Spectral norm of a dense square A, by kcca's Lanczos routine."""
-    return float(_gkl_norm(lambda v: A @ v, lambda u: A.T @ u,
-                           A.shape[0])[0])
+def _norm(*terms) -> float:
+    """Spectral norm of the first term minus the others, by kcca's Lanczos
+    routine. A term is a dense square matrix or a tuple of them standing for
+    their product; each is applied factor by factor, so no product or
+    difference is formed."""
+    terms = [t if isinstance(t, tuple) else (t,) for t in terms]
+
+    def product(factors, v, transpose):
+        for F in (factors if transpose else factors[::-1]):
+            v = (F.T if transpose else F) @ v
+        return v
+
+    def apply(v, transpose):
+        out = product(terms[0], v, transpose)
+        for factors in terms[1:]:
+            out -= product(factors, v, transpose)
+        return out
+
+    n = terms[0][0].shape[0]
+    return float(_gkl_norm(lambda v: apply(v, False),
+                           lambda u: apply(u, True), n)[0])
 
 
-def ridge_projection(A: np.ndarray, lam: float) -> np.ndarray:
-    """A (A + N lam I)^-1 for symmetric PSD A (dense), exactly symmetric.
+def ridge_projection(A: np.ndarray, lam: float,
+                     centered: bool = False) -> np.ndarray:
+    """A (A + N lam I)^-1 for symmetric PSD A (dense), exactly symmetric;
+    with ``centered``, that of its double centering H A H.
 
     Formed as I - N lam (A + N lam I)^-1 from one inverted Cholesky factor
     (kcca._ridge_projection), in a new array: A is only read.
     """
-    return _ridge_projection(A, A.shape[0] * lam)
+    return _ridge_projection(A, A.shape[0] * lam, centered)
 
 
 def _low_rank(K, plan: SamplingPlan, gammas) -> list[np.ndarray]:
@@ -212,14 +234,12 @@ def projection_error_check(K, plan: SamplingPlan, gamma: float, lam: float,
     d_norm = d_matrix_norm(K, plan, gamma)
     applicable = d_norm <= t
     L, Lg = _low_rank(K, plan, (0.0, gamma))
-    P = ridge_projection(K, lam)
-    Pc = ridge_projection(center(K), lam)
-    errs = {
-        "uncentered_L": _norm(P - ridge_projection(L, lam)),
-        "uncentered_Lgamma": _norm(P - ridge_projection(Lg, lam)),
-        "centered_L": _norm(Pc - ridge_projection(center(L), lam)),
-        "centered_Lgamma": _norm(Pc - ridge_projection(center(Lg), lam)),
-    }
+    errs = {}
+    for tag, centered in (("uncentered", False), ("centered", True)):
+        P = ridge_projection(K, lam, centered)
+        for name, A in (("L", L), ("Lgamma", Lg)):
+            errs[f"{tag}_{name}"] = _norm(P - ridge_projection(A, lam,
+                                                               centered))
     rhs = (gamma / lam) / (1.0 - t)
     return BoundReport.make("projection-error", lhs=max(errs.values()),
                             rhs=rhs, applicable=applicable, d_norm=d_norm,
@@ -256,19 +276,21 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
     _check_t("t1", t1)
     _check_t("t2", t2)
     # T = P1 P2 from the views' ridge projections P = Kc (Kc + N lam I)^-1,
-    # and T_tilde likewise from the centered approximations at gamma = 0
-    P1 = ridge_projection(center(K1), lam1)
-    P2 = ridge_projection(center(K2), lam2)
-    Pt1 = ridge_projection(center(low_rank_dense(K1, plan1, 0.0)), lam1)
-    Pt2 = ridge_projection(center(low_rank_dense(K2, plan2, 0.0)), lam2)
-
-    T = P1 @ P2
-    T_tilde = Pt1 @ Pt2
-    rho = _norm(T)
-    rho_tilde = _norm(T_tilde)
-    t_err = _norm(T - T_tilde)
+    # and T_tilde likewise from the centered approximations at gamma = 0;
+    # neither product is formed
+    P1 = ridge_projection(K1, lam1, centered=True)
+    P2 = ridge_projection(K2, lam2, centered=True)
+    Pt1 = ridge_projection(low_rank_dense(K1, plan1, 0.0), lam1, centered=True)
+    Pt2 = ridge_projection(low_rank_dense(K2, plan2, 0.0), lam2, centered=True)
+    rho = _norm((P1, P2))
+    rho_tilde = _norm((Pt1, Pt2))
+    t_err = _norm((P1, P2), (Pt1, Pt2))
+    # each per-view term is a difference of entries near 1 that can be
+    # 1e-8 apart: forming it keeps the rounding of its matrix-vector product
+    # to that of one matrix
     view1_term = _norm(P1 - Pt1)
     view2_term = _norm(P2 - Pt2)
+    del P1, P2, Pt1, Pt2   # d_matrix_norm's eigh needs the room
 
     d1 = d_matrix_norm(K1, plan1, gam1)
     d2 = d_matrix_norm(K2, plan2, gam2)
@@ -283,7 +305,7 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
 
 
 def stability_check(exact: KccaModel, approx: KccaModel, test_points,
-                    c: float = 1.0) -> list[BoundReport]:
+                    c: float = 1.0, *, grams=None) -> list[BoundReport]:
     """Layered out-of-sample stability checks for the top canonical pair.
 
     Returns three reports:
@@ -296,6 +318,8 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
     per-view projection errors (which dominates both the per-view terms and
     ||T - T~||, keeping every layer a certified inequality once the gap condition holds).
     All three are flagged not-applicable when r <= 0 or ||T - T~|| > r/2.
+    ``grams = (K1, K2)``, the exact model's two Gram matrices if the caller
+    holds them, saves building them again from its view oracles.
     """
     if exact.t_matrix is None or approx.t_matrix is None:
         raise ValueError("both models must carry their dense T matrix "
@@ -310,7 +334,7 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
 
     sigma2 = float(exact.rho[1]) if exact.L > 1 else float(exact.sigma_next)
     r = float(exact.rho[0]) - sigma2
-    t_err = _norm(exact.t_matrix - approx.t_matrix)
+    t_err = _norm(exact.t_matrix, approx.t_matrix)
     applicable = r > 0 and t_err <= r / 2.0
 
     # Sign-align the approximate singular pair to the exact one.
@@ -320,15 +344,15 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
     a_pt *= flip
 
     # L at gamma = 0 does not depend on the landmark weights: use unit ones
-    K1 = exact.view1.dense()
-    K2 = exact.view2.dense()
-    idx1, idx2 = approx.landmarks1.indices, approx.landmarks2.indices
-    L1 = low_rank_dense(K1, SamplingPlan(idx1, np.ones(idx1.size)), 0.0)
-    L2 = low_rank_dense(K2, SamplingPlan(idx2, np.ones(idx2.size)), 0.0)
-    eps1 = _norm(ridge_projection(center(K1), lam1)
-                     - ridge_projection(center(L1), lam1))
-    eps2 = _norm(ridge_projection(center(K2), exact.lambda2)
-                     - ridge_projection(center(L2), exact.lambda2))
+    K1, K2 = grams or (exact.view1.dense(), exact.view2.dense())
+    eps_views = []
+    for K, lm, lam in ((K1, approx.landmarks1, lam1),
+                       (K2, approx.landmarks2, exact.lambda2)):
+        L = low_rank_dense(K, SamplingPlan(lm.indices, np.ones(lm.indices.size)),
+                           0.0)
+        eps_views.append(_norm(ridge_projection(K, lam, centered=True)
+                               - ridge_projection(L, lam, centered=True)))
+    eps1, eps2 = eps_views
     eps = 2.0 * max(eps1, eps2)
     coef = 0.5 + 4.0 * math.sqrt(2.0) / r if r > 0 else np.inf
 

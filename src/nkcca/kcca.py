@@ -1,20 +1,23 @@
 """Exact kernel CCA, the Nystrom rank-path solver, and out-of-sample mapping.
 
-The exact solver forms T = (Kc1 + N lam1 I)^-1 Kc1 Kc2 (Kc2 + N lam2 I)^-1
-densely (Kc = centered Gram matrix) and reads the canonical correlations off
-its singular values. Each view's ridge projection
-P = Kc (Kc + N lam I)^-1 = I - N lam (Kc + N lam I)^-1 comes from one
-inverted Cholesky factor (_ridge_projection, which the dense bound checks
-share), and so do its coefficients, since (Kc + N lam I)^-1 =
-(I - P) / (N lam). The Nystrom solver never touches N x N matrices: per
-view it maintains one factor state (nystrom.FactorState): the incremental
-Cholesky factor R of G = N lam S^T K S + (H K S)^T (H K S) = R^T R, a thin
-QR of H K S = Q P and M = P R^-1, all grown by bordering; the landmark
-columns H K S themselves are not kept. S selects the kept landmarks, each
-column scaled to a unit diagonal of G; the solution does not depend on that
-scaling, so the plans' importance weights are not used. At a rank
-checkpoint the canonical system reduces to the SVD of the small r1 x r2
-matrix T_hat = P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with core =
+The exact solver reads the canonical correlations off the singular values
+of T = (Kc1 + N lam1 I)^-1 Kc1 Kc2 (Kc2 + N lam2 I)^-1 = P1 P2 (Kc = centered
+Gram matrix); above _top_svd's crossover ARPACK applies T as P1 (P2 v) and
+never forms it. Each view's ridge projection P = Kc (Kc + N lam I)^-1 =
+I - N lam (Kc + N lam I)^-1 is built in one column-major buffer of its own,
+centered, Cholesky-factored and inverted in place (_ridge_projection, which
+the dense bound checks share), so besides the caller's two Grams the solver
+holds P1 and P2 only. The coefficients come from P too, since
+(Kc + N lam I)^-1 = (I - P) / (N lam); a T kept for the bound checks is
+written over P2 afterwards. The Nystrom solver never touches N x N
+matrices: per view it maintains one factor state (nystrom.FactorState):
+the incremental Cholesky factor R of G = N lam S^T K S + (H K S)^T (H K S)
+= R^T R, a thin QR of H K S = Q P and M = P R^-1, all grown by bordering;
+the landmark columns H K S themselves are not kept. S selects the kept
+landmarks, each column scaled to a unit diagonal of G; the solution does
+not depend on that scaling, so the plans' importance weights are not
+used. At a rank checkpoint the canonical system reduces to the SVD of the
+small r1 x r2 matrix T_hat = P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with core =
 (H K1 S1)^T (H K2 S2) = P1^T X P2, X = Q1^T Q2 and Kt = R1^-T core R2^-1 =
 M1^T X M2, and the approximate T is Q1 T_hat Q2^T. X and T_hat are grown by
 bordering here: the leading blocks of M, X and Kt never change, so the
@@ -27,14 +30,15 @@ T_hat, which lift back through Q1, Q2, and hands (Q1, Q2, T_hat) to the
 caller's hook.
 
 Every top-k solve (exact, checkpoint and the RFF baseline's linear CCA) goes
-through one policy, _top_svd: ARPACK's Lanczos on the formed matrix once its
-short side exceeds max(100, 6k), a full LAPACK SVD below that. A spectral
-norm alone comes from one Golub-Kahan-Lanczos routine instead (_gkl_norm):
-it needs one singular value of an operator given by its two products, not
-triplets of a formed matrix, and it stops on the estimated error of that
-value rather than on its residual. The error norm of a checkpoint against
-the dense exact T (t_error_norm) is its public wrapper, and the dense
-bound checks (diagnostics) call it directly.
+through one policy, _top_svd: ARPACK's Lanczos once the short side exceeds
+max(100, 6k), on the formed matrix or, for the exact T, on the product of
+its two factors; a full LAPACK SVD of the formed matrix below that. A
+spectral norm alone comes from one Golub-Kahan-Lanczos routine instead
+(_gkl_norm): it needs one singular value of an operator given by its two
+products, not triplets, and it stops on the estimated error of that value
+rather than on its residual. The error norm of a checkpoint against the
+dense exact T (t_error_norm) is its public wrapper, and the dense bound
+checks (diagnostics) call it directly.
 """
 
 from __future__ import annotations
@@ -46,10 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import svds
+from scipy.sparse.linalg import LinearOperator, svds
 
-from .kernels import (KernelColumns, KernelSpec, _check_positive, as_matrix,
-                      center)
+from .kernels import KernelColumns, KernelSpec, _check_positive, as_matrix
 from .nystrom import (FactorState, _equilibrated_block, admit_columns,
                       chol_append_block, solve_upper)
 from .sampling import SamplingPlan
@@ -74,7 +77,7 @@ __all__ = [
 # the crossover measured with one BLAS thread (README, "Numerical notes").
 _SVDS_MIN_SIDE = 100
 _SVDS_SIDE_PER_TRIPLET = 6
-# exact_kcca forms several N x N matrices; it refuses larger problems.
+# exact_kcca holds two N x N matrices; it refuses larger problems.
 _EXACT_N_LIMIT = 5000
 # _gkl_norm's bidiagonalization stops once the gap-based estimate of its
 # value's relative error is at most _GKL_RTOL; while the second singular
@@ -85,8 +88,13 @@ _EXACT_N_LIMIT = 5000
 _GKL_RTOL = 1e-10
 _GKL_GAP_RTOL = 1e-8
 _GKL_BLOCK = 32
-# _ridge_projection mirrors its triangle this many columns at a time.
-_MIRROR_BLOCK = 128
+# _ridge_projection symmetrizes and mirrors its triangle this many columns
+# at a time.
+_COLUMN_BLOCK = 128
+# exact_kcca writes T over P2 this many columns at a time: one GEMM per
+# block repacks P1, and 128 columns took 0.39 s at N = 2000 where 256 took
+# 0.31 s and the whole product 0.26 s (one OpenBLAS thread, 2-core Xeon VM).
+_PRODUCT_BLOCK = 256
 # project_many evaluates the cross-Gram of new points in row chunks of at
 # most this many entries (8 MB), so it never holds an n_new x N block: that
 # block sets the peak memory of a scoring run.
@@ -164,40 +172,75 @@ def _arpack_start(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _top_svd(T: np.ndarray, k: int):
-    """Leading k <= min(T.shape) singular triplets of a dense matrix,
-    descending: (U, s, Vt) with U m x k, s of length k and Vt k x n."""
-    n = min(T.shape)
+def _symv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for a symmetric A, by BLAS dsymv from A's upper triangle: it
+    reads half the memory of a general product. A C-ordered A is passed as
+    its transpose, the same matrix, so it is never copied."""
+    return scipy.linalg.blas.dsymv(1.0, A.T if A.flags.c_contiguous else A,
+                                   np.ravel(v))
+
+
+def _top_svd(T, k: int):
+    """Leading k <= min(shape) singular triplets of a dense matrix T or, for
+    a pair T = (A, B) of symmetric matrices, of the product A B, descending:
+    (U, s, Vt) with U m x k, s of length k and Vt k x n. The full LAPACK SVD
+    forms A B; ARPACK applies it as A (B v) and B (A u) and never forms it."""
+    A, B = T if isinstance(T, tuple) else (T, None)
+    n = min(A.shape)
     if n <= max(_SVDS_MIN_SIDE, _SVDS_SIDE_PER_TRIPLET * k):
-        U, s, Vt = scipy.linalg.svd(T, full_matrices=False)
+        U, s, Vt = scipy.linalg.svd(A if B is None else A @ B,
+                                    full_matrices=False)
         return U[:, :k], s[:k], Vt[:k]
-    if not T.any():
-        # ARPACK rejects the zero matrix (its start vector maps to zero);
-        # these are the triplets LAPACK returns for it
-        return np.eye(T.shape[0], k), np.zeros(k), np.eye(k, T.shape[1])
-    U, s, Vt = svds(T, k=k, v0=_arpack_start(n))
+    if not (A.any() and (B is None or B.any())):
+        # ARPACK rejects the zero operator (its start vector maps to zero),
+        # as a zero factor makes it: a constant view has P = 0. These are
+        # the triplets LAPACK returns for it
+        return np.eye(A.shape[0], k), np.zeros(k), np.eye(k, A.shape[1])
+    op = A
+    if B is not None:
+        op = LinearOperator(
+            A.shape, dtype=float,
+            matvec=lambda v: _symv(A, _symv(B, v)),
+            rmatvec=lambda u: _symv(B, _symv(A, u)),
+            matmat=lambda V: A @ (B @ V), rmatmat=lambda W: B @ (A @ W))
+    U, s, Vt = svds(op, k=k, v0=_arpack_start(n))
     order = np.argsort(s)[::-1]
     return U[:, order], s[order], Vt[order]
 
 
-def _ridge_projection(Kc: np.ndarray, shift: float) -> np.ndarray:
+def _ridge_projection(K: np.ndarray, shift: float,
+                      centered: bool = False) -> np.ndarray:
     """The ridge projection Kc (Kc + shift I)^-1 = I - shift (Kc + shift I)^-1
-    of a symmetric Kc, from one Cholesky factor inverted in place (LAPACK
-    dpotri): about N^3 flops, against 7N^3 / 3 for a solve with N
-    right-hand sides. Kc is only read; the result is a new column-major
-    array, exactly symmetric."""
-    # Kc is symmetric, so a C-ordered buffer read as its transpose is the
+    of a symmetric Kc: K itself or, with ``centered``, its double centering
+    H K H. It is built in one new column-major array: the centering (bitwise
+    kernels.center's), the Cholesky factor, its inversion (LAPACK dpotri)
+    and the mirroring of the triangle all run in place, about N^3 flops
+    against 7N^3 / 3 for a solve with N right-hand sides. K is only read;
+    the result is exactly symmetric."""
+    # K is symmetric, so a C-ordered buffer read as its transpose is the
     # same matrix in the column-major layout of the result
-    Kc = Kc.T if Kc.flags.c_contiguous else Kc
-    P = np.array(Kc, order="F")
+    flip = K.flags.c_contiguous
+    P = np.array(K.T if flip else K, order="F")
+    n = P.shape[0]
+    blocks = [(j0, min(j0 + _COLUMN_BLOCK, n))
+              for j0 in range(0, n, _COLUMN_BLOCK)]
+    if centered:
+        # kernels.center's C = K - row - col + grand, term by term, on K or
+        # K^T, then its (C + C^T) / 2 in the upper triangle the factor reads
+        row, col = K.mean(axis=1), K.mean(axis=0)
+        P -= row[None, :] if flip else row[:, None]
+        P -= col[:, None] if flip else col[None, :]
+        P += K.mean()
+        for j0, j1 in blocks:
+            upper = P[j0:j1, j0:]
+            upper += P[j0:, j0:j1].T   # numpy buffers the overlapping block
+            upper *= 0.5
     P[np.diag_indices_from(P)] += shift
     P = scipy.linalg.cholesky(P, overwrite_a=True)
     P, _ = scipy.linalg.lapack.dpotri(P, overwrite_c=1)
     # dpotri leaves the factor's zero lower triangle; mirror the upper one
     # a column block at a time, with no N x N temporary
-    n = P.shape[0]
-    for j0 in range(0, n, _MIRROR_BLOCK):
-        j1 = min(j0 + _MIRROR_BLOCK, n)
+    for j0, j1 in blocks:
         diag = P[j0:j1, j0:j1]
         diag += np.triu(diag, 1).T
         P[j1:, j0:j1] = P[j0:j1, j1:].T
@@ -214,21 +257,24 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     Parameters
     ----------
     K1, K2 : ndarray
-        Uncentered kernel matrices of the two views.
+        Uncentered kernel matrices of the two views; only read.
     lambda1, lambda2 : float
         Positive scale-free regularizers (multiplied by N internally).
     L : int
         Number of canonical directions to extract.
     keep_t : bool
-        Store the dense T matrix on the model (needed by the bound
-        diagnostics; costs N^2 memory).
+        Store the dense T = P1 P2 on the model (needed by the bound
+        diagnostics). It is written over P2 a column block at a time once
+        the triplets and coefficients are taken, so it costs 2N^3 flops and
+        no third N x N buffer; without it the product is never formed.
     view1, view2 : KernelColumns, optional
         Column oracles attached for out-of-sample projection.
 
-    Returns a model with canonical correlations rho, unit singular vectors
-    alpha_prime/beta_prime, and coefficients alpha = sqrt(N)
-    (Kc1 + N lam1 I)^-1 alpha_prime = sqrt(N) (alpha_prime - P1 alpha_prime)
-    / (N lam1), P1 being the view's ridge projection (beta analogously).
+    The top L+1 singular triplets of T come from _top_svd on the pair
+    (P1, P2), P being each view's ridge projection. Returns a model with
+    canonical correlations rho, unit singular vectors alpha_prime/beta_prime,
+    and coefficients alpha = sqrt(N) (Kc1 + N lam1 I)^-1 alpha_prime =
+    sqrt(N) (alpha_prime - P1 alpha_prime) / (N lam1) (beta analogously).
     """
     _check_positive("regularizers", lambda1, lambda2)
     K1 = as_matrix(K1)
@@ -241,11 +287,10 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     if not 1 <= L <= n:
         raise ValueError("L must lie in [1, N]")
 
-    P1 = _ridge_projection(center(K1), n * lambda1)
-    P2 = _ridge_projection(center(K2), n * lambda2)
-    T = P1 @ P2
+    P1 = _ridge_projection(K1, n * lambda1, centered=True)
+    P2 = _ridge_projection(K2, n * lambda2, centered=True)
 
-    U, s, Vt = _top_svd(T, min(L + 1, n))
+    U, s, Vt = _top_svd((P1, P2), min(L + 1, n))
     rho = s[:L].copy()
     ap = U[:, :L].copy()
     bp = Vt[:L].T.copy()
@@ -255,10 +300,15 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     alpha = (ap - P1 @ ap) * (math.sqrt(n) / (n * lambda1))
     beta = (bp - P2 @ bp) * (math.sqrt(n) / (n * lambda2))
 
+    if keep_t:
+        # column block j of T = P1 P2 needs only column block j of P2
+        for j0 in range(0, n, _PRODUCT_BLOCK):
+            P2[:, j0:j0 + _PRODUCT_BLOCK] = P1 @ P2[:, j0:j0 + _PRODUCT_BLOCK]
+
     return KccaModel(kind="exact", n=n, lambda1=lambda1, lambda2=lambda2, L=L,
                      rho=rho, alpha_prime=ap, beta_prime=bp, alpha=alpha,
                      beta=beta, sigma_next=sigma_next, view1=view1, view2=view2,
-                     t_matrix=T if keep_t else None)
+                     t_matrix=P2 if keep_t else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import scipy.linalg
 
@@ -47,6 +49,18 @@ def recording(fn, out):
         out.append(result)
         return result
     return wrapper
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The tracemalloc peak, in bytes, of one call fn(*args, **kwargs): what
+    the call allocates on top of what was live before it, its result
+    included. numpy's array buffers are traced."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def unit_plan(indices):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import (full_plan, random_psd, recording, ring_gram,
-                      sampling_matrix, unit_plan)
+                      sampling_matrix, traced_peak, unit_plan)
 
 from nkcca import diagnostics, kcca
 from nkcca.baselines import linear_cca
@@ -367,6 +367,19 @@ def test_correlation_error_gated_holds():
     assert held > 0
 
 
+def test_correlation_error_check_forms_no_product():
+    # T = P1 P2, T_tilde and their difference are applied factor by factor:
+    # at N = 400 the check peaked at 9.52 N^2 doubles when it formed them,
+    # and peaks at 5.39 now (the four ridge projections, and one low-rank
+    # approximation with its buffer while the last is built)
+    n = 400
+    K1, K2 = ring_gram(n, 0, view=1), ring_gram(n, 0, view=2)
+    plans = (uniform_plan(n, 200, seed=0), uniform_plan(n, 150, seed=1))
+    peak = traced_peak(correlation_error_check, K1, K2, plans, (1e-3, 1e-3),
+                       (1e-2, 1e-2), 0.5, 0.5)
+    assert peak <= 6.5 * n * n * 8
+
+
 # --- out-of-sample stability -------------------------------------------------------------
 
 def fit_pair(n=80, m=60, seed=0, lam=1e-2, sigma=1.0):
@@ -429,6 +442,19 @@ def test_stability_not_applicable_on_gap_violation():
         assert all(not rep.holds for rep in reports)
 
 
+def test_stability_reuses_the_grams_it_is_given(monkeypatch):
+    exact, approx, X_test = fit_pair()
+    grams = (exact.view1.dense(), exact.view2.dense())
+    expected = stability_check(exact, approx, X_test, c=1.0)
+
+    def forbidden(self):
+        raise AssertionError("stability_check built a Gram matrix")
+
+    monkeypatch.setattr(KernelColumns, "dense", forbidden)
+    got = stability_check(exact, approx, X_test, c=1.0, grams=grams)
+    assert got == expected
+
+
 def test_stability_requires_dense_t():
     exact, approx, X_test = fit_pair()
     exact.t_matrix = None
@@ -475,6 +501,7 @@ def test_dense_operators_leave_their_inputs_unchanged(seed):
     center(K1)
     center(K2)
     exact_kcca(K1, K2, lam, lam, L=1, keep_t=True)
+    exact_kcca(K2, K1, lam, lam, L=2, keep_t=True)
     exact_leverage(K1, gamma)
     exact_leverage(K2, gamma)
     effective_dimension(K1, gamma)
@@ -493,6 +520,8 @@ def test_dense_operators_leave_their_inputs_unchanged(seed):
     projection_error_check(K2, p2, gamma, lam, t)
     correlation_error_check(K1, K2, (p1, p2), (lam, lam), (gamma, gamma), t, t)
     stability_check(exact, approx, X_test)
+    stability_check(exact, approx, X_test,
+                    grams=(exact.view1.dense(), exact.view2.dense()))
 
     for a, b in zip(watched, before):
         assert a.tobytes() == b.tobytes()

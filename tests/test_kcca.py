@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import (centering_matrix, full_plan, random_psd, recording,
-                      ring_gram, unit_plan)
+                      ring_gram, traced_peak, unit_plan)
 
 from nkcca import kcca
 from nkcca.datasets import synthetic_circles
 from nkcca.kcca import (_nystrom_coefficients, exact_kcca, load_model,
                         nkcca_fit, nkcca_fit_direct, project_many, save_model,
                         t_error_norm, total_correlation)
-from nkcca.kernels import KernelColumns, KernelSpec, gram
+from nkcca.kernels import KernelColumns, KernelSpec, center, gram
 from nkcca.leverage import SamplingDistribution
 from nkcca.nystrom import FactorState, chol_append_block, chol_solve
 from nkcca.sampling import sample
@@ -137,6 +137,23 @@ def test_ridge_projection_spans_its_mirror_blocks(order):
     np.testing.assert_allclose(proj, K @ expected, rtol=0, atol=1e-12 * n)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_centered_ridge_projection_centers_in_its_own_buffer(order):
+    # centering in the projection's buffer, symmetrized block by block into
+    # the triangle the factor reads, gives bitwise the projection of
+    # kernels.center's matrix; a Gram that is not exactly symmetric shows a
+    # wrong term order or triangle
+    n, shift = 300, 0.3
+    rng = np.random.default_rng(13)
+    K = random_psd(rng, n, rank=40) + 1e-13 * rng.normal(size=(n, n))
+    K = np.array(K, order=order)
+    buf = K.copy(order="K")
+    proj = kcca._ridge_projection(buf, shift, centered=True)
+    np.testing.assert_array_equal(buf, K)
+    np.testing.assert_array_equal(proj, kcca._ridge_projection(center(K),
+                                                               shift))
+
+
 @pytest.mark.parametrize("lam", [1e-2, 1e-5])
 def test_exact_coefficients_match_a_cholesky_solve(lam):
     # alpha = sqrt(N) (alpha' - P1 alpha') / (N lam1) against
@@ -154,6 +171,59 @@ def test_exact_coefficients_match_a_cholesky_solve(lam):
             scipy.linalg.cho_factor(A), prime)
         err = np.linalg.norm(coef - expected) / np.linalg.norm(expected)
         assert err <= 1e-12
+
+
+@pytest.mark.parametrize("keep_t", [False, True])
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("n", [60, 300])
+def test_exact_matches_the_dense_oracle(n, L, keep_t):
+    # n = 60 takes _top_svd's full SVD of the formed P1 P2, n = 300 ARPACK
+    # on the product of the two factors; T is written over P2 at the end
+    K1, K2, *_ = two_view_problem(n=n, seed=n, noise=0.5)
+    lam1, lam2 = 1e-2, 2e-2
+    model = exact_kcca(K1, K2, lam1, lam2, L=L, keep_t=keep_t)
+    T = dense_t(K1, K2, lam1, lam2)
+    U, s, Vt = scipy.linalg.svd(T)
+    np.testing.assert_allclose(model.rho, s[:L], rtol=0, atol=1e-12)
+    assert model.sigma_next == pytest.approx(s[L], abs=1e-12)
+    for got, want in ((model.alpha_prime, U[:, :L]),
+                      (model.beta_prime, Vt[:L].T)):
+        signs = np.sign(np.sum(got * want, axis=0))
+        np.testing.assert_allclose(got, want * signs, rtol=0, atol=1e-10)
+    H = centering_matrix(n)
+    for K, lam, prime, coef in ((K1, lam1, model.alpha_prime, model.alpha),
+                                (K2, lam2, model.beta_prime, model.beta)):
+        expected = np.sqrt(n) * np.linalg.solve(H @ K @ H + n * lam * np.eye(n),
+                                                prime)
+        err = np.linalg.norm(coef - expected) / np.linalg.norm(expected)
+        assert err <= 1e-12
+    if keep_t:
+        np.testing.assert_allclose(model.t_matrix, T, rtol=0, atol=1e-14)
+    else:
+        assert model.t_matrix is None
+
+
+@pytest.mark.parametrize("n", [60, 300])
+def test_exact_constant_view_gives_zero_correlation(n):
+    # a constant view centers to 0, so its ridge projection and T are
+    # exactly 0: ARPACK would reject that operator, and both branches of
+    # _top_svd return LAPACK's zero triplets instead
+    _, K2, *_ = two_view_problem(n=n, seed=4)
+    model = exact_kcca(np.ones((n, n)), K2, 1e-3, 1e-3, L=3, keep_t=True)
+    np.testing.assert_array_equal(model.rho, np.zeros(3))
+    assert model.sigma_next == 0.0
+    assert not model.t_matrix.any()
+    assert np.isfinite(model.alpha).all() and np.isfinite(model.beta).all()
+
+
+@pytest.mark.parametrize("keep_t", [False, True])
+def test_exact_kcca_holds_two_n_by_n_buffers(keep_t):
+    # besides the caller's Grams, exact_kcca holds P1 and P2 only (T is
+    # written over P2); forming T next to them read 3.13 N^2 doubles
+    n = 1000
+    K1, K2 = ring_gram(n, 0, sigma=0.2), ring_gram(n, 0, sigma=0.2, view=2)
+    peak = traced_peak(exact_kcca, K1, K2, 1e-3, 1e-3, L=1, keep_t=keep_t)
+    assert peak <= 2.5 * n * n * 8
 
 
 # --- Nystrom solver -----------------------------------------------------------
