@@ -28,7 +28,7 @@ from .datasets import load_paired_csv, synthetic_circles, write_paired_csv
 from .diagnostics import _DENSE_N_LIMIT as _CHECK_N_LIMIT
 from .diagnostics import (correlation_error_check, projection_error_check,
                           psd_ordering_check, stability_check,
-                          tail_bound_check, write_reports)
+                          tail_bound_check)
 from .kcca import (_EXACT_N_LIMIT, exact_kcca, nkcca_fit, nkcca_fit_direct,
                    project_many, save_model, t_error_norm, total_correlation)
 from .kernels import KernelColumns, KernelSpec, as_points
@@ -515,11 +515,11 @@ def cmd_check_bounds(args) -> int:
                                   keep_t=True)
         reports += stability_check(exact, approx.model, exp.data.X_test[:200],
                                    c=1.0, grams=(K1, K2))
+    rows = [[r.context, r.lhs, r.rhs, r.holds, r.applicable] for r in reports]
     outdir = _write_run(cfg, "check-bounds", "bounds.csv", [
-        ("context", "which inequality"), ("lhs / rhs", "both sides"),
-        ("holds", "lhs <= rhs + 1e-8 max(1, rhs)"),
-        ("applicable", "False when preconditions failed")])
-    write_reports(outdir / "bounds.csv", reports)
+        ("context", "which inequality"), ("lhs", "left-hand side"),
+        ("rhs", "right-hand side"), ("holds", "lhs <= rhs + 1e-8 max(1, rhs)"),
+        ("applicable", "False when preconditions failed")], rows)
     bad = [r for r in reports if r.applicable and not r.holds]
     print(f"wrote {outdir}/bounds.csv: {len(reports)} reports, "
           f"{len(bad)} gated failures")

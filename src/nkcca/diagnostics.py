@@ -7,10 +7,10 @@ still computable. They are gated to modest N by default.
 Every spectral norm, and the top eigenvalue of K - L_gamma (PSD, so its
 norm), comes from kcca's Golub-Kahan-Lanczos routine (_gkl_norm), called
 directly rather than through the public t_error_norm, which span tracers
-time as the checkpoint error norm. It applies products and differences
-factor by factor (_norm), so T = P1 P2 and T - T_tilde are never formed.
-Every ridge projection, centered or not, is kcca's one in-place primitive
-(_ridge_projection). Two decompositions stay full: the
+time as the checkpoint error norm. It takes products and differences as
+terms and applies them factor by factor, so T = P1 P2 and T - T_tilde are
+never formed. Every ridge projection, centered or not, is kcca's one
+in-place primitive (_ridge_projection). Two decompositions stay full: the
 minimum eigenvalues of the PSD ordering, which Lanczos cannot certify
 inside a cluster at zero, and d_matrix_norm's eigh, whose eigenvectors
 form D. L and L_gamma of one plan share one sketch eigendecomposition.
@@ -18,7 +18,6 @@ form D. L and L_gamma of one plan share one sketch eigendecomposition.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +37,6 @@ __all__ = [
     "stability_check",
     "psd_ordering_check",
     "tail_bound_check",
-    "write_reports",
 ]
 
 _SLACK = 1e-8
@@ -67,18 +65,6 @@ class BoundReport:
         return cls(context=context, lhs=float(lhs), rhs=float(rhs),
                    holds=holds, applicable=applicable, extras=extras)
 
-    def csv_row(self) -> list:
-        return [self.context, self.lhs, self.rhs, self.holds, self.applicable]
-
-
-def write_reports(path, reports) -> None:
-    """Serialize reports as CSV rows (context, lhs, rhs, holds, applicable)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["context", "lhs", "rhs", "holds", "applicable"])
-        for rep in reports:
-            writer.writerow(rep.csv_row())
-
 
 def _check_dense_feasible(n: int) -> None:
     if n > _DENSE_N_LIMIT:
@@ -98,37 +84,8 @@ def _check_plan(name: str, plan: SamplingPlan, n: int) -> None:
 
 
 def _norm(*terms) -> float:
-    """Spectral norm of the first term minus the others, by kcca's Lanczos
-    routine. A term is a dense square matrix or a tuple of them standing for
-    their product; each is applied factor by factor, so no product or
-    difference is formed."""
-    terms = [t if isinstance(t, tuple) else (t,) for t in terms]
-
-    def product(factors, v, transpose):
-        for F in (factors if transpose else factors[::-1]):
-            v = (F.T if transpose else F) @ v
-        return v
-
-    def apply(v, transpose):
-        out = product(terms[0], v, transpose)
-        for factors in terms[1:]:
-            out -= product(factors, v, transpose)
-        return out
-
-    n = terms[0][0].shape[0]
-    return float(_gkl_norm(lambda v: apply(v, False),
-                           lambda u: apply(u, True), n)[0])
-
-
-def ridge_projection(A: np.ndarray, lam: float,
-                     centered: bool = False) -> np.ndarray:
-    """A (A + N lam I)^-1 for symmetric PSD A (dense), exactly symmetric;
-    with ``centered``, that of its double centering H A H.
-
-    Formed as I - N lam (A + N lam I)^-1 from one inverted Cholesky factor
-    (kcca._ridge_projection), in a new array: A is only read.
-    """
-    return _ridge_projection(A, A.shape[0] * lam, centered)
+    """Spectral norm of the first term minus the others (kcca._gkl_norm)."""
+    return float(_gkl_norm(*terms)[0])
 
 
 def _low_rank(K, plan: SamplingPlan, gammas) -> list[np.ndarray]:
@@ -236,10 +193,10 @@ def projection_error_check(K, plan: SamplingPlan, gamma: float, lam: float,
     L, Lg = _low_rank(K, plan, (0.0, gamma))
     errs = {}
     for tag, centered in (("uncentered", False), ("centered", True)):
-        P = ridge_projection(K, lam, centered)
+        P = _ridge_projection(K, lam, centered)
         for name, A in (("L", L), ("Lgamma", Lg)):
-            errs[f"{tag}_{name}"] = _norm(P - ridge_projection(A, lam,
-                                                               centered))
+            errs[f"{tag}_{name}"] = _norm(P - _ridge_projection(A, lam,
+                                                                centered))
     rhs = (gamma / lam) / (1.0 - t)
     return BoundReport.make("projection-error", lhs=max(errs.values()),
                             rhs=rhs, applicable=applicable, d_norm=d_norm,
@@ -278,10 +235,10 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
     # T = P1 P2 from the views' ridge projections P = Kc (Kc + N lam I)^-1,
     # and T_tilde likewise from the centered approximations at gamma = 0;
     # neither product is formed
-    P1 = ridge_projection(K1, lam1, centered=True)
-    P2 = ridge_projection(K2, lam2, centered=True)
-    Pt1 = ridge_projection(low_rank_dense(K1, plan1, 0.0), lam1, centered=True)
-    Pt2 = ridge_projection(low_rank_dense(K2, plan2, 0.0), lam2, centered=True)
+    P1 = _ridge_projection(K1, lam1, centered=True)
+    P2 = _ridge_projection(K2, lam2, centered=True)
+    Pt1 = _ridge_projection(low_rank_dense(K1, plan1, 0.0), lam1, centered=True)
+    Pt2 = _ridge_projection(low_rank_dense(K2, plan2, 0.0), lam2, centered=True)
     rho = _norm((P1, P2))
     rho_tilde = _norm((Pt1, Pt2))
     t_err = _norm((P1, P2), (Pt1, Pt2))
@@ -318,8 +275,10 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
     per-view projection errors (which dominates both the per-view terms and
     ||T - T~||, keeping every layer a certified inequality once the gap condition holds).
     All three are flagged not-applicable when r <= 0 or ||T - T~|| > r/2.
-    ``grams = (K1, K2)``, the exact model's two Gram matrices if the caller
-    holds them, saves building them again from its view oracles.
+    ``grams = (K1, K2)``, the exact model's two N x N Gram matrices if the
+    caller holds them, saves building them again from its view oracles.
+    Grams of another shape, or an approx model of another N, raise
+    ValueError naming the argument.
     """
     if exact.t_matrix is None or approx.t_matrix is None:
         raise ValueError("both models must carry their dense T matrix "
@@ -329,6 +288,10 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
     if approx.landmarks1 is None or approx.landmarks2 is None:
         raise ValueError("approx model must carry landmark bookkeeping")
     n = exact.n
+    if approx.n != n:
+        raise ValueError(f"approx has N = {approx.n}, exact has N = {n}")
+    if grams is not None and [np.shape(K) for K in grams] != [(n, n)] * 2:
+        raise ValueError(f"grams must be two {n} x {n} matrices")
     _check_dense_feasible(n)
     lam1 = exact.lambda1
 
@@ -350,8 +313,8 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
                        (K2, approx.landmarks2, exact.lambda2)):
         L = low_rank_dense(K, SamplingPlan(lm.indices, np.ones(lm.indices.size)),
                            0.0)
-        eps_views.append(_norm(ridge_projection(K, lam, centered=True)
-                               - ridge_projection(L, lam, centered=True)))
+        eps_views.append(_norm(_ridge_projection(K, lam, centered=True)
+                               - _ridge_projection(L, lam, centered=True)))
     eps1, eps2 = eps_views
     eps = 2.0 * max(eps1, eps2)
     coef = 0.5 + 4.0 * math.sqrt(2.0) / r if r > 0 else np.inf

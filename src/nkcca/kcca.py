@@ -34,8 +34,8 @@ through one policy, _top_svd: ARPACK's Lanczos once the short side exceeds
 max(100, 6k), on the formed matrix or, for the exact T, on the product of
 its two factors; a full LAPACK SVD of the formed matrix below that. A
 spectral norm alone comes from one Golub-Kahan-Lanczos routine instead
-(_gkl_norm): it needs one singular value of an operator given by its two
-products, not triplets, and it stops on the estimated error of that value
+(_gkl_norm): it needs one singular value, not triplets, of an operator
+given as factored terms, and it stops on the estimated error of that value
 rather than on its residual. The error norm of a checkpoint against the
 dense exact T (t_error_norm) is its public wrapper, and the dense bound
 checks (diagnostics) call it directly.
@@ -208,20 +208,21 @@ def _top_svd(T, k: int):
     return U[:, order], s[order], Vt[order]
 
 
-def _ridge_projection(K: np.ndarray, shift: float,
+def _ridge_projection(K: np.ndarray, lam: float,
                       centered: bool = False) -> np.ndarray:
-    """The ridge projection Kc (Kc + shift I)^-1 = I - shift (Kc + shift I)^-1
-    of a symmetric Kc: K itself or, with ``centered``, its double centering
-    H K H. It is built in one new column-major array: the centering (bitwise
-    kernels.center's), the Cholesky factor, its inversion (LAPACK dpotri)
-    and the mirroring of the triangle all run in place, about N^3 flops
-    against 7N^3 / 3 for a solve with N right-hand sides. K is only read;
-    the result is exactly symmetric."""
+    """The ridge projection Kc (Kc + N lam I)^-1 = I - N lam (Kc + N lam I)^-1
+    of a symmetric N x N Kc: K itself or, with ``centered``, its double
+    centering H K H. It is built in one new column-major array: the
+    centering (bitwise kernels.center's), the Cholesky factor, its inversion
+    (LAPACK dpotri) and the mirroring of the triangle all run in place, about
+    N^3 flops against 7N^3 / 3 for a solve with N right-hand sides. K is
+    only read; the result is exactly symmetric."""
     # K is symmetric, so a C-ordered buffer read as its transpose is the
     # same matrix in the column-major layout of the result
     flip = K.flags.c_contiguous
     P = np.array(K.T if flip else K, order="F")
     n = P.shape[0]
+    shift = n * lam
     blocks = [(j0, min(j0 + _COLUMN_BLOCK, n))
               for j0 in range(0, n, _COLUMN_BLOCK)]
     if centered:
@@ -247,6 +248,14 @@ def _ridge_projection(K: np.ndarray, shift: float,
     P *= -shift
     P[np.diag_indices_from(P)] += 1.0
     return P
+
+
+def _coefficients(alpha_prime: np.ndarray, p_alpha_prime: np.ndarray,
+                  n: int, lam: float) -> np.ndarray:
+    """sqrt(N) (Kc + N lam I)^-1 alpha' = sqrt(N) (alpha' - P alpha') / (N lam)
+    from P alpha', with P = Kc (Kc + N lam I)^-1 the ridge projection of an
+    exact fit, or Q M M^T Q^T of a Nystrom fit."""
+    return (alpha_prime - p_alpha_prime) * (math.sqrt(n) / (n * lam))
 
 
 def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
@@ -287,8 +296,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     if not 1 <= L <= n:
         raise ValueError("L must lie in [1, N]")
 
-    P1 = _ridge_projection(K1, n * lambda1, centered=True)
-    P2 = _ridge_projection(K2, n * lambda2, centered=True)
+    P1 = _ridge_projection(K1, lambda1, centered=True)
+    P2 = _ridge_projection(K2, lambda2, centered=True)
 
     U, s, Vt = _top_svd((P1, P2), min(L + 1, n))
     rho = s[:L].copy()
@@ -297,8 +306,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     _fix_signs(ap, bp)
     sigma_next = float(s[L]) if s.shape[0] > L else 0.0
 
-    alpha = (ap - P1 @ ap) * (math.sqrt(n) / (n * lambda1))
-    beta = (bp - P2 @ bp) * (math.sqrt(n) / (n * lambda2))
+    alpha = _coefficients(ap, P1 @ ap, n, lambda1)
+    beta = _coefficients(bp, P2 @ bp, n, lambda2)
 
     if keep_t:
         # column block j of T = P1 P2 needs only column block j of P2
@@ -412,16 +421,6 @@ def _checkpoint_solution(Q1: np.ndarray, Q2: np.ndarray, T_hat: np.ndarray,
     return rho, ap, bp, sigma_next
 
 
-def _nystrom_coefficients(alpha_prime: np.ndarray, Q: np.ndarray,
-                          M: np.ndarray, n: int, lam: float) -> np.ndarray:
-    """sqrt(N) (Lc + N lam I)^-1 alpha_prime via the factored inverse:
-    (Lc + N lam I)^-1 = (1 / N lam) (I - A G^-1 A^T), with G = R^T R and
-    A G^-1 A^T = Q M M^T Q^T for A = Q P and M = P R^-1. Without landmarks
-    (r = 0) the second term vanishes."""
-    t = M @ (M.T @ (Q.T @ alpha_prime))
-    return (alpha_prime - Q @ t) * (math.sqrt(n) / (n * lam))
-
-
 def _normalize_checkpoints(checkpoints) -> list[tuple[int, int]]:
     out = []
     for c in checkpoints:
@@ -526,10 +525,11 @@ def nkcca_coefficients(model: KccaModel, Q1: np.ndarray, M1: np.ndarray,
     alpha = (sqrt(N) / N lam1) (alpha' - Q1 M1 M1^T Q1^T alpha'), since
     A G^-1 A^T = Q M M^T Q^T, so no N x N inverse is ever formed.
     """
-    model.alpha = _nystrom_coefficients(model.alpha_prime, Q1, M1, model.n,
-                                        model.lambda1)
-    model.beta = _nystrom_coefficients(model.beta_prime, Q2, M2, model.n,
-                                       model.lambda2)
+    for name, ap, Q, M, lam in (
+            ("alpha", model.alpha_prime, Q1, M1, model.lambda1),
+            ("beta", model.beta_prime, Q2, M2, model.lambda2)):
+        setattr(model, name, _coefficients(ap, Q @ (M @ (M.T @ (Q.T @ ap))),
+                                           model.n, lam))
     return model
 
 
@@ -614,11 +614,12 @@ def _non_finite(**arrays) -> ValueError:
     return ValueError("the operator's products are not finite")
 
 
-def _gkl_norm(matvec, rmatvec, n: int, scale: float = 0.0,
-              operands: dict | None = None):
-    """Spectral norm of an n x n operator E given by its two products,
-    matvec(v) = E v and rmatvec(u) = E^T u: the one Lanczos routine behind
-    t_error_norm and every spectral norm of the dense bound checks.
+def _gkl_norm(*terms, scale: float = 0.0, operands: dict | None = None):
+    """Spectral norm of the n x n operator E = terms[0] - terms[1] - ...:
+    the one Lanczos routine behind t_error_norm and every spectral norm of
+    the dense bound checks. A term is a matrix or a tuple of matrices
+    standing for their product. E v and E^T u apply each term factor by
+    factor, so no product or difference of terms is formed.
 
     Golub-Kahan-Lanczos bidiagonalization E V_k = U_k B_k, with B_k upper
     bidiagonal, from the seeded start vector, both bases fully
@@ -641,12 +642,25 @@ def _gkl_norm(matvec, rmatvec, n: int, scale: float = 0.0,
     _non_finite(**operands) when E v_1 has a non-finite entry: v_1 has no
     zero entry, so a non-finite entry of any operand reaches it.
     """
+    terms = [t if isinstance(t, tuple) else (t,) for t in terms]
+
+    def apply(v, transpose):
+        """E v, or E^T v: the first term's product minus the others'."""
+        out = None
+        for factors in terms:
+            w = v
+            for F in (factors if transpose else factors[::-1]):
+                w = (F.T if transpose else F) @ w
+            out = w if out is None else out - w
+        return out
+
+    n = terms[0][0].shape[0]
     V = np.empty((_GKL_BLOCK, n))
     U = np.empty((_GKL_BLOCK, n))
     B = np.zeros((_GKL_BLOCK, _GKL_BLOCK))   # B_k is its leading k x k block
     v = _arpack_start(n)
     V[0] = v / np.linalg.norm(v)
-    p = matvec(V[0])
+    p = apply(V[0], False)
     if not np.isfinite(p).all():
         raise _non_finite(**(operands or {}))
     tiny = n * np.finfo(float).eps * max(scale, np.linalg.norm(p))
@@ -660,7 +674,7 @@ def _gkl_norm(matvec, rmatvec, n: int, scale: float = 0.0,
             # and no estimate is formed
             return np.linalg.norm(B[:k, :k], 2), k, alpha, math.nan
         U[k - 1] = p / alpha
-        q = rmatvec(U[k - 1]) - alpha * V[k - 1]
+        q = apply(U[k - 1], True) - alpha * V[k - 1]
         _cgs2(q, V[:k])
         beta = np.linalg.norm(q)
         x, s, _ = np.linalg.svd(B[:k, :k])
@@ -675,7 +689,7 @@ def _gkl_norm(matvec, rmatvec, n: int, scale: float = 0.0,
             B = np.pad(B, ((0, grow), (0, grow)))
         B[k - 1, k] = beta
         V[k] = q / beta
-        p = matvec(V[k]) - beta * U[k - 1]
+        p = apply(V[k], False) - beta * U[k - 1]
 
 
 def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
@@ -707,9 +721,7 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
         raise ValueError(f"T_hat must be {Q1.shape[1]} x {Q2.shape[1]}, "
                          "the column counts of Q1 and Q2")
     sigma, k, residual, estimate = _gkl_norm(
-        lambda v: T @ v - Q1 @ (T_hat @ (Q2.T @ v)),
-        lambda u: T.T @ u - Q2 @ (T_hat.T @ (Q1.T @ u)),
-        n, scale=np.linalg.norm(T_hat),
+        T, (Q1, T_hat, Q2.T), scale=np.linalg.norm(T_hat),
         operands=dict(T=T, Q1=Q1, Q2=Q2, T_hat=T_hat))
     _log.debug("t_error_norm: %d Lanczos steps, residual %.3e (sigma %.6e), "
                "estimate %.3e", k, residual, sigma, estimate)
@@ -771,9 +783,7 @@ def total_correlation(proj_x: np.ndarray, proj_y: np.ndarray) -> float:
 # Model serialization (flat versioned record)
 # ---------------------------------------------------------------------------
 
-# Version 2 adds each view's skipped plan positions (landmark_skipped1/2);
-# version 3 drops the per-landmark importance weights (landmark_scale1/2),
-# which the fitted model does not depend on.
+# The one record format: versions 1 and 2 also stored landmark weights.
 _FORMAT_VERSION = 3
 
 
@@ -809,17 +819,16 @@ def save_model(model: KccaModel, path) -> None:
 
 
 def load_model(path, X1=None, X2=None) -> KccaModel:
-    """Load a model saved by save_model.
+    """Load a model saved by save_model; only format version 3 loads.
 
     Training inputs are not stored in the record; pass X1/X2 to re-attach
-    projection oracles (the stored kernel bandwidths are reused). Version-1
-    records load with empty ``Landmarks.skipped`` lists, since they did not
-    store them; the landmark weights of version-1 and version-2 records are
-    ignored.
+    projection oracles (the stored kernel bandwidths are reused). Each must
+    have the record's n rows, or ValueError names the view.
     """
     with np.load(path, allow_pickle=False) as z:
-        if int(z["format_version"]) not in (1, 2, _FORMAT_VERSION):
-            raise ValueError("unknown model format version")
+        if int(z["format_version"]) != _FORMAT_VERSION:
+            raise ValueError(f"model format version {z['format_version']}: "
+                             f"only version {_FORMAT_VERSION} loads")
         model = KccaModel(
             kind=str(z["kind"]), n=int(z["n"]), lambda1=float(z["lambda1"]),
             lambda2=float(z["lambda2"]), L=int(z["L"]), rho=z["rho"],
@@ -829,11 +838,9 @@ def load_model(path, X1=None, X2=None) -> KccaModel:
             sigma_next=float(z["sigma_next"]) if "sigma_next" in z else None)
         for tag in ("1", "2"):
             if f"landmark_indices{tag}" in z:
-                skipped = f"landmark_skipped{tag}"
                 lm = Landmarks(indices=z[f"landmark_indices{tag}"],
                                draws=int(z[f"landmark_draws{tag}"]),
-                               skipped=z[skipped].tolist() if skipped in z
-                               else [])
+                               skipped=z[f"landmark_skipped{tag}"].tolist())
                 setattr(model, f"landmarks{tag}", lm)
         for tag, X in (("1", X1), ("2", X2)):
             if X is not None:
@@ -841,5 +848,9 @@ def load_model(path, X1=None, X2=None) -> KccaModel:
                     raise ValueError("record has no kernel bandwidth for "
                                      f"view {tag}")
                 spec = KernelSpec(sigma=float(z[f"sigma_rbf{tag}"]))
-                setattr(model, f"view{tag}", KernelColumns.from_data(spec, X))
+                oracle = KernelColumns.from_data(spec, X)
+                if oracle.n != model.n:
+                    raise ValueError(f"X{tag} has {oracle.n} rows; the record "
+                                     f"was fitted on n = {model.n}")
+                setattr(model, f"view{tag}", oracle)
     return model

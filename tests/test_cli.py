@@ -216,6 +216,9 @@ def test_check_bounds_command(tmp_path):
     assert code == 0
     rows = read_csv(tmp_path / "check-bounds" / "bounds.csv")
     assert rows[0] == ["context", "lhs", "rhs", "holds", "applicable"]
+    for _, lhs, rhs, holds, applicable in rows[1:]:
+        float(lhs), float(rhs)
+        assert {holds, applicable} <= {"True", "False"}
     gated = [r for r in rows[1:] if r[4] == "True"]
     assert gated, "expected at least one applicable report"
     assert all(r[3] == "True" for r in gated)

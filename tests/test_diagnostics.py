@@ -11,9 +11,8 @@ from nkcca.baselines import linear_cca
 from nkcca.datasets import synthetic_circles
 from nkcca.diagnostics import (BoundReport, d_matrix_norm, low_rank_dense,
                                projection_error_check, psd_ordering_check,
-                               ridge_projection, stability_check,
-                               tail_bound_check, correlation_error_check,
-                               write_reports)
+                               stability_check, tail_bound_check,
+                               correlation_error_check)
 from nkcca.kcca import exact_kcca, nkcca_fit_direct, t_error_norm
 from nkcca.kernels import KernelColumns, KernelSpec, center, gram
 from nkcca.leverage import (SamplingDistribution, effective_dimension,
@@ -30,16 +29,6 @@ def test_bound_report_holds_rule():
     assert BoundReport.make("x", 1.0 + 5e-9, 1.0).holds
     assert not BoundReport.make("x", 1.1, 1.0).holds
     assert not BoundReport.make("x", 0.0, 1.0, applicable=False).holds
-
-
-def test_write_reports_csv(tmp_path):
-    reports = [BoundReport.make("a", 0.1, 0.2), BoundReport.make("b", 3.0, 1.0)]
-    path = tmp_path / "bounds.csv"
-    write_reports(path, reports)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "context,lhs,rhs,holds,applicable"
-    assert lines[1].startswith("a,0.1,0.2,True")
-    assert lines[2].startswith("b,3.0,1.0,False")
 
 
 # --- D matrix ------------------------------------------------------------------
@@ -455,6 +444,26 @@ def test_stability_reuses_the_grams_it_is_given(monkeypatch):
     assert got == expected
 
 
+def test_stability_rejects_grams_of_another_size():
+    # Grams of another N would silently move step II's eps
+    exact, approx, X_test = fit_pair(n=100, m=60)
+    ds = synthetic_circles(120, seed=100)
+    spec = KernelSpec(sigma=1.0)
+    with pytest.raises(ValueError, match="^grams must be two 100 x 100"):
+        stability_check(exact, approx, X_test,
+                        grams=(gram(spec, ds.X), gram(spec, ds.Y)))
+    with pytest.raises(ValueError, match="^grams must be two 100 x 100"):
+        stability_check(exact, approx, X_test, grams=(exact.view1.dense(),))
+
+
+def test_stability_rejects_an_approx_model_of_another_n():
+    exact, _, X_test = fit_pair(n=100, m=60)
+    _, approx, _ = fit_pair(n=120, m=60)
+    with pytest.raises(ValueError, match="^approx has N = 120, exact has "
+                       "N = 100"):
+        stability_check(exact, approx, X_test)
+
+
 def test_stability_requires_dense_t():
     exact, approx, X_test = fit_pair()
     exact.t_matrix = None
@@ -512,8 +521,8 @@ def test_dense_operators_leave_their_inputs_unchanged(seed):
     low_rank_dense(K2, p2, 0.0)
     t_error_norm(exact.t_matrix, Q1, Q2, T_hat)
     linear_cca(Zx, Zy, lam, lam, L=2)
-    ridge_projection(K1, lam)
-    ridge_projection(K2, lam)
+    kcca._ridge_projection(K1, lam)
+    kcca._ridge_projection(K2, lam)
     psd_ordering_check(K1, p1, gamma)
     tail_bound_check(K2, p2, gamma, t)
     projection_error_check(K1, p1, gamma, lam, t)

@@ -9,7 +9,7 @@ from conftest import (centering_matrix, full_plan, random_psd, recording,
 
 from nkcca import kcca
 from nkcca.datasets import synthetic_circles
-from nkcca.kcca import (_nystrom_coefficients, exact_kcca, load_model,
+from nkcca.kcca import (KccaModel, exact_kcca, load_model, nkcca_coefficients,
                         nkcca_fit, nkcca_fit_direct, project_many, save_model,
                         t_error_norm, total_correlation)
 from nkcca.kernels import KernelColumns, KernelSpec, center, gram
@@ -122,12 +122,13 @@ def test_exact_validation(monkeypatch):
 def test_ridge_projection_spans_its_mirror_blocks(order):
     # n = 300 spans three column blocks of the triangle's mirroring, the
     # last one partial; the argument is only read
-    n, shift = 300, 0.3
+    n, lam = 300, 1e-3
+    shift = n * lam
     K = np.array(random_psd(np.random.default_rng(12), n, rank=40),
                  order=order)
     expected = np.linalg.inv(K + shift * np.eye(n))
     buf = K.copy(order="K")
-    proj = kcca._ridge_projection(buf, shift)
+    proj = kcca._ridge_projection(buf, lam)
     np.testing.assert_array_equal(buf, K)
     assert not np.shares_memory(proj, buf)
     assert proj.flags.f_contiguous
@@ -143,15 +144,14 @@ def test_centered_ridge_projection_centers_in_its_own_buffer(order):
     # the triangle the factor reads, gives bitwise the projection of
     # kernels.center's matrix; a Gram that is not exactly symmetric shows a
     # wrong term order or triangle
-    n, shift = 300, 0.3
+    n, lam = 300, 1e-3
     rng = np.random.default_rng(13)
     K = random_psd(rng, n, rank=40) + 1e-13 * rng.normal(size=(n, n))
     K = np.array(K, order=order)
     buf = K.copy(order="K")
-    proj = kcca._ridge_projection(buf, shift, centered=True)
+    proj = kcca._ridge_projection(buf, lam, centered=True)
     np.testing.assert_array_equal(buf, K)
-    np.testing.assert_array_equal(proj, kcca._ridge_projection(center(K),
-                                                               shift))
+    np.testing.assert_array_equal(proj, kcca._ridge_projection(center(K), lam))
 
 
 @pytest.mark.parametrize("lam", [1e-2, 1e-5])
@@ -474,12 +474,20 @@ def test_q_stays_in_the_centered_subspace():
 
 # --- coefficients -------------------------------------------------------------
 
+def _nystrom_alpha(ap, state, n, lam):
+    """nkcca_coefficients' alpha for the factor state of view 1."""
+    model = KccaModel(kind="nystrom", n=n, lambda1=lam, lambda2=lam,
+                      L=ap.shape[1], rho=np.zeros(ap.shape[1]),
+                      alpha_prime=ap, beta_prime=ap)
+    return nkcca_coefficients(model, state.Q, state.M, state.Q, state.M).alpha
+
+
 def test_coefficients_zero_kernel_limit():
     # empty landmark set: (Lc + N lam I)^-1 = I / (N lam)
     rng = np.random.default_rng(15)
     ap = rng.normal(size=(9, 2))
     state = FactorState(9, 0.2, capacity=0)
-    out = _nystrom_coefficients(ap, state.Q, state.M, n=9, lam=0.2)
+    out = _nystrom_alpha(ap, state, n=9, lam=0.2)
     np.testing.assert_allclose(out, ap / (np.sqrt(9) * 0.2), atol=1e-14)
 
 
@@ -494,8 +502,7 @@ def test_coefficients_nullspace_probe():
     probe = np.linalg.qr(np.column_stack([A, np.ones((10, 1)),
                                           np.eye(10)[:, :3]]))[0][:, -1]
     assert np.abs(A.T @ probe).max() < 1e-10
-    out = _nystrom_coefficients(probe[:, None], chol1.Q, chol1.M, n=10,
-                                lam=0.05)
+    out = _nystrom_alpha(probe[:, None], chol1, n=10, lam=0.05)
     np.testing.assert_allclose(out[:, 0], probe / (np.sqrt(10) * 0.05),
                                atol=1e-10)
 
@@ -648,27 +655,12 @@ def test_model_save_load_keeps_skipped_positions(tmp_path):
         np.testing.assert_array_equal(got.indices, orig.indices)
 
 
-def test_load_model_reads_version_1_records(tmp_path):
-    path = tmp_path / "v1.npz"
-    np.savez(path, format_version=np.array(1), kind=np.array("nystrom"),
-             n=np.array(6), lambda1=np.array(0.1), lambda2=np.array(0.2),
-             L=np.array(1), rho=np.array([0.5]),
-             alpha_prime=np.ones((6, 1)), beta_prime=np.ones((6, 1)),
-             sigma_next=np.array(0.25),
-             landmark_indices1=np.array([0, 3]),
-             landmark_scale1=np.array([1.0, 1.0]),
-             landmark_draws1=np.array(3))
-    model = load_model(path)
-    assert (model.n, model.lambda2, model.sigma_next) == (6, 0.2, 0.25)
-    np.testing.assert_array_equal(model.landmarks1.indices, [0, 3])
-    assert model.landmarks1.draws == 3
-    assert model.landmarks1.skipped == []
-    assert model.landmarks2 is None and model.alpha is None
-
-
-def test_load_model_reads_version_2_records_with_weights(tmp_path):
-    path = tmp_path / "v2.npz"
-    np.savez(path, format_version=np.array(2), kind=np.array("nystrom"),
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_model_rejects_version_1_and_2_records(tmp_path, version):
+    # save_model writes only version 3; the older records, with landmark
+    # weights, no longer load
+    path = tmp_path / "old.npz"
+    np.savez(path, format_version=np.array(version), kind=np.array("nystrom"),
              n=np.array(6), lambda1=np.array(0.1), lambda2=np.array(0.2),
              L=np.array(1), rho=np.array([0.5]),
              alpha_prime=np.ones((6, 1)), beta_prime=np.ones((6, 1)),
@@ -676,10 +668,24 @@ def test_load_model_reads_version_2_records_with_weights(tmp_path):
              landmark_scale1=np.array([2.0, 0.5]),
              landmark_draws1=np.array(4),
              landmark_skipped1=np.array([1, 2]))
-    model = load_model(path)
-    lm = model.landmarks1
-    np.testing.assert_array_equal(lm.indices, [0, 3])
-    assert (lm.draws, lm.skipped) == (4, [1, 2])
+    with pytest.raises(ValueError, match=f"version {version}: only version 3"):
+        load_model(path)
+
+
+def test_load_model_rejects_inputs_of_another_row_count(tmp_path):
+    ds = synthetic_circles(60, seed=2)
+    spec = KernelSpec(sigma=1.0)
+    o1 = KernelColumns.from_data(spec, ds.X)
+    o2 = KernelColumns.from_data(spec, ds.Y)
+    e = nkcca_fit(o1, o2, unit_plan([1, 7, 30]), unit_plan([2, 9, 40]), 1e-3,
+                  1e-3, L=1, checkpoints=[3])[0]
+    path = tmp_path / "model.npz"
+    save_model(e.model, path)
+    with pytest.raises(ValueError, match="^X1 has 50 rows; .* n = 60"):
+        load_model(path, X1=ds.X[:50], X2=ds.Y)
+    with pytest.raises(ValueError, match="^X2 has 61 rows; .* n = 60"):
+        load_model(path, X1=ds.X, X2=np.vstack([ds.Y, ds.Y[:1]]))
+    assert load_model(path, X1=ds.X, X2=ds.Y).view2.n == 60
 
 
 def test_save_model_writes_version_3_without_weights(tmp_path):
@@ -871,8 +877,7 @@ def test_t_error_norm_rejects_mismatched_shapes(arg, shape):
 
 
 def _dense_operator_norm(A):
-    sigma, steps, _, _ = kcca._gkl_norm(lambda v: A @ v, lambda u: A.T @ u,
-                                        A.shape[0])
+    sigma, steps, _, _ = kcca._gkl_norm(A)
     assert 1 <= steps <= A.shape[0]
     return sigma
 
