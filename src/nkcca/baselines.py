@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from .kcca import _top_svd
-from .kernels import KernelSpec, _check_positive
+from .kernels import KernelSpec, _check_positive, as_points
 from .nystrom import solve_upper
 
 __all__ = [
@@ -50,11 +50,17 @@ def make_rff_map(dim: int, n_features: int, sigma: float, seed: int) -> RffMap:
 
 
 def rff_features(rff: RffMap, X) -> np.ndarray:
+    """The N x D features sqrt(2/D) cos(X W^T + b) of the rows of X, formed
+    in the buffer of X W^T: the phases, the cosine and the scale are
+    applied in place, so the result is the only N x D array."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != rff.frequencies.shape[1]:
         raise ValueError("dimension mismatch between map and data")
-    D = rff.n_features
-    return np.sqrt(2.0 / D) * np.cos(X @ rff.frequencies.T + rff.phases)
+    Z = X @ rff.frequencies.T
+    Z += rff.phases
+    np.cos(Z, out=Z)
+    Z *= np.sqrt(2.0 / rff.n_features)
+    return Z
 
 
 @dataclass
@@ -71,13 +77,13 @@ class LinearCcaModel:
                 (np.asarray(Zy) - self.mean_y) @ self.wy)
 
 
-def _whitening(Zc: np.ndarray, lam: float, name: str):
-    """The upper Cholesky factor R of C + lam I, C = Zc^T Zc / N for a
-    centered view Zc, so that Zc R^-1 is whitened, and the numerical rank
-    of C from a pivoted Cholesky (LAPACK dpstrf at its default tolerance,
-    D eps times C's largest diagonal). A lam below C's rounding level
-    leaves C + lam I singular: LinAlgError naming the regularizer."""
-    C = Zc.T @ Zc / Zc.shape[0]
+def _whitening(C: np.ndarray, lam: float, name: str):
+    """The upper Cholesky factor R of C + lam I, C = Zc^T Zc / N the
+    covariance of a centered view Zc, so that Zc R^-1 is whitened, and the
+    numerical rank of C from a pivoted Cholesky (LAPACK dpstrf at its
+    default tolerance, D eps times C's largest diagonal). C is overwritten.
+    A lam below C's rounding level leaves C + lam I singular: LinAlgError
+    naming the regularizer."""
     rank = int(scipy.linalg.lapack.dpstrf(C)[2])
     C[np.diag_indices_from(C)] += lam
     try:
@@ -88,40 +94,53 @@ def _whitening(Zc: np.ndarray, lam: float, name: str):
             f"{name} = {lam:g} ({exc})") from None
 
 
-def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel:
-    """Regularized linear CCA on feature matrices.
+def _check_pair(names, X, Y) -> None:
+    """ValueError naming both arguments unless X and Y have as many rows."""
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError(f"{names[0]} and {names[1]} must have as many rows, "
+                         f"got {X.shape[0]} and {Y.shape[0]}")
 
-    Each view is centered and whitened by R^-1, R the upper Cholesky
-    factor of Z^T Z / N + lam I; the top-L singular triplets of the
-    whitened cross-covariance R_x^-T (Z_x^T Z_y / N) R_y^-1 give the
-    canonical correlations, and R^-1 maps their singular vectors to the
-    weights. If fewer than L informative directions exist, the model is
-    truncated with a warning. lambda1 and lambda2 must be positive and
-    finite (ValueError), and large enough that Z^T Z / N + lam I is
-    numerically positive definite (LinAlgError).
-    """
+
+def _check_training(names, X, Y, lambda1: float, lambda2: float) -> None:
+    """The checks a fit makes of its paired views and regularizers: at
+    least two pairs, and lambda1 and lambda2 positive and finite."""
     for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
         _check_positive(f"{name} = {lam}", lam)
-    Zx = np.atleast_2d(np.asarray(Zx, dtype=float))
-    Zy = np.atleast_2d(np.asarray(Zy, dtype=float))
-    n = Zx.shape[0]
-    if Zy.shape[0] != n:
-        raise ValueError("views have different sample counts")
-    if n < 2:
+    _check_pair(names, X, Y)
+    if X.shape[0] < 2:
         raise ValueError("need at least two samples")
-    mean_x = Zx.mean(axis=0)
-    mean_y = Zy.mean(axis=0)
-    Xc = Zx - mean_x
-    Yc = Zy - mean_y
-    Rx, rank_x = _whitening(Xc, lambda1, "lambda1")
-    Ry, rank_y = _whitening(Yc, lambda2, "lambda2")
-    M = solve_upper(Rx, Xc.T @ Yc / n, trans=True)
+
+
+def _centered_features(rff: RffMap, X: np.ndarray, mean=None):
+    """(Z - mean, mean) for Z = rff_features(rff, X), centered in Z's own
+    buffer; mean defaults to Z's column mean."""
+    Z = rff_features(rff, X)
+    if mean is None:
+        mean = Z.mean(axis=0)
+    Z -= mean
+    return Z, mean
+
+
+def _covariances(Xc: np.ndarray, Yc: np.ndarray):
+    """Cxx, Cyy and Cxy of two centered views: the D x D moments that are
+    all the linear CCA core reads of the N x D features."""
+    n = Xc.shape[0]
+    return Xc.T @ Xc / n, Yc.T @ Yc / n, Xc.T @ Yc / n
+
+
+def _centered_cca(Cxx, Cyy, Cxy, mean_x, mean_y, lambda1: float,
+                  lambda2: float, L: int) -> LinearCcaModel:
+    """``linear_cca`` from the covariances of the centered views; Cxx and
+    Cyy are overwritten by the whitening factors."""
+    Rx, rank_x = _whitening(Cxx, lambda1, "lambda1")
+    Ry, rank_y = _whitening(Cyy, lambda2, "lambda2")
+    M = solve_upper(Rx, Cxy, trans=True)
     M = solve_upper(Ry, M.T, trans=True).T
     U, s, Vt = _top_svd(M, min(L, *M.shape))
     keep = min(L, rank_x, rank_y, int(np.sum(s > 1e-12)))
     if keep < L:
         warnings.warn(f"rank collapse: only {keep} of {L} canonical "
-                      "directions are informative", stacklevel=2)
+                      "directions are informative", stacklevel=3)
         keep = max(keep, 1)
     corr = np.clip(s[:keep], 0.0, 1.0)
     return LinearCcaModel(correlations=corr, wx=solve_upper(Rx, U[:, :keep]),
@@ -129,23 +148,64 @@ def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel
                           mean_y=mean_y)
 
 
+def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel:
+    """Regularized linear CCA on feature matrices (samples x features).
+
+    Each view is centered and whitened by R^-1, R the upper Cholesky
+    factor of Z^T Z / N + lam I; the top-L singular triplets of the
+    whitened cross-covariance R_x^-T (Z_x^T Z_y / N) R_y^-1 give the
+    canonical correlations, and R^-1 maps their singular vectors to the
+    weights. If fewer than L informative directions exist, the model is
+    truncated with a warning. Zx and Zy are left unwritten: each view is
+    centered in a copy. They must be 2-D with the same number of at least
+    two rows, and lambda1 and lambda2 positive and finite (ValueError),
+    and large enough that Z^T Z / N + lam I is numerically positive
+    definite (LinAlgError).
+    """
+    Zx = np.asarray(Zx, dtype=float)
+    Zy = np.asarray(Zy, dtype=float)
+    for name, Z in (("Zx", Zx), ("Zy", Zy)):
+        if Z.ndim != 2:
+            raise ValueError(f"{name} must be 2-D (samples x features), got "
+                             f"{Z.ndim}-D")
+    _check_training(("Zx", "Zy"), Zx, Zy, lambda1, lambda2)
+    mean_x = Zx.mean(axis=0)
+    mean_y = Zy.mean(axis=0)
+    return _centered_cca(*_covariances(Zx - mean_x, Zy - mean_y), mean_x,
+                         mean_y, lambda1, lambda2, L)
+
+
 def rcca_fit(X_train, Y_train, sigma1: float, sigma2: float, n_features: int,
              lambda1: float, lambda2: float, L: int, seed: int):
     """RFF-CCA pipeline: fit feature maps and linear CCA on training pairs.
 
     Returns (model, project) where project(X, Y) maps raw test pairs to
-    canonical coordinates. The bandwidths follow ``KernelSpec``'s rule,
-    n_features must be at least 1 and the regularizers positive and finite
-    (ValueError).
+    canonical coordinates. The point sets follow ``kernels.as_points``,
+    paired by row, at least two of them for training; the bandwidths follow
+    ``KernelSpec``'s rule, n_features must be at least 1 and the
+    regularizers positive and finite (ValueError), all checked before any
+    feature is drawn. Each view's features are centered in their own
+    buffer and released once the covariances exist, so the fit holds at
+    most two N x D arrays; ``project`` holds one, building, centering and
+    projecting one view at a time.
     """
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    Y_train = np.atleast_2d(np.asarray(Y_train, dtype=float))
+    X_train = as_points(X_train, "X_train")
+    Y_train = as_points(Y_train, "Y_train")
+    _check_training(("X_train", "Y_train"), X_train, Y_train, lambda1,
+                    lambda2)
     map_x = make_rff_map(X_train.shape[1], n_features, sigma1, seed)
     map_y = make_rff_map(Y_train.shape[1], n_features, sigma2, seed + 1)
-    model = linear_cca(rff_features(map_x, X_train), rff_features(map_y, Y_train),
-                       lambda1, lambda2, L)
+    Xc, mean_x = _centered_features(map_x, X_train)
+    Yc, mean_y = _centered_features(map_y, Y_train)
+    moments = _covariances(Xc, Yc)
+    del Xc, Yc
+    model = _centered_cca(*moments, mean_x, mean_y, lambda1, lambda2, L)
 
     def project(X, Y):
-        return model.transform(rff_features(map_x, X), rff_features(map_y, Y))
+        X, Y = as_points(X, "X"), as_points(Y, "Y")
+        _check_pair(("X", "Y"), X, Y)
+        # one N x D array at a time: each is freed after its product
+        return (_centered_features(map_x, X, model.mean_x)[0] @ model.wx,
+                _centered_features(map_y, Y, model.mean_y)[0] @ model.wy)
 
     return model, project

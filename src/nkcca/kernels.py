@@ -52,38 +52,36 @@ def as_matrix(K) -> np.ndarray:
     return K
 
 
-def as_points(X) -> np.ndarray:
+def as_points(X, name: str = "X") -> np.ndarray:
     """The one point-set check: X as a 2-D float array (rows are points)
-    with 4 d max |x_ij|^2 finite for its d columns, or ValueError. That
-    bound is finite only if every entry is, and it is at least 4 max
-    ||x||^2, which bounds every term of the squared distances."""
+    with 4 d max |x_ij|^2 finite for its d columns, or ValueError naming
+    the argument ``name``. That bound is finite only if every entry is,
+    and it is at least 4 max ||x||^2, which bounds every term of the
+    squared distances."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise ValueError(f"X must be 2-D (points x features), got "
+        raise ValueError(f"{name} must be 2-D (points x features), got "
                          f"{X.ndim}-D")
     top = float(np.abs(X).max(initial=0.0))   # NaN if any entry is
     if not math.isfinite(4.0 * X.shape[1] * top * top):
-        raise ValueError("X has non-finite entries, or squared distances "
-                         "that overflow a double")
+        raise ValueError(f"{name} has non-finite entries, or squared "
+                         "distances that overflow a double")
     return X
 
 
-def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances, clipped at 0 against rounding."""
-    xx = np.einsum("ij,ij->i", X, X)
-    yy = np.einsum("ij,ij->i", Y, Y)
-    d2 = xx[:, None] + yy[None, :] - 2.0 * (X @ Y.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+# Entries of the (xx + yy) row chunk that cross_gram subtracts its doubled
+# X Y^T from: the one buffer it holds besides its result (512 KB).
+_ROW_CHUNK_ENTRIES = 1 << 16
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
     """Build the uncentered N x N kernel matrix of the rows of X.
 
     It is ``cross_gram`` of X with itself, with the diagonal set to
-    k(x, x) = 1 exactly. X is taken C-contiguous, so numpy forms X X^T of
-    one buffer by a rank-k update (syrk) and the matrix is exactly
-    symmetric with no mirroring pass.
+    k(x, x) = 1 exactly, so it holds the N x N result and one row chunk.
+    X is taken C-contiguous, so numpy forms X X^T of one buffer by a
+    rank-k update (syrk); the squared norms added on both sides are the
+    same vector, so the matrix is exactly symmetric with no mirroring pass.
     """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
     K = cross_gram(spec, X, X)
@@ -92,10 +90,31 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
 
 
 def cross_gram(spec: KernelSpec, X_new, X_train) -> np.ndarray:
-    """Kernel affinities of the rows of two 2-D arrays (rows x rows)."""
+    """Kernel affinities of the rows of two 2-D arrays (rows x rows).
+
+    exp(-max(||x||^2 + ||y||^2 - 2 x^T y, 0) / (2 sigma^2)), evaluated in
+    the buffer of X_new X_train^T: the result is the only array of its
+    size, and the squared norms are added a row chunk of at most
+    ``_ROW_CHUNK_ENTRIES`` entries at a time. Every step rounds as the
+    out-of-place expression does, so the entries are bitwise its own.
+    """
     if X_new.shape[1] != X_train.shape[1]:
         raise ValueError("dimension mismatch between new and training points")
-    return np.exp(_sq_dists(X_new, X_train) / (-2.0 * spec.sigma**2))
+    xx = np.einsum("ij,ij->i", X_new, X_new)
+    yy = np.einsum("ij,ij->i", X_train, X_train)
+    K = X_new @ X_train.T
+    K *= 2.0
+    scale = -2.0 * spec.sigma**2
+    rows = max(1, _ROW_CHUNK_ENTRIES // max(1, K.shape[1]))
+    chunk = np.empty((min(rows, K.shape[0]), K.shape[1]))
+    for lo in range(0, K.shape[0], rows):
+        block, part = K[lo:lo + rows], chunk[:K.shape[0] - lo]
+        np.add(xx[lo:lo + rows, None], yy, out=part)
+        np.subtract(part, block, out=block)
+        np.maximum(block, 0.0, out=block)   # clip rounding below 0
+        block /= scale
+        np.exp(block, out=block)
+    return K
 
 
 def center(K) -> np.ndarray:

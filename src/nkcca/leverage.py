@@ -61,14 +61,18 @@ class SamplingDistribution:
         return self.p.shape[0]
 
 
-def _psd_eigh(K: np.ndarray, eigvals_only: bool = False):
+def _psd_eigh(K: np.ndarray, eigvals_only: bool = False,
+              overwrite: bool = False):
     """Eigendecomposition with tiny negative eigenvalues clipped to zero.
 
     Uses LAPACK's divide-and-conquer driver: scipy's default MRRR driver
     (``evr``) can be several times slower on the clustered spectra of RBF
-    kernels. Returns the eigenvalues alone when ``eigvals_only``.
+    kernels. Returns the eigenvalues alone when ``eigvals_only``. LAPACK
+    reads a Fortran-ordered copy of K; with ``overwrite``, an F-ordered K is
+    factored in its own buffer instead, which then holds the eigenvectors.
     """
-    out = scipy.linalg.eigh(K, eigvals_only=eigvals_only, driver="evd")
+    out = scipy.linalg.eigh(K, eigvals_only=eigvals_only, driver="evd",
+                            overwrite_a=overwrite)
     if eigvals_only:
         return np.maximum(out, 0.0)
     sig, U = out
@@ -78,8 +82,12 @@ def _psd_eigh(K: np.ndarray, eigvals_only: bool = False):
 def _sketch_eigh(W: np.ndarray):
     """The eigendecomposition (sig, U) of a sketch block W, symmetrized and
     with tiny negative eigenvalues clipped: what _whitened_sketch factors
-    at any shift."""
-    return _psd_eigh(0.5 * (W + W.T))
+    at any shift. The symmetrized block is exactly symmetric, so its
+    transpose, an F-ordered view of the same values, is factored in place:
+    one s x s buffer besides W."""
+    S = W + W.T
+    S *= 0.5
+    return _psd_eigh(S.T, overwrite=True)
 
 
 def _whitened_sketch(C: np.ndarray, eig, shift: float) -> np.ndarray:
@@ -90,14 +98,17 @@ def _whitened_sketch(C: np.ndarray, eig, shift: float) -> np.ndarray:
     is W = U diag(sig) U^T for their s x s block W, so one
     eigendecomposition serves every shift; U+ and sig+ keep the directions
     whose sig + shift exceeds the eps-threshold sig_max * s * eps of the
-    pseudo-inverse. Every dense Nystrom approximation of the package comes
-    from this factor: the leverage sketch at shift 0 and
+    pseudo-inverse. U+ is a copy, scaled in place; U itself is left as it
+    is for the next shift. Every dense Nystrom approximation of the package
+    comes from this factor: the leverage sketch at shift 0 and
     ``diagnostics.low_rank_dense`` at shift N gamma.
     """
     sig, U = eig
     tol = sig.max(initial=0.0) * sig.shape[0] * np.finfo(float).eps
     keep = sig + shift > tol
-    return C @ (U[:, keep] / np.sqrt(sig[keep] + shift))
+    scaled = U[:, keep]
+    scaled /= np.sqrt(sig[keep] + shift)
+    return C @ scaled
 
 
 def exact_leverage(K, gamma: float) -> LeverageScores:
@@ -157,7 +168,9 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     F^T F + N gamma I; the shift bounds its
     condition number by 1 + ||F||^2 / (N gamma). Since L is dominated by K
     in the PSD order, the estimates never exceed the exact scores. With the
-    full sketch, L = K and the estimates are exact.
+    full sketch, L = K and the estimates are exact. It holds at most two
+    N x s arrays, the kernel block C and F: C is released once F exists,
+    and the triangular solves overwrite F.
     """
     _check_positive("gamma", gamma)
     n = oracle.n

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from conftest import kernel_eval
+import scipy.linalg
+from conftest import kernel_eval, traced_peak
 
+from nkcca import baselines
 from nkcca.baselines import (linear_cca, make_rff_map, rcca_fit, rff_features)
 from nkcca.datasets import synthetic_circles
-from nkcca.kcca import nkcca_fit, total_correlation
+from nkcca.kcca import _top_svd, nkcca_fit, total_correlation
 from nkcca.kernels import KernelColumns, KernelSpec
 from nkcca.leverage import SamplingDistribution
+from nkcca.nystrom import solve_upper
 from nkcca.sampling import sample
 
 
@@ -35,6 +38,22 @@ def test_rff_deterministic_per_seed():
     b = make_rff_map(2, 64, 1.0, seed=7)
     np.testing.assert_array_equal(a.frequencies, b.frequencies)
     np.testing.assert_array_equal(a.phases, b.phases)
+
+
+def test_rff_features_are_bitwise_the_out_of_place_expression():
+    rng = np.random.default_rng(9)
+    rff = make_rff_map(3, 300, sigma=0.7, seed=2)
+    for X in (rng.normal(size=(500, 3)),
+              np.asfortranarray(rng.normal(size=(40, 3)))):
+        ref = (np.sqrt(2.0 / 300)
+               * np.cos(X @ rff.frequencies.T + rff.phases))
+        np.testing.assert_array_equal(rff_features(rff, X), ref)
+
+
+def test_rff_features_hold_one_buffer_the_size_of_their_result():
+    X = np.random.default_rng(10).normal(size=(2000, 2))
+    rff = make_rff_map(2, 500, sigma=1.0, seed=0)
+    assert traced_peak(rff_features, rff, X) <= 1.1 * 8 * 2000 * 500
 
 
 def test_rff_dimension_mismatch():
@@ -76,6 +95,45 @@ def test_linear_cca_correlations_in_unit_interval():
     model = linear_cca(Zx, Zy, 1e-4, 1e-4, L=3)
     assert np.all(model.correlations >= -1e-8)
     assert np.all(model.correlations <= 1 + 1e-8)
+
+
+def _out_of_place_linear_cca(Zx, Zy, lam1, lam2, L):
+    """linear_cca's correlations and weights, every view centered in a copy
+    and every covariance formed from it (no rank-collapse handling)."""
+    n = Zx.shape[0]
+    Xc, Yc = Zx - Zx.mean(axis=0), Zy - Zy.mean(axis=0)
+    Rx = scipy.linalg.cholesky(Xc.T @ Xc / n + lam1 * np.eye(Zx.shape[1]))
+    Ry = scipy.linalg.cholesky(Yc.T @ Yc / n + lam2 * np.eye(Zy.shape[1]))
+    M = solve_upper(Rx, Xc.T @ Yc / n, trans=True)
+    M = solve_upper(Ry, M.T, trans=True).T
+    U, s, Vt = _top_svd(M, L)
+    return (np.clip(s, 0.0, 1.0), solve_upper(Rx, U),
+            solve_upper(Ry, Vt.T))
+
+
+def test_linear_cca_is_bitwise_the_copying_form_and_leaves_its_inputs():
+    ds = synthetic_circles(400, seed=4)
+    Zx = rff_features(make_rff_map(2, 60, 1.0, seed=0), ds.X)
+    Zy = np.asfortranarray(rff_features(make_rff_map(2, 50, 1.0, seed=1),
+                                        ds.Y))
+    before = Zx.copy(), Zy.copy()
+    model = linear_cca(Zx, Zy, 1e-3, 2e-3, L=3)
+    np.testing.assert_array_equal(Zx, before[0])
+    np.testing.assert_array_equal(Zy, before[1])
+    for got, ref in zip((model.correlations, model.wx, model.wy),
+                        _out_of_place_linear_cca(Zx, Zy, 1e-3, 2e-3, 3)):
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("shape", [(30,), (2, 3, 4)])
+@pytest.mark.parametrize("name", ["Zx", "Zy"])
+def test_linear_cca_rejects_a_view_that_is_not_2d(name, shape):
+    # a 1-D vector of n samples was read as 1 sample of n features
+    Z = np.random.default_rng(11).normal(size=(30, 2))
+    views = {"Zx": Z, "Zy": Z, name: np.ones(shape)}
+    with pytest.raises(ValueError, match=f"^{name} must be 2-D \\(samples "
+                                         "x features\\)"):
+        linear_cca(views["Zx"], views["Zy"], 1e-3, 1e-3, L=1)
 
 
 def test_linear_cca_rank_collapse_warns():
@@ -167,6 +225,73 @@ def test_rcca_fit_rejects_bad_arguments(arg, value, match):
     kwargs[arg] = value
     with pytest.raises(ValueError, match=match):
         rcca_fit(ds.X, ds.Y, **kwargs)
+
+
+def test_rcca_fit_and_project_match_the_public_pieces_bitwise():
+    # the fit centers its own features in place and project builds one
+    # view at a time: both are bitwise linear_cca / transform of features
+    ds, test = synthetic_circles(300, seed=0), synthetic_circles(200, seed=1)
+    model, project = rcca_fit(ds.X, ds.Y, 0.8, 1.2, n_features=80,
+                              lambda1=1e-3, lambda2=1e-3, L=2, seed=5)
+    maps = (make_rff_map(2, 80, 0.8, seed=5), make_rff_map(2, 80, 1.2, seed=6))
+    ref = linear_cca(rff_features(maps[0], ds.X), rff_features(maps[1], ds.Y),
+                     1e-3, 1e-3, L=2)
+    for name in ("correlations", "wx", "wy", "mean_x", "mean_y"):
+        np.testing.assert_array_equal(getattr(model, name),
+                                      getattr(ref, name))
+    got = project(test.X, test.Y)
+    want = model.transform(rff_features(maps[0], test.X),
+                           rff_features(maps[1], test.Y))
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_rcca_fit_and_project_hold_few_feature_buffers():
+    # the fit: both centered N x D views and the three D x D covariances,
+    # where it held five N x D arrays; project: one N x D array
+    n, D = 2000, 300
+    ds = synthetic_circles(n, seed=2)
+    kwargs = dict(sigma1=1.0, sigma2=1.0, n_features=D, lambda1=1e-3,
+                  lambda2=1e-3, L=2, seed=0)
+    assert traced_peak(rcca_fit, ds.X, ds.Y, **kwargs) <= 8 * (2 * n * D
+                                                               + 4 * D * D)
+    _, project = rcca_fit(ds.X, ds.Y, **kwargs)
+    assert traced_peak(project, ds.X, ds.Y) <= 1.1 * 8 * n * D
+
+
+@pytest.mark.parametrize("arg", ["X_train", "Y_train"])
+def test_rcca_fit_names_a_non_finite_training_set_before_any_feature(
+        monkeypatch, arg):
+    ds = synthetic_circles(40, seed=0)
+    sets = {"X_train": ds.X.copy(), "Y_train": ds.Y.copy()}
+    sets[arg][7, 1] = np.nan
+    drawn = []
+    monkeypatch.setattr(baselines, "rff_features",
+                        lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match=f"^{arg} has non-finite entries"):
+        rcca_fit(sets["X_train"], sets["Y_train"], 1.0, 1.0, 20, 1e-3, 1e-3,
+                 L=1, seed=0)
+    assert drawn == []
+
+
+def test_rcca_fit_rejects_unpaired_training_sets():
+    ds = synthetic_circles(40, seed=0)
+    with pytest.raises(ValueError, match="^X_train and Y_train must have as "
+                                         "many rows, got 40 and 39"):
+        rcca_fit(ds.X, ds.Y[:39], 1.0, 1.0, 20, 1e-3, 1e-3, L=1, seed=0)
+
+
+def test_rcca_project_rejects_non_finite_and_unpaired_points():
+    ds, test = synthetic_circles(40, seed=0), synthetic_circles(12, seed=1)
+    _, project = rcca_fit(ds.X, ds.Y, 1.0, 1.0, 20, 1e-3, 1e-3, L=1, seed=0)
+    for arg in ("X", "Y"):
+        pts = {"X": test.X.copy(), "Y": test.Y.copy()}
+        pts[arg][3, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^{arg} has non-finite"):
+            project(pts["X"], pts["Y"])
+    with pytest.raises(ValueError, match="^X and Y must have as many rows, "
+                                         "got 10 and 12"):
+        project(test.X[:10], test.Y)
 
 
 def test_rcca_pipeline_recovers_shared_signal():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from conftest import centering_matrix, kernel_eval, random_psd
+from conftest import centering_matrix, kernel_eval, random_psd, traced_peak
 
+from nkcca import kernels
 from nkcca.kernels import KernelColumns, KernelSpec, center, cross_gram, gram
 
 
@@ -195,6 +196,57 @@ def test_column_oracle_lazy_matches_dense():
         lazy.column(8)
     with pytest.raises(IndexError):
         lazy.columns([0, 8])
+
+
+def _out_of_place_cross_gram(spec, X, Y):
+    """The kernel block as one out-of-place expression: each operator
+    allocates its result."""
+    xx = np.einsum("ij,ij->i", X, X)
+    yy = np.einsum("ij,ij->i", Y, Y)
+    return np.exp(np.maximum(xx[:, None] + yy[None, :] - 2.0 * (X @ Y.T), 0)
+                  / (-2.0 * spec.sigma**2))
+
+
+@pytest.mark.parametrize("budget", [None, 1000], ids=["default", "small"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n_new, n_train", [(300, 300), (40, 2000),
+                                            (700, 250)],
+                         ids=["square", "wide", "tall"])
+def test_cross_gram_is_bitwise_the_out_of_place_expression(
+        monkeypatch, n_new, n_train, order, budget):
+    # the tall block spans 3 row chunks of the default budget and the last
+    # is partial; the small budget splits every block into many chunks
+    if budget is not None:
+        monkeypatch.setattr(kernels, "_ROW_CHUNK_ENTRIES", budget)
+    rng = np.random.default_rng(13)
+    X = np.asarray(rng.normal(size=(n_new, 3)), order=order)
+    Y = np.asarray(rng.normal(size=(n_train, 3)), order=order)
+    for sigma in (0.3, 1.7):
+        spec = KernelSpec(sigma=sigma)
+        np.testing.assert_array_equal(cross_gram(spec, X, Y),
+                                      _out_of_place_cross_gram(spec, X, Y))
+    Xc = np.ascontiguousarray(X)
+    K = gram(spec, X)
+    ref = _out_of_place_cross_gram(spec, Xc, Xc)
+    np.fill_diagonal(ref, 1.0)
+    np.testing.assert_array_equal(K, ref)
+    np.testing.assert_array_equal(K, K.T)
+
+
+def test_kernel_blocks_hold_one_buffer_the_size_of_their_result():
+    # besides the result: one row chunk of 2^16 entries (512 KB), the
+    # ufunc's 128 KB broadcast buffer and the squared norms, at most 0.1
+    # times the result at these sizes
+    rng = np.random.default_rng(14)
+    spec = KernelSpec(sigma=1.0)
+    X = rng.normal(size=(3000, 2))
+    oracle = KernelColumns(spec, X)
+    idx = np.sort(rng.choice(3000, size=400, replace=False))
+    for fn, args, entries in ((gram, (spec, X[:2000]), 2000 * 2000),
+                              (oracle.columns, (idx,), 3000 * 400),
+                              (oracle.cross, (X[:500],), 500 * 3000),
+                              (cross_gram, (spec, X[:500], X), 500 * 3000)):
+        assert traced_peak(fn, *args) <= 1.1 * 8 * entries
 
 
 def test_cross_gram_dimension_mismatch():

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import ArrayColumns, eigen_leverage, random_psd
+from conftest import ArrayColumns, eigen_leverage, random_psd, traced_peak
 from scipy.stats import spearmanr
 
 from nkcca.datasets import synthetic_circles
-from nkcca.kernels import KernelSpec, gram
-from nkcca.leverage import (SamplingDistribution, approx_leverage,
-                            effective_dimension, exact_leverage,
-                            make_distribution)
+from nkcca.kernels import KernelColumns, KernelSpec, gram
+from nkcca.leverage import (SamplingDistribution, _sketch_eigh,
+                            approx_leverage, effective_dimension,
+                            exact_leverage, make_distribution)
 
 
 def dense_inverse_scores(K, gamma):
@@ -219,6 +219,28 @@ def test_approx_rank_correlation_on_ring_data():
     approx = approx_leverage(oracle, gamma, sketch_size=250, seed=0)
     corr = spearmanr(exact.scores, approx.scores).statistic
     assert corr >= 0.9
+
+
+def test_sketch_eigh_in_place_is_bitwise_the_copying_form():
+    # the symmetrized block is factored in its own F-ordered buffer: the
+    # same values LAPACK read from a copy, and W is left as it was
+    W = np.random.default_rng(8).normal(size=(60, 60))
+    before = W.copy()
+    sig, U = _sketch_eigh(W)
+    ref_sig, ref_U = scipy.linalg.eigh(0.5 * (W + W.T), driver="evd")
+    np.testing.assert_array_equal(sig, np.maximum(ref_sig, 0.0))
+    np.testing.assert_array_equal(U, ref_U)
+    np.testing.assert_array_equal(W, before)
+
+
+def test_approx_leverage_holds_two_sketch_sized_arrays():
+    # C and F (N x s each) and two s x s arrays, U and its scaled copy;
+    # before the kernel block and the sketch eigh went in place it peaked
+    # at 3.0 N s doubles here, above this bound of 2.8 N s
+    n, s = 1200, 480
+    oracle = KernelColumns(KernelSpec(sigma=1.0), synthetic_circles(n, 1).X)
+    peak = traced_peak(approx_leverage, oracle, 1e-6, s, seed=5)
+    assert peak <= 8 * (2 * n * s + 2 * s * s)
 
 
 def test_approx_sketch_size_validation():
