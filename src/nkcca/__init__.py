@@ -2,7 +2,7 @@
 with leverage-score sampling, an incremental rank-path solver, and empirical
 bound checking."""
 
-from .kernels import KernelSpec, KernelColumns, gram, center
+from .kernels import KernelSpec, KernelColumns, gram
 from .leverage import (LeverageScores, SamplingDistribution, exact_leverage,
                        approx_leverage, effective_dimension, make_distribution)
 from .sampling import SamplingPlan, sample

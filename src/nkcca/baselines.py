@@ -11,6 +11,7 @@ import scipy.linalg
 
 from .kcca import _top_svd
 from .kernels import KernelSpec, _check_positive, as_points
+from .leverage import _shifted_cholesky
 from .nystrom import solve_upper
 
 __all__ = [
@@ -85,13 +86,7 @@ def _whitening(C: np.ndarray, lam: float, name: str):
     A lam below C's rounding level leaves C + lam I singular: LinAlgError
     naming the regularizer."""
     rank = int(scipy.linalg.lapack.dpstrf(C)[2])
-    C[np.diag_indices_from(C)] += lam
-    try:
-        return scipy.linalg.cholesky(C, overwrite_a=True), rank
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"Z^T Z / N + {name} I is not numerically positive definite at "
-            f"{name} = {lam:g} ({exc})") from None
+    return _shifted_cholesky(C, lam, f"Z^T Z / N + {name} I", name, lam), rank
 
 
 def _check_pair(names, X, Y) -> None:
@@ -157,10 +152,10 @@ def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel
     canonical correlations, and R^-1 maps their singular vectors to the
     weights. If fewer than L informative directions exist, the model is
     truncated with a warning. Zx and Zy are left unwritten: each view is
-    centered in a copy. They must be 2-D with the same number of at least
-    two rows, and lambda1 and lambda2 positive and finite (ValueError),
-    and large enough that Z^T Z / N + lam I is numerically positive
-    definite (LinAlgError).
+    centered in a copy. They must be finite and 2-D with the same number
+    of at least two rows, and lambda1 and lambda2 positive and finite
+    (ValueError), and large enough that Z^T Z / N + lam I is numerically
+    positive definite (LinAlgError).
     """
     Zx = np.asarray(Zx, dtype=float)
     Zy = np.asarray(Zy, dtype=float)
@@ -168,6 +163,8 @@ def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel
         if Z.ndim != 2:
             raise ValueError(f"{name} must be 2-D (samples x features), got "
                              f"{Z.ndim}-D")
+        if not np.isfinite(Z).all():
+            raise ValueError(f"{name} has non-finite entries")
     _check_training(("Zx", "Zy"), Zx, Zy, lambda1, lambda2)
     mean_x = Zx.mean(axis=0)
     mean_y = Zy.mean(axis=0)

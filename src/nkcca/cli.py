@@ -31,7 +31,7 @@ from .diagnostics import (correlation_error_check, projection_error_check,
                           tail_bound_check)
 from .kcca import (_EXACT_N_LIMIT, exact_kcca, nkcca_fit, nkcca_fit_direct,
                    project_many, save_model, t_error_norm, total_correlation)
-from .kernels import KernelColumns, KernelSpec, as_points
+from .kernels import KernelColumns, KernelSpec, _check_positive, as_points
 from .leverage import (SamplingDistribution, approx_leverage, exact_leverage,
                        make_distribution)
 from .sampling import sample
@@ -71,26 +71,23 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset kind {self.dataset!r}")
         if self.dataset == "csv" and not (self.csv_x and self.csv_y):
             raise ConfigError("csv dataset needs csv_x and csv_y")
-        for key in _TUPLE_KEYS:
-            if len(getattr(self, key)) == 0:
-                raise ConfigError(f"{key} grid must be nonempty")
-        if not all(math.isfinite(v) and v > 0
-                   for v in self.sigma1 + self.sigma2 + self.lambda1
-                   + self.lambda2 + (self.gamma_mult,)):
-            raise ConfigError("sigma, lambda, and gamma multipliers must be "
-                              "finite and positive")
-        for sigma in self.sigma1 + self.sigma2:
-            try:
+        for f in fields(self):
+            if isinstance(f.default, tuple) and not getattr(self, f.name):
+                raise ConfigError(f"{f.name} grid must be nonempty")
+        # the library's own range rules, as configuration errors
+        try:
+            for sigma in self.sigma1 + self.sigma2:
                 KernelSpec(sigma=sigma)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        for lam in self.lambda1 + self.lambda2:
-            # gamma = gamma_mult * lambda may underflow to 0 or overflow
-            gamma = self.gamma_mult * lam
-            if not (math.isfinite(gamma) and gamma > 0):
-                raise ConfigError(f"gamma = gamma_mult * lambda = "
-                                  f"{self.gamma_mult:g} * {lam:g} is not "
-                                  f"a finite positive double")
+            _check_positive("lambda1", *self.lambda1)
+            _check_positive("lambda2", *self.lambda2)
+            _check_positive("gamma_mult", self.gamma_mult)
+            for lam in self.lambda1 + self.lambda2:
+                # gamma = gamma_mult * lambda may underflow to 0 or overflow
+                _check_positive(f"gamma = gamma_mult * lambda = "
+                                f"{self.gamma_mult:g} * {lam:g}",
+                                self.gamma_mult * lam)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if list(self.ranks) != sorted(set(self.ranks)):
             raise ConfigError("ranks must be strictly increasing")
         if self.ranks[0] < 1:
@@ -111,12 +108,7 @@ class ExperimentConfig:
             raise ConfigError("L must be at least 1")
 
 
-_TUPLE_KEYS = ("sigma1", "sigma2", "lambda1", "lambda2", "ranks", "seeds")
-_NUMBER_KEYS = {"n": int, "tune_n": int, "test_n": int, "data_seed": int,
-                "L": int, "sketch": int, "select_n": int, "gamma_mult": float}
-
-
-def _parse_scalar_list(raw: str, as_int: bool) -> tuple:
+def _parse_scalar_list(raw: str, conv) -> tuple:
     raw = raw.strip()
     if ":" in raw and "," not in raw:
         parts = raw.split(":")
@@ -126,7 +118,6 @@ def _parse_scalar_list(raw: str, as_int: bool) -> tuple:
         if step <= 0 or stop < start:
             raise ConfigError(f"bad range {raw!r}")
         return tuple(range(start, stop + 1, step))
-    conv = int if as_int else float
     try:
         return tuple(conv(p) for p in raw.split(",") if p.strip())
     except ValueError as exc:
@@ -134,17 +125,21 @@ def _parse_scalar_list(raw: str, as_int: bool) -> tuple:
 
 
 def _coerce(key: str, raw) -> object:
+    """A config value from its text, typed as the key's default in
+    ExperimentConfig: a tuple default is a grid of its first element's
+    type, a number one number, a string the text itself."""
     if isinstance(raw, (tuple, int, float)):
         return raw
     raw = str(raw)
-    if key in _TUPLE_KEYS:
-        return _parse_scalar_list(raw, as_int=key in ("ranks", "seeds"))
-    if key in _NUMBER_KEYS:
-        try:
-            return _NUMBER_KEYS[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} takes one number, got {raw!r}") from exc
-    return raw
+    default = getattr(ExperimentConfig, key)
+    if isinstance(default, tuple):
+        return _parse_scalar_list(raw, type(default[0]))
+    if isinstance(default, str):
+        return raw
+    try:
+        return type(default)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} takes one number, got {raw!r}") from exc
 
 
 def load_config_file(path) -> dict:

@@ -214,7 +214,8 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
     the measured ||D|| of both views. Every argument is checked before any
     N x N work: a K2 of another shape than K1, a plan index outside [0, N),
     a regularizer or shrinkage that is not positive and finite, or a t
-    outside (0, 1) raises ValueError naming it.
+    outside (0, 1) raises ValueError naming it; so does a non-finite K1 or
+    K2, once its projection is built.
     """
     K1 = as_matrix(K1)
     K2 = as_matrix(K2)
@@ -235,8 +236,8 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
     # T = P1 P2 from the views' ridge projections P = Kc (Kc + N lam I)^-1,
     # and T_tilde likewise from the centered approximations at gamma = 0;
     # neither product is formed
-    P1 = _ridge_projection(K1, lam1, centered=True)
-    P2 = _ridge_projection(K2, lam2, centered=True)
+    P1 = _ridge_projection(K1, lam1, True, name="K1", param="lambdas[0]")
+    P2 = _ridge_projection(K2, lam2, True, name="K2", param="lambdas[1]")
     Pt1 = _ridge_projection(low_rank_dense(K1, plan1, 0.0), lam1, centered=True)
     Pt2 = _ridge_projection(low_rank_dense(K2, plan2, 0.0), lam2, centered=True)
     rho = _norm((P1, P2))
@@ -277,8 +278,9 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
     All three are flagged not-applicable when r <= 0 or ||T - T~|| > r/2.
     ``grams = (K1, K2)``, the exact model's two N x N Gram matrices if the
     caller holds them, saves building them again from its view oracles.
-    Grams of another shape, or an approx model of another N, raise
-    ValueError naming the argument.
+    Grams of another shape, or an approx model of another N or without
+    coefficients, raise ValueError naming the argument, before any N x N
+    work.
     """
     if exact.t_matrix is None or approx.t_matrix is None:
         raise ValueError("both models must carry their dense T matrix "
@@ -287,6 +289,9 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
         raise ValueError("exact model must carry view oracles")
     if approx.landmarks1 is None or approx.landmarks2 is None:
         raise ValueError("approx model must carry landmark bookkeeping")
+    if approx.alpha is None:
+        raise ValueError("approx model must carry its coefficients (fit "
+                         "with compute_coefficients=True)")
     n = exact.n
     if approx.n != n:
         raise ValueError(f"approx has N = {approx.n}, exact has N = {n}")

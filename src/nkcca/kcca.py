@@ -53,6 +53,7 @@ import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .kernels import KernelColumns, KernelSpec, _check_positive, as_matrix
+from .leverage import _COLUMN_BLOCK, _inverse_factor
 from .nystrom import (FactorState, _equilibrated_block, admit_columns,
                       chol_append_block, solve_upper)
 from .sampling import SamplingPlan
@@ -88,9 +89,6 @@ _EXACT_N_LIMIT = 5000
 _GKL_RTOL = 1e-10
 _GKL_GAP_RTOL = 1e-8
 _GKL_BLOCK = 32
-# _ridge_projection symmetrizes and mirrors its triangle this many columns
-# at a time.
-_COLUMN_BLOCK = 128
 # exact_kcca writes T over P2 this many columns at a time: one GEMM per
 # block repacks P1, and 128 columns took 0.39 s at N = 2000 where 256 took
 # 0.31 s and the whole product 0.26 s (one OpenBLAS thread, 2-core Xeon VM).
@@ -208,40 +206,23 @@ def _top_svd(T, k: int):
     return U[:, order], s[order], Vt[order]
 
 
-def _ridge_projection(K: np.ndarray, lam: float,
-                      centered: bool = False) -> np.ndarray:
+def _ridge_projection(K: np.ndarray, lam: float, centered: bool = False, *,
+                      name: str = "K", param: str = "lambda") -> np.ndarray:
     """The ridge projection Kc (Kc + N lam I)^-1 = I - N lam (Kc + N lam I)^-1
-    of a symmetric N x N Kc: K itself or, with ``centered``, its double
-    centering H K H. It is built in one new column-major array: the
-    centering (bitwise kernels.center's), the Cholesky factor, its inversion
-    (LAPACK dpotri) and the mirroring of the triangle all run in place, about
-    N^3 flops against 7N^3 / 3 for a solve with N right-hand sides. K is
-    only read; the result is exactly symmetric."""
-    # K is symmetric, so a C-ordered buffer read as its transpose is the
-    # same matrix in the column-major layout of the result
-    flip = K.flags.c_contiguous
-    P = np.array(K.T if flip else K, order="F")
+    of a symmetric N x N Kc: K itself or, with ``centered``, H K H. It is
+    built in the array of leverage._inverse_factor's R^-1: R^-1 R^-T
+    (dlauum; dtrtri then dlauum is dpotri) and the mirroring of its
+    triangle run in place, about N^3 flops in all against 7N^3 / 3 for a
+    solve with N right-hand sides. K is only read; the result is exactly
+    symmetric. Failures name K and lam as ``name`` and ``param``."""
+    P = _inverse_factor(K, lam, name, param, centered)
     n = P.shape[0]
     shift = n * lam
-    blocks = [(j0, min(j0 + _COLUMN_BLOCK, n))
-              for j0 in range(0, n, _COLUMN_BLOCK)]
-    if centered:
-        # kernels.center's C = K - row - col + grand, term by term, on K or
-        # K^T, then its (C + C^T) / 2 in the upper triangle the factor reads
-        row, col = K.mean(axis=1), K.mean(axis=0)
-        P -= row[None, :] if flip else row[:, None]
-        P -= col[:, None] if flip else col[None, :]
-        P += K.mean()
-        for j0, j1 in blocks:
-            upper = P[j0:j1, j0:]
-            upper += P[j0:, j0:j1].T   # numpy buffers the overlapping block
-            upper *= 0.5
-    P[np.diag_indices_from(P)] += shift
-    P = scipy.linalg.cholesky(P, overwrite_a=True)
-    P, _ = scipy.linalg.lapack.dpotri(P, overwrite_c=1)
-    # dpotri leaves the factor's zero lower triangle; mirror the upper one
+    P, _ = scipy.linalg.lapack.dlauum(P, lower=0, overwrite_c=1)
+    # dlauum leaves the factor's zero lower triangle; mirror the upper one
     # a column block at a time, with no N x N temporary
-    for j0, j1 in blocks:
+    for j0 in range(0, n, _COLUMN_BLOCK):
+        j1 = min(j0 + _COLUMN_BLOCK, n)
         diag = P[j0:j1, j0:j1]
         diag += np.triu(diag, 1).T
         P[j1:, j0:j1] = P[j0:j1, j1:].T
@@ -296,8 +277,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
     if not 1 <= L <= n:
         raise ValueError("L must lie in [1, N]")
 
-    P1 = _ridge_projection(K1, lambda1, centered=True)
-    P2 = _ridge_projection(K2, lambda2, centered=True)
+    P1 = _ridge_projection(K1, lambda1, True, name="K1", param="lambda1")
+    P2 = _ridge_projection(K2, lambda2, True, name="K2", param="lambda2")
 
     U, s, Vt = _top_svd((P1, P2), min(L + 1, n))
     rho = s[:L].copy()
@@ -763,9 +744,16 @@ def project_many(model: KccaModel, X_new, view: int) -> np.ndarray:
 
 def total_correlation(proj_x: np.ndarray, proj_y: np.ndarray) -> float:
     """Sum of absolute per-dimension Pearson correlations of paired
-    projections. Dimensions with zero variance contribute 0."""
-    proj_x = np.atleast_2d(np.asarray(proj_x, dtype=float))
-    proj_y = np.atleast_2d(np.asarray(proj_y, dtype=float))
+    projections: rows are pairs, and a 1-D vector is one dimension.
+    Dimensions with zero variance contribute 0. Non-finite entries raise
+    ValueError naming the argument."""
+    views = []
+    for name, proj in (("proj_x", proj_x), ("proj_y", proj_y)):
+        proj = np.asarray(proj, dtype=float)
+        if not np.isfinite(proj).all():
+            raise ValueError(f"{name} has non-finite entries")
+        views.append(proj[:, None] if proj.ndim == 1 else np.atleast_2d(proj))
+    proj_x, proj_y = views
     if proj_x.shape != proj_y.shape:
         raise ValueError("projection shapes differ")
     if proj_x.shape[0] < 2:
@@ -785,36 +773,28 @@ def total_correlation(proj_x: np.ndarray, proj_y: np.ndarray) -> float:
 
 # The one record format: versions 1 and 2 also stored landmark weights.
 _FORMAT_VERSION = 3
+# The model fields of a record, each stored under its own name when it is
+# not None; a 0-d entry loads as its str, int or float. Each view's
+# landmarks and kernel bandwidth follow under keys ending in its tag.
+_RECORD_FIELDS = ("kind", "n", "lambda1", "lambda2", "L", "rho",
+                  "alpha_prime", "beta_prime", "alpha", "beta", "sigma_next")
 
 
 def save_model(model: KccaModel, path) -> None:
     """Persist a fitted model to a flat .npz record (format version 3)."""
-    payload = {
-        "format_version": np.array(_FORMAT_VERSION),
-        "kind": np.array(model.kind),
-        "n": np.array(model.n),
-        "lambda1": np.array(model.lambda1),
-        "lambda2": np.array(model.lambda2),
-        "L": np.array(model.L),
-        "rho": model.rho,
-        "alpha_prime": model.alpha_prime,
-        "beta_prime": model.beta_prime,
-    }
-    if model.alpha is not None:
-        payload["alpha"] = model.alpha
-    if model.beta is not None:
-        payload["beta"] = model.beta
-    if model.sigma_next is not None:
-        payload["sigma_next"] = np.array(model.sigma_next)
-    for tag, lm in (("1", model.landmarks1), ("2", model.landmarks2)):
+    payload = {"format_version": _FORMAT_VERSION}
+    payload.update((key, getattr(model, key)) for key in _RECORD_FIELDS
+                   if getattr(model, key) is not None)
+    for tag in ("1", "2"):
+        lm = getattr(model, f"landmarks{tag}")
         if lm is not None:
             payload[f"landmark_indices{tag}"] = lm.indices
-            payload[f"landmark_draws{tag}"] = np.array(lm.draws)
+            payload[f"landmark_draws{tag}"] = lm.draws
             payload[f"landmark_skipped{tag}"] = np.array(lm.skipped,
                                                          dtype=int)
-    for tag, oracle in (("1", model.view1), ("2", model.view2)):
+        oracle = getattr(model, f"view{tag}")
         if oracle is not None:
-            payload[f"sigma_rbf{tag}"] = np.array(oracle.spec.sigma)
+            payload[f"sigma_rbf{tag}"] = oracle.spec.sigma
     np.savez(path, **payload)
 
 
@@ -829,20 +809,15 @@ def load_model(path, X1=None, X2=None) -> KccaModel:
         if int(z["format_version"]) != _FORMAT_VERSION:
             raise ValueError(f"model format version {z['format_version']}: "
                              f"only version {_FORMAT_VERSION} loads")
-        model = KccaModel(
-            kind=str(z["kind"]), n=int(z["n"]), lambda1=float(z["lambda1"]),
-            lambda2=float(z["lambda2"]), L=int(z["L"]), rho=z["rho"],
-            alpha_prime=z["alpha_prime"], beta_prime=z["beta_prime"],
-            alpha=z["alpha"] if "alpha" in z else None,
-            beta=z["beta"] if "beta" in z else None,
-            sigma_next=float(z["sigma_next"]) if "sigma_next" in z else None)
-        for tag in ("1", "2"):
+        entries = {key: z[key] for key in _RECORD_FIELDS if key in z}
+        model = KccaModel(**{key: a.item() if a.ndim == 0 else a
+                             for key, a in entries.items()})
+        for tag, X in (("1", X1), ("2", X2)):
             if f"landmark_indices{tag}" in z:
                 lm = Landmarks(indices=z[f"landmark_indices{tag}"],
                                draws=int(z[f"landmark_draws{tag}"]),
                                skipped=z[f"landmark_skipped{tag}"].tolist())
                 setattr(model, f"landmarks{tag}", lm)
-        for tag, X in (("1", X1), ("2", X2)):
             if X is not None:
                 if f"sigma_rbf{tag}" not in z:
                     raise ValueError("record has no kernel bandwidth for "

@@ -1,4 +1,5 @@
-"""Kernel evaluation, Gram matrices, and feature-space centering."""
+"""Kernel evaluation, Gram matrices, and the input checks of points and
+matrices."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ __all__ = [
     "KernelSpec",
     "KernelColumns",
     "gram",
-    "center",
 ]
 
 
@@ -115,24 +115,6 @@ def cross_gram(spec: KernelSpec, X_new, X_train) -> np.ndarray:
         block /= scale
         np.exp(block, out=block)
     return K
-
-
-def center(K) -> np.ndarray:
-    """Double-center a Gram matrix: H K H with H = I - (1/N) 11^T.
-
-    Computed as K - rowmean - colmean + grandmean, symmetrized, in one
-    N x N buffer; H is never formed.
-    """
-    K = as_matrix(K)
-    row = K.mean(axis=1, keepdims=True)
-    col = K.mean(axis=0, keepdims=True)
-    grand = K.mean()
-    out = K - row
-    out -= col
-    out += grand
-    out += out.T   # numpy buffers the overlapping operand
-    out *= 0.5
-    return out
 
 
 class KernelColumns:

@@ -26,6 +26,9 @@ PROB_FLOOR = 1e-12
 # with all N right-hand sides at once makes OpenBLAS pack a panel that grows
 # with N (about 7 MB at N = 3000) and stays resident for the process.
 _SOLVE_ROWS = 512
+# _inverse_factor symmetrizes a centered matrix, and kcca._ridge_projection
+# mirrors its triangle, this many columns at a time.
+_COLUMN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,50 @@ def _whitened_sketch(C: np.ndarray, eig, shift: float) -> np.ndarray:
     return C @ scaled
 
 
+def _shifted_cholesky(S: np.ndarray, shift: float, matrix: str, param: str,
+                      value: float) -> np.ndarray:
+    """The upper Cholesky factor of a finite S + shift I, in S's own buffer
+    if S is F-ordered; LinAlgError naming ``matrix`` and ``param`` = ``value``
+    unless it is numerically positive definite."""
+    S[np.diag_indices_from(S)] += shift
+    try:
+        return scipy.linalg.cholesky(S, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"{matrix} is not numerically positive definite at {param} = "
+            f"{value:g} ({exc})") from None
+
+
+def _inverse_factor(K: np.ndarray, lam: float, name: str, param: str,
+                    centered: bool = False) -> np.ndarray:
+    """R^-1, zero below the diagonal, for R^T R = Kc + N lam I, Kc being a
+    symmetric N x N K or, with ``centered``, H K H. The centering, the
+    factor and its inversion (dtrtri) run in place in one new column-major
+    array. The factor reads a C-ordered K's lower triangle (its transpose
+    has the result's layout) and any other K's upper one. K is only read;
+    failures name it as ``name`` and lam as ``param``."""
+    if not np.isfinite(K).all():
+        raise ValueError(f"{name} has non-finite entries")
+    flip = K.flags.c_contiguous
+    P = np.array(K.T if flip else K, order="F")
+    n = P.shape[0]
+    if centered:
+        # C = K - row - col + grand, term by term, on K or K^T, then
+        # (C + C^T) / 2 in the upper triangle the factor reads
+        row, col = K.mean(axis=1), K.mean(axis=0)
+        P -= row[None, :] if flip else row[:, None]
+        P -= col[:, None] if flip else col[None, :]
+        P += K.mean()
+        for j in range(0, n, _COLUMN_BLOCK):
+            upper = P[j:j + _COLUMN_BLOCK, j:]
+            upper += P[j:, j:j + _COLUMN_BLOCK].T   # numpy buffers overlaps
+            upper *= 0.5
+        name = f"H {name} H"
+    P = _shifted_cholesky(P, n * lam, f"{name} + N {param} I", param, lam)
+    # R has a positive diagonal, so the in-place inverse cannot fail
+    return scipy.linalg.lapack.dtrtri(P, lower=0, overwrite_c=1)[0]
+
+
 def exact_leverage(K, gamma: float) -> LeverageScores:
     """Exact gamma-ridge leverage scores of a PSD matrix.
 
@@ -123,23 +170,12 @@ def exact_leverage(K, gamma: float) -> LeverageScores:
     K + N gamma I is not numerically positive definite.
     """
     _check_positive("gamma", gamma)
-    K = as_matrix(K)
+    # C-ordered, so the factor reads the lower triangle, as eigh does
+    K = np.ascontiguousarray(as_matrix(K))
     n = K.shape[0]
-    shift = n * gamma
-    # the factor reads the upper triangle of K^T, i.e. K's lower one: the
-    # triangle that effective_dimension's eigh reads
-    S = np.array(K.T, order="F")
-    S[np.diag_indices_from(S)] += shift
-    try:
-        R = scipy.linalg.cholesky(S, lower=False, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"K + N gamma I is not numerically positive definite at gamma = "
-            f"{gamma:g} ({exc})") from None
-    # R has a positive diagonal, so the in-place inverse cannot fail
-    Rinv, _ = scipy.linalg.lapack.dtrtri(R, lower=0, overwrite_c=1)
+    Rinv = _inverse_factor(K, gamma, "K", "gamma")
     shrunk = np.einsum("ij,ij->i", Rinv, Rinv)
-    shrunk *= shift
+    shrunk *= n * gamma
     scores = 1.0 - shrunk
     d_eff = float(n - shrunk.sum())
     np.clip(scores, 0.0, 1.0, out=scores)
@@ -182,9 +218,8 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     C = oracle.columns(idx)
     F = _whitened_sketch(C, _sketch_eigh(C[idx, :]), 0.0)
     del C  # C and F are the only N x s arrays live at once
-    S = F.T @ F
-    S[np.diag_indices_from(S)] += n * gamma
-    R = scipy.linalg.cholesky(S, lower=False, check_finite=False)
+    R = _shifted_cholesky(F.T @ F, n * gamma, "F^T F + N gamma I", "gamma",
+                          gamma)
     scores = np.empty(n)
     for lo in range(0, n, _SOLVE_ROWS):
         # F[lo:hi]^T is a column-major view, so the solve runs in place

@@ -1,11 +1,21 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+import os
 import tracemalloc
+
+# Idle OpenBLAS workers spin for a while before they sleep, and on a
+# machine with as many cores as BLAS threads that spinning slows the
+# suite's many small BLAS calls; a short timeout lets them sleep sooner.
+# OpenBLAS reads it when it loads, so it is set before numpy is imported,
+# and only when the caller has not set it.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 import scipy.linalg
 
 from nkcca.datasets import synthetic_circles
+from nkcca.kcca import KccaModel, Landmarks
 from nkcca.kernels import KernelSpec, as_matrix, gram
 from nkcca.sampling import SamplingPlan
 
@@ -29,6 +39,20 @@ def ring_gram(n, seed, sigma=1.0, view=1):
 
 def centering_matrix(n):
     return np.eye(n) - np.ones((n, n)) / n
+
+
+def center(K):
+    """Double-center a Gram matrix: H K H with H = I - (1/N) 11^T, as
+    K - rowmean - colmean + grandmean, symmetrized. The formula the
+    library's in-place centering (leverage._inverse_factor) follows term
+    by term, so its matrix is the bitwise oracle of that centering."""
+    K = as_matrix(K)
+    out = K - K.mean(axis=1, keepdims=True)
+    out -= K.mean(axis=0, keepdims=True)
+    out += K.mean()
+    out += out.T   # numpy buffers the overlapping operand
+    out *= 0.5
+    return out
 
 
 def kernel_eval(spec, x, y):
@@ -116,3 +140,32 @@ def eigen_leverage(K, gamma, driver=None):
     sig = np.maximum(sig, 0.0)
     shrink = sig / (sig + n * gamma)
     return np.einsum("ij,j,ij->i", U, shrink, U), float(shrink.sum())
+
+
+# not in the record: the oracles hold the training data (only their kernel
+# spec is stored), and the dense T is a diagnostics-only attachment
+_UNSAVED = {"view1", "view2", "t_matrix"}
+
+
+def _assert_same(a, b, name):
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.dtype == b.dtype, name
+        np.testing.assert_array_equal(b, a, err_msg=name)
+    else:
+        assert type(b) is type(a) and b == a, name
+
+
+def assert_same_record_state(model, back):
+    """Every field of ``model`` that a saved record holds is equal in
+    ``back``, arrays with their dtype and scalars with their Python type,
+    landmark bookkeeping included."""
+    for f in dataclasses.fields(KccaModel):
+        if f.name in _UNSAVED:
+            continue
+        a, b = getattr(model, f.name), getattr(back, f.name)
+        if isinstance(a, Landmarks):
+            for g in dataclasses.fields(Landmarks):
+                _assert_same(getattr(a, g.name), getattr(b, g.name),
+                             f"{f.name}.{g.name}")
+        else:
+            _assert_same(a, b, f.name)

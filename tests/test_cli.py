@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -91,6 +92,46 @@ def test_config_validation_errors(tmp_path):
     # an integer key that does not parse used to end in a traceback
     assert run(["nkcca"] + base_flags(tmp_path, n="6o")) == 2
     assert not (tmp_path / "nkcca").exists()
+
+
+# the key tables _coerce read before it took each key's type from its
+# default in ExperimentConfig
+_OLD_TUPLE_KEYS = ("sigma1", "sigma2", "lambda1", "lambda2", "ranks", "seeds")
+_OLD_NUMBER_KEYS = {"n": int, "tune_n": int, "test_n": int, "data_seed": int,
+                    "L": int, "sketch": int, "select_n": int,
+                    "gamma_mult": float}
+
+
+@pytest.mark.parametrize("raw", ["7", "2.5", "1,2,3", "0.5,1e-3", "10:30:10",
+                                 "ridge", "6o", "1:2"])
+def test_coerce_agrees_with_the_old_key_tables(raw):
+    from nkcca.cli import _coerce
+
+    def old(key):
+        if key in _OLD_TUPLE_KEYS:
+            conv = int if key in ("ranks", "seeds") else float
+            if ":" in raw and "," not in raw:
+                parts = raw.split(":")
+                if len(parts) != 3:
+                    raise ConfigError(raw)
+                start, stop, step = (int(p) for p in parts)
+                return tuple(range(start, stop + 1, step))
+            return tuple(conv(p) for p in raw.split(","))
+        if key in _OLD_NUMBER_KEYS:
+            return _OLD_NUMBER_KEYS[key](raw)
+        return raw
+
+    for f in fields(ExperimentConfig):
+        try:
+            expected = old(f.name)
+        except (ValueError, ConfigError):
+            with pytest.raises(ConfigError):
+                _coerce(f.name, raw)
+            continue
+        got = _coerce(f.name, raw)
+        assert got == expected and type(got) is type(expected), f.name
+        if isinstance(got, tuple):
+            assert [type(v) for v in got] == [type(v) for v in expected]
 
 
 def test_gamma_mult_grid_is_rejected(tmp_path):

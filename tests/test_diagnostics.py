@@ -14,7 +14,7 @@ from nkcca.diagnostics import (BoundReport, d_matrix_norm, low_rank_dense,
                                stability_check, tail_bound_check,
                                correlation_error_check)
 from nkcca.kcca import exact_kcca, nkcca_fit_direct, t_error_norm
-from nkcca.kernels import KernelColumns, KernelSpec, center, gram
+from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import (SamplingDistribution, effective_dimension,
                             exact_leverage, make_distribution)
 from nkcca.sampling import sample
@@ -471,6 +471,23 @@ def test_stability_requires_dense_t():
         stability_check(exact, approx, X_test)
 
 
+def test_stability_names_an_approx_model_without_coefficients(monkeypatch):
+    # it used to fail deep inside with a TypeError on approx.alpha
+    exact, _, X_test = fit_pair()
+    ds = synthetic_circles(80, seed=100)
+    spec = KernelSpec(sigma=1.0)
+    plan = uniform_plan(80, 40, 3)
+    approx = nkcca_fit_direct(KernelColumns.from_data(spec, ds.X),
+                              KernelColumns.from_data(spec, ds.Y), plan, plan,
+                              1e-2, 1e-2, L=1, keep_t=True,
+                              compute_coefficients=False).model
+    monkeypatch.setattr(diagnostics, "_ridge_projection", None)
+    monkeypatch.setattr(KernelColumns, "dense", None)
+    with pytest.raises(ValueError, match="^approx model must carry its "
+                                         "coefficients"):
+        stability_check(exact, approx, X_test)
+
+
 # --- inputs -------------------------------------------------------------------------
 
 def _arrays(*objects):
@@ -507,8 +524,6 @@ def test_dense_operators_leave_their_inputs_unchanged(seed):
 
     gram(KernelSpec(sigma=1.0), X_test)
     gram(KernelSpec(sigma=1.0), np.asfortranarray(X_test))
-    center(K1)
-    center(K2)
     exact_kcca(K1, K2, lam, lam, L=1, keep_t=True)
     exact_kcca(K2, K1, lam, lam, L=2, keep_t=True)
     exact_leverage(K1, gamma)
@@ -581,6 +596,10 @@ def _correlation_args():
     pytest.param("gammas", (0.01, np.nan),
                  r"^gammas\[1\] must be positive", id="gamma2-nan"),
     pytest.param("K2", np.eye(10), "^K2 must be 12 x 12", id="K2-shape"),
+    pytest.param("K1", np.full((12, 12), np.nan),
+                 "^K1 has non-finite entries", id="K1-nan"),
+    pytest.param("K2", np.diag([np.inf] + [1.0] * 11),
+                 "^K2 has non-finite entries", id="K2-inf"),
     pytest.param("plans", (unit_plan([0, 12]), unit_plan([1])),
                  r"^plans\[0\] has indices outside \[0, 12\)",
                  id="plan1-index"),

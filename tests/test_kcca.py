@@ -4,15 +4,16 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import (centering_matrix, full_plan, random_psd, recording,
-                      ring_gram, traced_peak, unit_plan)
+from conftest import (assert_same_record_state, center, centering_matrix,
+                      full_plan, random_psd, recording, ring_gram,
+                      traced_peak, unit_plan)
 
 from nkcca import kcca
 from nkcca.datasets import synthetic_circles
 from nkcca.kcca import (KccaModel, exact_kcca, load_model, nkcca_coefficients,
                         nkcca_fit, nkcca_fit_direct, project_many, save_model,
                         t_error_norm, total_correlation)
-from nkcca.kernels import KernelColumns, KernelSpec, center, gram
+from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import SamplingDistribution
 from nkcca.nystrom import FactorState, chol_append_block, chol_solve
 from nkcca.sampling import sample
@@ -142,7 +143,7 @@ def test_ridge_projection_spans_its_mirror_blocks(order):
 def test_centered_ridge_projection_centers_in_its_own_buffer(order):
     # centering in the projection's buffer, symmetrized block by block into
     # the triangle the factor reads, gives bitwise the projection of
-    # kernels.center's matrix; a Gram that is not exactly symmetric shows a
+    # conftest.center's matrix; a Gram that is not exactly symmetric shows a
     # wrong term order or triangle
     n, lam = 300, 1e-3
     rng = np.random.default_rng(13)
@@ -152,6 +153,66 @@ def test_centered_ridge_projection_centers_in_its_own_buffer(order):
     proj = kcca._ridge_projection(buf, lam, centered=True)
     np.testing.assert_array_equal(buf, K)
     np.testing.assert_array_equal(proj, kcca._ridge_projection(center(K), lam))
+
+
+def _dpotri_projection(K, lam):
+    """The ridge projection as it was built before the factor moved to
+    leverage._inverse_factor: copy (a C-ordered K through its transpose),
+    shift, dpotrf, dpotri, mirror the upper triangle."""
+    n = K.shape[0]
+    P = np.array(K.T if K.flags.c_contiguous else K, order="F")
+    P[np.diag_indices(n)] += n * lam
+    P = scipy.linalg.cholesky(P, overwrite_a=True)
+    P, _ = scipy.linalg.lapack.dpotri(P, overwrite_c=1)
+    P = np.triu(P) + np.triu(P, 1).T
+    P *= -(n * lam)
+    P[np.diag_indices(n)] += 1.0
+    return P
+
+
+def _ridge_inputs():
+    rng = np.random.default_rng(14)
+    # a ring Gram, exactly symmetric, and a PSD matrix with asymmetric
+    # noise, which tells apart the triangles a factor reads
+    return {"gram": ring_gram(300, seed=2, sigma=0.3),
+            "asymmetric": random_psd(rng, 300, rank=40)
+            + 1e-13 * rng.normal(size=(300, 300))}
+
+
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", ["gram", "asymmetric"])
+def test_ridge_projection_is_bitwise_its_dpotri_form(kind, order, centered):
+    # dpotri is dtrtri followed by dlauum, the two calls it now makes
+    K = np.array(_ridge_inputs()[kind], order=order)
+    lam = 1e-3
+    expected = _dpotri_projection(center(K) if centered else K, lam)
+    np.testing.assert_array_equal(
+        kcca._ridge_projection(K, lam, centered), expected)
+
+
+@pytest.mark.parametrize("arg", ["K1", "K2"])
+def test_exact_kcca_names_a_non_finite_gram(arg):
+    K1, K2, *_ = two_view_problem(n=12, seed=3)
+    grams = {"K1": K1.copy(), "K2": K2.copy()}
+    grams[arg][4, 7] = np.nan
+    with pytest.raises(ValueError, match=f"^{arg} has non-finite entries"):
+        exact_kcca(grams["K1"], grams["K2"], 1e-2, 1e-2)
+
+
+def test_ridge_projection_names_a_regularizer_too_small():
+    # K has the eigenvalue -1e-3: a shift N lam below it leaves K + N lam I
+    # indefinite, and the failure names the matrix and the regularizer
+    K = np.diag([2.0, 1.0, -1e-3])
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^K \+ N lambda I is not numerically positive "
+                             r"definite at lambda = 0\.0001"):
+        kcca._ridge_projection(K, 1e-4)
+    assert np.isfinite(kcca._ridge_projection(K, 1e-3)).all()
+    # H (-I) H = -H has the eigenvalue -1 (N - 1 times)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^H K1 H \+ N lambda1 I .* lambda1 = 0\.01"):
+        exact_kcca(-np.eye(6), np.eye(6), 1e-2, 1e-2)
 
 
 @pytest.mark.parametrize("lam", [1e-2, 1e-5])
@@ -606,6 +667,30 @@ def test_total_correlation_zero_variance_dimension():
     assert total_correlation(x, y) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_total_correlation_reads_a_vector_as_one_dimension():
+    # the shape of project_many(...)[:, 0]: 50 pairs of one dimension, not
+    # one pair of 50 dimensions
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=50)
+    y = x + 0.5 * rng.normal(size=50)
+    expected = abs(np.corrcoef(x, y)[0, 1])
+    assert total_correlation(x, y) == pytest.approx(expected, abs=1e-12)
+    assert total_correlation(x, y) == total_correlation(x[:, None],
+                                                        y[:, None])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("arg", ["proj_x", "proj_y"])
+def test_total_correlation_names_a_non_finite_projection(arg, bad):
+    # a NaN used to fail den > 0 and count as a zero correlation
+    rng = np.random.default_rng(27)
+    projs = {"proj_x": rng.normal(size=(20, 2)),
+             "proj_y": rng.normal(size=(20, 2))}
+    projs[arg][5, 1] = bad
+    with pytest.raises(ValueError, match=f"^{arg} has non-finite entries"):
+        total_correlation(**projs)
+
+
 # --- serialization --------------------------------------------------------------
 
 def test_model_save_load_round_trip(tmp_path):
@@ -697,6 +782,74 @@ def test_save_model_writes_version_3_without_weights(tmp_path):
     with np.load(path) as z:
         assert int(z["format_version"]) == 3
         assert not any(key.startswith("landmark_scale") for key in z.files)
+
+
+def _explicit_format_3_writer(model, path):
+    """save_model as it spelled out every key before one field list drove
+    it: the format-3 record that earlier releases wrote."""
+    payload = {
+        "format_version": np.array(3), "kind": np.array(model.kind),
+        "n": np.array(model.n), "lambda1": np.array(model.lambda1),
+        "lambda2": np.array(model.lambda2), "L": np.array(model.L),
+        "rho": model.rho, "alpha_prime": model.alpha_prime,
+        "beta_prime": model.beta_prime,
+    }
+    if model.alpha is not None:
+        payload["alpha"] = model.alpha
+    if model.beta is not None:
+        payload["beta"] = model.beta
+    if model.sigma_next is not None:
+        payload["sigma_next"] = np.array(model.sigma_next)
+    for tag, lm in (("1", model.landmarks1), ("2", model.landmarks2)):
+        if lm is not None:
+            payload[f"landmark_indices{tag}"] = lm.indices
+            payload[f"landmark_draws{tag}"] = np.array(lm.draws)
+            payload[f"landmark_skipped{tag}"] = np.array(lm.skipped,
+                                                         dtype=int)
+    for tag, oracle in (("1", model.view1), ("2", model.view2)):
+        if oracle is not None:
+            payload[f"sigma_rbf{tag}"] = np.array(oracle.spec.sigma)
+    np.savez(path, **payload)
+
+
+def _record_models():
+    """An exact model and two Nystrom ones, one without coefficients, the
+    Nystrom ones with skipped draws, all with both view oracles; and the
+    two views' training points."""
+    K1, K2, o1, o2, X, Y = two_view_problem(n=20, seed=5)
+    plan = unit_plan([2, 5, 2, 11, 8, 17, 11])
+    return X, Y, {
+        "exact": exact_kcca(K1, K2, 1e-2, 1e-2, L=2, view1=o1, view2=o2),
+        "nystrom": nkcca_fit(o1, o2, plan, plan, 1e-2, 1e-2, L=2,
+                             checkpoints=[7])[0].model,
+        "nystrom-no-coefficients": nkcca_fit_direct(
+            o1, o2, plan, plan, 1e-2, 1e-2, L=1,
+            compute_coefficients=False).model,
+    }
+
+
+@pytest.mark.parametrize("kind", ["exact", "nystrom",
+                                  "nystrom-no-coefficients"])
+def test_record_field_list_reads_and_writes_the_format_3_record(tmp_path,
+                                                                 kind):
+    X1, X2, models = _record_models()
+    model = models[kind]
+    old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+    _explicit_format_3_writer(model, old)
+    save_model(model, new)
+    # the same keys, each with the same array
+    with np.load(old) as a, np.load(new) as b:
+        assert sorted(a.files) == sorted(b.files)
+        for key in a.files:
+            assert a[key].dtype == b[key].dtype, key
+            np.testing.assert_array_equal(b[key], a[key], err_msg=key)
+    # a record of the explicit writer loads to the model's values, with
+    # the same Python types, and so does save -> load
+    for path in (old, new):
+        back = load_model(path, X1=X1, X2=X2)
+        assert_same_record_state(model, back)
+        assert (back.view1.spec, back.view2.spec) == (model.view1.spec,
+                                                      model.view2.spec)
 
 
 # --- implicit operator norm ------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import centering_matrix, kernel_eval, random_psd, traced_peak
+from conftest import (center, centering_matrix, kernel_eval, random_psd,
+                      traced_peak)
 
 from nkcca import kernels
-from nkcca.kernels import KernelColumns, KernelSpec, center, cross_gram, gram
+from nkcca.kernels import KernelColumns, KernelSpec, cross_gram, gram
 
 
 def test_kernel_eval_zero_distance():

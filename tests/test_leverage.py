@@ -71,8 +71,38 @@ def test_exact_rejects_a_shift_that_leaves_k_indefinite():
 def test_exact_rejects_non_finite_kernel():
     K = np.eye(3)
     K[0, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^K has non-finite entries"):
         exact_leverage(K, gamma=0.1)
+
+
+def _dtrtri_leverage(K, gamma):
+    """exact_leverage as it was before its factor moved to _inverse_factor:
+    K's lower triangle shifted and factored, dtrtri, squared row norms.
+    Returns (scores, d_eff)."""
+    n = K.shape[0]
+    S = np.array(K.T, order="F")
+    S[np.diag_indices_from(S)] += n * gamma
+    R = scipy.linalg.cholesky(S, lower=False, overwrite_a=True)
+    Rinv, _ = scipy.linalg.lapack.dtrtri(R, lower=0, overwrite_c=1)
+    shrunk = np.einsum("ij,ij->i", Rinv, Rinv)
+    shrunk *= n * gamma
+    return np.clip(1.0 - shrunk, 0.0, 1.0), float(n - shrunk.sum())
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", ["gram", "asymmetric"])
+def test_exact_leverage_is_bitwise_its_dtrtri_form(kind, order):
+    # the asymmetric matrix tells the triangles apart: the scores read K's
+    # lower one, as effective_dimension's eigh does, in either layout
+    rng = np.random.default_rng(15)
+    K = (gram(KernelSpec(sigma=0.3), synthetic_circles(300, 2).X)
+         if kind == "gram" else random_psd(rng, 300, rank=40)
+         + 1e-13 * rng.normal(size=(300, 300)))
+    K = np.array(K, order=order)
+    scores, d_eff = _dtrtri_leverage(K, 1e-3)
+    lv = exact_leverage(K, 1e-3)
+    np.testing.assert_array_equal(lv.scores, scores)
+    assert lv.d_eff == d_eff
 
 
 def test_exact_requires_positive_gamma():

@@ -52,7 +52,6 @@ Examples are derandomized, so the suite is reproducible.
 """
 
 import contextlib
-import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -61,15 +60,16 @@ from unittest import mock
 import numpy as np
 import scipy.linalg
 from hypothesis import HealthCheck, assume, example, given, settings
-from conftest import eigen_leverage, recording, unit_plan
+from conftest import (assert_same_record_state, eigen_leverage, recording,
+                      unit_plan)
 from hypothesis import strategies as st
 
 from nkcca import kcca
 from nkcca.cli import main
 from nkcca.datasets import synthetic_circles
 from nkcca.diagnostics import low_rank_dense
-from nkcca.kcca import (KccaModel, Landmarks, load_model, nkcca_fit,
-                        nkcca_fit_direct, project_many, save_model)
+from nkcca.kcca import (load_model, nkcca_fit, nkcca_fit_direct,
+                        project_many, save_model)
 from nkcca.kernels import KernelColumns, KernelSpec, gram
 from nkcca.leverage import (approx_leverage, effective_dimension,
                             exact_leverage)
@@ -255,19 +255,6 @@ def saved_paths(draw):
                 checkpoints=checkpoints)
 
 
-def _assert_same(a, b, name):
-    if isinstance(a, np.ndarray):
-        assert isinstance(b, np.ndarray) and a.dtype == b.dtype, name
-        np.testing.assert_array_equal(b, a, err_msg=name)
-    else:
-        assert type(b) is type(a) and b == a, name
-
-
-# not in the record: the oracles hold the training data (only their kernel
-# spec is stored), and the dense T is a diagnostics-only attachment
-_UNSAVED = {"view1", "view2", "t_matrix"}
-
-
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(saved_paths())
@@ -285,16 +272,7 @@ def test_save_load_round_trips_rank_path_models(case):
         save_model(e.model, buf)
         buf.seek(0)
         back = load_model(buf, ds.X, ds.Y)
-        for f in dataclasses.fields(KccaModel):
-            if f.name in _UNSAVED:
-                continue
-            a, b = getattr(e.model, f.name), getattr(back, f.name)
-            if isinstance(a, Landmarks):
-                for g in dataclasses.fields(Landmarks):
-                    _assert_same(getattr(a, g.name), getattr(b, g.name),
-                                 f"{f.name}.{g.name}")
-            else:
-                _assert_same(a, b, f.name)
+        assert_same_record_state(e.model, back)
         assert back.view1.spec == spec and back.view2.spec == spec
         for view, X in ((1, test.X), (2, test.Y)):
             np.testing.assert_array_equal(project_many(back, X, view),
