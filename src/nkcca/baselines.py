@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from .kcca import _top_svd
-from .kernels import KernelSpec, _check_positive, as_points
+from .kernels import KernelSpec, _check_finite, _check_positive, as_points
 from .leverage import _shifted_cholesky
 from .nystrom import solve_upper
 
@@ -163,8 +163,7 @@ def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel
         if Z.ndim != 2:
             raise ValueError(f"{name} must be 2-D (samples x features), got "
                              f"{Z.ndim}-D")
-        if not np.isfinite(Z).all():
-            raise ValueError(f"{name} has non-finite entries")
+        _check_finite(name, Z)
     _check_training(("Zx", "Zy"), Zx, Zy, lambda1, lambda2)
     mean_x = Zx.mean(axis=0)
     mean_y = Zy.mean(axis=0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .kernels import _check_positive, as_matrix
+from .kernels import _check_finite, _check_positive, as_matrix
 from .kcca import KccaModel, _gkl_norm, _ridge_projection, project_many
 from .leverage import _psd_eigh, _sketch_eigh, _whitened_sketch
 from .sampling import SamplingPlan
@@ -96,8 +96,7 @@ def _low_rank(K, plan: SamplingPlan, gammas) -> list[np.ndarray]:
     K = as_matrix(K)
     n = K.shape[0]
     _check_plan("plan", plan, n)
-    if not np.all(np.isfinite(K)):
-        raise ValueError("kernel matrix has non-finite entries")
+    _check_finite("K", K)
     idx, w = plan.indices, plan.weights
     # C-ordered, unlike K[:, idx]: the BLAS rounding below depends on layout
     C = np.take(K, idx, axis=1) * w
@@ -126,7 +125,7 @@ def d_matrix_norm(K, plan: SamplingPlan | None, gamma: float) -> float:
 
     Phi = Sig (Sig + N gamma I)^-1 from the eigendecomposition K = U Sig U^T
     and S is the weighted sampling matrix. An empty plan gives ||Phi||.
-    Raises ValueError for a plan index outside [0, N).
+    Raises ValueError for a plan index outside [0, N) or a non-finite K.
     """
     _check_positive("gamma", gamma)
     K = as_matrix(K)
@@ -134,6 +133,7 @@ def d_matrix_norm(K, plan: SamplingPlan | None, gamma: float) -> float:
     _check_dense_feasible(n)
     if plan is not None:
         _check_plan("plan", plan, n)
+    _check_finite("K", K)
     sig, U = _psd_eigh(K)
     phi = sig / (sig + n * gamma)
     if plan is None:
@@ -214,8 +214,7 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
     the measured ||D|| of both views. Every argument is checked before any
     N x N work: a K2 of another shape than K1, a plan index outside [0, N),
     a regularizer or shrinkage that is not positive and finite, or a t
-    outside (0, 1) raises ValueError naming it; so does a non-finite K1 or
-    K2, once its projection is built.
+    outside (0, 1), or a non-finite K1 or K2, raises ValueError naming it.
     """
     K1 = as_matrix(K1)
     K2 = as_matrix(K2)
@@ -233,6 +232,8 @@ def correlation_error_check(K1, K2, plans: tuple, lambdas: tuple,
             _check_positive(f"{name}[{i}]", value)
     _check_t("t1", t1)
     _check_t("t2", t2)
+    _check_finite("K1", K1)
+    _check_finite("K2", K2)
     # T = P1 P2 from the views' ridge projections P = Kc (Kc + N lam I)^-1,
     # and T_tilde likewise from the centered approximations at gamma = 0;
     # neither product is formed

@@ -52,7 +52,8 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, svds
 
-from .kernels import KernelColumns, KernelSpec, _check_positive, as_matrix
+from .kernels import (KernelColumns, KernelSpec, _check_finite,
+                      _check_positive, as_matrix)
 from .leverage import _COLUMN_BLOCK, _inverse_factor
 from .nystrom import (FactorState, _equilibrated_block, admit_columns,
                       chol_append_block, solve_upper)
@@ -750,8 +751,7 @@ def total_correlation(proj_x: np.ndarray, proj_y: np.ndarray) -> float:
     views = []
     for name, proj in (("proj_x", proj_x), ("proj_y", proj_y)):
         proj = np.asarray(proj, dtype=float)
-        if not np.isfinite(proj).all():
-            raise ValueError(f"{name} has non-finite entries")
+        _check_finite(name, proj)
         views.append(proj[:, None] if proj.ndim == 1 else np.atleast_2d(proj))
     proj_x, proj_y = views
     if proj_x.shape != proj_y.shape:

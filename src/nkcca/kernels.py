@@ -44,6 +44,13 @@ def _check_positive(name: str, *values: float, zero_ok: bool = False) -> None:
             raise ValueError(f"{name} must be {lower} and finite")
 
 
+def _check_finite(name: str, a: np.ndarray) -> None:
+    """The one finiteness check of an array argument: ValueError naming
+    ``name`` if ``a`` has a NaN or infinite entry."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+
+
 def as_matrix(K) -> np.ndarray:
     """The one square-matrix check: K as a float ndarray, or ValueError."""
     K = np.asarray(K, dtype=float)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import KernelColumns, _check_positive, as_matrix
+from .kernels import (KernelColumns, _check_finite, _check_positive,
+                      as_matrix)
 
 __all__ = [
     "LeverageScores",
@@ -136,8 +137,7 @@ def _inverse_factor(K: np.ndarray, lam: float, name: str, param: str,
     array. The factor reads a C-ordered K's lower triangle (its transpose
     has the result's layout) and any other K's upper one. K is only read;
     failures name it as ``name`` and lam as ``param``."""
-    if not np.isfinite(K).all():
-        raise ValueError(f"{name} has non-finite entries")
+    _check_finite(name, K)
     flip = K.flags.c_contiguous
     P = np.array(K.T if flip else K, order="F")
     n = P.shape[0]
@@ -183,9 +183,12 @@ def exact_leverage(K, gamma: float) -> LeverageScores:
 
 
 def effective_dimension(K, gamma: float) -> float:
-    """trace(K (K + N gamma I)^-1) = sum of the gamma-ridge leverage scores."""
+    """trace(K (K + N gamma I)^-1) = sum of the gamma-ridge leverage scores.
+    Raises ValueError for a gamma that is not positive and finite, or a
+    non-finite K."""
     _check_positive("gamma", gamma)
     K = as_matrix(K)
+    _check_finite("K", K)
     n = K.shape[0]
     sig = _psd_eigh(K, eigvals_only=True)
     return float(np.sum(sig / (sig + n * gamma)))

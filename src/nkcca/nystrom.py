@@ -33,7 +33,12 @@ the new Q directions. Leading blocks never change, so advancing to a
 larger rank reuses everything already computed. A state
 is sized once, by a capacity fixed when it is made (a sampling plan bounds
 the landmarks of a rank path in advance), and an append past it raises
-``ValueError``. Every buffer is column-major: appends write whole columns,
+``ValueError``. The capacity is reserved, not committed: ``R, Q, P, M``
+each live in their own anonymous memory mapping (``_mapped_zeros``), whose
+pages become resident on their first write, so resident memory follows the
+landmarks the gate keeps rather than the candidates it is offered, and a
+dropped state returns its memory to the system. tracemalloc does not see
+these buffers. Every buffer is column-major: appends write whole columns,
 the projections and the Gram-Schmidt loop read them, and a leading block
 of ``R`` reaches LAPACK without a transposing copy (``solve_upper``). ``Q``
 is the only buffer with N rows.
@@ -48,6 +53,7 @@ calls ``qr_append_block`` through the module global.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 import scipy.linalg
@@ -109,6 +115,22 @@ def solve_upper(R: np.ndarray, B: np.ndarray, trans: bool = False):
                                          lower=True, check_finite=False)
 
 
+def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
+    """A zero-filled, column-major rows x cols float array in its own
+    anonymous mapping, unmapped when the last view of the array dies. From
+    numpy's allocator, a buffer of up to 32 MB can be a recycled chunk of
+    glibc's heap (once a freed mapping has raised its mmap threshold), which
+    calloc zero-fills in full and which stays in the heap after it is
+    freed. Like numpy's own large arrays, the mapping asks for transparent
+    huge pages where mmap offers the advice. mmap rejects a length of 0."""
+    if rows * cols == 0:
+        return np.zeros((rows, cols), order="F")
+    buf = mmap.mmap(-1, rows * cols * 8)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.ndarray((rows, cols), buffer=buf, order="F")
+
+
 class FactorState:
     """Append-only factor state of one view's landmarks.
 
@@ -121,7 +143,10 @@ class FactorState:
     column j in the Q basis, upper triangular in the full-rank case.
     ``M = P R^-1`` is r x m, so ``A G_m^-1 A^T = Q M M^T Q^T``. Appends
     must be applied sequentially (single writer); reads of a finished state
-    are safe from any thread. ``capacity`` bounds m.
+    are safe from any thread. ``capacity`` bounds m; it reserves the
+    buffers of ``R, Q, P, M`` but commits only the pages appends write,
+    in mappings that tracemalloc does not trace and that live as long as
+    any view of them.
     """
 
     def __init__(self, n: int, lam: float, capacity: int):
@@ -133,10 +158,10 @@ class FactorState:
         self.r = 0
         self.indices: list[int] = []
         self._c = np.zeros(capacity, order="F")
-        self._R = np.zeros((capacity, capacity), order="F")
-        self._Q = np.zeros((n, capacity), order="F")
-        self._P = np.zeros((capacity, capacity), order="F")
-        self._M = np.zeros((capacity, capacity), order="F")
+        self._R = _mapped_zeros(capacity, capacity)
+        self._Q = _mapped_zeros(n, capacity)
+        self._P = _mapped_zeros(capacity, capacity)
+        self._M = _mapped_zeros(capacity, capacity)
 
     @property
     def R(self) -> np.ndarray:

@@ -78,13 +78,22 @@ def recording(fn, out):
 def traced_peak(fn, *args, **kwargs):
     """The tracemalloc peak, in bytes, of one call fn(*args, **kwargs): what
     the call allocates on top of what was live before it, its result
-    included. numpy's array buffers are traced."""
+    included. numpy's array buffers are traced, except those a
+    ``FactorState`` keeps in its own memory mappings."""
     tracemalloc.start()
     try:
         fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def resident_bytes():
+    """The resident memory of this process, in bytes, from
+    /proc/self/statm (Linux only): pages committed by first writes, which
+    tracemalloc cannot see."""
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 def unit_plan(indices):

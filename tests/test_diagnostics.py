@@ -611,3 +611,36 @@ def test_correlation_error_check_rejects_bad_arguments(arg, value, match):
     args[arg] = value
     with pytest.raises(ValueError, match=match):
         correlation_error_check(**args)
+
+
+def test_correlation_error_check_finds_a_non_finite_k2_before_n_by_n_work():
+    # K1's ridge projection alone is one N x N buffer
+    n = 300
+    rng = np.random.default_rng(15)
+    K2 = np.eye(n)
+    K2[0, 0] = np.inf
+    args = dict(K1=random_psd(rng, n), K2=K2,
+                plans=(uniform_plan(n, 20, seed=0),
+                       uniform_plan(n, 20, seed=1)),
+                lambdas=(0.02, 0.05), gammas=(0.01, 0.02), t1=0.4, t2=0.6)
+
+    def check():
+        with pytest.raises(ValueError, match="^K2 has non-finite entries"):
+            correlation_error_check(**args)
+
+    assert traced_peak(check) < 8 * n * n
+
+
+@pytest.mark.parametrize("check, args", [
+    pytest.param(d_matrix_norm, (None, 0.1), id="d_matrix_norm"),
+    pytest.param(tail_bound_check, (unit_plan([0, 3]), 0.1, 0.5),
+                 id="tail_bound_check"),
+    pytest.param(projection_error_check, (unit_plan([0, 3]), 0.1, 0.1, 0.5),
+                 id="projection_error_check"),
+])
+def test_checks_name_a_non_finite_k(check, args):
+    # their eigh used to find the NaN, with a message naming no argument
+    K = np.eye(5)
+    K[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^K has non-finite entries"):
+        check(K, *args)

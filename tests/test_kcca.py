@@ -1,3 +1,4 @@
+import gc
 import logging
 from unittest import mock
 
@@ -531,6 +532,27 @@ def test_q_stays_in_the_centered_subspace():
               1e-3, 1e-3, L=1, checkpoints=range(50, 301, 50),
               on_checkpoint=hook)
     assert len(drift) == 12 and max(drift) <= 1e-12 * np.sqrt(n)
+
+
+def test_a_kept_checkpoint_basis_outlives_the_fit():
+    # Q1 is a view of the fit's factor buffer: keeping it keeps that
+    # buffer's memory after nkcca_fit returns and frees its factor states
+    n = 200
+    ds = synthetic_circles(n, 1)
+    spec = KernelSpec(sigma=0.3)
+    dist = SamplingDistribution(p=np.full(n, 1 / n))
+    kept = []
+    nkcca_fit(KernelColumns.from_data(spec, ds.X),
+              KernelColumns.from_data(spec, ds.Y), sample(dist, 60, seed=1),
+              sample(dist, 60, seed=2), 1e-3, 1e-3, L=1,
+              checkpoints=[30, 60],
+              on_checkpoint=lambda e, Q1, Q2, T_hat:
+              kept.append((Q1, Q1.copy())))
+    gc.collect()
+    reuse = [np.full((n, 60), np.nan) for _ in range(20)]
+    assert len(reuse) == 20 and len(kept) == 2
+    for Q1, expected in kept:
+        np.testing.assert_array_equal(Q1, expected)
 
 
 # --- coefficients -------------------------------------------------------------

@@ -75,6 +75,13 @@ def test_exact_rejects_non_finite_kernel():
         exact_leverage(K, gamma=0.1)
 
 
+def test_effective_dimension_rejects_non_finite_kernel():
+    K = np.eye(5)
+    K[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^K has non-finite entries"):
+        effective_dimension(K, gamma=0.1)
+
+
 def _dtrtri_leverage(K, gamma):
     """exact_leverage as it was before its factor moved to _inverse_factor:
     K's lower triangle shifted and factored, dtrtri, squared row norms.

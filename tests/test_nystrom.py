@@ -1,3 +1,11 @@
+import gc
+import os
+import platform
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -431,3 +439,84 @@ def test_factor_storage_is_column_major():
                                atol=1e-12)
     np.testing.assert_allclose(qr.Q @ qr.P, A, rtol=0,
                                atol=1e-12 * np.abs(A).max())
+
+
+@pytest.mark.parametrize("capacity", [0, 1])
+def test_factor_state_at_capacity_zero_and_one(capacity):
+    # an empty mapping cannot be made, so capacity 0 needs its own buffers
+    oracle = ArrayColumns(random_psd(np.random.default_rng(5), 7))
+    state = FactorState(7, 0.1, capacity)
+    shapes = [buf.shape for buf in (state._R, state._Q, state._P, state._M)]
+    assert shapes == [(capacity, capacity), (7, capacity),
+                      (capacity, capacity), (capacity, capacity)]
+    assert state.R.shape == (0, 0) and state.Q.shape == (7, 0)
+    if capacity == 0:
+        with pytest.raises(ValueError, match="capacity"):
+            append(state, oracle, 2)
+        assert state.m == 0 and state.indices == []
+        return
+    assert append(state, oracle, 2) == [0]
+    larger = FactorState(7, 0.1, 3)
+    append(larger, oracle, 2)
+    for name in ("R", "Q", "P", "M"):
+        np.testing.assert_array_equal(getattr(state, name),
+                                      getattr(larger, name), err_msg=name)
+
+
+def test_factor_buffers_are_released_with_their_last_view():
+    oracle = ArrayColumns(random_psd(np.random.default_rng(6), 30))
+    state = FactorState(30, 0.1, capacity=5)
+    append(state, oracle, [0, 1, 2])
+    mapping = weakref.ref(state._Q.base)
+    Q = state.Q
+    expected = Q.copy()
+    del state
+    gc.collect()
+    assert mapping() is not None
+    np.testing.assert_array_equal(Q, expected)
+    del Q
+    gc.collect()
+    assert mapping() is None
+
+
+_RESIDENT_SCRIPT = """
+import numpy as np
+from conftest import resident_bytes
+from nkcca.datasets import synthetic_circles
+from nkcca.kernels import KernelColumns, KernelSpec
+from nkcca.nystrom import FactorState, chol_append_block
+
+n, idx = 3000, np.arange(10)
+oracle = KernelColumns.from_data(KernelSpec(sigma=0.3),
+                                 synthetic_circles(n, 0).X)
+columns = oracle.columns(idx)
+chol_append_block(FactorState(n, 1e-3, 20), idx, columns)   # warm-up
+# freeing a mapped 30 MB buffer raises glibc's mmap threshold past it
+mapped = np.ones(30 << 17)
+del mapped
+# so this one is a heap chunk, freed below an array that keeps the heap
+# top from being trimmed: a later calloc recycles it
+chunk = np.empty(30 << 17)
+above = np.ones(1 << 12)
+del chunk
+before = resident_bytes()
+state = FactorState(n, 1e-3, 1200)
+chol_append_block(state, idx, columns)
+print(resident_bytes() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="reads /proc/self/statm; the recycled chunk "
+                           "is glibc's malloc behaviour")
+def test_factor_capacity_is_not_resident_until_written():
+    # a 1200-landmark state holding 10 landmarks commits about 1 MB of its
+    # 63 MB of buffers; from a recycled C heap chunk it committed 32 MB
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", _RESIDENT_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert int(out.stdout) < 8 << 20
