@@ -116,11 +116,22 @@ def _centered_features(rff: RffMap, X: np.ndarray, mean=None):
     return Z, mean
 
 
-def _covariances(Xc: np.ndarray, Yc: np.ndarray):
-    """Cxx, Cyy and Cxy of two centered views: the D x D moments that are
-    all the linear CCA core reads of the N x D features."""
+def _covariances(views: list):
+    """Cxx, Cyy and Cxy of the two centered views [Xc, Yc] in ``views``:
+    the D x D moments that are all the linear CCA core reads of the N x D
+    features. ``views`` is emptied, so the views are released as soon as
+    they are read: Cxy and Cxx are formed first, and Xc is released before
+    Cyy. Each moment is divided by N in its own buffer."""
+    Yc = views.pop()
+    Xc = views.pop()
     n = Xc.shape[0]
-    return Xc.T @ Xc / n, Yc.T @ Yc / n, Xc.T @ Yc / n
+    Cxy = Xc.T @ Yc
+    Cxx = Xc.T @ Xc
+    del Xc
+    Cyy = Yc.T @ Yc
+    for M in (Cxx, Cyy, Cxy):
+        M /= n
+    return Cxx, Cyy, Cxy
 
 
 def _centered_cca(Cxx, Cyy, Cxy, mean_x, mean_y, lambda1: float,
@@ -167,7 +178,7 @@ def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel
     _check_training(("Zx", "Zy"), Zx, Zy, lambda1, lambda2)
     mean_x = Zx.mean(axis=0)
     mean_y = Zy.mean(axis=0)
-    return _centered_cca(*_covariances(Zx - mean_x, Zy - mean_y), mean_x,
+    return _centered_cca(*_covariances([Zx - mean_x, Zy - mean_y]), mean_x,
                          mean_y, lambda1, lambda2, L)
 
 
@@ -181,9 +192,10 @@ def rcca_fit(X_train, Y_train, sigma1: float, sigma2: float, n_features: int,
     ``KernelSpec``'s rule, n_features must be at least 1 and the
     regularizers positive and finite (ValueError), all checked before any
     feature is drawn. Each view's features are centered in their own
-    buffer and released once the covariances exist, so the fit holds at
-    most two N x D arrays; ``project`` holds one, building, centering and
-    projecting one view at a time.
+    buffer; the X features are released once Cxy and Cxx exist, before Cyy
+    is formed, so the fit holds at most two N x D arrays beside two D x D
+    covariances, and one beside three. ``project`` holds one N x D array,
+    building, centering and projecting one view at a time.
     """
     X_train = as_points(X_train, "X_train")
     Y_train = as_points(Y_train, "Y_train")
@@ -193,9 +205,10 @@ def rcca_fit(X_train, Y_train, sigma1: float, sigma2: float, n_features: int,
     map_y = make_rff_map(Y_train.shape[1], n_features, sigma2, seed + 1)
     Xc, mean_x = _centered_features(map_x, X_train)
     Yc, mean_y = _centered_features(map_y, Y_train)
-    moments = _covariances(Xc, Yc)
-    del Xc, Yc
-    model = _centered_cca(*moments, mean_x, mean_y, lambda1, lambda2, L)
+    views = [Xc, Yc]
+    del Xc, Yc   # _covariances releases each view once it is read
+    model = _centered_cca(*_covariances(views), mean_x, mean_y, lambda1,
+                          lambda2, L)
 
     def project(X, Y):
         X, Y = as_points(X, "X"), as_points(Y, "Y")

@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .kernels import _check_finite, _check_positive, as_matrix
 from .kcca import KccaModel, _gkl_norm, _ridge_projection, project_many
-from .leverage import _psd_eigh, _sketch_eigh, _whitened_sketch
+from .leverage import _psd_eigh, _sketch_eigh, _whitened_sketch, _whitening
 from .sampling import SamplingPlan
 
 __all__ = [
@@ -98,12 +98,16 @@ def _low_rank(K, plan: SamplingPlan, gammas) -> list[np.ndarray]:
     _check_plan("plan", plan, n)
     _check_finite("K", K)
     idx, w = plan.indices, plan.weights
-    # C-ordered, unlike K[:, idx]: the BLAS rounding below depends on layout
-    C = np.take(K, idx, axis=1) * w
-    eig = _sketch_eigh(C[idx] * w[:, None])
+    W = K[np.ix_(idx, idx)] * w
+    W *= w[:, None]
+    eig = _sketch_eigh(W)
     out = []
     for gamma in gammas:
-        F = _whitened_sketch(C, eig, n * gamma)
+        # F is written over C, so each shift gathers C = K S anew;
+        # C-ordered, unlike K[:, idx]: the BLAS rounding depends on layout
+        C = np.take(K, idx, axis=1)
+        C *= w
+        F = _whitened_sketch(C, _whitening(eig, n * gamma))
         out.append(F @ F.T)   # a rank-k update: exactly symmetric
     return out
 

@@ -145,7 +145,10 @@ class KernelColumns:
         return self.columns([i])[:, 0]
 
     def columns(self, idx) -> np.ndarray:
-        """Batched fetch: the N x len(idx) block of kernel columns."""
+        """Batched fetch: the N x len(idx) block of kernel columns, a new
+        array on every call and bitwise the same block for the same idx, so
+        a caller may consume it (``chol_append_block`` does) or fetch it
+        again rather than keep it (``approx_leverage`` does)."""
         idx = np.asarray(idx, dtype=int)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise IndexError("column index out of range")

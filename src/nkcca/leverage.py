@@ -27,6 +27,12 @@ PROB_FLOOR = 1e-12
 # with all N right-hand sides at once makes OpenBLAS pack a panel that grows
 # with N (about 7 MB at N = 3000) and stays resident for the process.
 _SOLVE_ROWS = 512
+# Rows per block of the whitening product, which writes F over C. A multiple
+# of the BLAS kernels' tile widths (384 = 3 * 128), so each block's rows fall
+# in the same tiles as in one product over all N rows and round alike; a
+# one-row remainder joins the block before it, since numpy multiplies a lone
+# row by gemv.
+_PRODUCT_ROWS = 384
 # _inverse_factor symmetrizes a centered matrix, and kcca._ridge_projection
 # mirrors its triangle, this many columns at a time.
 _COLUMN_BLOCK = 128
@@ -85,8 +91,8 @@ def _psd_eigh(K: np.ndarray, eigvals_only: bool = False,
 
 def _sketch_eigh(W: np.ndarray):
     """The eigendecomposition (sig, U) of a sketch block W, symmetrized and
-    with tiny negative eigenvalues clipped: what _whitened_sketch factors
-    at any shift. The symmetrized block is exactly symmetric, so its
+    with tiny negative eigenvalues clipped: what ``_whitening`` scales at
+    any shift. The symmetrized block is exactly symmetric, so its
     transpose, an F-ordered view of the same values, is factored in place:
     one s x s buffer besides W."""
     S = W + W.T
@@ -94,25 +100,43 @@ def _sketch_eigh(W: np.ndarray):
     return _psd_eigh(S.T, overwrite=True)
 
 
-def _whitened_sketch(C: np.ndarray, eig, shift: float) -> np.ndarray:
-    """The whitened sketch F = C U+ diag(sig+ + shift)^-1/2, so that
-    F F^T = C (W + shift I)^+ C^T.
+def _whitening(eig, shift: float) -> np.ndarray:
+    """The s x k map U+ diag(sig+ + shift)^-1/2 that ``_whitened_sketch``
+    applies to the kernel columns C of a sketch block W.
 
-    C holds sampled kernel columns (N x s) and ``eig`` = _sketch_eigh(W)
-    is W = U diag(sig) U^T for their s x s block W, so one
-    eigendecomposition serves every shift; U+ and sig+ keep the directions
-    whose sig + shift exceeds the eps-threshold sig_max * s * eps of the
-    pseudo-inverse. U+ is a copy, scaled in place; U itself is left as it
-    is for the next shift. Every dense Nystrom approximation of the package
-    comes from this factor: the leverage sketch at shift 0 and
-    ``diagnostics.low_rank_dense`` at shift N gamma.
+    ``eig`` = _sketch_eigh(W) is W = U diag(sig) U^T, so one
+    eigendecomposition serves every shift; U+ and sig+ keep the k
+    directions whose sig + shift exceeds the eps-threshold
+    sig_max * s * eps of the pseudo-inverse. U+ is a copy, scaled in place;
+    U itself is left as it is for the next shift.
     """
     sig, U = eig
     tol = sig.max(initial=0.0) * sig.shape[0] * np.finfo(float).eps
     keep = sig + shift > tol
     scaled = U[:, keep]
     scaled /= np.sqrt(sig[keep] + shift)
-    return C @ scaled
+    return scaled
+
+
+def _whitened_sketch(C: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """The whitened sketch F = C U+ diag(sig+ + shift)^-1/2, so that
+    F F^T = C (W + shift I)^+ C^T, written over C.
+
+    C holds sampled kernel columns (N x s) and ``scaled`` =
+    _whitening(_sketch_eigh(W), shift) for their s x s block W. F is formed
+    in C's own buffer, ``_PRODUCT_ROWS`` rows at a time (a row block of the
+    product reads only the same rows of C), bitwise as one product, and
+    returned as the view C[:, :k]: C is consumed, and C and F never
+    coexist. Every dense Nystrom approximation of the package comes from
+    this factor: the leverage sketch at shift 0 and
+    ``diagnostics.low_rank_dense`` at shift N gamma.
+    """
+    k, n = scaled.shape[1], C.shape[0]
+    starts = range(0, max(n - 1, 1), _PRODUCT_ROWS)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        rows = C[lo:hi]
+        rows[:, :k] = rows @ scaled
+    return C[:, :k]
 
 
 def _shifted_cholesky(S: np.ndarray, shift: float, matrix: str, param: str,
@@ -207,9 +231,12 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     F^T F + N gamma I; the shift bounds its
     condition number by 1 + ||F||^2 / (N gamma). Since L is dominated by K
     in the PSD order, the estimates never exceed the exact scores. With the
-    full sketch, L = K and the estimates are exact. It holds at most two
-    N x s arrays, the kernel block C and F: C is released once F exists,
-    and the triangular solves overwrite F.
+    full sketch, L = K and the estimates are exact. It holds one N x s
+    array at a time: C is released once its s x s block W is taken, so the
+    sketch eigh runs beside s x s arrays only; the oracle then serves C
+    again (the same block) and F is written over it, so beside it only
+    s x s arrays and a block of ``_SOLVE_ROWS`` rows are live. The second
+    fetch costs one more N x s kernel block.
     """
     _check_positive("gamma", gamma)
     n = oracle.n
@@ -219,13 +246,19 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     idx = np.sort(rng.choice(n, size=sketch_size, replace=False))
 
     C = oracle.columns(idx)
-    F = _whitened_sketch(C, _sketch_eigh(C[idx, :]), 0.0)
-    del C  # C and F are the only N x s arrays live at once
+    W = C[idx, :]
+    del C   # the sketch eigh holds W, its symmetrized copy and LAPACK's work
+    scaled = _whitening(_sketch_eigh(W), 0.0)   # U is freed here
+    del W
+    # the same block again, whitened in its own buffer: F is a view of it
+    F = _whitened_sketch(oracle.columns(idx), scaled)
+    del scaled
     R = _shifted_cholesky(F.T @ F, n * gamma, "F^T F + N gamma I", "gamma",
                           gamma)
     scores = np.empty(n)
     for lo in range(0, n, _SOLVE_ROWS):
-        # F[lo:hi]^T is a column-major view, so the solve runs in place
+        # in place where F[lo:hi]^T is column-major (a C-ordered C); a
+        # KernelColumns block is column-major, so its rows are copied
         Z = scipy.linalg.solve_triangular(R, F[lo:lo + _SOLVE_ROWS].T,
                                           trans="T", lower=False,
                                           overwrite_b=True, check_finite=False)

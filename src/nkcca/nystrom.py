@@ -87,24 +87,29 @@ _QR_SUB = 32
 
 def _equilibrated_block(columns: np.ndarray, indices: np.ndarray,
                         lam: float):
-    """Candidate block of the equilibrated target.
+    """Candidate block of the equilibrated target, built in the block.
 
-    ``columns`` holds the N x p kernel columns of the landmarks ``indices``.
-    Returns the centered columns scaled by ``c = 1 / sqrt(d0)``, the scales
-    ``c`` (0 for a column without mass, which the gate then rejects) and the
-    block's unit-diagonal target ``N lam c_i c_j K_ij + A^T A``.
+    ``columns`` holds the N x p kernel columns of the landmarks ``indices``
+    and is consumed: the rows the target reads (the diagonal and the
+    block's own Gram block) are gathered first, then the columns are
+    centered and scaled by ``c = 1 / sqrt(d0)`` in their own buffer, which
+    is returned as A. Returns A, the scales ``c`` (0 for a column without
+    mass, which the gate then rejects) and the block's unit-diagonal target
+    ``N lam c_i c_j K_ij + A^T A``.
     """
     n, nb = columns.shape
-    H_cols = columns - columns.mean(axis=0)
-    d0 = (np.einsum("ij,ij->j", H_cols, H_cols)
-          + n * lam * columns[indices, np.arange(nb)])
+    diag = columns[indices, np.arange(nb)]
+    gram = columns[indices, :]
+    columns -= columns.mean(axis=0)
+    d0 = np.einsum("ij,ij->j", columns, columns) + n * lam * diag
     c = np.zeros(nb)
     has_mass = d0 > 0
     c[has_mass] = 1.0 / np.sqrt(d0[has_mass])
-    A = H_cols * c
-    gram = (columns[indices, :] * c[:, None]) * c[None, :]
-    S = n * lam * 0.5 * (gram + gram.T) + A.T @ A
-    return A, c, 0.5 * (S + S.T)
+    columns *= c
+    gram *= c[:, None]
+    gram *= c[None, :]
+    S = n * lam * 0.5 * (gram + gram.T) + columns.T @ columns
+    return columns, c, 0.5 * (S + S.T)
 
 
 def solve_upper(R: np.ndarray, B: np.ndarray, trans: bool = False):
@@ -226,6 +231,12 @@ def chol_append_block(state: FactorState, indices,
     keeps its leading columns (zero in the new Q rows) and gains
     ``(P[:, m0:] - M_old W) B^-1``. Returns the block-local positions kept.
     Keeping more landmarks than the state's capacity raises ``ValueError``.
+
+    ``columns`` (the N x p kernel columns of ``indices``) is consumed: it
+    is the one N x p buffer of the append. The rows of the kept landmarks
+    are gathered from it first; ``_equilibrated_block`` then builds the
+    block in it, the kept columns move to its front in order, and
+    ``qr_append_block`` forms their residual there.
     """
     indices = np.asarray(indices, dtype=int)
     nb = indices.shape[0]
@@ -233,11 +244,13 @@ def chol_append_block(state: FactorState, indices,
         raise ValueError("column block shape mismatch")
     m0 = state.m
 
+    # the rows of the kept landmarks, raw, before the block is consumed
+    gram_cross = columns[np.asarray(state.indices, dtype=int), :]
     A_blk, c, S_blk = _equilibrated_block(columns, indices, state.lam)
     C = state.Q.T @ A_blk
     if m0 > 0:
-        prev_idx = np.asarray(state.indices, dtype=int)
-        gram_cross = (columns[prev_idx, :] * state._c[:m0, None]) * c
+        gram_cross *= state._c[:m0, None]
+        gram_cross *= c
         W = solve_upper(state.R, state.P.T @ C
                         + state.n * state.lam * gram_cross, trans=True)
         S_blk = S_blk - W.T @ W
@@ -249,7 +262,10 @@ def chol_append_block(state: FactorState, indices,
     if not kept:
         return kept
     r0 = state.r
-    qr_append_block(state, A_blk[:, kept], C[:, kept])
+    for j, col in enumerate(kept):   # kept[j] >= j: no column is lost
+        if col != j:
+            A_blk[:, j] = A_blk[:, col]
+    qr_append_block(state, A_blk[:, :len(kept)], C[:, kept])
     sl = slice(m0, state.m)
     W = W[:, kept]
     state._c[sl] = c[kept]
@@ -289,7 +305,9 @@ def qr_append_block(state: FactorState, A_blk: np.ndarray,
     means. A column whose residual is below 1e-10 times its norm is
     dependent: its projection coefficients are recorded in P but no Q
     column is invented. Appending past the state's capacity raises
-    ``ValueError`` and leaves the state as it was.
+    ``ValueError`` and leaves the state as it was. ``A_blk`` is consumed: a
+    column-major block holds the residual, and its columns are left
+    projected off the basis, not as they were passed.
     """
     nb = A_blk.shape[1]
     m0, r0 = state.m, state.r
@@ -301,9 +319,9 @@ def qr_append_block(state: FactorState, A_blk: np.ndarray,
         raise ValueError(f"{m0 + nb} columns exceed the capacity")
     Q = state._Q[:, :r0]
     norms = np.linalg.norm(A_blk, axis=0)
-    # V = A_blk - Q C, then V -= Q C2, as BLAS updates of a column-major V
-    # with no further N x nb temporary
-    V = dgemm(-1.0, Q, C, 1.0, A_blk)
+    # V = A_blk - Q C, then V -= Q C2, as BLAS updates in A_blk's own
+    # buffer (in a column-major copy if A_blk is not column-major)
+    V = dgemm(-1.0, Q, C, 1.0, A_blk, overwrite_c=True)
     C2 = Q.T @ V
     V = dgemm(-1.0, Q, C2, 1.0, V, overwrite_c=True)
     state._P[:r0, m0 : m0 + nb] = C + C2

@@ -247,14 +247,16 @@ def test_rcca_fit_and_project_match_the_public_pieces_bitwise():
 
 
 def test_rcca_fit_and_project_hold_few_feature_buffers():
-    # the fit: both centered N x D views and the three D x D covariances,
-    # where it held five N x D arrays; project: one N x D array
+    # the fit: both centered N x D views beside Cxy and Cxx, each divided
+    # by N in place, then one view beside all three covariances (it held
+    # five N x D arrays, then 2 N D + 3.03 D^2 doubles with every
+    # covariance beside both views); project: one N x D array
     n, D = 2000, 300
     ds = synthetic_circles(n, seed=2)
     kwargs = dict(sigma1=1.0, sigma2=1.0, n_features=D, lambda1=1e-3,
                   lambda2=1e-3, L=2, seed=0)
     assert traced_peak(rcca_fit, ds.X, ds.Y, **kwargs) <= 8 * (2 * n * D
-                                                               + 4 * D * D)
+                                                               + 2.1 * D * D)
     _, project = rcca_fit(ds.X, ds.Y, **kwargs)
     assert traced_peak(project, ds.X, ds.Y) <= 1.1 * 8 * n * D
 

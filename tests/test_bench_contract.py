@@ -7,11 +7,14 @@ and ``nk_kcca.<name>``. Both files are only parsed here (never imported), so
 deleting a name they need fails this test instead of a benchmark run. Names
 do not cover signatures: ``bench/selftest.py`` runs every workload at tiny
 size in a subprocess, so a changed call, such as the arguments the
-``on_checkpoint`` hook forwards, fails here too.
+``on_checkpoint`` hook forwards, fails here too. A run's result is its
+last stdout line, so a ridge_compare run through the harness's ``main`` must
+end with it, and the library itself must write nothing to stdout.
 """
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -92,3 +95,51 @@ def test_bench_selftest_passes():
     done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+_RIDGE_RUN_SCRIPT = """
+import sys
+import run
+run.load_library()
+import workloads
+workloads.RidgeCompare.full = workloads.RidgeCompare.tiny
+sys.exit(run.main(["--workload", "ridge_compare", "--seed", "5",
+                   "--seconds", "0"]))
+"""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_bench_run_ends_its_stdout_with_the_result():
+    # a run is read by its last stdout line, so nothing may follow the
+    # result: ridge_compare at tiny size, through the harness's own main
+    done = subprocess.run([sys.executable, "-c", _RIDGE_RUN_SCRIPT],
+                          cwd=BENCH, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    summary = json.loads(done.stdout.splitlines()[-1],
+                         parse_constant=_reject_constant)
+    assert summary["correct"] is True
+    assert set(summary["metrics"]) == {
+        "setup_s", "run_s", "checkpoint_s.p50", "checkpoint_s.tail",
+        "peak_rss_mb", "test_corr"}
+
+
+def test_library_pipeline_writes_nothing_to_stdout(capfd):
+    ds, test = nkcca.synthetic_circles(120, 0), nkcca.synthetic_circles(40, 1)
+    spec = nkcca.KernelSpec(sigma=0.5)
+    o1 = nkcca.KernelColumns.from_data(spec, ds.X)
+    o2 = nkcca.KernelColumns.from_data(spec, ds.Y)
+    plans = [nkcca.sample(nkcca.make_distribution(
+                 nkcca.approx_leverage(o, 1e-2, 40, seed=seed)), 30, seed=seed)
+             for seed, o in enumerate((o1, o2))]
+    entries = nkcca.nkcca_fit(o1, o2, *plans, 1e-3, 1e-3, 2, [15, 30])
+    model = entries[-1].model
+    nkcca.project_many(model, test.X, 1)
+    nkcca.project_many(model, test.Y, 2)
+    _, project = nkcca.rcca_fit(ds.X, ds.Y, 0.5, 0.5, 30, 1e-3, 1e-3, L=2,
+                                seed=3)
+    project(test.X, test.Y)
+    assert capfd.readouterr().out == ""

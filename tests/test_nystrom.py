@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import ArrayColumns, centering_matrix, random_psd
+from conftest import ArrayColumns, centering_matrix, random_psd, traced_peak
 
 from nkcca import nystrom
 from nkcca.datasets import synthetic_circles
@@ -258,8 +258,9 @@ def test_gate_matches_left_looking_reference():
 
 
 def qr_append(state, block):
-    """qr_append_block with its first projection pass formed here."""
-    return qr_append_block(state, block, state.Q.T @ block)
+    """qr_append_block with its first projection pass formed here, on a
+    copy of the block, which it consumes."""
+    return qr_append_block(state, block.copy(order="K"), state.Q.T @ block)
 
 
 def test_qr_orthogonal_inputs():
@@ -362,6 +363,77 @@ def test_chol_append_block_calls_qr_through_the_module(monkeypatch):
     state = FactorState(30, 0.1, capacity=6)
     kept = chol_append_block(state, np.arange(6), oracle.columns(np.arange(6)))
     assert widths == [len(kept)] and state.m == len(kept) > 0
+
+
+def _copying_equilibrated_block(columns, indices, lam):
+    """_equilibrated_block with every step in a new array, as it was before
+    it built the block in the caller's buffer."""
+    n, nb = columns.shape
+    H_cols = columns - columns.mean(axis=0)
+    d0 = (np.einsum("ij,ij->j", H_cols, H_cols)
+          + n * lam * columns[indices, np.arange(nb)])
+    c = np.zeros(nb)
+    has_mass = d0 > 0
+    c[has_mass] = 1.0 / np.sqrt(d0[has_mass])
+    A = H_cols * c
+    gram = (columns[indices, :] * c[:, None]) * c[None, :]
+    S = n * lam * 0.5 * (gram + gram.T) + A.T @ A
+    return A, c, 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_equilibrated_block_in_place_is_bitwise_its_copying_form(order):
+    rng = np.random.default_rng(12)
+    oracle = KernelColumns.from_data(KernelSpec(sigma=0.6),
+                                     rng.normal(size=(90, 2)))
+    idx = np.array([3, 17, 17, 40, 88])
+    columns = np.asarray(oracle.columns(idx), order=order)
+    want = _copying_equilibrated_block(columns.copy(order="K"), idx,
+                                       1e-2)
+    got = _equilibrated_block(columns, idx, 1e-2)
+    assert got[0] is columns
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_chol_append_block_moves_the_kept_columns_to_the_front(monkeypatch):
+    # the gate rejects the repeated landmark inside the block; the QR gets
+    # the kept equilibrated columns, in order, at the front of the block
+    oracle = KernelColumns.from_data(KernelSpec(sigma=0.7),
+                                     synthetic_circles(50, 4).X)
+    state = FactorState(50, 1e-2, capacity=8)
+    append(state, oracle, [0, 9])
+    idx = np.array([5, 9, 12, 5, 30])
+    columns = oracle.columns(idx)
+    A_all = _equilibrated_block(columns.copy(order="K"), idx, 1e-2)[0]
+    seen = []
+
+    def spy(state, A_blk, C):
+        seen.append((np.shares_memory(A_blk, columns), A_blk.copy()))
+        return qr_append_block(state, A_blk, C)
+
+    monkeypatch.setattr(nystrom, "qr_append_block", spy)
+    kept = chol_append_block(state, idx, columns)
+    assert kept == [0, 2, 4]
+    shared, A_kept = seen[0]
+    assert shared
+    np.testing.assert_array_equal(A_kept, A_all[:, kept])
+
+
+def test_chol_append_block_holds_one_block_sized_array():
+    # beyond the caller's N x p block, which it consumes: the QR's column
+    # norms square the kept columns in one temporary, the rest has p rows
+    # or fewer; with the centered and scaled block, the kept columns and
+    # their residual in arrays of their own it peaked at 3.65 N p doubles
+    n, p = 3000, 250
+    oracle = KernelColumns.from_data(KernelSpec(sigma=0.3),
+                                     synthetic_circles(n, 0).X)
+    idx = np.random.default_rng(3).permutation(n)[:2 * p]
+    state = FactorState(n, 1e-3, 2 * p)
+    append(state, oracle, idx[:p])
+    columns = oracle.columns(idx[p:])
+    peak = traced_peak(chol_append_block, state, idx[p:], columns)
+    assert state.m > p and peak <= 8 * 1.6 * n * p
 
 
 def test_append_past_capacity_raises():
@@ -490,7 +562,8 @@ n, idx = 3000, np.arange(10)
 oracle = KernelColumns.from_data(KernelSpec(sigma=0.3),
                                  synthetic_circles(n, 0).X)
 columns = oracle.columns(idx)
-chol_append_block(FactorState(n, 1e-3, 20), idx, columns)   # warm-up
+# warm-up, on a copy: an append consumes its block
+chol_append_block(FactorState(n, 1e-3, 20), idx, columns.copy(order="K"))
 # freeing a mapped 30 MB buffer raises glibc's mmap threshold past it
 mapped = np.ones(30 << 17)
 del mapped
