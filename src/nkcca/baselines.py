@@ -51,9 +51,9 @@ def make_rff_map(dim: int, n_features: int, sigma: float, seed: int) -> RffMap:
 
 
 def rff_features(rff: RffMap, X) -> np.ndarray:
-    """The N x D features sqrt(2/D) cos(X W^T + b) of the rows of X, formed
-    in the buffer of X W^T: the phases, the cosine and the scale are
-    applied in place, so the result is the only N x D array."""
+    """The N x D features sqrt(2/D) cos(X W^T + b) of the rows of X, which
+    is only read; the result is the only N x D array formed. Raises
+    ValueError when X's width is not the map's."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != rff.frequencies.shape[1]:
         raise ValueError("dimension mismatch between map and data")
@@ -117,11 +117,9 @@ def _centered_features(rff: RffMap, X: np.ndarray, mean=None):
 
 
 def _covariances(views: list):
-    """Cxx, Cyy and Cxy of the two centered views [Xc, Yc] in ``views``:
-    the D x D moments that are all the linear CCA core reads of the N x D
-    features. ``views`` is emptied, so the views are released as soon as
-    they are read: Cxy and Cxx are formed first, and Xc is released before
-    Cyy. Each moment is divided by N in its own buffer."""
+    """Cxx, Cyy and Cxy of the two centered views [Xc, Yc] in ``views``,
+    which is emptied so that Xc is released once Cxy and Cxx exist, before
+    Cyy is formed."""
     Yc = views.pop()
     Xc = views.pop()
     n = Xc.shape[0]
@@ -155,18 +153,15 @@ def _centered_cca(Cxx, Cyy, Cxy, mean_x, mean_y, lambda1: float,
 
 
 def linear_cca(Zx, Zy, lambda1: float, lambda2: float, L: int) -> LinearCcaModel:
-    """Regularized linear CCA on feature matrices (samples x features).
-
-    Each view is centered and whitened by R^-1, R the upper Cholesky
-    factor of Z^T Z / N + lam I; the top-L singular triplets of the
-    whitened cross-covariance R_x^-T (Z_x^T Z_y / N) R_y^-1 give the
-    canonical correlations, and R^-1 maps their singular vectors to the
-    weights. If fewer than L informative directions exist, the model is
-    truncated with a warning. Zx and Zy are left unwritten: each view is
-    centered in a copy. They must be finite and 2-D with the same number
-    of at least two rows, and lambda1 and lambda2 positive and finite
-    (ValueError), and large enough that Z^T Z / N + lam I is numerically
-    positive definite (LinAlgError).
+    """Regularized linear CCA on feature matrices (samples x features),
+    which are only read: the top-L singular triplets of the whitened
+    cross-covariance R_x^-T (Z_x^T Z_y / N) R_y^-1, R the upper Cholesky
+    factor of Z^T Z / N + lam I of each centered view. With fewer than L
+    informative directions the model is truncated, with a warning. Zx and
+    Zy must be finite and 2-D with the same number of at least two rows,
+    and lambda1 and lambda2 positive and finite (ValueError), and large
+    enough that Z^T Z / N + lam I is numerically positive definite
+    (LinAlgError).
     """
     Zx = np.asarray(Zx, dtype=float)
     Zy = np.asarray(Zy, dtype=float)
@@ -191,11 +186,9 @@ def rcca_fit(X_train, Y_train, sigma1: float, sigma2: float, n_features: int,
     paired by row, at least two of them for training; the bandwidths follow
     ``KernelSpec``'s rule, n_features must be at least 1 and the
     regularizers positive and finite (ValueError), all checked before any
-    feature is drawn. Each view's features are centered in their own
-    buffer; the X features are released once Cxy and Cxx exist, before Cyy
-    is formed, so the fit holds at most two N x D arrays beside two D x D
-    covariances, and one beside three. ``project`` holds one N x D array,
-    building, centering and projecting one view at a time.
+    feature is drawn. The fit holds at most two N x D arrays beside two
+    D x D covariances, and one beside three; ``project`` holds one N x D
+    array at a time.
     """
     X_train = as_points(X_train, "X_train")
     Y_train = as_points(Y_train, "Y_train")

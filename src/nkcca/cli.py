@@ -26,9 +26,9 @@ from scipy.sparse.linalg import ArpackError
 from .baselines import rcca_fit
 from .datasets import load_paired_csv, synthetic_circles, write_paired_csv
 from .diagnostics import _DENSE_N_LIMIT as _CHECK_N_LIMIT
-from .diagnostics import (correlation_error_check, projection_error_check,
-                          psd_ordering_check, stability_check,
-                          tail_bound_check)
+from .diagnostics import (_stability_terms, correlation_error_check,
+                          projection_error_check, psd_ordering_check,
+                          stability_check, tail_bound_check)
 from .kcca import (_EXACT_N_LIMIT, exact_kcca, nkcca_fit, nkcca_fit_direct,
                    project_many, save_model, t_error_norm, total_correlation)
 from .kernels import KernelColumns, KernelSpec, _check_positive, as_points
@@ -394,7 +394,6 @@ def _error_curve_rows(cfg, data, strategies):
     exp = _Experiment(cfg, data, dense_limit=_EXACT_N_LIMIT)
     _log.info("exact reference at N=%d ...", exp.o1.n)
     exact = exp.exact(keep_t=True)
-    gap = exact.rho[0] - (exact.rho[1] if cfg.L > 1 else exact.sigma_next)
     n = exact.n
     rows = []
     for strategy in strategies:
@@ -404,13 +403,11 @@ def _error_curve_rows(cfg, data, strategies):
                 lambda e, Q1, Q2, T_hat: t_errs.append(
                     t_error_norm(exact.t_matrix, Q1, Q2, T_hat))))
             for e, t_err in zip(entries, t_errs):
-                flip = -1.0 if float(e.model.alpha_prime[:, 0]
-                                     @ exact.alpha_prime[:, 0]) < 0 else 1.0
+                gap, coef, flip = _stability_terms(exact, e.model.alpha_prime)
                 rho_err = abs(exact.rho[0] - e.rho_tilde[0])
                 alpha_err = float(np.linalg.norm(
                     exact.alpha[:, 0] - flip * e.model.alpha[:, 0])) / math.sqrt(n)
-                bound = ((0.5 + 4.0 * math.sqrt(2.0) / gap) * t_err / (n * exp.l1)
-                         if gap > 0 else float("inf"))
+                bound = coef * t_err / (n * exp.l1) if gap > 0 else math.inf
                 rows.append([strategy, seed, e.m1, rho_err, t_err, alpha_err, bound])
             _log.info("  %s seed %s: done (%.1fs)", strategy, seed,
                       entries[-1].wall_time_incremental)

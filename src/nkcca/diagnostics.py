@@ -1,19 +1,7 @@
-"""Dense, small-N verifiers for the approximation and stability bounds.
-
-Everything here forms N x N operators on purpose: these checks exist to
-validate the scalable solver path on problems where the exact quantities are
-still computable. They are gated to modest N by default.
-
-Every spectral norm, and the top eigenvalue of K - L_gamma (PSD, so its
-norm), comes from kcca's Golub-Kahan-Lanczos routine (_gkl_norm), called
-directly rather than through the public t_error_norm, which span tracers
-time as the checkpoint error norm. It takes products and differences as
-terms and applies them factor by factor, so T = P1 P2 and T - T_tilde are
-never formed. Every ridge projection, centered or not, is kcca's one
-in-place primitive (_ridge_projection). Two decompositions stay full: the
-minimum eigenvalues of the PSD ordering, which Lanczos cannot certify
-inside a cluster at zero, and d_matrix_norm's eigh, whose eigenvectors
-form D. L and L_gamma of one plan share one sketch eigendecomposition.
+"""Dense, small-N verifiers of the approximation and stability bounds,
+each returning ``BoundReport`` rows. They form N x N operators on purpose
+and refuse N above ``_DENSE_N_LIMIT``. README, "Numerical notes", has how
+their norms and projections are computed.
 """
 
 from __future__ import annotations
@@ -27,7 +15,7 @@ import scipy.linalg
 from .kernels import _check_finite, _check_positive, as_matrix
 from .kcca import KccaModel, _gkl_norm, _ridge_projection, project_many
 from .leverage import _psd_eigh, _sketch_eigh, _whitened_sketch, _whitening
-from .sampling import SamplingPlan
+from .sampling import SamplingPlan, _check_plan
 
 __all__ = [
     "BoundReport",
@@ -77,10 +65,17 @@ def _check_t(name: str, t: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1)")
 
 
-def _check_plan(name: str, plan: SamplingPlan, n: int) -> None:
-    # SamplingPlan rejects negative indices; K fixes the upper end
-    if plan.indices.max(initial=-1) >= n:
-        raise ValueError(f"{name} has indices outside [0, {n})")
+def _stability_terms(exact: KccaModel, alpha_prime: np.ndarray):
+    """The stability bound's terms for an approximate fit whose top vector
+    is ``alpha_prime[:, 0]``: the gap r = rho_1 - (rho_2 if L > 1, else
+    sigma_next) of ``exact``, the coefficient 1/2 + 4 sqrt2 / r (inf unless
+    r > 0), and the sign, -1.0 or 1.0, that aligns the approximate vector
+    with the exact one."""
+    sigma2 = float(exact.rho[1]) if exact.L > 1 else float(exact.sigma_next)
+    r = float(exact.rho[0]) - sigma2
+    coef = 0.5 + 4.0 * math.sqrt(2.0) / r if r > 0 else np.inf
+    dot = float(alpha_prime[:, 0] @ exact.alpha_prime[:, 0])
+    return r, coef, -1.0 if dot < 0 else 1.0
 
 
 def _norm(*terms) -> float:
@@ -277,15 +272,14 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
     II.  ||a - a~|| / sqrt(N) <= (1/2 + 4 sqrt2 / r) eps / (N lam1)
     III. max_x |f(x) - f~(x)| <= (1/2 + 4 sqrt2 / r) c eps / lam1
 
-    with r the singular value gap of T and eps = 2 max of the measured
-    per-view projection errors (which dominates both the per-view terms and
-    ||T - T~||, keeping every layer a certified inequality once the gap condition holds).
-    All three are flagged not-applicable when r <= 0 or ||T - T~|| > r/2.
-    ``grams = (K1, K2)``, the exact model's two N x N Gram matrices if the
-    caller holds them, saves building them again from its view oracles.
-    Grams of another shape, or an approx model of another N or without
-    coefficients, raise ValueError naming the argument, before any N x N
-    work.
+    with r, the coefficient and the sign of ``_stability_terms``, and eps
+    twice the larger measured per-view projection error. All three are not
+    applicable when r <= 0 or ||T - T~|| > r/2. ``grams = (K1, K2)``, the
+    exact model's Gram matrices if the caller holds them, are only read;
+    without them they are built from its view oracles. Models without
+    their T, oracles, landmarks or coefficients, an approx model of
+    another N, or grams of another shape raise ValueError naming the
+    argument, before any N x N work.
     """
     if exact.t_matrix is None or approx.t_matrix is None:
         raise ValueError("both models must carry their dense T matrix "
@@ -305,16 +299,9 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
     _check_dense_feasible(n)
     lam1 = exact.lambda1
 
-    sigma2 = float(exact.rho[1]) if exact.L > 1 else float(exact.sigma_next)
-    r = float(exact.rho[0]) - sigma2
+    r, coef, flip = _stability_terms(exact, approx.alpha_prime)
     t_err = _norm(exact.t_matrix, approx.t_matrix)
     applicable = r > 0 and t_err <= r / 2.0
-
-    # Sign-align the approximate singular pair to the exact one.
-    a_p = exact.alpha_prime[:, 0]
-    a_pt = approx.alpha_prime[:, 0].copy()
-    flip = -1.0 if float(a_pt @ a_p) < 0 else 1.0
-    a_pt *= flip
 
     # L at gamma = 0 does not depend on the landmark weights: use unit ones
     K1, K2 = grams or (exact.view1.dense(), exact.view2.dense())
@@ -327,18 +314,16 @@ def stability_check(exact: KccaModel, approx: KccaModel, test_points,
                                - _ridge_projection(L, lam, centered=True)))
     eps1, eps2 = eps_views
     eps = 2.0 * max(eps1, eps2)
-    coef = 0.5 + 4.0 * math.sqrt(2.0) / r if r > 0 else np.inf
 
     step1 = BoundReport.make(
-        "stability-step-I", lhs=float(np.linalg.norm(a_p - a_pt)),
+        "stability-step-I", lhs=float(np.linalg.norm(
+            exact.alpha_prime[:, 0] - flip * approx.alpha_prime[:, 0])),
         rhs=(4.0 * math.sqrt(2.0) / r) * t_err if r > 0 else np.inf,
         applicable=applicable, gap=r, t_err=t_err)
 
-    alpha = exact.alpha[:, 0]
-    alpha_t = flip * approx.alpha[:, 0]
     step2 = BoundReport.make(
-        "stability-step-II",
-        lhs=float(np.linalg.norm(alpha - alpha_t)) / math.sqrt(n),
+        "stability-step-II", lhs=float(np.linalg.norm(
+            exact.alpha[:, 0] - flip * approx.alpha[:, 0])) / math.sqrt(n),
         rhs=coef * eps / (n * lam1), applicable=applicable,
         eps=eps, eps_view1=eps1, eps_view2=eps2, eps_sum=eps1 + eps2,
         gap=r, t_err=t_err)

@@ -1,44 +1,8 @@
-"""Exact kernel CCA, the Nystrom rank-path solver, and out-of-sample mapping.
-
-The exact solver reads the canonical correlations off the singular values
-of T = (Kc1 + N lam1 I)^-1 Kc1 Kc2 (Kc2 + N lam2 I)^-1 = P1 P2 (Kc = centered
-Gram matrix); above _top_svd's crossover ARPACK applies T as P1 (P2 v) and
-never forms it. Each view's ridge projection P = Kc (Kc + N lam I)^-1 =
-I - N lam (Kc + N lam I)^-1 is built in one column-major buffer of its own,
-centered, Cholesky-factored and inverted in place (_ridge_projection, which
-the dense bound checks share), so besides the caller's two Grams the solver
-holds P1 and P2 only. The coefficients come from P too, since
-(Kc + N lam I)^-1 = (I - P) / (N lam); a T kept for the bound checks is
-written over P2 afterwards. The Nystrom solver never touches N x N
-matrices: per view it maintains one factor state (nystrom.FactorState):
-the incremental Cholesky factor R of G = N lam S^T K S + (H K S)^T (H K S)
-= R^T R, a thin QR of H K S = Q P and M = P R^-1, all grown by bordering;
-the landmark columns H K S themselves are not kept. S selects the kept
-landmarks, each column scaled to a unit diagonal of G; the solution does
-not depend on that scaling, so the plans' importance weights are not
-used. At a rank checkpoint the canonical system reduces to the SVD of the
-small r1 x r2 matrix T_hat = P1 G1^-1 core G2^-1 P2^T = M1 Kt M2^T, with core =
-(H K1 S1)^T (H K2 S2) = P1^T X P2, X = Q1^T Q2 and Kt = R1^-T core R2^-1 =
-M1^T X M2, and the approximate T is Q1 T_hat Q2^T. X and T_hat are grown by
-bordering here: the leading blocks of M, X and Kt never change, so the
-previous checkpoint's T_hat, padded with zeros, is the part over the old
-landmarks, and only the products with the new ones are added (O(r^2 p) for
-p new landmarks instead of O(r^3)); the blocks of Kt they need are formed
-on the way and not kept. Only X's new blocks take products over N, with the
-new Q columns. Each checkpoint then takes the top L+1 singular triplets of
-T_hat, which lift back through Q1, Q2, and hands (Q1, Q2, T_hat) to the
-caller's hook.
-
-Every top-k solve (exact, checkpoint and the RFF baseline's linear CCA) goes
-through one policy, _top_svd: ARPACK's Lanczos once the short side exceeds
-max(100, 6k), on the formed matrix or, for the exact T, on the product of
-its two factors; a full LAPACK SVD of the formed matrix below that. A
-spectral norm alone comes from one Golub-Kahan-Lanczos routine instead
-(_gkl_norm): it needs one singular value, not triplets, of an operator
-given as factored terms, and it stops on the estimated error of that value
-rather than on its residual. The error norm of a checkpoint against the
-dense exact T (t_error_norm) is its public wrapper, and the dense bound
-checks (diagnostics) call it directly.
+"""Exact kernel CCA, the incremental Nystrom rank-path solver and its
+restart reference, out-of-sample mapping, and the model record. It owns
+the one top-k SVD policy (``_top_svd``) and the one spectral-norm routine
+(``_gkl_norm``). README, "Numerical notes", has the algebra of both solvers,
+the SVD crossover and the norm routine's stopping rule.
 """
 
 from __future__ import annotations
@@ -57,7 +21,7 @@ from .kernels import (KernelColumns, KernelSpec, _check_finite,
 from .leverage import _COLUMN_BLOCK, _inverse_factor
 from .nystrom import (FactorState, _equilibrated_block, admit_columns,
                       chol_append_block, solve_upper)
-from .sampling import SamplingPlan
+from .sampling import SamplingPlan, _check_plan
 
 __all__ = [
     "KccaModel",
@@ -81,22 +45,18 @@ _SVDS_MIN_SIDE = 100
 _SVDS_SIDE_PER_TRIPLET = 6
 # exact_kcca holds two N x N matrices; it refuses larger problems.
 _EXACT_N_LIMIT = 5000
-# _gkl_norm's bidiagonalization stops once the gap-based estimate of its
-# value's relative error is at most _GKL_RTOL; while the second singular
-# value s_2 of its bidiagonal is within rounding of the top one sigma
-# (sigma^2 - s_2^2 <= _GKL_GAP_RTOL sigma^2) it needs the top triplet's
-# residual to be at most _GKL_RTOL sigma instead. It grows its two Lanczos
-# bases _GKL_BLOCK rows at a time.
+# _gkl_norm stops once the estimated relative error of its value is at most
+# _GKL_RTOL; while its top two values lie within _GKL_GAP_RTOL (relative, in
+# their squares) it asks the same of the residual. Its Lanczos bases grow
+# _GKL_BLOCK rows at a time.
 _GKL_RTOL = 1e-10
 _GKL_GAP_RTOL = 1e-8
 _GKL_BLOCK = 32
-# exact_kcca writes T over P2 this many columns at a time: one GEMM per
-# block repacks P1, and 128 columns took 0.39 s at N = 2000 where 256 took
-# 0.31 s and the whole product 0.26 s (one OpenBLAS thread, 2-core Xeon VM).
+# exact_kcca writes T over P2 this many columns at a time (one GEMM per
+# block repacks P1; README, "Numerical notes", has the timings).
 _PRODUCT_BLOCK = 256
 # project_many evaluates the cross-Gram of new points in row chunks of at
-# most this many entries (8 MB), so it never holds an n_new x N block: that
-# block sets the peak memory of a scoring run.
+# most this many entries, so it never holds an n_new x N block.
 _PROJECT_CHUNK_ENTRIES = 1 << 20
 
 _log = logging.getLogger(__name__)
@@ -210,12 +170,10 @@ def _top_svd(T, k: int):
 def _ridge_projection(K: np.ndarray, lam: float, centered: bool = False, *,
                       name: str = "K", param: str = "lambda") -> np.ndarray:
     """The ridge projection Kc (Kc + N lam I)^-1 = I - N lam (Kc + N lam I)^-1
-    of a symmetric N x N Kc: K itself or, with ``centered``, H K H. It is
-    built in the array of leverage._inverse_factor's R^-1: R^-1 R^-T
-    (dlauum; dtrtri then dlauum is dpotri) and the mirroring of its
-    triangle run in place, about N^3 flops in all against 7N^3 / 3 for a
-    solve with N right-hand sides. K is only read; the result is exactly
-    symmetric. Failures name K and lam as ``name`` and ``param``."""
+    of a symmetric N x N Kc, K itself or, with ``centered``, H K H, as one
+    new exactly symmetric array built in place. K is only read. Raises
+    ``leverage._inverse_factor``'s errors, naming K and lam as ``name`` and
+    ``param``."""
     P = _inverse_factor(K, lam, name, param, centered)
     n = P.shape[0]
     shift = n * lam
@@ -243,29 +201,19 @@ def _coefficients(alpha_prime: np.ndarray, p_alpha_prime: np.ndarray,
 def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
                keep_t: bool = False, view1: KernelColumns | None = None,
                view2: KernelColumns | None = None) -> KccaModel:
-    """Dense kernel CCA on two Gram matrices.
+    """Dense kernel CCA on the uncentered N x N Gram matrices K1, K2, which
+    are only read, with scale-free regularizers lambda1, lambda2.
 
-    Parameters
-    ----------
-    K1, K2 : ndarray
-        Uncentered kernel matrices of the two views; only read.
-    lambda1, lambda2 : float
-        Positive scale-free regularizers (multiplied by N internally).
-    L : int
-        Number of canonical directions to extract.
-    keep_t : bool
-        Store the dense T = P1 P2 on the model (needed by the bound
-        diagnostics). It is written over P2 a column block at a time once
-        the triplets and coefficients are taken, so it costs 2N^3 flops and
-        no third N x N buffer; without it the product is never formed.
-    view1, view2 : KernelColumns, optional
-        Column oracles attached for out-of-sample projection.
-
-    The top L+1 singular triplets of T come from _top_svd on the pair
-    (P1, P2), P being each view's ridge projection. Returns a model with
-    canonical correlations rho, unit singular vectors alpha_prime/beta_prime,
-    and coefficients alpha = sqrt(N) (Kc1 + N lam1 I)^-1 alpha_prime =
-    sqrt(N) (alpha_prime - P1 alpha_prime) / (N lam1) (beta analogously).
+    Returns a model with the top L singular values rho of
+    T = P1 P2 (P = Kc (Kc + N lam I)^-1 per view), their unit singular
+    vectors alpha_prime/beta_prime, the coefficients
+    alpha = sqrt(N) (Kc1 + N lam1 I)^-1 alpha_prime (beta likewise), the
+    next singular value, and ``view1``/``view2`` attached for projection.
+    With ``keep_t`` the model also carries T as ``t_matrix``; without it T
+    is never formed. Holds two N x N arrays beside K1 and K2. Raises
+    ValueError for regularizers that are not positive and finite, views of
+    different N, N above ``_EXACT_N_LIMIT`` or L outside [1, N], and the
+    errors of ``_ridge_projection``.
     """
     _check_positive("regularizers", lambda1, lambda2)
     K1 = as_matrix(K1)
@@ -309,16 +257,8 @@ def exact_kcca(K1, K2, lambda1: float, lambda2: float, L: int = 1,
 def _border_t_hat(T: np.ndarray, M1: np.ndarray, X: np.ndarray,
                   M2: np.ndarray, k10: int, k20: int) -> np.ndarray:
     """Grow T_hat = M1 Kt M2^T, with Kt = M1^T X M2, to the current M1, X
-    and M2, from its value T over the first k10 / k20 landmarks; returns a
-    new array.
-
-    The first k10 columns of M1 are the old M1 over zero rows (likewise for
-    M2), so M1[:, :k10] Kt[:k10, :k20] M2[:, :k20]^T is T padded with zeros.
-    What remains is M1[:, :k10] Kt[:k10, k20:] M2[:, k20:]^T, whose left
-    factor has nonzero rows only where T has rows, plus M1[:, k10:]
-    (Kt[k10:] M2^T): one product over the p1 + p2 new landmarks. Only those
-    two blocks of Kt are formed, and neither is kept.
-    """
+    and M2 from its value T over the first k10 / k20 landmarks, forming
+    only the blocks of Kt over the new landmarks; returns a new array."""
     r10, r20 = T.shape
     head = np.zeros((M1.shape[0], M2.shape[1] - k20))
     head[:r10] = M1[:r10, :k10] @ (M1[:, :k10].T @ (X @ M2[:, k20:]))
@@ -418,13 +358,16 @@ def _check_fit_args(oracle1: KernelColumns, oracle2: KernelColumns,
                     plan1: SamplingPlan, plan2: SamplingPlan, lambda1: float,
                     lambda2: float, L: int, ranks) -> int:
     """The argument checks both Nystrom fitters share; ``ranks`` holds the
-    (m1, m2) pairs to fit. Returns N."""
+    (m1, m2) pairs to fit. Returns N, or raises ValueError for regularizers
+    that are not positive and finite, views of different N, a plan index
+    outside [0, N) (naming plan1 or plan2), L outside [1, N] or a rank
+    outside [1, plan length]."""
     _check_positive("regularizers", lambda1, lambda2)
     n = oracle1.n
     if oracle2.n != n:
         raise ValueError("views have different sample counts")
-    if max(plan1.indices.max(), plan2.indices.max()) >= n:
-        raise ValueError("plan indices exceed the sample count")
+    _check_plan("plan1", plan1, n)
+    _check_plan("plan2", plan2, n)
     if not 1 <= L <= n:
         raise ValueError("L must lie in [1, N]")
     for m1, m2 in ranks:
@@ -439,26 +382,19 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
               checkpoints, on_checkpoint=None) -> list[RankPathEntry]:
     """Incremental Nystrom KCCA along a path of landmark ranks.
 
-    At every checkpoint (m1, m2) the solver emits the model fitted on the
-    first m1 / m2 plan draws per view, coefficients included, reusing all
-    factor state built for earlier checkpoints. Only the first draw of an
-    index is a candidate landmark: repeats (legitimate under
-    with-replacement sampling) add nothing to the rank-0 approximation and
-    would make the factor target singular, so they are skipped and recorded
-    in the landmark bookkeeping, as in the non-incremental reference fitter.
-    The plan's candidates up to each view's last checkpoint size its factor
-    storage once.
+    Returns one RankPathEntry per checkpoint, in order: at (m1, m2) (or m
+    for both), the model fitted on the first m1 / m2 plan draws of each
+    view, coefficients included, reusing all factor work of earlier
+    checkpoints. Only the first draw of an index is a candidate; repeats
+    and gate-rejected candidates are recorded as skipped.
 
-    ``on_checkpoint(entry, Q1, Q2, T_hat)`` is invoked after each entry is
-    built with what the checkpoint solved: the N x r1 / N x r2 bases Q1, Q2
-    and the r1 x r2 T_hat whose SVD gave rho, so the approximate T is
-    Q1 T_hat Q2^T (``t_error_norm``). Q columns are append-only and T_hat is
-    new at every checkpoint, so a hook may keep all three. Its run time is
-    excluded from the recorded incremental wall times. Neither the core
-    matrix (H K1 S1)^T (H K2 S2) nor Kt = R1^-T core R2^-1 is kept: T_hat is
-    bordered from X = Q1^T Q2 and each view's M = P R^-1.
-
-    Returns one RankPathEntry per checkpoint, in order.
+    ``on_checkpoint(entry, Q1, Q2, T_hat)``, if given, runs after each entry
+    with the N x r1 / N x r2 bases and the r1 x r2 matrix whose SVD gave
+    rho, so the approximate T is Q1 T_hat Q2^T (``t_error_norm``). A hook
+    may keep all three: Q columns are append-only and T_hat is new at each
+    checkpoint. Its run time is excluded from the entries' wall times.
+    Raises ValueError for checkpoints that decrease, and as
+    ``_check_fit_args`` does.
     """
     cps = _normalize_checkpoints(checkpoints)
     n = _check_fit_args(oracle1, oracle2, plan1, plan2, lambda1, lambda2, L,
@@ -501,12 +437,9 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
 
 def nkcca_coefficients(model: KccaModel, Q1: np.ndarray, M1: np.ndarray,
                        Q2: np.ndarray, M2: np.ndarray) -> KccaModel:
-    """Fill in the coefficient matrices alpha/beta of a Nystrom model from
-    each view's orthonormal basis Q and M = P R^-1, where A = Q P are the
-    centered landmark columns H K S and G = R^T R:
-    alpha = (sqrt(N) / N lam1) (alpha' - Q1 M1 M1^T Q1^T alpha'), since
-    A G^-1 A^T = Q M M^T Q^T, so no N x N inverse is ever formed.
-    """
+    """Set ``model.alpha``/``beta`` from each view's basis Q and M = P R^-1:
+    alpha = (sqrt(N) / N lam1) (alpha' - Q1 M1 M1^T Q1^T alpha'), beta
+    likewise. Returns the model."""
     for name, ap, Q, M, lam in (
             ("alpha", model.alpha_prime, Q1, M1, model.lambda1),
             ("beta", model.beta_prime, Q2, M2, model.lambda2)):
@@ -521,11 +454,11 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
                      m1: int | None = None, m2: int | None = None,
                      compute_coefficients: bool = True,
                      keep_t: bool = False) -> RankPathEntry:
-    """Non-incremental Nystrom KCCA at a single rank (restart reference).
-
-    Builds the factor target and thin QR densely from scratch with library
-    factorizations; used to cross-check the incremental path and to time
-    restarts against it.
+    """Non-incremental Nystrom KCCA at one rank (m1, m2), by default the
+    plans' lengths: the restart reference of ``nkcca_fit``, built from
+    scratch with library factorizations over the same candidates and gate.
+    ``keep_t`` stores the dense approximate T on the model. Raises as
+    ``_check_fit_args`` does.
     """
     m1 = plan1.m if m1 is None else m1
     m2 = plan2.m if m2 is None else m2
@@ -597,32 +530,18 @@ def _non_finite(**arrays) -> ValueError:
 
 
 def _gkl_norm(*terms, scale: float = 0.0, operands: dict | None = None):
-    """Spectral norm of the n x n operator E = terms[0] - terms[1] - ...:
-    the one Lanczos routine behind t_error_norm and every spectral norm of
-    the dense bound checks. A term is a matrix or a tuple of matrices
-    standing for their product. E v and E^T u apply each term factor by
-    factor, so no product or difference of terms is formed.
-
-    Golub-Kahan-Lanczos bidiagonalization E V_k = U_k B_k, with B_k upper
-    bidiagonal, from the seeded start vector, both bases fully
-    reorthogonalized (CGS2) and grown _GKL_BLOCK rows at a time. After step
-    k the top singular triplet (sigma, x, y) of B_k leaves the residual
-    rho_k = ||E^T U_k x - sigma V_k y|| = beta_k |x_k|, and sigma^2 is then
-    within sigma^2 rho_k^2 / gap of an eigenvalue of E^T E (Kato-Temple),
-    gap being the distance to the next one. The iteration stops once the
-    estimate rho_k^2 / (2 (sigma^2 - s_2^2)) of sigma's relative error is
-    at most _GKL_RTOL, with s_2 the second singular value of B_k standing
-    in for E's (or, at k = 1 and while s_2 is within rounding of sigma,
-    once rho_k <= _GKL_RTOL sigma); when alpha_k or beta_k is at most
-    n eps max(scale, ||E v_1||), the Krylov space being numerically
-    invariant (``scale`` is the size of the terms E is a difference of,
-    for an E that may be rounding); or after n steps. The zero operator
-    gives exactly 0.0.
+    """Spectral norm of the n x n operator E = terms[0] - terms[1] - ...,
+    each term a matrix or a tuple of matrices standing for their product:
+    terms are applied factor by factor and only read, so no product or
+    difference is formed. Golub-Kahan-Lanczos bidiagonalization that stops
+    once ``_gkl_estimate`` is at most _GKL_RTOL, when a Lanczos coefficient
+    is at most n eps max(scale, ||E v_1||) (``scale``: the size of the
+    terms E is a difference of), or after n steps.
 
     Returns (sigma, steps, residual, estimate); the estimate is nan at a
-    breakdown, where none is formed. Raises the ValueError of
-    _non_finite(**operands) when E v_1 has a non-finite entry: v_1 has no
-    zero entry, so a non-finite entry of any operand reaches it.
+    coefficient breakdown, and the zero operator gives 0.0. Raises the
+    ValueError of _non_finite(**operands) when E v_1 is not finite, which
+    any non-finite operand entry makes it.
     """
     terms = [t if isinstance(t, tuple) else (t,) for t in terms]
 
@@ -676,21 +595,14 @@ def _gkl_norm(*terms, scale: float = 0.0, operands: dict | None = None):
 
 def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
                  T_hat: np.ndarray) -> float:
-    """Spectral norm of E = T - Q1 T_hat Q2^T, the exact T minus the
-    low-rank T of a checkpoint (the arguments its ``on_checkpoint`` hook
-    receives).
-
-    E is applied as T v - Q1 (T_hat (Q2^T v)) and E^T likewise, so only
-    the dense exact T is ever N x N and no N x r product is formed. The
-    norm comes from _gkl_norm's Golub-Kahan-Lanczos bidiagonalization,
-    which stops on the estimated relative error of its value (_GKL_RTOL);
-    a Lanczos coefficient counts as rounding below N eps ||T_hat||_F, a
-    bound of the low-rank term's norm.
+    """Spectral norm of E = T - Q1 T_hat Q2^T, the dense exact T against
+    the low-rank T of a checkpoint (what its ``on_checkpoint`` hook
+    receives), from ``_gkl_norm`` with no N x r product formed; the
+    arguments are only read.
 
     Raises ValueError naming the argument when T is not square, Q1 or Q2
-    does not have T's rows, T_hat is not Q1's by Q2's column count, or the
-    operator has non-finite entries. The entries are checked on the first
-    product E v_1, not by a pass over T.
+    lacks T's rows, T_hat is not Q1's by Q2's column count, or an entry is
+    non-finite (found on the first product E v_1, not by a pass over T).
     """
     T, Q1, Q2, T_hat = (np.asarray(a, dtype=float) for a in (T, Q1, Q2, T_hat))
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -715,15 +627,12 @@ def t_error_norm(T: np.ndarray, Q1: np.ndarray, Q2: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def project_many(model: KccaModel, X_new, view: int) -> np.ndarray:
-    """Project rows of X_new into the L canonical dimensions of one view.
-
-    Evaluates exact kernel affinities k against all training points, a
-    chunk of rows at a time, and applies the centered combination
-    k^T H coeffs as k^T (H coeffs): the coefficients are centered once, over
-    the training points, and the affinities are not. The additive constant
-    of the mapping is dropped, so projections are defined up to a
-    per-dimension shift (all downstream correlation metrics are
-    shift-invariant).
+    """The n_new x L projections k(x)^T H coeffs of the rows of X_new on
+    one view (1 or 2), from exact kernel affinities to all training points,
+    up to a per-dimension shift. Holds one row chunk of affinities at a
+    time. Raises ValueError for another view, a model without that view's
+    oracle or coefficients, and points that ``KernelColumns.cross``
+    rejects.
     """
     if view not in (1, 2):
         raise ValueError("view must be 1 or 2")

@@ -77,19 +77,14 @@ def as_points(X, name: str = "X") -> np.ndarray:
 
 
 # Entries of the (xx + yy) row chunk that cross_gram subtracts its doubled
-# X Y^T from: the one buffer it holds besides its result (512 KB).
+# X Y^T from: the one buffer it holds besides its result.
 _ROW_CHUNK_ENTRIES = 1 << 16
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
-    """Build the uncentered N x N kernel matrix of the rows of X.
-
-    It is ``cross_gram`` of X with itself, with the diagonal set to
-    k(x, x) = 1 exactly, so it holds the N x N result and one row chunk.
-    X is taken C-contiguous, so numpy forms X X^T of one buffer by a
-    rank-k update (syrk); the squared norms added on both sides are the
-    same vector, so the matrix is exactly symmetric with no mirroring pass.
-    """
+    """The uncentered, exactly symmetric N x N kernel matrix of the rows of
+    X: ``cross_gram`` of a C-contiguous X with itself, with its diagonal
+    set to 1. X is only read."""
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
     K = cross_gram(spec, X, X)
     np.fill_diagonal(K, 1.0)
@@ -97,13 +92,11 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
 
 
 def cross_gram(spec: KernelSpec, X_new, X_train) -> np.ndarray:
-    """Kernel affinities of the rows of two 2-D arrays (rows x rows).
-
-    exp(-max(||x||^2 + ||y||^2 - 2 x^T y, 0) / (2 sigma^2)), evaluated in
-    the buffer of X_new X_train^T: the result is the only array of its
-    size, and the squared norms are added a row chunk of at most
-    ``_ROW_CHUNK_ENTRIES`` entries at a time. Every step rounds as the
-    out-of-place expression does, so the entries are bitwise its own.
+    """Kernel affinities exp(-max(||x||^2 + ||y||^2 - 2 x^T y, 0) /
+    (2 sigma^2)) of the rows of two 2-D arrays (rows x rows), which are only
+    read. The result is the only array of its size; beside it one row chunk
+    of ``_ROW_CHUNK_ENTRIES`` is live. Raises ValueError for arrays of
+    different widths.
     """
     if X_new.shape[1] != X_train.shape[1]:
         raise ValueError("dimension mismatch between new and training points")

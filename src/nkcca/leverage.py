@@ -23,15 +23,12 @@ __all__ = [
 # 1/sqrt(M p_i) stay finite even for duplicate/degenerate points.
 PROB_FLOOR = 1e-12
 
-# Rows of the whitened sketch per triangular solve in approx_leverage. A solve
-# with all N right-hand sides at once makes OpenBLAS pack a panel that grows
-# with N (about 7 MB at N = 3000) and stays resident for the process.
+# Rows of the whitened sketch per triangular solve in approx_leverage: a solve
+# with all N right-hand sides makes OpenBLAS pack a panel that grows with N
+# and stays resident for the process.
 _SOLVE_ROWS = 512
-# Rows per block of the whitening product, which writes F over C. A multiple
-# of the BLAS kernels' tile widths (384 = 3 * 128), so each block's rows fall
-# in the same tiles as in one product over all N rows and round alike; a
-# one-row remainder joins the block before it, since numpy multiplies a lone
-# row by gemv.
+# Rows per block of the whitening product, which writes F over C; README,
+# "Numerical notes", has why 384.
 _PRODUCT_ROWS = 384
 # _inverse_factor symmetrizes a centered matrix, and kcca._ridge_projection
 # mirrors its triangle, this many columns at a time.
@@ -73,14 +70,10 @@ class SamplingDistribution:
 
 def _psd_eigh(K: np.ndarray, eigvals_only: bool = False,
               overwrite: bool = False):
-    """Eigendecomposition with tiny negative eigenvalues clipped to zero.
-
-    Uses LAPACK's divide-and-conquer driver: scipy's default MRRR driver
-    (``evr``) can be several times slower on the clustered spectra of RBF
-    kernels. Returns the eigenvalues alone when ``eigvals_only``. LAPACK
-    reads a Fortran-ordered copy of K; with ``overwrite``, an F-ordered K is
-    factored in its own buffer instead, which then holds the eigenvectors.
-    """
+    """(sig, U) of a symmetric K by LAPACK's divide and conquer (``evd``),
+    with tiny negative eigenvalues clipped to zero; sig alone with
+    ``eigvals_only``. K is only read, unless ``overwrite`` and K is
+    F-ordered: then it is factored in place and holds U."""
     out = scipy.linalg.eigh(K, eigvals_only=eigvals_only, driver="evd",
                             overwrite_a=overwrite)
     if eigvals_only:
@@ -90,26 +83,18 @@ def _psd_eigh(K: np.ndarray, eigvals_only: bool = False,
 
 
 def _sketch_eigh(W: np.ndarray):
-    """The eigendecomposition (sig, U) of a sketch block W, symmetrized and
-    with tiny negative eigenvalues clipped: what ``_whitening`` scales at
-    any shift. The symmetrized block is exactly symmetric, so its
-    transpose, an F-ordered view of the same values, is factored in place:
-    one s x s buffer besides W."""
+    """``_psd_eigh`` of the symmetrized sketch block (W + W^T) / 2, factored
+    in its own buffer: one s x s array besides W, which is only read."""
     S = W + W.T
     S *= 0.5
     return _psd_eigh(S.T, overwrite=True)
 
 
 def _whitening(eig, shift: float) -> np.ndarray:
-    """The s x k map U+ diag(sig+ + shift)^-1/2 that ``_whitened_sketch``
-    applies to the kernel columns C of a sketch block W.
-
-    ``eig`` = _sketch_eigh(W) is W = U diag(sig) U^T, so one
-    eigendecomposition serves every shift; U+ and sig+ keep the k
-    directions whose sig + shift exceeds the eps-threshold
-    sig_max * s * eps of the pseudo-inverse. U+ is a copy, scaled in place;
-    U itself is left as it is for the next shift.
-    """
+    """The s x k map U+ diag(sig+ + shift)^-1/2 for ``eig`` =
+    _sketch_eigh(W), W = U diag(sig) U^T: U+ and sig+ keep the k directions
+    with sig + shift above sig_max * s * eps. A new array; ``eig`` is only
+    read, so it serves every shift."""
     sig, U = eig
     tol = sig.max(initial=0.0) * sig.shape[0] * np.finfo(float).eps
     keep = sig + shift > tol
@@ -119,17 +104,11 @@ def _whitening(eig, shift: float) -> np.ndarray:
 
 
 def _whitened_sketch(C: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """The whitened sketch F = C U+ diag(sig+ + shift)^-1/2, so that
-    F F^T = C (W + shift I)^+ C^T, written over C.
-
-    C holds sampled kernel columns (N x s) and ``scaled`` =
-    _whitening(_sketch_eigh(W), shift) for their s x s block W. F is formed
-    in C's own buffer, ``_PRODUCT_ROWS`` rows at a time (a row block of the
-    product reads only the same rows of C), bitwise as one product, and
-    returned as the view C[:, :k]: C is consumed, and C and F never
-    coexist. Every dense Nystrom approximation of the package comes from
-    this factor: the leverage sketch at shift 0 and
-    ``diagnostics.low_rank_dense`` at shift N gamma.
+    """The whitened sketch F = C ``scaled``, so that
+    F F^T = C (W + shift I)^+ C^T for ``scaled`` =
+    _whitening(_sketch_eigh(W), shift), W the s x s block of the N x s
+    sampled kernel columns C. Consumes C: F is written over it,
+    ``_PRODUCT_ROWS`` rows at a time, and returned as the view C[:, :k].
     """
     k, n = scaled.shape[1], C.shape[0]
     starts = range(0, max(n - 1, 1), _PRODUCT_ROWS)
@@ -142,8 +121,9 @@ def _whitened_sketch(C: np.ndarray, scaled: np.ndarray) -> np.ndarray:
 def _shifted_cholesky(S: np.ndarray, shift: float, matrix: str, param: str,
                       value: float) -> np.ndarray:
     """The upper Cholesky factor of a finite S + shift I, in S's own buffer
-    if S is F-ordered; LinAlgError naming ``matrix`` and ``param`` = ``value``
-    unless it is numerically positive definite."""
+    if S is F-ordered (S is overwritten either way); LinAlgError naming
+    ``matrix`` and ``param`` = ``value`` unless it is numerically positive
+    definite."""
     S[np.diag_indices_from(S)] += shift
     try:
         return scipy.linalg.cholesky(S, overwrite_a=True, check_finite=False)
@@ -156,11 +136,10 @@ def _shifted_cholesky(S: np.ndarray, shift: float, matrix: str, param: str,
 def _inverse_factor(K: np.ndarray, lam: float, name: str, param: str,
                     centered: bool = False) -> np.ndarray:
     """R^-1, zero below the diagonal, for R^T R = Kc + N lam I, Kc being a
-    symmetric N x N K or, with ``centered``, H K H. The centering, the
-    factor and its inversion (dtrtri) run in place in one new column-major
-    array. The factor reads a C-ordered K's lower triangle (its transpose
-    has the result's layout) and any other K's upper one. K is only read;
-    failures name it as ``name`` and lam as ``param``."""
+    symmetric N x N K or, with ``centered``, H K H, as one new column-major
+    array. K is only read: a C-ordered K's lower triangle, any other K's
+    upper one. Raises ValueError naming ``name`` for a non-finite K, and
+    ``_shifted_cholesky``'s LinAlgError naming ``param``."""
     _check_finite(name, K)
     flip = K.flags.c_contiguous
     P = np.array(K.T if flip else K, order="F")
@@ -183,15 +162,11 @@ def _inverse_factor(K: np.ndarray, lam: float, name: str, param: str,
 
 
 def exact_leverage(K, gamma: float) -> LeverageScores:
-    """Exact gamma-ridge leverage scores of a PSD matrix.
-
-    The scores are the diagonal entries of K (K + N gamma I)^-1
-    = I - N gamma (K + N gamma I)^-1. With the Cholesky factor
-    R^T R = K + N gamma I, the inverse is R^-1 R^-T, so
-    l_i = 1 - N gamma ||(R^-1)_{i,:}||^2 and
-    d_eff = N - N gamma ||R^-1||_F^2, taken before the scores are clipped
-    to [0, 1]. Raises ValueError on a non-finite K and LinAlgError when
-    K + N gamma I is not numerically positive definite.
+    """Exact gamma-ridge leverage scores diag(K (K + N gamma I)^-1) of a PSD
+    K, which is only read, clipped to [0, 1]; d_eff is their sum before
+    clipping. Raises ValueError for a gamma that is not positive and finite
+    or a non-finite K, and LinAlgError when K + N gamma I is not
+    numerically positive definite.
     """
     _check_positive("gamma", gamma)
     # C-ordered, so the factor reads the lower triangle, as eigh does
@@ -220,23 +195,14 @@ def effective_dimension(K, gamma: float) -> float:
 
 def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
                     seed: int) -> LeverageScores:
-    """Sketched leverage-score estimates from a column subsample.
-
-    Draws `sketch_size` distinct columns uniformly and reports the diagonal
-    of L (L + N gamma I)^-1 for the landmark approximation L = C W^+ C^T
-    (C = the sampled columns, W = their square submatrix). The whitened
-    sketch F = C U+ diag(sig+)^-1/2 of ``_whitened_sketch`` gives L = F F^T.
-    By the push-through identity the estimates are the squared column norms
-    of R^-T F^T, where R is the upper Cholesky factor of
-    F^T F + N gamma I; the shift bounds its
-    condition number by 1 + ||F||^2 / (N gamma). Since L is dominated by K
-    in the PSD order, the estimates never exceed the exact scores. With the
-    full sketch, L = K and the estimates are exact. It holds one N x s
-    array at a time: C is released once its s x s block W is taken, so the
-    sketch eigh runs beside s x s arrays only; the oracle then serves C
-    again (the same block) and F is written over it, so beside it only
-    s x s arrays and a block of ``_SOLVE_ROWS`` rows are live. The second
-    fetch costs one more N x s kernel block.
+    """Sketched ridge leverage scores: the diagonal of L (L + N gamma I)^-1,
+    clipped to [0, 1], for L = C W^+ C^T, C the kernel columns of
+    ``sketch_size`` = s distinct indices drawn uniformly with ``seed`` and
+    W their s x s block. They never exceed the exact scores and equal them
+    with the full sketch. Holds one N x s array at a time: the oracle
+    serves C twice. Raises ValueError for a gamma that is not positive and
+    finite or s outside [1, N], and LinAlgError when F^T F + N gamma I is
+    not numerically positive definite.
     """
     _check_positive("gamma", gamma)
     n = oracle.n

@@ -16,15 +16,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """A with-replacement draw of M kernel columns plus importance weights.
-
-    `p_sampled[j]` is the probability the j-th draw had under its
-    distribution; the scaled sampling matrix has entries ``weights[j] = 1 /
-    sqrt(M * p_sampled[j])``. The dense verifiers in ``diagnostics`` use
-    them. The Nystrom solver reads only ``indices``: at zero shrinkage the
-    approximation ``K S (S^T K S)^+ S^T K`` does not change when S's columns
-    are rescaled, and the solver scales each column to a unit diagonal of its
-    own factor target.
+    """A with-replacement draw of M kernel columns, ``indices``, and the
+    probability ``p_sampled[j]`` the j-th draw had. The dense verifiers
+    scale the sampling matrix by ``weights[j] = 1 / sqrt(M p_sampled[j])``;
+    the Nystrom solver reads only ``indices``. Raises ValueError for empty
+    or unaligned arrays, non-integer or negative indices, or probabilities
+    that are not positive and finite.
     """
 
     indices: np.ndarray
@@ -55,6 +52,14 @@ class SamplingPlan:
     @property
     def weights(self) -> np.ndarray:
         return 1.0 / np.sqrt(self.m * self.p_sampled)
+
+
+def _check_plan(name: str, plan: SamplingPlan, n: int) -> None:
+    """The one range check of a plan against N samples: ValueError naming
+    ``name`` unless every index lies in [0, n) (SamplingPlan itself rejects
+    negative ones)."""
+    if plan.indices.max(initial=-1) >= n:
+        raise ValueError(f"{name} has indices outside [0, {n})")
 
 
 def sample(dist: SamplingDistribution, m: int, seed: int) -> SamplingPlan:

@@ -6,6 +6,10 @@ import pytest
 
 from nkcca.cli import (ConfigError, ExperimentConfig, load_config_file, main,
                        resolve_config)
+from nkcca.datasets import synthetic_circles
+from nkcca.diagnostics import _stability_terms
+from nkcca.kcca import exact_kcca
+from nkcca.kernels import KernelSpec, gram
 
 
 def run(argv):
@@ -228,6 +232,24 @@ def test_error_curve_command_and_determinism(tmp_path, capsys):
     for r in rows[1:]:
         assert float(r[3]) >= 0
         assert float(r[4]) >= float(r[3]) - 1e-8  # Weyl: t_err >= rho_err
+
+
+def test_error_curve_stability_bound_uses_the_diagnostics_terms(tmp_path):
+    # the bound column is the coefficient of stability_check's layers II and
+    # III times t_err / (N lambda1), at the gap of rho_2 for L > 1
+    assert run(["error-curve"] + base_flags(tmp_path, seeds="0", L="2")) == 0
+    rows = read_csv(tmp_path / "error-curve" / "error_curve.csv")
+    assert rows[0][4::2] == ["t_err", "stability_bound"]
+    train = synthetic_circles(60, 0)
+    spec = KernelSpec(sigma=1.0)
+    exact = exact_kcca(gram(spec, train.X), gram(spec, train.Y), 1e-3, 1e-3,
+                       L=2)
+    _, coef, _ = _stability_terms(exact, exact.alpha_prime)
+    seed_rows = [r for r in rows[1:] if r[1] != "mean"]
+    assert len(seed_rows) == 2
+    for r in seed_rows:
+        assert float(r[6]) == pytest.approx(
+            coef * float(r[4]) / (60 * 1e-3), rel=1e-12)
 
 
 def test_speedup_command(tmp_path):

@@ -456,6 +456,19 @@ def test_fitters_reject_invalid_arguments(fitter, bad):
         fit(o1, o2, plan, plan, **(args | bad))
 
 
+@pytest.mark.parametrize("fitter", ["path", "direct"])
+def test_fitters_name_the_out_of_range_plan(fitter):
+    # the one plan-range check of the package names the argument
+    _, _, o1, o2, _, _ = two_view_problem(n=12, seed=44)
+    plan1, plan2 = unit_plan(np.arange(12)), unit_plan([3, 12, 5])
+    with pytest.raises(ValueError, match=r"^plan2 has indices outside "
+                                         r"\[0, 12\)$"):
+        if fitter == "path":
+            nkcca_fit(o1, o2, plan1, plan2, 1e-3, 1e-3, 1, [3])
+        else:
+            nkcca_fit_direct(o1, o2, plan1, plan2, 1e-3, 1e-3, 1)
+
+
 def test_bordered_t_hat_matches_scratch_solves():
     from nkcca.kcca import _border_t_hat, _border_x
 
