@@ -220,17 +220,22 @@ def _view_distribution(cfg: ExperimentConfig, oracle: KernelColumns,
 class _Experiment:
     """One command's pipeline: the selected model, the two training oracles
     and the per-strategy sampling distributions, built once for all seeds.
-    A training N above `dense_limit` (the command's dense N x N work) or
-    below L is a configuration error, raised before any of that work."""
+    A training N above `dense_limit` (the command's dense N x N work), above
+    _EXACT_N_LIMIT for a command that samples by `strategy = exact`, or below
+    L is a configuration error, raised before any of that work."""
 
     def __init__(self, cfg: ExperimentConfig, data: SimpleNamespace | None = None,
-                 dense_limit: int | None = None):
+                 dense_limit: int | None = None, sampled: bool = True):
         self.cfg = cfg
         self.data = data = _make_data(cfg) if data is None else data
         n = data.X_train.shape[0]
         if dense_limit is not None and n > dense_limit:
             raise ConfigError(f"the training split has N = {n} points; this "
                               f"command is dense and limited to N <= {dense_limit}")
+        if sampled and cfg.strategy == "exact" and n > _EXACT_N_LIMIT:
+            raise ConfigError(f"the training split has N = {n} points; "
+                              f"strategy = exact is dense and limited to "
+                              f"N <= {_EXACT_N_LIMIT}")
         if cfg.L > n:
             raise ConfigError(f"L = {cfg.L} exceeds the training split's "
                               f"N = {n}")
@@ -378,7 +383,7 @@ def cmd_nkcca(args) -> int:
 
 
 def cmd_rcca(args) -> int:
-    exp = _Experiment(resolve_config(args))
+    exp = _Experiment(resolve_config(args), sampled=False)
     rows = [[seed, rank, exp.rcca(seed, rank)]
             for seed in exp.cfg.seeds for rank in exp.cfg.ranks]
     outdir = _write_run(exp.cfg, "rcca", "rcca.csv", [

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .kernels import _check_finite, _check_positive, as_matrix
 from .kcca import KccaModel, _gkl_norm, _ridge_projection, project_many
-from .leverage import _psd_eigh, _sketch_eigh, _whitened_sketch, _whitening
+from .leverage import _psd_eigh, _sketch_eigh, _whitening
 from .sampling import SamplingPlan, _check_plan
 
 __all__ = [
@@ -96,13 +96,12 @@ def _low_rank(K, plan: SamplingPlan, gammas) -> list[np.ndarray]:
     W = K[np.ix_(idx, idx)] * w
     W *= w[:, None]
     eig = _sketch_eigh(W)
+    # C-ordered, unlike K[:, idx]: the BLAS rounding depends on layout
+    C = np.take(K, idx, axis=1)
+    C *= w
     out = []
     for gamma in gammas:
-        # F is written over C, so each shift gathers C = K S anew;
-        # C-ordered, unlike K[:, idx]: the BLAS rounding depends on layout
-        C = np.take(K, idx, axis=1)
-        C *= w
-        F = _whitened_sketch(C, _whitening(eig, n * gamma))
+        F = C @ _whitening(eig, n * gamma)
         out.append(F @ F.T)   # a rank-k update: exactly symmetric
     return out
 

@@ -356,9 +356,9 @@ def _normalize_checkpoints(checkpoints) -> list[tuple[int, int]]:
 
 def _check_fit_args(oracle1: KernelColumns, oracle2: KernelColumns,
                     plan1: SamplingPlan, plan2: SamplingPlan, lambda1: float,
-                    lambda2: float, L: int, ranks) -> int:
+                    lambda2: float, L: int, ranks) -> None:
     """The argument checks both Nystrom fitters share; ``ranks`` holds the
-    (m1, m2) pairs to fit. Returns N, or raises ValueError for regularizers
+    (m1, m2) pairs to fit. Raises ValueError for regularizers
     that are not positive and finite, views of different N, a plan index
     outside [0, N) (naming plan1 or plan2), L outside [1, N] or a rank
     outside [1, plan length]."""
@@ -373,7 +373,23 @@ def _check_fit_args(oracle1: KernelColumns, oracle2: KernelColumns,
     for m1, m2 in ranks:
         if not (1 <= m1 <= plan1.m and 1 <= m2 <= plan2.m):
             raise ValueError(f"ranks ({m1}, {m2}) exceed [1, plan length]")
-    return n
+
+
+def _rank_path_entry(view1, view2, T_hat: np.ndarray, L: int,
+                     coefficients: bool = True) -> RankPathEntry:
+    """The entry of one Nystrom checkpoint, from the SVD of ``T_hat``; each
+    view is (oracle, lambda, Q, M, landmarks), its rank the landmarks'
+    draws. The coefficients are set unless ``coefficients`` is false."""
+    (o1, lam1, Q1, M1, lm1), (o2, lam2, Q2, M2, lm2) = view1, view2
+    rho, ap, bp, sig_next = _checkpoint_solution(Q1, Q2, T_hat, L)
+    model = KccaModel(kind="nystrom", n=o1.n, lambda1=lam1, lambda2=lam2, L=L,
+                      rho=rho, alpha_prime=ap, beta_prime=bp,
+                      sigma_next=sig_next, view1=o1, view2=o2,
+                      landmarks1=lm1, landmarks2=lm2)
+    if coefficients:
+        nkcca_coefficients(model, Q1, M1, Q2, M2)
+    return RankPathEntry(m1=lm1.draws, m2=lm2.draws, rho_tilde=rho,
+                         model=model)
 
 
 def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
@@ -397,8 +413,7 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
     ``_check_fit_args`` does.
     """
     cps = _normalize_checkpoints(checkpoints)
-    n = _check_fit_args(oracle1, oracle2, plan1, plan2, lambda1, lambda2, L,
-                        cps)
+    _check_fit_args(oracle1, oracle2, plan1, plan2, lambda1, lambda2, L, cps)
 
     t0 = time.perf_counter()
     hook_time = 0.0
@@ -418,14 +433,10 @@ def nkcca_fit(oracle1: KernelColumns, oracle2: KernelColumns,
         x_cross = _border_x(x_cross, Q1, Q2)
         T_hat = _border_t_hat(T_hat, M1, x_cross, M2, k10, k20)
 
-        rho, ap, bp, sig_next = _checkpoint_solution(Q1, Q2, T_hat, L)
-        model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
-                          L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
-                          sigma_next=sig_next, view1=oracle1, view2=oracle2,
-                          landmarks1=_landmarks(plan1, v1.kept, m1),
-                          landmarks2=_landmarks(plan2, v2.kept, m2))
-        nkcca_coefficients(model, Q1, M1, Q2, M2)
-        entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model)
+        entry = _rank_path_entry(
+            (oracle1, lambda1, Q1, M1, _landmarks(plan1, v1.kept, m1)),
+            (oracle2, lambda2, Q2, M2, _landmarks(plan2, v2.kept, m2)),
+            T_hat, L)
         entry.wall_time_incremental = time.perf_counter() - t0 - hook_time
         if on_checkpoint is not None:
             h0 = time.perf_counter()
@@ -462,8 +473,8 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
     """
     m1 = plan1.m if m1 is None else m1
     m2 = plan2.m if m2 is None else m2
-    n = _check_fit_args(oracle1, oracle2, plan1, plan2, lambda1, lambda2, L,
-                        [(m1, m2)])
+    _check_fit_args(oracle1, oracle2, plan1, plan2, lambda1, lambda2, L,
+                    [(m1, m2)])
     t0 = time.perf_counter()
 
     built = []
@@ -488,16 +499,11 @@ def nkcca_fit_direct(oracle1: KernelColumns, oracle2: KernelColumns,
     k_tilde = solve_upper(R1, A1.T @ A2, trans=True)
     k_tilde = solve_upper(R2, k_tilde.T, trans=True).T
     T_hat = (M1 @ k_tilde) @ M2.T
-    rho, ap, bp, sig_next = _checkpoint_solution(Q1, Q2, T_hat, L)
-    model = KccaModel(kind="nystrom", n=n, lambda1=lambda1, lambda2=lambda2,
-                      L=L, rho=rho, alpha_prime=ap, beta_prime=bp,
-                      sigma_next=sig_next, view1=oracle1, view2=oracle2,
-                      landmarks1=lm1, landmarks2=lm2)
+    entry = _rank_path_entry((oracle1, lambda1, Q1, M1, lm1),
+                             (oracle2, lambda2, Q2, M2, lm2), T_hat, L,
+                             compute_coefficients)
     if keep_t:
-        model.t_matrix = Q1 @ T_hat @ Q2.T
-    if compute_coefficients:
-        nkcca_coefficients(model, Q1, M1, Q2, M2)
-    entry = RankPathEntry(m1=m1, m2=m2, rho_tilde=rho, model=model)
+        entry.model.t_matrix = Q1 @ T_hat @ Q2.T
     entry.wall_time_restart = time.perf_counter() - t0
     return entry
 
@@ -520,13 +526,13 @@ def _gkl_estimate(s: np.ndarray, residual: float) -> float:
     return residual / s[0]
 
 
-def _non_finite(**arrays) -> ValueError:
-    """The error for an operator that came out non-finite, naming the
-    first argument with a non-finite entry."""
+def _raise_non_finite(**arrays):
+    """Raise the ValueError of an operator that came out non-finite: the
+    ``_check_finite`` error of the first argument with a non-finite entry,
+    or one naming the operator's products."""
     for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            return ValueError(f"{name} has non-finite entries")
-    return ValueError("the operator's products are not finite")
+        _check_finite(name, a)
+    raise ValueError("the operator's products are not finite")
 
 
 def _gkl_norm(*terms, scale: float = 0.0, operands: dict | None = None):
@@ -540,8 +546,8 @@ def _gkl_norm(*terms, scale: float = 0.0, operands: dict | None = None):
 
     Returns (sigma, steps, residual, estimate); the estimate is nan at a
     coefficient breakdown, and the zero operator gives 0.0. Raises the
-    ValueError of _non_finite(**operands) when E v_1 is not finite, which
-    any non-finite operand entry makes it.
+    ValueError of _raise_non_finite(**operands) when E v_1 is not finite,
+    which any non-finite operand entry makes it.
     """
     terms = [t if isinstance(t, tuple) else (t,) for t in terms]
 
@@ -563,7 +569,7 @@ def _gkl_norm(*terms, scale: float = 0.0, operands: dict | None = None):
     V[0] = v / np.linalg.norm(v)
     p = apply(V[0], False)
     if not np.isfinite(p).all():
-        raise _non_finite(**(operands or {}))
+        _raise_non_finite(**(operands or {}))
     tiny = n * np.finfo(float).eps * max(scale, np.linalg.norm(p))
     for k in range(1, n + 1):
         # p = E v_k - beta_{k-1} u_{k-1}

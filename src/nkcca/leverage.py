@@ -23,13 +23,9 @@ __all__ = [
 # 1/sqrt(M p_i) stay finite even for duplicate/degenerate points.
 PROB_FLOOR = 1e-12
 
-# Rows of the whitened sketch per triangular solve in approx_leverage: a solve
-# with all N right-hand sides makes OpenBLAS pack a panel that grows with N
-# and stays resident for the process.
+# Rows per block of approx_leverage's whitening product, which writes F over
+# C: the product's one temporary is this many rows of F.
 _SOLVE_ROWS = 512
-# Rows per block of the whitening product, which writes F over C; README,
-# "Numerical notes", has why 384.
-_PRODUCT_ROWS = 384
 # _inverse_factor symmetrizes a centered matrix, and kcca._ridge_projection
 # mirrors its triangle, this many columns at a time.
 _COLUMN_BLOCK = 128
@@ -101,21 +97,6 @@ def _whitening(eig, shift: float) -> np.ndarray:
     scaled = U[:, keep]
     scaled /= np.sqrt(sig[keep] + shift)
     return scaled
-
-
-def _whitened_sketch(C: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """The whitened sketch F = C ``scaled``, so that
-    F F^T = C (W + shift I)^+ C^T for ``scaled`` =
-    _whitening(_sketch_eigh(W), shift), W the s x s block of the N x s
-    sampled kernel columns C. Consumes C: F is written over it,
-    ``_PRODUCT_ROWS`` rows at a time, and returned as the view C[:, :k].
-    """
-    k, n = scaled.shape[1], C.shape[0]
-    starts = range(0, max(n - 1, 1), _PRODUCT_ROWS)
-    for lo, hi in zip(starts, [*starts[1:], n]):
-        rows = C[lo:hi]
-        rows[:, :k] = rows @ scaled
-    return C[:, :k]
 
 
 def _shifted_cholesky(S: np.ndarray, shift: float, matrix: str, param: str,
@@ -216,19 +197,17 @@ def approx_leverage(oracle: KernelColumns, gamma: float, sketch_size: int,
     del C   # the sketch eigh holds W, its symmetrized copy and LAPACK's work
     scaled = _whitening(_sketch_eigh(W), 0.0)   # U is freed here
     del W
-    # the same block again, whitened in its own buffer: F is a view of it
-    F = _whitened_sketch(oracle.columns(idx), scaled)
-    del scaled
+    # the same block again: F = C scaled is written over it by row blocks
+    C = oracle.columns(idx)
+    F = C[:, :scaled.shape[1]]
+    for lo in range(0, n, _SOLVE_ROWS):
+        F[lo:lo + _SOLVE_ROWS] = C[lo:lo + _SOLVE_ROWS] @ scaled
+    del C, scaled, lo   # F, a view, is all that outlives the product
     R = _shifted_cholesky(F.T @ F, n * gamma, "F^T F + N gamma I", "gamma",
                           gamma)
-    scores = np.empty(n)
-    for lo in range(0, n, _SOLVE_ROWS):
-        # in place where F[lo:hi]^T is column-major (a C-ordered C); a
-        # KernelColumns block is column-major, so its rows are copied
-        Z = scipy.linalg.solve_triangular(R, F[lo:lo + _SOLVE_ROWS].T,
-                                          trans="T", lower=False,
-                                          overwrite_b=True, check_finite=False)
-        scores[lo:lo + _SOLVE_ROWS] = np.einsum("ij,ij->j", Z, Z)
+    # F R^-1, in place where F is column-major (a KernelColumns block)
+    Z = scipy.linalg.blas.dtrsm(1.0, R, F, side=1, overwrite_b=1)
+    scores = np.einsum("ij,ij->i", Z, Z)
     np.clip(scores, 0.0, 1.0, out=scores)
     return LeverageScores(scores=scores, gamma=gamma, d_eff=float(scores.sum()))
 

@@ -169,15 +169,12 @@ def chol_append_block(state: FactorState, indices,
     gram_cross = columns[np.asarray(state.indices, dtype=int), :]
     A_blk, c, S_blk = _equilibrated_block(columns, indices, state.lam)
     C = state.Q.T @ A_blk
-    if m0 > 0:
-        gram_cross *= state._c[:m0, None]
-        gram_cross *= c
-        W = solve_upper(state.R, state.P.T @ C
-                        + state.n * state.lam * gram_cross, trans=True)
-        S_blk = S_blk - W.T @ W
-        S_blk = 0.5 * (S_blk + S_blk.T)
-    else:
-        W = np.zeros((0, nb))
+    gram_cross *= state._c[:m0, None]
+    gram_cross *= c
+    W = solve_upper(state.R, state.P.T @ C + state.n * state.lam * gram_cross,
+                    trans=True)
+    S_blk = S_blk - W.T @ W
+    S_blk = 0.5 * (S_blk + S_blk.T)
 
     kept, R_blk = admit_columns(S_blk)
     if not kept:
@@ -208,21 +205,17 @@ def chol_solve(R: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def qr_append_block(state: FactorState, A_blk: np.ndarray,
-                    C: np.ndarray) -> FactorState:
-    """The QR step of ``chol_append_block``, which writes R, M, the scales
-    and ``indices`` around it: appends the centered columns ``A_blk`` to
-    ``Q, P`` and advances ``m``, given ``C = Q^T A_blk``. A column whose
-    residual falls below ``_QR_DEP_RTOL`` times its norm adds a column to P
-    but none to Q. Consumes ``A_blk``: a column-major block ends holding its
-    residual. Raises ``ValueError`` for mismatched shapes, or past the
-    capacity, leaving the state as it was.
+                    C: np.ndarray) -> None:
+    """The QR step of ``chol_append_block``, its one caller, which writes R,
+    M, the scales and ``indices`` around it: appends the centered columns
+    ``A_blk`` to ``Q, P`` and advances ``m``, given ``C = Q^T A_blk``. A
+    column whose residual falls below ``_QR_DEP_RTOL`` times its norm adds a
+    column to P but none to Q. Consumes ``A_blk``: a column-major block ends
+    holding its residual. Raises ``ValueError`` past the capacity, leaving
+    the state as it was.
     """
     nb = A_blk.shape[1]
     m0, r0 = state.m, state.r
-    if A_blk.shape[0] != state.n or C.shape != (r0, nb):
-        raise ValueError("column block shape mismatch")
-    if nb == 0:
-        return state
     if m0 + nb > state.capacity:
         raise ValueError(f"{m0 + nb} columns exceed the capacity")
     Q = state._Q[:, :r0]
@@ -267,4 +260,3 @@ def qr_append_block(state: FactorState, A_blk: np.ndarray,
                 state._P[r, m0 + j] = rnorm
                 state.r = r + 1
             state.m += 1
-    return state

@@ -422,6 +422,25 @@ def test_exact_above_dense_limit_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "exact").exists()
 
 
+@pytest.mark.parametrize("command", ["nkcca", "compare", "speedup"])
+def test_exact_strategy_above_dense_limit_is_config_error(command, monkeypatch,
+                                                          tmp_path, capsys):
+    # exact leverage scores need the N x N Gram: refused before any of it
+    from nkcca import cli as cli_mod
+
+    def no_dense(self):
+        raise AssertionError("dense N x N work started")
+
+    monkeypatch.setattr(cli_mod.KernelColumns, "dense", no_dense)
+    code = run([command] + base_flags(tmp_path, n="5001", strategy="exact",
+                                      **{"tune-n": "50", "test-n": "50"}))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "5001" in err and "5000" in err and "exact" in err
+    assert not (tmp_path / command).exists()
+
+
 def test_check_bounds_csv_above_dense_limit_is_config_error(tmp_path, capsys):
     # a 3,500-row dataset puts N = 2100 in the default 0.6 training split
     rng = np.random.default_rng(0)

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,8 +6,8 @@ from scipy.stats import spearmanr
 
 from nkcca.datasets import synthetic_circles
 from nkcca.kernels import KernelColumns, KernelSpec, gram
-from nkcca.leverage import (SamplingDistribution, _sketch_eigh,
-                            approx_leverage, effective_dimension,
+from nkcca.leverage import (_SOLVE_ROWS, SamplingDistribution, _sketch_eigh,
+                            _whitening, approx_leverage, effective_dimension,
                             exact_leverage, make_distribution)
 
 
@@ -286,32 +281,40 @@ def test_approx_leverage_holds_one_sketch_sized_array():
     assert peak <= 8 * 1.65 * n * s
 
 
-_WHITENING_SCRIPT = """
-import numpy as np
-from nkcca.leverage import (_PRODUCT_ROWS, _sketch_eigh, _whitened_sketch,
-                            _whitening)
-rng = np.random.default_rng(9)
-for n in (2 * _PRODUCT_ROWS + 1, 2 * _PRODUCT_ROWS + 37):
-    for order in "CF":
-        C = np.asarray(rng.normal(size=(n, 300)), order=order)
-        G = rng.normal(size=(300, 300))
-        scaled = _whitening(_sketch_eigh(G @ G.T), 1e-3)
-        want = C @ scaled
-        F = _whitened_sketch(C, scaled)
-        assert F.base is C or F.base is C.base, (n, order)
-        assert np.array_equal(F, want), (n, order)
-"""
+class RowMajorColumns(ArrayColumns):
+    """A column oracle that serves C-ordered blocks (``ArrayColumns`` and
+    ``KernelColumns`` blocks are F-ordered)."""
+
+    def columns(self, idx):
+        return np.ascontiguousarray(super().columns(idx))
 
 
-def test_whitened_sketch_in_place_is_bitwise_one_product():
-    # F is written over C by row blocks, one of them taking a one-row
-    # remainder, and rounds as C @ scaled does in either layout at one
-    # BLAS thread (more threads split one product and its blocks apart)
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(tests.parent / "src"))
-    subprocess.run([sys.executable, "-c", _WHITENING_SCRIPT], env=env,
-                   check=True, timeout=120)
+@pytest.mark.parametrize("n", [2 * _SOLVE_ROWS + 1, 2 * _SOLVE_ROWS + 37],
+                         ids=["one-row-remainder", "37-row-remainder"])
+@pytest.mark.parametrize("oracle_type", [KernelColumns, ArrayColumns,
+                                         RowMajorColumns],
+                         ids=lambda t: t.__name__)
+def test_approx_leverage_matches_one_product_and_solve(n, oracle_type):
+    # F is written over C by row blocks, and one dtrsm solves it in place
+    # where C is F-ordered, in a copy where it is C-ordered; the reference
+    # takes F = C U+ S+^-1/2 as one product and the scores as the squared
+    # column norms of R^-T F^T
+    s, gamma, seed = 200, 1e-3, 3
+    X = synthetic_circles(n, 4).X
+    if oracle_type is KernelColumns:
+        oracle = KernelColumns(KernelSpec(sigma=0.5), X)
+    else:
+        oracle = oracle_type(gram(KernelSpec(sigma=0.5), X))
+    idx = np.sort(np.random.default_rng(seed).choice(n, size=s,
+                                                     replace=False))
+    C = oracle.columns(idx)
+    assert C.flags.f_contiguous != (oracle_type is RowMajorColumns)
+    F = C @ _whitening(_sketch_eigh(C[idx, :]), 0.0)
+    R = scipy.linalg.cholesky(F.T @ F + n * gamma * np.eye(F.shape[1]))
+    Z = scipy.linalg.solve_triangular(R, F.T, trans="T")
+    want = np.clip(np.einsum("ij,ij->j", Z, Z), 0.0, 1.0)
+    got = approx_leverage(oracle, gamma, s, seed=seed)
+    np.testing.assert_allclose(got.scores, want, rtol=1e-13, atol=0)
 
 
 def test_approx_sketch_size_validation():

@@ -466,10 +466,17 @@ def test_factor_state_rejects_non_finite_lambda(lam):
         FactorState(5, lam, capacity=2)
 
 
-def test_qr_dimension_check():
-    state = FactorState(3, 1.0, capacity=1)
-    with pytest.raises(ValueError):
-        qr_append_block(state, np.ones((4, 1)), np.zeros((0, 1)))
+def test_first_append_factors_its_block_target_bitwise():
+    # with no landmarks yet the border W is 0 x p, so the gate reads the
+    # block target itself: S - W^T W and its symmetrization are bitwise S
+    rng = np.random.default_rng(17)
+    oracle = ArrayColumns(random_psd(rng, 30))
+    idx = np.array([4, 9, 4, 17, 2, 25])
+    _, _, S = _equilibrated_block(oracle.columns(idx), idx, 0.05)
+    kept, R = admit_columns(S)
+    state = FactorState(30, 0.05, capacity=6)
+    assert append(state, oracle, idx) == kept
+    np.testing.assert_array_equal(state.R, R)
 
 
 def test_factor_storage_is_column_major():
